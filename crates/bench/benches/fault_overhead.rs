@@ -6,9 +6,9 @@
 //! `is_trivial` check plus a breaker lookup per round trip. This bench
 //! pins that claim on the hot-path scenario recorded in
 //! `BENCH_augment_hotpath.json` (centralized / 10 stores / level 1 /
-//! cold, embedded as `hotpath_reference` at emit time): the
-//! trivial-policy mean must stay within noise of that baseline, and the
-//! resilient no-fault mean close behind.
+//! cold, which `bench_gate` reads live): the trivial-policy mean must
+//! stay within noise of that baseline, and the resilient no-fault mean
+//! close behind.
 //!
 //! `main` writes `BENCH_fault_overhead.json` at the repository root.
 
@@ -66,19 +66,6 @@ fn measure(lab: &Lab, config: QuepaConfig, runs: usize) -> f64 {
     total.as_secs_f64() / runs as f64
 }
 
-/// The current hot-path recording this baseline embeds as its reference
-/// (`bench_gate`'s overhead pin is baseline-to-baseline, so the
-/// reference must track the checked-in file, not a constant).
-fn hotpath_reference() -> f64 {
-    let path = std::path::Path::new(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_augment_hotpath.json"
-    ));
-    let baseline = quepa_bench::baseline::Baseline::load(path)
-        .expect("record BENCH_augment_hotpath.json first");
-    baseline.means["centralized/10stores/level1/cold"]
-}
-
 fn emit_baseline() {
     let mut entries = Vec::new();
     for deployment in [Deployment::InProcess, Deployment::Centralized] {
@@ -92,9 +79,8 @@ fn emit_baseline() {
         }
     }
     let json = format!(
-        "{{\n  \"benchmark\": \"fault_overhead\",\n  \"query\": \"{}\",\n  \"runs_per_scenario\": 50,\n  \"hotpath_reference\": {{\"scenario\": \"centralized/10stores/level1/cold\", \"mean_s\": {:.6}}},\n  \"scenarios\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"benchmark\": \"fault_overhead\",\n  \"query\": \"{}\",\n  \"runs_per_scenario\": 50,\n  \"scenarios\": [\n{}\n  ]\n}}\n",
         QUERY.replace('"', "\\\""),
-        hotpath_reference(),
         entries.join(",\n")
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fault_overhead.json");

@@ -64,10 +64,7 @@ impl Baseline {
             fields.insert(scenario.to_owned(), numbers);
             rest = &rest["\"scenario\"".len()..];
         }
-        // The header's hotpath_reference also carries a scenario/mean pair
-        // in some files; it lives *before* the scenarios array under a
-        // different key, so it never collides — but an empty set means the
-        // file is not a baseline at all.
+        // An empty set means the file is not a baseline at all.
         if means.is_empty() {
             return Err("no scenarios found".into());
         }
@@ -142,22 +139,6 @@ mod tests {
         assert_eq!(b.field("serving/open-loop/2.00x", "offered"), Some(2560.0));
         assert_eq!(b.field("serving/open-loop/2.00x", "missing"), None);
         assert_eq!(b.field("no-such-scenario", "qps"), None);
-    }
-
-    #[test]
-    fn parses_files_with_a_hotpath_reference() {
-        let text = r#"{
-  "benchmark": "fault_overhead",
-  "hotpath_reference": {"scenario": "centralized/10stores/level1/cold", "mean_s": 0.001828},
-  "scenarios": [
-    {"scenario": "in-process/10stores/level1/cold/trivial", "mean_s": 0.001502}
-  ]
-}"#;
-        let b = Baseline::parse(text).unwrap();
-        // The reference pair is scanned too — harmless, the gate only
-        // looks up scenarios it re-measures.
-        assert_eq!(b.means["in-process/10stores/level1/cold/trivial"], 0.001502);
-        assert_eq!(b.means["centralized/10stores/level1/cold"], 0.001828);
     }
 
     #[test]

@@ -9,31 +9,49 @@
 //! whose objects have vanished from the polystore are reported back as
 //! `missing` (the lazy-deletion signal of §III-C).
 //!
-//! Hot-path structure: the A' index is traversed **once** per query
-//! ([`plan`] calls `AIndex::augment_multi`, which yields the canonical
-//! neighbourhood and the per-seed work partition together). Execution is
-//! uniform across the concurrent strategies: each strategy compiles its
-//! work into a list of *units* (single keys or batch groups) and a
-//! ticket count, and the ticket executor claims units off a shared
-//! atomic cursor — either on the instance's shared [`WorkerPool`]
-//! (queries park on a [`Latch`](crate::pool::Latch) while pool workers
-//! run their tickets) or on scoped threads when no pool is attached.
-//! Every ticket accumulates into its own [`Sink`] shard merged after
-//! completion — workers never share a lock — and the final sort by
-//! (probability desc, key asc) makes the outcome independent of worker
-//! interleaving and shard merge order.
+//! The A' index is traversed **once** per query ([`plan`] yields the
+//! canonical neighbourhood and the per-seed work partition together).
+//! From there a strategy is data, not code — one row of
+//! `Strategy::of`:
 //!
-//! When a [`FlightTable`] is attached (and the cache is enabled), fetches
-//! coalesce across queries: one leader per key (or per batch group)
-//! performs the round trip, waiters account the published object exactly
-//! like a cache hit. See [`crate::flight`] for the equality argument.
+//! | augmenter   | unit shape  | tickets             | waves        |
+//! |-------------|-------------|---------------------|--------------|
+//! | SEQUENTIAL  | seed run    | 1                   | one          |
+//! | BATCH       | batch group | 1                   | one          |
+//! | INNER       | key         | `THREADS_SIZE`      | one per seed |
+//! | OUTER       | seed run    | `THREADS_SIZE`      | one          |
+//! | OUTER-BATCH | batch group | `THREADS_SIZE`      | one          |
+//! | OUTER-INNER | key         | `(THREADS_SIZE/2)²` | one          |
+//!
+//! `compile` turns the partition into waves of units — each the tasks
+//! plus the `Wire` operation that fetches them (`get` per key, one
+//! `multi_get`, or one `fetch_where` for a store group the planner
+//! pushed the filter down to) — and the one ticket executor
+//! (`Engine::execute`) runs a wave: tickets claim units off a shared
+//! atomic cursor as jobs on a [`WorkerPool`] (the instance's shared one,
+//! or a one-shot pool when none is attached) while the query parks on a
+//! [`Latch`]; a single ticket runs inline on the caller. Every ticket
+//! accumulates into its own sink shard merged after completion —
+//! workers never share a lock — and the final sort by (probability desc,
+//! key asc) makes the outcome independent of worker interleaving and
+//! shard merge order.
+//!
+//! Every unit goes through the one fetch routine
+//! (`Engine::fetch_unit`): cache probe → flight join, when a
+//! [`FlightTable`] is attached (and the cache is enabled, and the run is
+//! unfiltered) → one round trip for the keys this query must fetch
+//! itself → on a degradable batch failure, the per-key ladder → settle
+//! and publish → settle the waiters. With a flight table, fetches
+//! coalesce across queries: one leader per key performs the round trip,
+//! waiters account the published object exactly like a cache hit. See
+//! [`crate::flight`] for the equality argument.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use quepa_aindex::{AIndex, Augmentable, AugmentedKey};
+use quepa_aindex::{Augmentable, AugmentedKey};
 use quepa_obs::{MetricsRegistry, Stage};
 use quepa_pdm::{CollectionName, DataObject, DatabaseName, GlobalKey, LocalKey, Probability, Pushdown};
 use quepa_polystore::retry::{BreakerSet, CircuitBreaker};
@@ -139,25 +157,10 @@ pub struct AugmentPlan {
 
 /// Traverses the A' index once, producing the retrieval plan for `seeds`.
 /// Generic over [`Augmentable`] so it serves both the monolithic
-/// [`AIndex`] and a sharded [`quepa_aindex::IndexView`].
+/// [`quepa_aindex::AIndex`] and a sharded [`quepa_aindex::IndexView`].
 pub fn plan<I: Augmentable>(index: &I, seed_keys: &[GlobalKey], level: usize) -> AugmentPlan {
     let (augmented, ownership) = index.augment_multi(seed_keys, level);
     AugmentPlan { augmented, ownership, seed_count: seed_keys.len() }
-}
-
-/// Executes the augmentation of `seeds` at `level` using the strategy in
-/// `config`.
-pub fn run(
-    polystore: &Polystore,
-    index: &AIndex,
-    cache: &Arc<ObjectCache>,
-    seeds: &[DataObject],
-    level: usize,
-    config: &QuepaConfig,
-) -> Result<AugmentationOutcome> {
-    let seed_keys: Vec<GlobalKey> = seeds.iter().map(|o| o.key().clone()).collect();
-    let plan = plan(index, &seed_keys, level);
-    run_planned(polystore, cache, &plan, config)
 }
 
 /// The shared serving-path machinery an execution borrows from its
@@ -171,8 +174,8 @@ pub struct FetchRuntime<'a> {
     pub breakers: &'a Arc<BreakerSet>,
     /// Metrics registry; workers report round trips / probes / retries.
     pub obs: Option<&'a Arc<MetricsRegistry>>,
-    /// The instance's shared fetch pool; `None` falls back to scoped
-    /// threads (one-shot executions).
+    /// The instance's shared fetch pool; `None` runs the tickets on a
+    /// one-shot pool of their own (standalone executions).
     pub pool: Option<&'a WorkerPool>,
     /// Cross-query single-flight table; only engaged while the cache is
     /// enabled (see [`crate::flight`]).
@@ -209,24 +212,7 @@ pub fn run_planned_with(
     config: &QuepaConfig,
     runtime: &FetchRuntime<'_>,
 ) -> Result<AugmentationOutcome> {
-    let config = config.sanitized();
-    let owned = partition(plan);
-    let engine = Engine {
-        polystore: polystore.clone(),
-        cache: Arc::clone(cache),
-        resilience: config.resilience,
-        breakers: Arc::clone(runtime.breakers),
-        obs: runtime.obs.map(Arc::clone),
-        // A disabled cache means a serial run performs every round trip
-        // itself — coalescing would change behaviour, not preserve it.
-        flight: if config.cache_size > 0 { runtime.flight.map(Arc::clone) } else { None },
-        filter: None,
-    };
-    // The calling thread fetches too (sequential/batch run here):
-    // observe it like any worker.
-    let _ctx = engine.observe_fetch();
-    let sink = dispatch(&engine, owned, &config, runtime.pool)?;
-    Ok(finish(sink, &config, runtime))
+    run_plan(polystore, cache, plan, config, runtime, None).map(|(outcome, _)| outcome)
 }
 
 /// Which side of the wire evaluates a filtered group's predicate.
@@ -297,56 +283,48 @@ pub fn run_planned_filtered(
     filter: &Pushdown,
     decider: Option<&PushdownDecider<'_>>,
 ) -> Result<(AugmentationOutcome, Vec<GroupDecision>)> {
-    if filter.is_trivial() {
-        let outcome = run_planned_with(polystore, cache, plan, config, runtime)?;
-        return Ok((outcome, Vec::new()));
-    }
+    let filter = (!filter.is_trivial()).then_some((filter, decider));
+    run_plan(polystore, cache, plan, config, runtime, filter)
+}
+
+/// The body of every run: plan the groups (filtered runs only), compile
+/// the configured strategy into waves of units, execute each wave, sort.
+fn run_plan(
+    polystore: &Polystore,
+    cache: &Arc<ObjectCache>,
+    plan: &AugmentPlan,
+    config: &QuepaConfig,
+    runtime: &FetchRuntime<'_>,
+    filter: Option<(&Pushdown, Option<&PushdownDecider<'_>>)>,
+) -> Result<(AugmentationOutcome, Vec<GroupDecision>)> {
     let config = config.sanitized();
     let owned = partition(plan);
+    // A disabled cache means a serial run performs every round trip
+    // itself — coalescing would change behaviour, not preserve it. A
+    // filtered run never joins either: a leader's published outcome is
+    // not filter-aware.
+    let coalesce = config.cache_size > 0 && filter.is_none();
     let engine = Engine {
         polystore: polystore.clone(),
         cache: Arc::clone(cache),
         resilience: config.resilience,
         breakers: Arc::clone(runtime.breakers),
         obs: runtime.obs.map(Arc::clone),
-        flight: None,
-        filter: Some(filter.clone()),
+        flight: runtime.flight.filter(|_| coalesce).map(Arc::clone),
+        filter: filter.map(|(f, _)| f.clone()),
     };
+    // A single ticket runs on the calling thread: observe it like any
+    // worker.
     let _ctx = engine.observe_fetch();
-
-    let decisions = decide_groups(polystore, &owned, &config, filter, decider);
-    let pushdown_slots: std::collections::BTreeSet<(&DatabaseName, &CollectionName)> = decisions
-        .iter()
-        .filter(|d| d.strategy == GroupStrategy::Pushdown)
-        .map(|d| (&d.database, &d.collection))
-        .collect();
-
-    // The fetch-all share keeps its per-seed partition and runs under the
-    // configured augmenter; each pushdown group is one unit, claimed by
-    // tickets like any other (sequential configs keep one ticket).
-    let mut fetch_all: Vec<Vec<Task>> = vec![Vec::new(); owned.len()];
-    let mut push_groups: HashMap<(DatabaseName, CollectionName), Vec<Task>> = HashMap::new();
-    for (seed, tasks) in owned.into_iter().enumerate() {
-        for task in tasks {
-            let slot = (task.key.database(), task.key.collection());
-            if pushdown_slots.contains(&slot) {
-                push_groups
-                    .entry((task.key.database().clone(), task.key.collection().clone()))
-                    .or_default()
-                    .push(task);
-            } else {
-                fetch_all[seed].push(task);
-            }
-        }
+    let decisions = match filter {
+        Some((f, decider)) => decide_groups(polystore, &owned, &config, f, decider),
+        None => Vec::new(),
+    };
+    let strategy = Strategy::of(&config);
+    let mut sink = Sink::default();
+    for wave in compile(owned, &strategy, config.batch_size, &decisions) {
+        sink.merge(engine.execute(wave, strategy.tickets, runtime.pool)?);
     }
-    let mut push_units: Vec<((DatabaseName, CollectionName), Vec<Task>)> =
-        push_groups.into_iter().collect();
-    push_units.sort_by(|a, b| a.0.cmp(&b.0));
-    let push_units: Vec<Vec<Task>> = push_units.into_iter().map(|(_, g)| g).collect();
-
-    let tickets = if config.augmenter.uses_threads() { config.threads_size } else { 1 };
-    let mut sink = engine.execute(push_units, UnitMode::PushdownGroup, tickets, runtime.pool)?;
-    sink.merge(dispatch(&engine, fetch_all, &config, runtime.pool)?);
     Ok((finish(sink, &config, runtime), decisions))
 }
 
@@ -430,37 +408,111 @@ fn partition(plan: &AugmentPlan) -> Vec<Vec<Task>> {
     owned
 }
 
-/// Runs the configured augmenter over a per-seed work partition.
-fn dispatch(
-    engine: &Engine,
-    owned: Vec<Vec<Task>>,
-    config: &QuepaConfig,
-    pool: Option<&WorkerPool>,
-) -> Result<Sink> {
-    let threads = config.threads_size;
-    match config.augmenter {
-        AugmenterKind::Sequential => engine.sequential(&owned),
-        AugmenterKind::Batch => {
-            let units = batch_groups(&owned, config.batch_size);
-            engine.execute(units, UnitMode::Group, 1, None)
-        }
-        AugmenterKind::Inner => engine.inner(owned, threads, pool),
-        AugmenterKind::Outer => engine.execute(owned, UnitMode::Singles, threads, pool),
-        AugmenterKind::OuterBatch => {
-            let units = batch_groups(&owned, config.batch_size);
-            engine.execute(units, UnitMode::Group, threads, pool)
-        }
-        AugmenterKind::OuterInner => {
-            // Outer × inner parallelism, flattened: per-key units claimed
-            // by outer×inner tickets give the same schedule capacity
-            // without nesting pools (a nested wait inside a pool worker
-            // could deadlock the shared pool).
-            let outer = (threads / 2).max(1);
-            let inner = (threads / 2).max(1);
-            let units: Vec<Vec<Task>> = owned.into_iter().flatten().map(|t| vec![t]).collect();
-            engine.execute(units, UnitMode::Singles, outer * inner, pool)
+/// How a unit's cache misses cross the wire.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Wire {
+    /// One `get` per key: the unit is a run of independent lookups.
+    Get,
+    /// One `multi_get` for the unit (one database, one collection).
+    MultiGet,
+    /// One `fetch_where` carrying the run's filter into the store.
+    FetchWhere,
+}
+
+/// What a ticket claims: tasks plus the wire operation that fetches them.
+#[derive(Debug)]
+struct Unit {
+    tasks: Vec<Task>,
+    wire: Wire,
+}
+
+/// What a strategy makes one unit of.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Shape {
+    /// Every key on its own.
+    Key,
+    /// The keys one seed owns, fetched one after the other.
+    SeedRun,
+    /// Up to `BATCH_SIZE` keys of one (database, collection), across
+    /// seeds (§IV-A).
+    BatchGroup,
+}
+
+/// One row of the strategy table: an augmenter is a unit shape, a ticket
+/// count, and whether all seeds share one wave of tickets or each seed
+/// gets its own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Strategy {
+    shape: Shape,
+    tickets: usize,
+    wave_per_seed: bool,
+}
+
+impl Strategy {
+    /// The strategy table (paper §IV, Fig. 6–7).
+    fn of(config: &QuepaConfig) -> Strategy {
+        let threads = config.threads_size;
+        // Outer × inner parallelism, flattened: per-key units claimed by
+        // outer×inner tickets give the same schedule capacity without
+        // nesting pools (a nested wait inside a pool worker could
+        // deadlock the shared pool).
+        let split = (threads / 2).max(1);
+        let (shape, tickets, wave_per_seed) = match config.augmenter {
+            AugmenterKind::Sequential => (Shape::SeedRun, 1, false),
+            AugmenterKind::Batch => (Shape::BatchGroup, 1, false),
+            AugmenterKind::Inner => (Shape::Key, threads, true),
+            AugmenterKind::Outer => (Shape::SeedRun, threads, false),
+            AugmenterKind::OuterBatch => (Shape::BatchGroup, threads, false),
+            AugmenterKind::OuterInner => (Shape::Key, split * split, false),
+        };
+        Strategy { shape, tickets, wave_per_seed }
+    }
+}
+
+/// Compiles a per-seed partition into waves of units. Every store group
+/// the planner pushed the filter down to becomes one `fetch_where` unit
+/// at the head of the first wave, claimed by tickets like any other; the
+/// rest keeps its per-seed partition and takes the strategy's shape.
+fn compile(
+    mut owned: Vec<Vec<Task>>,
+    strategy: &Strategy,
+    batch_size: usize,
+    decisions: &[GroupDecision],
+) -> Vec<Vec<Unit>> {
+    // `decisions` come in sorted group order: binary search finds a
+    // task's group without cloning its names.
+    let mut pushed: Vec<(&GroupDecision, Vec<Task>)> = decisions
+        .iter()
+        .filter(|d| d.strategy == GroupStrategy::Pushdown)
+        .map(|d| (d, Vec::with_capacity(d.keys)))
+        .collect();
+    if !pushed.is_empty() {
+        for tasks in &mut owned {
+            for task in std::mem::take(tasks) {
+                let slot = (task.key.database(), task.key.collection());
+                match pushed.binary_search_by(|(d, _)| (&d.database, &d.collection).cmp(&slot)) {
+                    Ok(group) => pushed[group].1.push(task),
+                    Err(_) => tasks.push(task),
+                }
+            }
         }
     }
+    let shaped = |seeds: Vec<Vec<Task>>| -> Vec<Unit> {
+        let (units, wire): (Vec<Vec<Task>>, Wire) = match strategy.shape {
+            Shape::Key => (seeds.into_iter().flatten().map(|t| vec![t]).collect(), Wire::Get),
+            Shape::SeedRun => (seeds, Wire::Get),
+            Shape::BatchGroup => (batch_groups(seeds, batch_size), Wire::MultiGet),
+        };
+        units.into_iter().filter(|u| !u.is_empty()).map(|tasks| Unit { tasks, wire }).collect()
+    };
+    let mut waves: Vec<Vec<Unit>> =
+        vec![pushed.into_iter().map(|(_, tasks)| Unit { tasks, wire: Wire::FetchWhere }).collect()];
+    if strategy.wave_per_seed {
+        waves.extend(owned.into_iter().map(|seed| shaped(vec![seed])));
+    } else {
+        waves[0].extend(shaped(owned));
+    }
+    waves
 }
 
 /// Sorts a merged sink into the canonical answer order under the Merge
@@ -487,13 +539,13 @@ fn finish(sink: Sink, config: &QuepaConfig, runtime: &FetchRuntime<'_>) -> Augme
 /// order the streaming formulation emits them: a group unit is produced
 /// the moment it fills to `batch_size` (encounter order), partial groups
 /// flush afterwards sorted by target (deterministic remainder).
-fn batch_groups(owned: &[Vec<Task>], batch_size: usize) -> Vec<Vec<Task>> {
+fn batch_groups(owned: Vec<Vec<Task>>, batch_size: usize) -> Vec<Vec<Task>> {
     let mut units = Vec::new();
     let mut groups: HashMap<(DatabaseName, CollectionName), Vec<Task>> = HashMap::new();
-    for task in owned.iter().flatten() {
+    for task in owned.into_iter().flatten() {
         let slot = (task.key.database().clone(), task.key.collection().clone());
         let group = groups.entry(slot).or_default();
-        group.push(task.clone());
+        group.push(task);
         if group.len() >= batch_size {
             units.push(std::mem::take(group));
         }
@@ -513,19 +565,19 @@ struct Sink {
 }
 
 impl Sink {
+    fn push(&mut self, task: &Task, object: DataObject) {
+        self.objects.push(AugmentedObject {
+            object,
+            probability: task.probability,
+            distance: task.distance,
+        });
+    }
+
     fn merge(&mut self, mut other: Sink) {
         self.objects.append(&mut other.objects);
         self.missing.append(&mut other.missing);
         self.cache_hits += other.cache_hits;
     }
-}
-
-/// Merges worker shards in spawn order, surfacing the first worker error.
-fn merge_shards(results: Vec<Result<Sink>>, into: &mut Sink) -> Result<()> {
-    for result in results {
-        into.merge(result?);
-    }
-    Ok(())
 }
 
 /// The retrieval engine, cloned into pool tickets: every field is either
@@ -538,23 +590,11 @@ struct Engine {
     resilience: ResilienceConfig,
     breakers: Arc<BreakerSet>,
     obs: Option<Arc<MetricsRegistry>>,
+    /// `None` unless the run coalesces (see [`run_plan`]).
     flight: Option<Arc<FlightTable>>,
-    /// The active pushdown filter, if the augmentation is filtered. Set
-    /// only by [`run_planned_filtered`], which also forces `flight:
-    /// None` — the flight table's published outcomes are not
-    /// filter-aware.
+    /// The active pushdown filter, if the augmentation is filtered; a
+    /// filtered engine never carries a flight table.
     filter: Option<Pushdown>,
-}
-
-/// What one work unit is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum UnitMode {
-    /// A run of single-key fetches.
-    Singles,
-    /// A batch group sharing one (database, collection): one `multi_get`.
-    Group,
-    /// A filtered store group: one `fetch_where` carrying the predicate.
-    PushdownGroup,
 }
 
 /// Maps a fetch error to the structured reason it would leave in the
@@ -577,12 +617,11 @@ fn unreachable_reason(error: &PolyError) -> Option<MissingReason> {
     }
 }
 
-/// One batch of tickets executing on the shared pool. `'static` by
-/// construction (the engine is owned), so jobs need no scoped lifetimes.
+/// One wave of tickets executing on a pool. `'static` by construction
+/// (the engine is owned), so jobs need no scoped lifetimes.
 struct TicketBatch {
     engine: Engine,
-    units: Vec<Vec<Task>>,
-    mode: UnitMode,
+    units: Vec<Unit>,
     next: AtomicUsize,
     slots: parking_lot::Mutex<Vec<Option<TicketOutcome>>>,
     latch: Latch,
@@ -599,10 +638,14 @@ impl TicketBatch {
             if i >= self.units.len() {
                 return Ok(local);
             }
-            self.engine.run_unit(&self.units[i], self.mode, &mut local)?;
+            self.engine.run_unit(&self.units[i], &mut local)?;
         }
     }
 }
+
+/// A key this query must fetch itself, with the flight it leads when
+/// the run coalesces.
+type Pending<'t> = (&'t Task, Option<LeaderGuard>);
 
 impl Engine {
     /// Installs the Fetch-stage observation context on the current
@@ -621,19 +664,6 @@ impl Engine {
         self.breakers.breaker(database)
     }
 
-    /// Handles a failed fetch: under [`DegradeMode::Partial`] the task's
-    /// key degrades into the `missing` list with a structured reason;
-    /// under fail-fast (or for non-outage errors) the error propagates.
-    fn degrade_or_fail(&self, task: &Task, error: PolyError, sink: &mut Sink) -> Result<()> {
-        if self.resilience.degrade == DegradeMode::Partial {
-            if let Some(reason) = unreachable_reason(&error) {
-                sink.missing.push(MissingKey { key: task.key.clone(), reason });
-                return Ok(());
-            }
-        }
-        Err(error.into())
-    }
-
     /// Whether the active filter (if any) admits this object. Client-side
     /// evaluation uses the same canonical evaluator as every native
     /// pushdown path, over the exact local key and value the connector
@@ -642,405 +672,183 @@ impl Engine {
         self.filter.as_ref().is_none_or(|f| f.matches(task.key.key().as_str(), object.value()))
     }
 
-    /// Accounts a cache (or coalesced-flight) hit and records the object.
+    /// Accounts a cache (or coalesced-flight) hit. The probe is a hit
+    /// whether or not the filter admits the object; a filtered-out hit
+    /// just contributes nothing (and is not missing).
     fn push_hit(&self, task: &Task, object: DataObject, sink: &mut Sink) {
         self.cache.tally_hit();
         quepa_obs::record_cache_probe(true);
         sink.cache_hits += 1;
-        sink.objects.push(AugmentedObject {
-            object,
-            probability: task.probability,
-            distance: task.distance,
-        });
-    }
-
-    /// One key's store round trip, resilient when configured.
-    fn round_trip_one(
-        &self,
-        key: &GlobalKey,
-    ) -> std::result::Result<Option<DataObject>, PolyError> {
-        if self.resilience.is_trivial() {
-            self.polystore.get(key)
-        } else {
-            let breaker = self.breaker(key.database());
-            self.polystore.get_resilient(key, &self.resilience.retry, breaker.as_deref())
+        if self.admits(task, &object) {
+            sink.push(task, object);
         }
     }
 
-    /// Fetches one task into `sink`: cache, then — through the flight
-    /// table when coalescing is on — a direct-access query.
-    fn fetch_one(&self, task: &Task, sink: &mut Sink) -> Result<()> {
-        let Some(flight) = self.flight.clone() else {
-            let cached = self.cache.get(&task.key);
-            quepa_obs::record_cache_probe(cached.is_some());
-            if let Some(object) = cached {
-                // The probe is a hit either way; a filtered-out hit just
-                // contributes no object (and is not missing).
-                sink.cache_hits += 1;
-                if self.admits(task, &object) {
-                    sink.objects.push(AugmentedObject {
-                        object,
-                        probability: task.probability,
-                        distance: task.distance,
-                    });
-                }
-                return Ok(());
-            }
-            return self.fetch_one_uncached(task, sink);
-        };
-        debug_assert!(self.filter.is_none(), "filtered runs disable the flight table");
-        if let Some(object) = self.cache.probe(&task.key) {
-            self.push_hit(task, object, sink);
-            return Ok(());
-        }
-        match flight.join(&task.key, &self.cache) {
-            KeyRole::Cached(object) => {
-                self.push_hit(task, object, sink);
-                Ok(())
-            }
-            KeyRole::Leader(guard) => {
-                self.cache.tally_miss();
-                quepa_obs::record_cache_probe(false);
-                self.lead_one(task, guard, sink)
-            }
-            KeyRole::Waiter(f) => {
-                let outcome = f.wait();
-                self.settle_waiter(task, outcome, sink)
-            }
-        }
+    fn tally_miss(&self) {
+        self.cache.tally_miss();
+        quepa_obs::record_cache_probe(false);
     }
 
-    /// The store round trip of [`fetch_one`](Engine::fetch_one) when no
-    /// flight table is engaged, after the cache has missed — also the
-    /// per-key fallback a failed batch degrades to, and the fallback of
-    /// a waiter whose leader failed.
-    fn fetch_one_uncached(&self, task: &Task, sink: &mut Sink) -> Result<()> {
-        match self.round_trip_one(&task.key) {
-            Ok(Some(object)) => {
-                // An existing object that fails the filter is neither an
-                // answer nor missing — and it is never cached: under
-                // pushdown it would not have crossed the wire, and the
-                // cache state must not reveal which strategy ran.
-                if self.admits(task, &object) {
-                    self.cache.insert(object.clone());
-                    sink.objects.push(AugmentedObject {
-                        object,
-                        probability: task.probability,
-                        distance: task.distance,
-                    });
-                }
-                Ok(())
-            }
-            Ok(None) => {
-                sink.missing.push(MissingKey::not_found(task.key.clone()));
-                Ok(())
-            }
-            Err(error) => self.degrade_or_fail(task, error, sink),
-        }
+    /// Runs one unit into a ticket's local sink. A `Get` unit is a run of
+    /// independent lookups: each key probes, joins and settles on its
+    /// own, so the cache sees them one after the other as §IV's
+    /// per-object loop does.
+    fn run_unit(&self, unit: &Unit, sink: &mut Sink) -> Result<()> {
+        let step = if unit.wire == Wire::Get { 1 } else { unit.tasks.len().max(1) };
+        unit.tasks.chunks(step).try_for_each(|tasks| self.fetch_unit(tasks, unit.wire, sink))
     }
 
-    /// Performs a led round trip for one key and publishes its outcome
-    /// (the miss was already tallied when leadership was taken).
-    fn lead_one(&self, task: &Task, guard: LeaderGuard, sink: &mut Sink) -> Result<()> {
-        match self.round_trip_one(&task.key) {
-            Ok(Some(object)) => {
-                guard.publish(&self.cache, FlightOutcome::Found(object.clone()));
-                sink.objects.push(AugmentedObject {
-                    object,
-                    probability: task.probability,
-                    distance: task.distance,
-                });
-                Ok(())
-            }
-            Ok(None) => {
-                guard.publish(&self.cache, FlightOutcome::NotFound);
-                sink.missing.push(MissingKey::not_found(task.key.clone()));
-                Ok(())
-            }
-            Err(error) => {
-                guard.publish(&self.cache, FlightOutcome::Failed);
-                self.degrade_or_fail(task, error, sink)
-            }
-        }
-    }
-
-    /// Resolves a coalesced fetch from the leader's published outcome.
-    fn settle_waiter(&self, task: &Task, outcome: FlightOutcome, sink: &mut Sink) -> Result<()> {
-        match outcome {
-            // The flight table is the in-flight extension of the cache:
-            // a serial execution would have found this object cached.
-            FlightOutcome::Found(object) => {
-                self.push_hit(task, object, sink);
-                Ok(())
-            }
-            FlightOutcome::NotFound => {
-                self.cache.tally_miss();
-                quepa_obs::record_cache_probe(false);
-                sink.missing.push(MissingKey::not_found(task.key.clone()));
-                Ok(())
-            }
-            // The leader's round trip failed: fetch directly so this
-            // query's own retry/breaker accounting applies.
-            FlightOutcome::Failed => {
-                self.cache.tally_miss();
-                quepa_obs::record_cache_probe(false);
-                self.fetch_one_uncached(task, sink)
-            }
-        }
-    }
-
-    /// Fetches a group of tasks that share a (database, collection) in one
-    /// round trip, cache first.
-    fn fetch_group(&self, group: &[Task], sink: &mut Sink) -> Result<()> {
-        debug_assert!(!group.is_empty());
-        match self.flight.clone() {
-            None => self.fetch_group_direct(group, sink),
-            Some(flight) => self.fetch_group_coalesced(&flight, group, sink),
-        }
-    }
-
-    fn fetch_group_direct(&self, group: &[Task], sink: &mut Sink) -> Result<()> {
-        let mut to_fetch: Vec<&Task> = Vec::with_capacity(group.len());
-        for task in group {
-            let cached = self.cache.get(&task.key);
-            quepa_obs::record_cache_probe(cached.is_some());
-            match cached {
-                Some(object) => {
-                    sink.cache_hits += 1;
-                    if self.admits(task, &object) {
-                        sink.objects.push(AugmentedObject {
-                            object,
-                            probability: task.probability,
-                            distance: task.distance,
-                        });
-                    }
-                }
-                None => to_fetch.push(task),
-            }
-        }
-        if to_fetch.is_empty() {
-            return Ok(());
-        }
-        let database: &DatabaseName = to_fetch[0].key.database();
-        let collection: &CollectionName = to_fetch[0].key.collection();
-        let keys: Vec<LocalKey> = to_fetch.iter().map(|t| t.key.key().clone()).collect();
-        let fetched = self.round_trip_group(database, collection, &keys);
-        let fetched = match fetched {
-            Ok(fetched) => fetched,
-            Err(error)
-                if self.resilience.degrade == DegradeMode::Partial
-                    && unreachable_reason(&error).is_some() =>
-            {
-                // A failed batch must not poison its healthy members:
-                // degrade to per-key round trips so only the keys that
-                // are truly unreachable land in `missing`.
-                for task in &to_fetch {
-                    self.fetch_one_uncached(task, sink)?;
-                }
-                return Ok(());
-            }
-            Err(error) => return Err(error.into()),
-        };
-        // Move each fetched object straight into the sink (the cache takes
-        // the one clone); tasks whose key came back empty are missing.
-        let mut wanted: HashMap<&GlobalKey, &Task> =
-            to_fetch.iter().map(|t| (&t.key, *t)).collect();
-        for object in fetched {
-            let Some(task) = wanted.remove(object.key()) else { continue };
-            if self.admits(task, &object) {
-                self.cache.insert(object.clone());
-                sink.objects.push(AugmentedObject {
-                    object,
-                    probability: task.probability,
-                    distance: task.distance,
-                });
-            }
-        }
-        // Preserve the historical missing order: to_fetch order, not map
-        // order.
-        for task in &to_fetch {
-            if wanted.contains_key(&task.key) {
-                sink.missing.push(MissingKey::not_found(task.key.clone()));
-            }
-        }
-        Ok(())
-    }
-
-    /// One filtered store group as a single `fetch_where` round trip:
-    /// cache probes first (hits evaluated client-side), then the
-    /// predicate travels to the store and only matching objects travel
-    /// back. Keys the store reports `rejected` exist but fail the filter
-    /// — neither answers nor missing; keys in neither list are gone (the
-    /// lazy-deletion signal, exactly as a `multi_get` would report
-    /// them). A degradable wire failure falls back to per-key round
-    /// trips with client-side filtering, mirroring the batch ladder.
-    fn fetch_group_pushdown(&self, group: &[Task], sink: &mut Sink) -> Result<()> {
-        debug_assert!(!group.is_empty());
-        let filter = self.filter.as_ref().expect("pushdown units carry the engine filter");
-        let mut to_fetch: Vec<&Task> = Vec::with_capacity(group.len());
-        for task in group {
-            let cached = self.cache.get(&task.key);
-            quepa_obs::record_cache_probe(cached.is_some());
-            match cached {
-                Some(object) => {
-                    sink.cache_hits += 1;
-                    if self.admits(task, &object) {
-                        sink.objects.push(AugmentedObject {
-                            object,
-                            probability: task.probability,
-                            distance: task.distance,
-                        });
-                    }
-                }
-                None => to_fetch.push(task),
-            }
-        }
-        if to_fetch.is_empty() {
-            return Ok(());
-        }
-        let database: &DatabaseName = to_fetch[0].key.database();
-        let collection: &CollectionName = to_fetch[0].key.collection();
-        let keys: Vec<LocalKey> = to_fetch.iter().map(|t| t.key.key().clone()).collect();
-        let fetched = match self.round_trip_pushdown(database, collection, &keys, filter) {
-            Ok(fetched) => fetched,
-            Err(error)
-                if self.resilience.degrade == DegradeMode::Partial
-                    && unreachable_reason(&error).is_some() =>
-            {
-                quepa_obs::record_pushdown_fallback(database.as_str());
-                for task in &to_fetch {
-                    self.fetch_one_uncached(task, sink)?;
-                }
-                return Ok(());
-            }
-            Err(error) => return Err(error.into()),
-        };
-        let mut wanted: HashMap<&GlobalKey, &Task> =
-            to_fetch.iter().map(|t| (&t.key, *t)).collect();
-        for object in fetched.matched {
-            let Some(task) = wanted.remove(object.key()) else { continue };
-            self.cache.insert(object.clone());
-            sink.objects.push(AugmentedObject {
-                object,
-                probability: task.probability,
-                distance: task.distance,
-            });
-        }
-        let rejected: std::collections::HashSet<&LocalKey> = fetched.rejected.iter().collect();
-        for task in &to_fetch {
-            if wanted.contains_key(&task.key) && !rejected.contains(task.key.key()) {
-                sink.missing.push(MissingKey::not_found(task.key.clone()));
-            }
-        }
-        Ok(())
-    }
-
-    /// One pushdown round trip, resilient when configured. Shares its
-    /// retry salt and fault identity with a `multi_get` of the same key
-    /// list, so the planner's choice never changes which faults fire.
-    fn round_trip_pushdown(
-        &self,
-        database: &DatabaseName,
-        collection: &CollectionName,
-        keys: &[LocalKey],
-        filter: &Pushdown,
-    ) -> std::result::Result<FilteredFetch, PolyError> {
-        if self.resilience.is_trivial() {
-            self.polystore.fetch_where(database, collection, keys, filter)
-        } else {
-            let breaker = self.breaker(database);
-            self.polystore.fetch_where_resilient(
-                database,
-                collection,
-                keys,
-                filter,
-                &self.resilience.retry,
-                breaker.as_deref(),
-            )
-        }
-    }
-
-    /// The coalescing variant: the group's cache misses join the flight
-    /// table as one atomic unit, the led subset travels in one round
-    /// trip, and waiters settle from outcomes other queries publish.
-    fn fetch_group_coalesced(
-        &self,
-        flight: &Arc<FlightTable>,
-        group: &[Task],
-        sink: &mut Sink,
-    ) -> Result<()> {
-        let mut to_join: Vec<&Task> = Vec::with_capacity(group.len());
-        for task in group {
+    /// The one fetch routine: cache first, then — for what the cache
+    /// misses — the flight table (when the run coalesces), one round trip
+    /// over `wire` for the keys this query ends up responsible for, and
+    /// whatever other queries' leaders publish for the rest. `tasks`
+    /// share one (database, collection) unless `wire` is `Get` over a
+    /// single key.
+    fn fetch_unit(&self, tasks: &[Task], wire: Wire, sink: &mut Sink) -> Result<()> {
+        let mut pending: Vec<Pending<'_>> = Vec::with_capacity(tasks.len());
+        for task in tasks {
             match self.cache.probe(&task.key) {
                 Some(object) => self.push_hit(task, object, sink),
-                None => to_join.push(task),
+                None => pending.push((task, None)),
             }
         }
-        if to_join.is_empty() {
+        if pending.is_empty() {
             return Ok(());
         }
-        let keys: Vec<GlobalKey> = to_join.iter().map(|t| t.key.clone()).collect();
-        let roles = flight.join_group(&keys, &self.cache);
-        let mut leaders: Vec<(&Task, LeaderGuard)> = Vec::new();
+        // The misses join the flight table as one atomic unit: this
+        // query leads some keys, waits on others, and finds the rest
+        // cached after all (a flight landed since the probe).
         let mut waiters: Vec<(&Task, Arc<Flight>)> = Vec::new();
-        for (task, role) in to_join.into_iter().zip(roles) {
-            match role {
-                KeyRole::Cached(object) => self.push_hit(task, object, sink),
-                KeyRole::Leader(guard) => {
-                    self.cache.tally_miss();
-                    quepa_obs::record_cache_probe(false);
-                    leaders.push((task, guard));
+        if let Some(flight) = &self.flight {
+            let keys: Vec<GlobalKey> = pending.iter().map(|(t, _)| t.key.clone()).collect();
+            let roles = flight.join_group(&keys, &self.cache);
+            for ((task, _), role) in std::mem::take(&mut pending).into_iter().zip(roles) {
+                match role {
+                    KeyRole::Cached(object) => self.push_hit(task, object, sink),
+                    KeyRole::Leader(guard) => pending.push((task, Some(guard))),
+                    KeyRole::Waiter(theirs) => waiters.push((task, theirs)),
                 }
-                KeyRole::Waiter(f) => waiters.push((task, f)),
             }
         }
-        if !leaders.is_empty() {
-            self.lead_group(leaders, sink)?;
+        // A leader tallies its miss at election; a waiter when it
+        // settles, once it knows whether a serial run would have hit.
+        pending.iter().for_each(|_| self.tally_miss());
+        if !pending.is_empty() {
+            self.round_trip(pending, wire, sink)?;
         }
-        for (task, f) in waiters {
-            let outcome = f.wait();
-            self.settle_waiter(task, outcome, sink)?;
+        for (task, theirs) in waiters {
+            match theirs.wait() {
+                // The flight table is the in-flight extension of the
+                // cache: a serial execution would have found this object
+                // cached.
+                FlightOutcome::Found(object) => self.push_hit(task, object, sink),
+                FlightOutcome::NotFound => {
+                    self.tally_miss();
+                    sink.missing.push(MissingKey::not_found(task.key.clone()));
+                }
+                // The leader's round trip failed: fetch directly so this
+                // query's own retry/breaker accounting applies.
+                FlightOutcome::Failed => {
+                    self.tally_miss();
+                    self.round_trip(vec![(task, None)], Wire::Get, sink)?;
+                }
+            }
         }
         Ok(())
     }
 
-    /// One round trip for the led subset of a group, publishing each
-    /// key's outcome. On a degradable batch failure every key falls back
-    /// to its own led round trip (mirroring the uncoalesced path).
-    fn lead_group(&self, leaders: Vec<(&Task, LeaderGuard)>, sink: &mut Sink) -> Result<()> {
-        let database = leaders[0].0.key.database().clone();
-        let collection = leaders[0].0.key.collection().clone();
-        let keys: Vec<LocalKey> = leaders.iter().map(|(t, _)| t.key.key().clone()).collect();
-        let fetched = self.round_trip_group(&database, &collection, &keys);
+    /// One round trip over `wire` for `pending` (all in one database and
+    /// collection; exactly one key under `Get`), settled into `sink`,
+    /// the cache and — through the leader guards — the flight table. A
+    /// guard dropped unpublished lands its flight as `Failed`, so on
+    /// every error path other queries' waiters fall back to their own
+    /// fetch.
+    fn round_trip(&self, pending: Vec<Pending<'_>>, wire: Wire, sink: &mut Sink) -> Result<()> {
+        debug_assert!(wire != Wire::Get || pending.len() == 1);
+        let first = &pending[0].0.key;
+        let (database, collection) = (first.database(), first.collection());
+        let local_keys = || pending.iter().map(|(t, _)| t.key.key().clone()).collect::<Vec<_>>();
+        let retry = &self.resilience.retry;
+        let breaker = self.breaker(database);
+        let breaker = breaker.as_deref();
+        // A `fetch_where` shares its retry salt and fault identity with
+        // the `multi_get` of the same key list, so the planner's choice
+        // never changes which faults fire.
+        let fetched = match wire {
+            Wire::Get => self.polystore.get_resilient(first, retry, breaker).map(|found| {
+                FilteredFetch { matched: Vec::from_iter(found), rejected: Vec::new() }
+            }),
+            Wire::MultiGet => self
+                .polystore
+                .multi_get_resilient(database, collection, &local_keys(), retry, breaker)
+                .map(|matched| FilteredFetch { matched, rejected: Vec::new() }),
+            Wire::FetchWhere => {
+                let filter = self.filter.as_ref().expect("only filtered runs plan pushdown units");
+                self.polystore.fetch_where_resilient(
+                    database,
+                    collection,
+                    &local_keys(),
+                    filter,
+                    retry,
+                    breaker,
+                )
+            }
+        };
         let fetched = match fetched {
             Ok(fetched) => fetched,
-            Err(error)
-                if self.resilience.degrade == DegradeMode::Partial
-                    && unreachable_reason(&error).is_some() =>
-            {
-                for (task, guard) in leaders {
-                    self.lead_one(task, guard, sink)?;
+            Err(error) => {
+                // Fail-fast, or not an outage: the error propagates.
+                let reason = unreachable_reason(&error)
+                    .filter(|_| self.resilience.degrade == DegradeMode::Partial);
+                let Some(reason) = reason else { return Err(error.into()) };
+                if wire == Wire::Get {
+                    let key = first.clone();
+                    sink.missing.push(MissingKey { key, reason });
+                    return Ok(());
                 }
-                return Ok(());
+                // A failed batch must not poison its healthy members:
+                // degrade to per-key round trips (filtered client-side)
+                // so only the keys that are truly unreachable land in
+                // `missing`.
+                if wire == Wire::FetchWhere {
+                    quepa_obs::record_pushdown_fallback(database.as_str());
+                }
+                return pending
+                    .into_iter()
+                    .try_for_each(|entry| self.round_trip(vec![entry], Wire::Get, sink));
             }
-            // Propagating error: the dropped guards publish `Failed`, so
-            // waiters in other queries fall back to their own fetch.
-            Err(error) => return Err(error.into()),
         };
+        // Request order throughout: the cache fills, flights land and
+        // `missing` grows in the order the keys were asked for, whatever
+        // order the store answered in.
+        let rejected: HashSet<&LocalKey> = fetched.rejected.iter().collect();
         let mut by_key: HashMap<GlobalKey, DataObject> =
-            fetched.into_iter().map(|o| (o.key().clone(), o)).collect();
-        for (task, guard) in leaders {
+            fetched.matched.into_iter().map(|o| (o.key().clone(), o)).collect();
+        for (task, guard) in pending {
             match by_key.remove(&task.key) {
-                Some(object) => {
-                    guard.publish(&self.cache, FlightOutcome::Found(object.clone()));
-                    sink.objects.push(AugmentedObject {
-                        object,
-                        probability: task.probability,
-                        distance: task.distance,
-                    });
+                Some(object) if wire == Wire::FetchWhere || self.admits(task, &object) => {
+                    // Published objects enter the cache before the
+                    // flight retires (see `LeaderGuard::publish`).
+                    match guard {
+                        Some(guard) => {
+                            guard.publish(&self.cache, FlightOutcome::Found(object.clone()))
+                        }
+                        None => self.cache.insert(object.clone()),
+                    }
+                    sink.push(task, object);
                 }
+                // Exists but fails the filter — fetched and dropped here,
+                // or reported `rejected` by the store: neither an answer
+                // nor missing, and never cached. Under pushdown it would
+                // not have crossed the wire, and the cache state must not
+                // reveal which strategy ran.
+                Some(_) => {}
+                None if rejected.contains(task.key.key()) => {}
+                // Gone from the store: the lazy-deletion signal.
                 None => {
-                    guard.publish(&self.cache, FlightOutcome::NotFound);
+                    if let Some(guard) = guard {
+                        guard.publish(&self.cache, FlightOutcome::NotFound);
+                    }
                     sink.missing.push(MissingKey::not_found(task.key.clone()));
                 }
             }
@@ -1048,164 +856,57 @@ impl Engine {
         Ok(())
     }
 
-    /// One group round trip, resilient when configured.
-    fn round_trip_group(
-        &self,
-        database: &DatabaseName,
-        collection: &CollectionName,
-        keys: &[LocalKey],
-    ) -> std::result::Result<Vec<DataObject>, PolyError> {
-        if self.resilience.is_trivial() {
-            self.polystore.multi_get(database, collection, keys)
-        } else {
-            let breaker = self.breaker(database);
-            self.polystore.multi_get_resilient(
-                database,
-                collection,
-                keys,
-                &self.resilience.retry,
-                breaker.as_deref(),
-            )
-        }
-    }
-
-    // -- strategies ---------------------------------------------------------
-
-    fn sequential(&self, owned: &[Vec<Task>]) -> Result<Sink> {
-        let mut sink = Sink::default();
-        for task in owned.iter().flatten() {
-            self.fetch_one(task, &mut sink)?;
-        }
-        Ok(sink)
-    }
-
-    /// Inner concurrency: seeds in sequence, each seed's tasks spread over
-    /// up to `threads` workers.
-    fn inner(
-        &self,
-        owned: Vec<Vec<Task>>,
-        threads: usize,
-        pool: Option<&WorkerPool>,
-    ) -> Result<Sink> {
-        let mut sink = Sink::default();
-        for tasks in owned {
-            if tasks.is_empty() {
-                continue;
-            }
-            let units: Vec<Vec<Task>> = tasks.into_iter().map(|t| vec![t]).collect();
-            sink.merge(self.execute(units, UnitMode::Singles, threads, pool)?);
-        }
-        Ok(sink)
-    }
-
-    /// Runs one unit — a batch group, a pushdown group or a run of
-    /// single-key fetches — into a ticket's local sink.
-    fn run_unit(&self, unit: &[Task], mode: UnitMode, sink: &mut Sink) -> Result<()> {
-        match mode {
-            UnitMode::Group => self.fetch_group(unit, sink),
-            UnitMode::PushdownGroup => self.fetch_group_pushdown(unit, sink),
-            UnitMode::Singles => {
-                for task in unit {
-                    self.fetch_one(task, sink)?;
-                }
-                Ok(())
-            }
-        }
-    }
-
     /// The ticket executor: `tickets` workers claim `units` off a shared
-    /// cursor, each into its own sink shard, merged in ticket order. With
-    /// a pool the tickets are pool jobs and the caller parks on a latch;
-    /// without one they are scoped threads (one-shot executions).
-    fn execute(
-        &self,
-        units: Vec<Vec<Task>>,
-        mode: UnitMode,
-        tickets: usize,
-        pool: Option<&WorkerPool>,
-    ) -> Result<Sink> {
-        if units.is_empty() {
-            return Ok(Sink::default());
-        }
-        let tickets = tickets.min(units.len()).max(1);
-        if tickets == 1 {
+    /// cursor, each into its own sink shard, merged in ticket order. The
+    /// tickets are pool jobs and the caller parks on a latch — on `pool`,
+    /// or on a one-shot pool of exactly `tickets` workers when the run
+    /// has none. A single ticket runs inline on the caller: no pool hop.
+    fn execute(&self, units: Vec<Unit>, tickets: usize, pool: Option<&WorkerPool>) -> Result<Sink> {
+        let tickets = tickets.min(units.len());
+        if tickets <= 1 {
             let mut sink = Sink::default();
-            for unit in &units {
-                self.run_unit(unit, mode, &mut sink)?;
-            }
+            units.iter().try_for_each(|unit| self.run_unit(unit, &mut sink))?;
             return Ok(sink);
         }
-        match pool {
-            Some(pool) => self.execute_pooled(units, mode, tickets, pool),
-            None => self.execute_scoped(&units, mode, tickets),
-        }
-    }
-
-    fn execute_pooled(
-        &self,
-        units: Vec<Vec<Task>>,
-        mode: UnitMode,
-        tickets: usize,
-        pool: &WorkerPool,
-    ) -> Result<Sink> {
-        let state = Arc::new(TicketBatch {
+        let one_shot;
+        let pool = match pool {
+            Some(pool) => pool,
+            None => {
+                one_shot = WorkerPool::new(tickets);
+                &one_shot
+            }
+        };
+        let batch = Arc::new(TicketBatch {
             engine: self.clone(),
             units,
-            mode,
             next: AtomicUsize::new(0),
             slots: parking_lot::Mutex::new((0..tickets).map(|_| None).collect()),
             latch: Latch::new(tickets),
         });
         for ticket in 0..tickets {
-            let state = Arc::clone(&state);
+            let batch = Arc::clone(&batch);
             pool.submit(move || {
-                let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| state.run_ticket()));
-                state.slots.lock()[ticket] = Some(outcome);
-                state.latch.count_down();
+                let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| batch.run_ticket()));
+                batch.slots.lock()[ticket] = Some(outcome);
+                batch.latch.count_down();
             });
         }
-        state.latch.wait();
-        let slots = std::mem::take(&mut *state.slots.lock());
-        let mut results = Vec::with_capacity(tickets);
+        batch.latch.wait();
+        let slots = std::mem::take(&mut *batch.slots.lock());
+        let mut shards = Vec::with_capacity(tickets);
         for slot in slots {
             match slot.expect("every ticket reported before the latch opened") {
-                Ok(result) => results.push(result),
-                // Mirror the scoped executor: a panicking worker panics
-                // the submitting query, first ticket order wins.
+                Ok(shard) => shards.push(shard),
+                // A panicking ticket panics the submitting query, ahead
+                // of any ticket's error; the first in ticket order wins.
                 Err(panic) => std::panic::resume_unwind(panic),
             }
         }
+        // Shards merge in ticket order, surfacing the first error.
         let mut sink = Sink::default();
-        merge_shards(results, &mut sink)?;
-        Ok(sink)
-    }
-
-    fn execute_scoped(&self, units: &[Vec<Task>], mode: UnitMode, tickets: usize) -> Result<Sink> {
-        let next = AtomicUsize::new(0);
-        let results = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = (0..tickets)
-                .map(|_| {
-                    scope.spawn(|_| {
-                        let _ctx = self.observe_fetch();
-                        let mut local = Sink::default();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= units.len() {
-                                return Ok(local);
-                            }
-                            self.run_unit(&units[i], mode, &mut local)?;
-                        }
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("augmentation worker panicked"))
-                .collect::<Vec<Result<Sink>>>()
-        })
-        .expect("augmentation worker panicked");
-        let mut sink = Sink::default();
-        merge_shards(results, &mut sink)?;
+        for shard in shards {
+            sink.merge(shard?);
+        }
         Ok(sink)
     }
 }

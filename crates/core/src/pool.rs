@@ -1,12 +1,13 @@
-//! The shared fetch worker pool: one bounded pool per [`Quepa`] instance.
+//! The fetch worker pool: where every fetch ticket runs.
 //!
-//! Before this module, every `augmented_search` spawned its own scoped
-//! threads, so N concurrent queries × `THREADS_SIZE` meant N×T short-lived
-//! OS threads. Now the instance owns a single bounded pool; each query
-//! submits its fetch tickets as jobs and parks on a [`Latch`] until its
-//! batch completes. Tickets claim work units from a shared queue
-//! (injector + atomic claiming inside each batch), so 64 concurrent
-//! queries share the same few workers instead of spawning 64 × T threads.
+//! A [`Quepa`] instance owns a single bounded pool; each query submits
+//! its fetch tickets as jobs and parks on a [`Latch`] until its wave
+//! completes. Tickets claim work units from a shared queue (injector +
+//! atomic claiming inside each wave), so 64 concurrent queries share the
+//! same few workers instead of running 64 × `THREADS_SIZE` threads. An
+//! execution outside any instance runs the same ticket path on a
+//! one-shot pool sized to its ticket count — the augmenter has no other
+//! way to start a thread.
 //!
 //! Sizing: fetch work is round-trip-shaped — a worker spends most of a
 //! ticket parked in the polystore's simulated network sleep, not on the

@@ -8,12 +8,16 @@
 use std::sync::Arc;
 
 use quepa_aindex::AIndex;
-use quepa_core::augmenter::{self, AugmentationOutcome};
+use quepa_core::augmenter::{self, AugmentationOutcome, FetchRuntime};
 use quepa_core::cache::ObjectCache;
-use quepa_core::{AugmenterKind, QuepaConfig};
+use quepa_core::{
+    AugmenterKind, FlightTable, GroupStrategy, MissingReason, QuepaConfig, ResilienceConfig,
+    WorkerPool,
+};
 use quepa_kvstore::KvStore;
-use quepa_pdm::{GlobalKey, Probability};
-use quepa_polystore::{KvConnector, LatencyModel, Polystore};
+use quepa_pdm::{GlobalKey, Probability, PushOp, Pushdown};
+use quepa_polystore::retry::BreakerSet;
+use quepa_polystore::{FaultPlan, FaultyConnector, KvConnector, LatencyModel, Polystore};
 
 const STORES: usize = 4;
 const KEYS_PER_STORE: usize = 16;
@@ -141,6 +145,193 @@ fn shard_merge_is_interleaving_independent() {
             let got = run_with(&polystore, &plan, kind, 3, 8, false);
             assert_eq!(projected(&got), projected(&baseline), "{kind}: objects diverged");
             assert_eq!(got.missing, baseline.missing, "{kind}: missing diverged");
+        }
+    }
+}
+
+// -- the strategy table ------------------------------------------------------
+
+/// The plan every strategy-table case runs: all of `db0` as seeds, two
+/// hops — every store, the phantom keys and cross-seed sharing.
+fn table_plan(index: &AIndex) -> augmenter::AugmentPlan {
+    let seeds: Vec<GlobalKey> = (0..KEYS_PER_STORE).map(|k| key(0, k)).collect();
+    augmenter::plan(index, &seeds, 2)
+}
+
+fn table_config(kind: AugmenterKind, threads: usize, cache_size: usize) -> QuepaConfig {
+    QuepaConfig {
+        augmenter: kind,
+        batch_size: 4,
+        threads_size: threads,
+        cache_size,
+        ..QuepaConfig::default()
+    }
+}
+
+/// What a strategy costs is data: per kind × {cache off, cold, warm}, a
+/// serial run's store round trips, objects shipped and cache hits. The
+/// six kinds differ only in the batching column — one round trip per
+/// key or per group of up to `batch_size` — never in what a cache state
+/// lets them skip. A change here is a change in what travels over the
+/// wire.
+#[test]
+fn strategy_table_golden() {
+    // (round trips, objects returned, cache hits) × {off, cold, warm}.
+    type Row = [(u64, u64, usize); 3];
+    const PER_KEY: Row = [(56, 48, 0), (56, 48, 0), (8, 0, 48)];
+    const PER_GROUP: Row = [(16, 48, 0), (16, 48, 0), (7, 0, 48)];
+    let golden = [
+        (AugmenterKind::Sequential, PER_KEY),
+        (AugmenterKind::Batch, PER_GROUP),
+        (AugmenterKind::Inner, PER_KEY),
+        (AugmenterKind::Outer, PER_KEY),
+        (AugmenterKind::OuterBatch, PER_GROUP),
+        (AugmenterKind::OuterInner, PER_KEY),
+    ];
+    let (polystore, index) = build();
+    let plan = table_plan(&index);
+    let pool = WorkerPool::new(4);
+    for (kind, row) in golden {
+        // Serially a flight table never has a waiter, so attaching the
+        // serving-path machinery must not move a single counter.
+        for shared in [false, true] {
+            let flight = Arc::new(FlightTable::new());
+            let breakers = Arc::new(BreakerSet::disabled());
+            let runtime = FetchRuntime {
+                breakers: &breakers,
+                obs: None,
+                pool: shared.then_some(&pool),
+                flight: shared.then_some(&flight),
+            };
+            let measure = |cache: &Arc<ObjectCache>, cache_size: usize| {
+                polystore.reset_stats();
+                let config = table_config(kind, 1, cache_size);
+                let outcome =
+                    augmenter::run_planned_with(&polystore, cache, &plan, &config, &runtime)
+                        .unwrap();
+                let stats = polystore.stats();
+                (stats.round_trips, stats.objects_returned, outcome.cache_hits)
+            };
+            let off = measure(&Arc::new(ObjectCache::new(0)), 0);
+            let cache = Arc::new(ObjectCache::new(1024));
+            let cold = measure(&cache, 1024);
+            let warm = measure(&cache, 1024);
+            assert_eq!([off, cold, warm], row, "{kind} shared={shared}");
+        }
+    }
+    assert_eq!(pool.spawned(), 0, "one ticket runs inline on the caller: no pool hop");
+}
+
+/// `missing` with the attempt count dropped: behind a circuit breaker the
+/// count a key reports (0 when rejected, the full budget otherwise)
+/// depends on which call tripped it, i.e. on the strategy's call order.
+fn missing_keys(outcome: &AugmentationOutcome) -> Vec<(String, Option<String>)> {
+    outcome
+        .missing
+        .iter()
+        .map(|m| {
+            let store = match &m.reason {
+                MissingReason::NotFound => None,
+                MissingReason::Unreachable { database, .. } => Some(database.to_string()),
+            };
+            (m.key.to_string(), store)
+        })
+        .collect()
+}
+
+/// One answer per (filter, store health), whatever executes it: every
+/// kind, with and without a shared pool, with and without a flight
+/// table, pushed down or filtered client-side, cold and warm.
+#[test]
+fn every_execution_path_yields_the_same_answer() {
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Filtering {
+        None,
+        Pushdown,
+        ClientSide,
+    }
+    let (healthy, index) = build();
+    let outage = Arc::new(FaultPlan::new(7).with_outage("db1"));
+    let faulty = healthy.wrap_connectors(|inner| {
+        Arc::new(FaultyConnector::new(inner, Arc::clone(&outage), LatencyModel::FREE))
+    });
+    let plan = table_plan(&index);
+    // Keeps k1 and k10..k19: matched, rejected and phantom keys all occur.
+    let filter = Pushdown::key(PushOp::Contains, "1");
+    let pool = WorkerPool::new(4);
+
+    for (polystore, resilience) in
+        [(&healthy, ResilienceConfig::default()), (&faulty, ResilienceConfig::resilient())]
+    {
+        let run = |kind, threads, pooled: bool, flown: bool, filtering: Filtering| {
+            let config = QuepaConfig {
+                resilience,
+                pushdown: filtering != Filtering::ClientSide,
+                ..table_config(kind, threads, 1024)
+            };
+            let cache = Arc::new(ObjectCache::new(1024));
+            let flight = Arc::new(FlightTable::new());
+            let breakers = Arc::new(BreakerSet::new(resilience.breaker));
+            let runtime = FetchRuntime {
+                breakers: &breakers,
+                obs: None,
+                pool: pooled.then_some(&pool),
+                flight: flown.then_some(&flight),
+            };
+            let once = || {
+                if filtering == Filtering::None {
+                    return augmenter::run_planned_with(
+                        polystore, &cache, &plan, &config, &runtime,
+                    )
+                    .unwrap();
+                }
+                let (outcome, decisions) = augmenter::run_planned_filtered(
+                    polystore,
+                    &cache,
+                    &plan,
+                    &config,
+                    &runtime,
+                    &filter,
+                    Some(&|_, _| true),
+                )
+                .unwrap();
+                let expected = match filtering {
+                    Filtering::Pushdown => GroupStrategy::Pushdown,
+                    _ => GroupStrategy::FetchAll,
+                };
+                assert!(decisions.iter().all(|d| d.strategy == expected), "{decisions:?}");
+                outcome
+            };
+            let cold = once();
+            let warm = once();
+            assert_eq!(projected(&warm), projected(&cold), "{config} warm objects diverged");
+            assert_eq!(missing_keys(&warm), missing_keys(&cold), "{config} warm missing diverged");
+            assert!(flight.is_empty(), "{config}: a flight outlived its run");
+            cold
+        };
+        let plain = run(AugmenterKind::Sequential, 1, false, false, Filtering::None);
+        let filtered = run(AugmenterKind::Sequential, 1, false, false, Filtering::ClientSide);
+        assert!(plain.missing.iter().any(|m| m.is_not_found()));
+        assert!(!filtered.objects.is_empty() && filtered.objects.len() < plain.objects.len());
+        assert_eq!(
+            plain.missing.iter().any(|m| !m.is_not_found()),
+            !resilience.is_trivial(),
+            "the outage must degrade into `missing`, and only there"
+        );
+
+        for kind in AugmenterKind::ALL {
+            for pooled in [false, true] {
+                for flown in [false, true] {
+                    for filtering in [Filtering::None, Filtering::Pushdown, Filtering::ClientSide] {
+                        let baseline =
+                            if filtering == Filtering::None { &plain } else { &filtered };
+                        let got = run(kind, 3, pooled, flown, filtering);
+                        let case = format!("{kind} pool={pooled} flight={flown} {filtering:?}");
+                        assert_eq!(projected(&got), projected(baseline), "{case}: objects");
+                        assert_eq!(missing_keys(&got), missing_keys(baseline), "{case}: missing");
+                    }
+                }
+            }
         }
     }
 }

@@ -87,37 +87,56 @@ impl Polystore {
         self.connector(database)?.multi_get(collection, keys)
     }
 
-    /// Point lookup under a retry policy and an optional circuit breaker.
+    /// One key-based round trip under a retry policy and an optional
+    /// circuit breaker — the body behind every `*_resilient` lookup.
     ///
-    /// Trivial policies without a breaker take the exact same path as
-    /// [`get`](Polystore::get) — the happy path pays nothing for the
-    /// resilience layer. Otherwise the round trip is driven through
-    /// [`run_round_trip`]: transient errors are retried with
-    /// deterministic backoff, exhausted retries collapse into
-    /// [`PolyError::Unreachable`], and retry/timeout/breaker events are
-    /// attributed to the connector's statistics.
-    pub fn get_resilient(
+    /// A trivial policy without a breaker is exactly one `call`: the
+    /// happy path pays nothing for the resilience layer. Otherwise the
+    /// call is driven through [`run_round_trip`]: transient errors are
+    /// retried with deterministic backoff, exhausted retries collapse
+    /// into [`PolyError::Unreachable`], and retry/timeout/breaker events
+    /// are attributed to the connector's statistics. The salt is the
+    /// identity of `collection` plus `keys`, whatever the call does with
+    /// them — so seeded fault plans and jitter cannot tell a `multi_get`
+    /// from a `fetch_where` of the same key list.
+    fn resilient<'k, T>(
         &self,
-        key: &GlobalKey,
+        database: &DatabaseName,
+        collection: &CollectionName,
+        keys: impl IntoIterator<Item = &'k LocalKey>,
         policy: &RetryPolicy,
         breaker: Option<&CircuitBreaker>,
-    ) -> Result<Option<DataObject>> {
-        let connector = self.connector(key.database())?;
+        call: impl Fn(&dyn Connector) -> Result<T>,
+    ) -> Result<T> {
+        let connector = self.connector(database)?.as_ref();
         if policy.is_trivial() && breaker.is_none() {
-            return connector.get(key.collection(), key.key());
+            return call(connector);
         }
-        let salt = call_identity(key.collection(), [key.key()]);
-        let (result, report) = run_round_trip(policy, breaker, key.database(), salt, || {
-            connector.get(key.collection(), key.key())
-        });
+        let salt = call_identity(collection, keys);
+        let (result, report) = run_round_trip(policy, breaker, database, salt, || call(connector));
         if report.retries + report.timeouts + report.breaker_trips > 0 {
             connector.record_resilience(report.retries, report.timeouts, report.breaker_trips);
         }
         result
     }
 
-    /// Batched lookup under a retry policy and an optional circuit
-    /// breaker; the whole batch is one round trip and retries as a unit.
+    /// [`get`](Polystore::get) under a retry policy and an optional
+    /// circuit breaker.
+    pub fn get_resilient(
+        &self,
+        key: &GlobalKey,
+        policy: &RetryPolicy,
+        breaker: Option<&CircuitBreaker>,
+    ) -> Result<Option<DataObject>> {
+        let (collection, local) = (key.collection(), key.key());
+        self.resilient(key.database(), collection, [local], policy, breaker, |c| {
+            c.get(collection, local)
+        })
+    }
+
+    /// [`multi_get`](Polystore::multi_get) under a retry policy and an
+    /// optional circuit breaker; the whole batch is one round trip and
+    /// retries as a unit.
     pub fn multi_get_resilient(
         &self,
         database: &DatabaseName,
@@ -126,18 +145,9 @@ impl Polystore {
         policy: &RetryPolicy,
         breaker: Option<&CircuitBreaker>,
     ) -> Result<Vec<DataObject>> {
-        let connector = self.connector(database)?;
-        if policy.is_trivial() && breaker.is_none() {
-            return connector.multi_get(collection, keys);
-        }
-        let salt = call_identity(collection, keys.iter());
-        let (result, report) = run_round_trip(policy, breaker, database, salt, || {
-            connector.multi_get(collection, keys)
-        });
-        if report.retries + report.timeouts + report.breaker_trips > 0 {
-            connector.record_resilience(report.retries, report.timeouts, report.breaker_trips);
-        }
-        result
+        self.resilient(database, collection, keys, policy, breaker, |c| {
+            c.multi_get(collection, keys)
+        })
     }
 
     /// Filtered batched lookup (see [`Connector::fetch_where`]): one round
@@ -152,11 +162,8 @@ impl Polystore {
         self.connector(database)?.fetch_where(collection, keys, filter)
     }
 
-    /// Filtered batched lookup under a retry policy and an optional
-    /// circuit breaker. The call salt is the same identity a `multi_get`
-    /// of the same key list would use, so seeded fault plans hit the two
-    /// strategies identically — the planner's choice cannot change which
-    /// faults fire.
+    /// [`fetch_where`](Polystore::fetch_where) under a retry policy and
+    /// an optional circuit breaker.
     pub fn fetch_where_resilient(
         &self,
         database: &DatabaseName,
@@ -166,18 +173,9 @@ impl Polystore {
         policy: &RetryPolicy,
         breaker: Option<&CircuitBreaker>,
     ) -> Result<FilteredFetch> {
-        let connector = self.connector(database)?;
-        if policy.is_trivial() && breaker.is_none() {
-            return connector.fetch_where(collection, keys, filter);
-        }
-        let salt = call_identity(collection, keys.iter());
-        let (result, report) = run_round_trip(policy, breaker, database, salt, || {
-            connector.fetch_where(collection, keys, filter)
-        });
-        if report.retries + report.timeouts + report.breaker_trips > 0 {
-            connector.record_resilience(report.retries, report.timeouts, report.breaker_trips);
-        }
-        result
+        self.resilient(database, collection, keys, policy, breaker, |c| {
+            c.fetch_where(collection, keys, filter)
+        })
     }
 
     /// Rebuilds the registry with every connector passed through `wrap` —

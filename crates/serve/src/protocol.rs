@@ -32,9 +32,9 @@ use std::io::{self, Read, Write};
 /// Bytes of `[id][verb-or-status]` — the fixed part counted by `len`.
 pub const HEADER_LEN: usize = 9;
 
-/// Upper bound on `len`: answers are bounded by the augmentation fan-out,
-/// metrics exports by the store count; 1 MiB is an order of magnitude of
-/// headroom over both.
+/// Upper bound on `len`, in both directions: a reader rejects a longer
+/// frame as unsynchronisable, so the server answers a request whose
+/// response would not fit with a structured `ERROR` instead.
 pub const MAX_FRAME: usize = 1 << 20;
 
 /// Request verbs (the CLI command surface over the wire).
@@ -153,8 +153,9 @@ impl FrameError {
 }
 
 fn encode_frame(id: u64, tag: u8, payload: &[u8]) -> Vec<u8> {
-    let len = (HEADER_LEN + payload.len()) as u32;
-    let mut out = Vec::with_capacity(4 + len as usize);
+    let len = u32::try_from(HEADER_LEN + payload.len())
+        .expect("a frame's length word is a u32; the server bounds responses by MAX_FRAME");
+    let mut out = Vec::with_capacity(4 + HEADER_LEN + payload.len());
     out.extend_from_slice(&len.to_be_bytes());
     out.extend_from_slice(&id.to_be_bytes());
     out.push(tag);

@@ -34,7 +34,7 @@ use quepa_core::{Quepa, WorkerPool};
 use crate::admission::{AdmissionConfig, AdmissionController, Decision};
 use crate::protocol::{
     decode_request, encode_response, parse_augment_payload, parse_query_payload, read_frame,
-    write_frame, Request, Response, Status, Verb,
+    write_frame, Request, Response, Status, Verb, HEADER_LEN, MAX_FRAME,
 };
 
 /// State shared by the accept thread and every connection.
@@ -153,9 +153,21 @@ fn accept_loop(
 }
 
 /// Writes one response under the connection's write lock; errors mean
-/// the client is gone and are dropped (the reader will see EOF).
+/// the client is gone and are dropped (the reader will see EOF). A
+/// response too large for one frame goes out as a structured `ERROR`
+/// under the same id: the client would take the oversized length word
+/// for a desynchronised stream and drop the connection.
 fn send(writer: &Mutex<TcpStream>, response: &Response) {
-    let frame = encode_response(response);
+    let len = HEADER_LEN + response.payload.len();
+    let frame = if len > MAX_FRAME {
+        encode_response(&Response {
+            id: response.id,
+            status: Status::Error,
+            payload: format!("response frame of {len} bytes exceeds the {MAX_FRAME}-byte limit"),
+        })
+    } else {
+        encode_response(response)
+    };
     let mut stream = writer.lock().unwrap_or_else(|e| e.into_inner());
     let _ = write_frame(&mut *stream, &frame);
 }

@@ -8,10 +8,13 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
+use quepa_aindex::AIndex;
 use quepa_core::Quepa;
-use quepa_polystore::Deployment;
+use quepa_kvstore::KvStore;
+use quepa_pdm::{GlobalKey, Probability};
+use quepa_polystore::{Deployment, KvConnector, LatencyModel, Polystore};
 use quepa_serve::{
-    read_response, send_request, AdmissionConfig, Client, Request, Server, Status, Verb,
+    read_response, send_request, AdmissionConfig, Client, Request, Server, Status, Verb, MAX_FRAME,
 };
 use quepa_workload::{BuiltPolystore, WorkloadConfig};
 
@@ -126,6 +129,44 @@ fn overload_response_is_structured_and_counted() {
     assert!(response.payload.starts_with("overload: depth="), "{}", response.payload);
     let admission = quepa.metrics_snapshot().admission;
     assert_eq!((admission.offered, admission.served, admission.shed), (1, 0, 1));
+}
+
+/// An answer above `MAX_FRAME` must not reach the socket: the client
+/// would reject its length word as unsynchronisable and drop the
+/// connection. The request is answered with a structured `ERROR` under
+/// its own id, the connection keeps serving, and the ledger balances.
+#[test]
+fn oversized_answer_is_a_structured_error_not_a_dropped_connection() {
+    // One hub whose level-1 neighbourhood renders above 1 MiB: 1100
+    // satellites under kilobyte-long keys.
+    let mut kv = KvStore::new("hub");
+    kv.set("seed", "s");
+    kv.set("lone", "l");
+    let mut index = AIndex::new();
+    let seed: GlobalKey = "hub.c.seed".parse().unwrap();
+    for i in 0..1100 {
+        let satellite = format!("sat{i:04}{}", "x".repeat(1000));
+        kv.set(&satellite, "v");
+        let key = GlobalKey::parse_parts("hub", "c", &satellite).unwrap();
+        index.insert_matching(&seed, &key, Probability::of(0.5));
+    }
+    let mut polystore = Polystore::new();
+    polystore.register(Arc::new(KvConnector::new(kv, "c", LatencyModel::FREE)));
+    let quepa = Arc::new(Quepa::new(polystore, index));
+    let answer = quepa.augmented_search("hub", "GET seed", 1).unwrap().normal_form().to_string();
+    assert!(answer.len() > MAX_FRAME, "the fixture must overflow a frame: {}", answer.len());
+
+    let server = Server::start(Arc::clone(&quepa), "127.0.0.1:0", wide_open()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    // `Client::call` checks the echoed id.
+    let response = client.augment("hub", 1, "GET seed").expect("a frame the client can read");
+    assert_eq!(response.status, Status::Error);
+    assert!(response.payload.contains("exceeds"), "{}", response.payload);
+    // The next request on the same connection succeeds.
+    let small = client.query("hub", "GET lone").unwrap();
+    assert_eq!(small.status, Status::Ok, "{}", small.payload);
+    let admission = quepa.metrics_snapshot().admission;
+    assert_eq!((admission.offered, admission.served, admission.shed), (2, 2, 0));
 }
 
 #[test]
