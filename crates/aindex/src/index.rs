@@ -1,14 +1,17 @@
-//! The A' index graph and the augmentation primitive.
+//! The A' index ledger: the write side of the index.
 //!
-//! Hot-path layout: `GlobalKey`s are interned to dense `u32` node ids on
-//! insertion, adjacency lives in an incrementally compacted CSR
-//! (compressed sparse row) structure, and per-query visit tracking uses
-//! epoch-stamped scratch buffers pooled across queries — augmentation
-//! never hashes a string or allocates a per-node map entry.
+//! [`AIndex`] owns everything a mutation has to decide — key interning,
+//! liveness, the edge list with its pair index and lineage, transitivity
+//! materialization, the Consistency Condition — plus the point lookups
+//! those rules and the serializers read. It does not traverse: the
+//! augmentation primitive lives once, in [`crate::shard::IndexView`].
+//!
+//! Layout: `GlobalKey`s are interned to dense `u32` node ids on
+//! insertion and adjacency lives in an incrementally compacted CSR
+//! (compressed sparse row) structure of edge ids.
 
 use std::collections::HashMap;
 
-use parking_lot::Mutex;
 use quepa_pdm::{GlobalKey, Probability, RelationKind};
 
 /// Node handle inside the index.
@@ -91,13 +94,27 @@ pub struct IndexStats {
     pub promoted_edges: usize,
 }
 
+impl IndexStats {
+    /// Tallies one live edge.
+    pub(crate) fn count_edge(&mut self, kind: RelationKind, origin: EdgeOrigin) {
+        match kind {
+            RelationKind::Identity => self.identity_edges += 1,
+            RelationKind::Matching => self.matching_edges += 1,
+        }
+        match origin {
+            EdgeOrigin::Inferred(..) => self.inferred_edges += 1,
+            EdgeOrigin::Promoted => self.promoted_edges += 1,
+            EdgeOrigin::Direct => {}
+        }
+    }
+}
+
 /// Incrementally built CSR adjacency: most edge ids live in one packed
 /// array (`offsets`/`packed`), edges added since the last compaction sit
 /// in small per-node overflow vectors, and compaction re-packs once the
 /// overflow exceeds a fraction of the packed size (amortized O(1) per
 /// insertion). Per-node edge order — packed segment first, then overflow
-/// in insertion order — is exactly the historical `Vec<Vec<EdgeId>>`
-/// push order, so traversal results are unchanged.
+/// in insertion order — is insertion order.
 #[derive(Debug, Clone, Default)]
 struct CsrAdjacency {
     /// Per compacted node, start of its segment in `packed`; one extra
@@ -161,117 +178,35 @@ impl CsrAdjacency {
     }
 }
 
-/// Per-query BFS workspace. The `stamp` array carries a query generation
-/// counter: a node's `best_*`/`slot` entries are valid only when
-/// `stamp[n] == epoch`, so successive queries reuse the buffers without
-/// clearing them.
-#[derive(Debug, Default)]
-struct Scratch {
-    epoch: u32,
-    stamp: Vec<u32>,
-    best_prob: Vec<Probability>,
-    best_dist: Vec<u32>,
-    /// Dense per-query slot of a stamped node (index into `touched`).
-    slot: Vec<u32>,
-    /// Nodes stamped this query, in first-touch order.
-    touched: Vec<NodeId>,
-    frontier: Vec<(NodeId, Probability)>,
-    next: Vec<(NodeId, Probability)>,
-    /// Per-slot owning-seed label for the ownership pass (`u32::MAX` =
-    /// unowned so far).
-    own_label: Vec<u32>,
-    /// Slots whose label changed last round, with the label to push.
-    own_frontier: Vec<(u32, u32)>,
-    own_next: Vec<(u32, u32)>,
-}
-
-impl Scratch {
-    /// Starts a new query generation over `nodes` total nodes.
-    fn begin(&mut self, nodes: usize) {
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.stamp.fill(0);
-            self.epoch = 1;
-        }
-        if self.stamp.len() < nodes {
-            self.stamp.resize(nodes, 0);
-            self.best_prob.resize(nodes, Probability::ONE);
-            self.best_dist.resize(nodes, 0);
-            self.slot.resize(nodes, 0);
-        }
-        self.touched.clear();
-        self.frontier.clear();
-        self.next.clear();
-    }
-
-    /// Stamps `n` for this query with its first-touch probability and hop.
-    fn mark(&mut self, n: NodeId, prob: Probability, dist: u32) {
-        let i = n as usize;
-        self.stamp[i] = self.epoch;
-        self.best_prob[i] = prob;
-        self.best_dist[i] = dist;
-        self.slot[i] = self.touched.len() as u32;
-        self.touched.push(n);
-    }
-
-    fn is_stamped(&self, n: NodeId) -> bool {
-        self.stamp[n as usize] == self.epoch
-    }
-}
-
-/// A small pool of [`Scratch`] workspaces so concurrent `&self` queries
-/// each get a private buffer without re-allocating per query.
-#[derive(Debug, Default)]
-struct ScratchPool {
-    pool: Mutex<Vec<Scratch>>,
-}
-
-impl ScratchPool {
-    fn acquire(&self) -> Scratch {
-        self.pool.lock().pop().unwrap_or_default()
-    }
-
-    fn release(&self, scratch: Scratch) {
-        let mut pool = self.pool.lock();
-        if pool.len() < 16 {
-            pool.push(scratch);
-        }
-    }
-}
-
-impl Clone for ScratchPool {
-    /// A cloned index starts with a fresh (empty) pool; scratch buffers
-    /// are per-instance caches, not state.
-    fn clone(&self) -> Self {
-        Self::default()
-    }
-}
-
 /// One entry of the mutation journal (see [`AIndex::set_journaling`]).
-/// `Created`/`Revived` imply `Touched`; a consumer rebuilds the projected
-/// state of every journaled node from the master index, so the ops only
-/// need to distinguish the two transitions that are not derivable from the
-/// end state alone (a fresh node needs a name registered, a revived node
-/// needs its incarnation counter bumped).
+/// `Revived` implies `Touched`; a consumer rebuilds the projected state
+/// of every touched node from the ledger, so the ops only need to
+/// distinguish the transitions that are not derivable from the end state
+/// alone (a revived node needs its incarnation counter bumped, an
+/// unlinked node needs no rebuild at all).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum JournalOp {
-    /// A node was interned for the first time.
-    Created(NodeId),
     /// A lazily deleted node was resurrected by re-insertion.
     Revived(NodeId),
-    /// A node's liveness or incident-edge set changed.
+    /// A node's liveness or incident-edge set changed, or it was interned
+    /// for the first time (its id is past the consumer's last-seen
+    /// [`interned_len`](AIndex::interned_len)).
     Touched(NodeId),
+    /// A live node lost an edge to a node `remove_object` just killed. Its
+    /// projected state needs no rebuild (the dead endpoint hides the edge
+    /// from readers), but its serialized form no longer lists that edge.
+    Unlinked(NodeId),
 }
 
-/// The A' index: one node per global key, identity/matching edges with
-/// probabilities.
+/// The A' index ledger: one node per global key, identity/matching
+/// edges with probabilities. Read it through an
+/// [`IndexView`](crate::shard::IndexView).
 #[derive(Debug, Clone, Default)]
 pub struct AIndex {
     keys: Vec<GlobalKey>,
     alive_node: Vec<bool>,
     ids: HashMap<GlobalKey, NodeId>,
     adjacency: CsrAdjacency,
-    scratch: ScratchPool,
     edges: Vec<Edge>,
     /// (min(a,b), max(a,b), kind) → edge id, for dedup.
     pair_index: HashMap<(NodeId, NodeId, RelationKind), EdgeId>,
@@ -279,15 +214,9 @@ pub struct AIndex {
     children: HashMap<EdgeId, Vec<EdgeId>>,
     policy: DeletionPolicy,
     /// Mutation journal for the sharded projection layer; empty and
-    /// unmaintained unless journaling is on (plain indexes pay nothing).
+    /// unmaintained unless journaling is on (a bare ledger pays nothing).
     journal: Vec<JournalOp>,
     journaling: bool,
-    /// While a `remove_object` runs, kills of edges incident to the dying
-    /// node are not journaled: the dead endpoint alone makes them
-    /// invisible to shard readers, which is what keeps a removal confined
-    /// to one shard. Cascade kills between two *surviving* nodes are
-    /// still journaled.
-    suppress: Option<NodeId>,
 }
 
 impl AIndex {
@@ -323,7 +252,7 @@ impl AIndex {
         self.adjacency.add_node();
         self.ids.insert(key.clone(), id);
         if self.journaling {
-            self.journal.push(JournalOp::Created(id));
+            self.journal.push(JournalOp::Touched(id));
         }
         id
     }
@@ -331,8 +260,8 @@ impl AIndex {
     // -- mutation journal --------------------------------------------------
 
     /// Turns the mutation journal on or off. Maintained by the sharded
-    /// projection layer ([`crate::shard::ShardedIndex`]); plain indexes
-    /// leave it off and pay a single branch per mutation.
+    /// projection layer ([`crate::shard::ShardedIndex`]); a bare ledger
+    /// leaves it off and pays a single branch per mutation.
     pub(crate) fn set_journaling(&mut self, on: bool) {
         self.journaling = on;
         if !on {
@@ -393,15 +322,7 @@ impl AIndex {
     pub fn stats(&self) -> IndexStats {
         let mut s = IndexStats { nodes: self.node_count(), ..Default::default() };
         for e in self.edges.iter().filter(|e| e.alive) {
-            match e.kind {
-                RelationKind::Identity => s.identity_edges += 1,
-                RelationKind::Matching => s.matching_edges += 1,
-            }
-            match e.origin {
-                EdgeOrigin::Inferred(..) => s.inferred_edges += 1,
-                EdgeOrigin::Promoted => s.promoted_edges += 1,
-                EdgeOrigin::Direct => {}
-            }
+            s.count_edge(e.kind, e.origin);
         }
         s
     }
@@ -463,18 +384,24 @@ impl AIndex {
         Some(eid)
     }
 
-    /// Journals both endpoints of a changed edge, honouring the
-    /// `remove_object` suppression (an edge incident to a dying node needs
-    /// no journal entry — the dead endpoint hides it from readers).
+    /// Journals the endpoints of a changed edge. A live edge has two live
+    /// endpoints except while `remove_object` kills the edges of the node
+    /// it just marked dead: those journal only the surviving endpoint, as
+    /// `Unlinked` — the dead endpoint alone hides them from shard
+    /// readers, which is what keeps a removal confined to one shard.
     fn journal_edge(&mut self, a: NodeId, b: NodeId) {
         if !self.journaling {
             return;
         }
-        if self.suppress == Some(a) || self.suppress == Some(b) {
-            return;
+        match (self.alive_node[a as usize], self.alive_node[b as usize]) {
+            (true, true) => {
+                self.journal.push(JournalOp::Touched(a));
+                self.journal.push(JournalOp::Touched(b));
+            }
+            (true, false) => self.journal.push(JournalOp::Unlinked(a)),
+            (false, true) => self.journal.push(JournalOp::Unlinked(b)),
+            (false, false) => {}
         }
-        self.journal.push(JournalOp::Touched(a));
-        self.journal.push(JournalOp::Touched(b));
     }
 
     fn register_lineage(&mut self, eid: EdgeId, origin: EdgeOrigin) {
@@ -497,8 +424,8 @@ impl AIndex {
         })
     }
 
-    /// The live identity neighbours of `n` (the rest of its identity
-    /// clique, by the closure invariant) with edge ids and probabilities.
+    /// The live `kind` neighbours of `n` with edge ids and probabilities
+    /// (for identity: the rest of its clique, by the closure invariant).
     ///
     /// Sorted by the neighbour's key, **not** adjacency order:
     /// materialization composes floating-point products while iterating
@@ -509,26 +436,22 @@ impl AIndex {
     /// checkpoint, whose adjacency order differs from the original
     /// insertion order, then replay the WAL tail) answer bit-identically
     /// to the never-crashed instance.
-    fn identity_clique(&self, n: NodeId) -> Vec<(NodeId, EdgeId, Probability)> {
+    fn related(&self, n: NodeId, kind: RelationKind) -> Vec<(NodeId, EdgeId, Probability)> {
         let mut out: Vec<_> = self
             .incident(n)
-            .filter(|(_, e)| e.kind == RelationKind::Identity)
+            .filter(|(_, e)| e.kind == kind)
             .map(|(eid, e)| (e.other(n), eid, e.prob))
             .collect();
         out.sort_unstable_by(|x, y| self.keys[x.0 as usize].cmp(&self.keys[y.0 as usize]));
         out
     }
 
-    /// The live matchings of `n`, in the same canonical neighbour-key
-    /// order as [`identity_clique`](Self::identity_clique).
+    fn identity_clique(&self, n: NodeId) -> Vec<(NodeId, EdgeId, Probability)> {
+        self.related(n, RelationKind::Identity)
+    }
+
     fn matching_edges_of(&self, n: NodeId) -> Vec<(NodeId, EdgeId, Probability)> {
-        let mut out: Vec<_> = self
-            .incident(n)
-            .filter(|(_, e)| e.kind == RelationKind::Matching)
-            .map(|(eid, e)| (e.other(n), eid, e.prob))
-            .collect();
-        out.sort_unstable_by(|x, y| self.keys[x.0 as usize].cmp(&self.keys[y.0 as usize]));
-        out
+        self.related(n, RelationKind::Matching)
     }
 
     // -- public mutation ----------------------------------------------------
@@ -746,19 +669,16 @@ impl AIndex {
         if self.journaling {
             self.journal.push(JournalOp::Touched(n));
         }
-        // Kills of the incident edges are not journaled (`suppress`): the
-        // node's own Touched entry makes it dead in its home shard, which
-        // hides every incident edge from readers — so a removal rewrites
-        // exactly one shard. Cascade kills between surviving nodes are
-        // still journaled by `kill_edge`.
-        self.suppress = Some(n);
+        // The node's own Touched entry makes it dead in its home shard;
+        // its incident edges journal their far endpoints as Unlinked, so
+        // a removal republishes exactly one shard. Cascade kills between
+        // surviving nodes are still journaled as Touched by `kill_edge`.
         let incident: Vec<EdgeId> = self.adjacency.edges_of(n).collect();
         for eid in incident {
             if self.edges[eid as usize].alive {
                 self.kill_edge(eid);
             }
         }
-        self.suppress = None;
     }
 
     /// Deletes a p-relation. Under [`DeletionPolicy::Cascade`] every edge
@@ -792,7 +712,7 @@ impl AIndex {
         }
     }
 
-    // -- queries -------------------------------------------------------------
+    // -- point lookups ------------------------------------------------------
 
     /// The direct p-relations of `key`: `(other key, kind, probability)`.
     pub fn neighbors(&self, key: &GlobalKey) -> Vec<(GlobalKey, RelationKind, Probability)> {
@@ -811,193 +731,6 @@ impl AIndex {
         let eid = self.edge_between(na, nb, kind)?;
         let e = &self.edges[eid as usize];
         Some(EdgeInfo { probability: e.prob, origin: e.origin })
-    }
-
-    /// **The augmentation primitive** (Definitions 2 and 3): all keys
-    /// reachable from the `seeds` within `level + 1` hops, excluding the
-    /// seeds themselves, each with the best path-product probability and
-    /// ordered by decreasing probability (ties broken by key for
-    /// determinism).
-    ///
-    /// Level 0 returns the direct p-relations of the seeds; each further
-    /// level applies the construct to the previous result again.
-    pub fn augment(&self, seeds: &[GlobalKey], level: usize) -> Vec<AugmentedKey> {
-        self.augment_inner(seeds, level, false).0
-    }
-
-    /// The multi-seed hot path: the canonical neighbourhood (identical to
-    /// [`augment`](AIndex::augment) over the same seeds) **plus**, for
-    /// each returned key, the index into `seeds` of its owning seed — the
-    /// first (lowest-index) seed whose own level-`level` augmentation
-    /// contains the key. Both are computed in one BFS over the index
-    /// instead of one traversal per seed.
-    ///
-    /// The ownership partition is exactly what the historical per-seed
-    /// loop produced: iterate seeds in order, augment each alone, and
-    /// assign every not-yet-claimed key to the current seed.
-    pub fn augment_multi(
-        &self,
-        seeds: &[GlobalKey],
-        level: usize,
-    ) -> (Vec<AugmentedKey>, Vec<u32>) {
-        self.augment_inner(seeds, level, true)
-    }
-
-    fn augment_inner(
-        &self,
-        seeds: &[GlobalKey],
-        level: usize,
-        ownership: bool,
-    ) -> (Vec<AugmentedKey>, Vec<u32>) {
-        let mut scratch = self.scratch.acquire();
-        scratch.begin(self.keys.len());
-        for key in seeds {
-            if let Some(n) = self.node(key) {
-                if !scratch.is_stamped(n) {
-                    scratch.mark(n, Probability::ONE, 0);
-                    scratch.frontier.push((n, Probability::ONE));
-                }
-            }
-        }
-        let max_hops = (level + 1) as u32;
-        for hop in 1..=max_hops {
-            if scratch.frontier.is_empty() {
-                break;
-            }
-            let frontier = std::mem::take(&mut scratch.frontier);
-            for &(n, p) in &frontier {
-                for eid in self.adjacency.edges_of(n) {
-                    let e = &self.edges[eid as usize];
-                    if !e.alive {
-                        continue;
-                    }
-                    let m = e.other(n);
-                    if !self.alive_node[m as usize] {
-                        continue;
-                    }
-                    let cand = p.and(e.prob);
-                    if !scratch.is_stamped(m) {
-                        scratch.mark(m, cand, hop);
-                        scratch.next.push((m, cand));
-                    } else if cand > scratch.best_prob[m as usize] {
-                        scratch.best_prob[m as usize] = cand;
-                        scratch.best_dist[m as usize] = hop;
-                        scratch.next.push((m, cand));
-                    }
-                }
-            }
-            // Recycle the spent frontier as the next `next` buffer.
-            let mut spent = frontier;
-            spent.clear();
-            scratch.frontier = std::mem::replace(&mut scratch.next, spent);
-        }
-
-        // Seeds carry distance 0 (first-touch stamping wins, so a seed
-        // reached again over an edge keeps it) and are excluded, as the
-        // definition requires.
-        let mut reached: Vec<(NodeId, AugmentedKey)> = Vec::with_capacity(scratch.touched.len());
-        for &n in &scratch.touched {
-            let i = n as usize;
-            if scratch.best_dist[i] == 0 {
-                continue;
-            }
-            reached.push((
-                n,
-                AugmentedKey {
-                    key: self.keys[i].clone(),
-                    probability: scratch.best_prob[i],
-                    distance: scratch.best_dist[i] as usize,
-                },
-            ));
-        }
-        reached.sort_by(|x, y| {
-            y.1.probability.cmp(&x.1.probability).then_with(|| x.1.key.cmp(&y.1.key))
-        });
-
-        let owners = if ownership {
-            self.ownership_pass(seeds, max_hops, &mut scratch, &reached)
-        } else {
-            Vec::new()
-        };
-        let out = reached.into_iter().map(|(_, k)| k).collect();
-        self.scratch.release(scratch);
-        (out, owners)
-    }
-
-    /// Computes first-reaching-seed ownership over the BFS-reached
-    /// subgraph by layered min-label propagation. The owner of a node is
-    /// the lowest seed index within `max_hops`, and minimum distributes
-    /// over path unions, so a single `u32` label per slot suffices:
-    /// after `h` strictly layered rounds a slot's label is the lowest
-    /// seed index within `h` hops. Only slots whose label changed last
-    /// round push this round, and a value pushed in round `h` was valid
-    /// at distance `h - 1`, so labels never travel faster than one hop
-    /// per round. Restricting propagation to reached nodes is lossless:
-    /// every intermediate node of a within-budget path is itself within
-    /// budget.
-    fn ownership_pass(
-        &self,
-        seeds: &[GlobalKey],
-        max_hops: u32,
-        scratch: &mut Scratch,
-        reached: &[(NodeId, AugmentedKey)],
-    ) -> Vec<u32> {
-        const UNOWNED: u32 = u32::MAX;
-        let slots = scratch.touched.len();
-        scratch.own_label.clear();
-        scratch.own_label.resize(slots, UNOWNED);
-        scratch.own_frontier.clear();
-        scratch.own_next.clear();
-        for (j, key) in seeds.iter().enumerate() {
-            if let Some(n) = self.node(key) {
-                let s = scratch.slot[n as usize];
-                let label = &mut scratch.own_label[s as usize];
-                if (j as u32) < *label {
-                    if *label == UNOWNED {
-                        scratch.own_frontier.push((s, 0));
-                    }
-                    *label = j as u32;
-                }
-            }
-        }
-        for entry in &mut scratch.own_frontier {
-            entry.1 = scratch.own_label[entry.0 as usize];
-        }
-        for _ in 1..=max_hops {
-            if scratch.own_frontier.is_empty() {
-                break;
-            }
-            let frontier = std::mem::take(&mut scratch.own_frontier);
-            for &(s, v) in &frontier {
-                let n = scratch.touched[s as usize];
-                for eid in self.adjacency.edges_of(n) {
-                    let e = &self.edges[eid as usize];
-                    if !e.alive {
-                        continue;
-                    }
-                    let m = e.other(n);
-                    if !self.alive_node[m as usize] || scratch.stamp[m as usize] != scratch.epoch {
-                        continue;
-                    }
-                    let sm = scratch.slot[m as usize];
-                    if v < scratch.own_label[sm as usize] {
-                        scratch.own_label[sm as usize] = v;
-                        scratch.own_next.push((sm, v));
-                    }
-                }
-            }
-            let mut spent = frontier;
-            spent.clear();
-            scratch.own_frontier = std::mem::replace(&mut scratch.own_next, spent);
-        }
-        reached
-            .iter()
-            .map(|&(n, _)| {
-                let owner = scratch.own_label[scratch.slot[n as usize] as usize];
-                assert_ne!(owner, UNOWNED, "reached node must be owned by some seed");
-                owner
-            })
-            .collect()
     }
 
     /// Verifies the Consistency Condition over the whole graph (test and
@@ -1052,6 +785,12 @@ pub struct EdgeInfo {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::IndexView;
+
+    /// The read side of a ledger: augmentation answers come from here.
+    fn view(ix: &AIndex) -> IndexView {
+        IndexView::of(ix)
+    }
 
     fn k(s: &str) -> GlobalKey {
         s.parse().unwrap()
@@ -1165,7 +904,7 @@ mod tests {
     #[test]
     fn augment_level0_is_direct_neighbourhood() {
         let ix = fig3();
-        let out = ix.augment(&[k("catalogue.albums.d1")], 0);
+        let out = view(&ix).augment(&[k("catalogue.albums.d1")], 0);
         // Direct: a32 (identity 0.9) and — via consistency propagation —
         // the matching to i1 (0.7·0.9 = 0.63).
         assert_eq!(out.len(), 2);
@@ -1177,7 +916,7 @@ mod tests {
     #[test]
     fn augment_is_sorted_by_probability() {
         let ix = fig3();
-        let out = ix.augment(&[k("catalogue.albums.d1")], 1);
+        let out = view(&ix).augment(&[k("catalogue.albums.d1")], 1);
         assert!(out.windows(2).all(|w| w[0].probability >= w[1].probability));
     }
 
@@ -1189,11 +928,11 @@ mod tests {
         ix.insert_matching(&k("d.c.a"), &k("d.c.b"), p(0.9));
         ix.insert_matching(&k("d.c.b"), &k("d.c.c"), p(0.8));
         ix.insert_matching(&k("d.c.c"), &k("d.c.d"), p(0.7));
-        let l0 = ix.augment(&[k("d.c.a")], 0);
+        let l0 = view(&ix).augment(&[k("d.c.a")], 0);
         assert_eq!(l0.len(), 1);
-        let l1 = ix.augment(&[k("d.c.a")], 1);
+        let l1 = view(&ix).augment(&[k("d.c.a")], 1);
         assert_eq!(l1.len(), 2);
-        let l2 = ix.augment(&[k("d.c.a")], 2);
+        let l2 = view(&ix).augment(&[k("d.c.a")], 2);
         assert_eq!(l2.len(), 3);
         // Path products: b=0.9, c=0.72, d=0.504.
         assert!((l2[2].probability.get() - 0.504).abs() < 1e-12);
@@ -1207,7 +946,7 @@ mod tests {
         ix.insert_matching(&k("d.c.a"), &k("d.c.c"), p(0.5));
         ix.insert_matching(&k("d.c.a"), &k("d.c.b"), p(0.9));
         ix.insert_matching(&k("d.c.b"), &k("d.c.c"), p(0.9));
-        let out = ix.augment(&[k("d.c.a")], 1);
+        let out = view(&ix).augment(&[k("d.c.a")], 1);
         let c = out.iter().find(|x| x.key == k("d.c.c")).unwrap();
         assert!((c.probability.get() - 0.81).abs() < 1e-12);
         assert_eq!(c.distance, 2);
@@ -1218,7 +957,7 @@ mod tests {
         let mut ix = AIndex::new();
         ix.insert_matching(&k("d.c.a"), &k("d.c.b"), p(0.9));
         ix.insert_matching(&k("d.c.b"), &k("d.c.c"), p(0.8));
-        let out = ix.augment(&[k("d.c.a"), k("d.c.c")], 0);
+        let out = view(&ix).augment(&[k("d.c.a"), k("d.c.c")], 0);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].key, k("d.c.b"));
         assert_eq!(out[0].probability, p(0.9));
@@ -1227,15 +966,15 @@ mod tests {
     #[test]
     fn augment_unknown_seed_is_empty() {
         let ix = fig3();
-        assert!(ix.augment(&[k("no.such.key")], 3).is_empty());
+        assert!(view(&ix).augment(&[k("no.such.key")], 3).is_empty());
     }
 
     #[test]
     fn augment_multi_matches_augment() {
         let ix = fig3();
         let seeds = [k("catalogue.albums.d1"), k("transactions.sales_details.i1")];
-        let (multi, owners) = ix.augment_multi(&seeds, 1);
-        assert_eq!(multi, ix.augment(&seeds, 1));
+        let (multi, owners) = view(&ix).augment_multi(&seeds, 1);
+        assert_eq!(multi, view(&ix).augment(&seeds, 1));
         assert_eq!(owners.len(), multi.len());
     }
 
@@ -1245,11 +984,11 @@ mod tests {
         let mut ix = AIndex::new();
         ix.insert_matching(&k("d.c.a"), &k("d.c.b"), p(0.9));
         ix.insert_matching(&k("d.c.b"), &k("d.c.c"), p(0.8));
-        let (out, owners) = ix.augment_multi(&[k("d.c.a"), k("d.c.c")], 0);
+        let (out, owners) = view(&ix).augment_multi(&[k("d.c.a"), k("d.c.c")], 0);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].key, k("d.c.b"));
         assert_eq!(owners, vec![0]);
-        let (out_rev, owners_rev) = ix.augment_multi(&[k("d.c.c"), k("d.c.a")], 0);
+        let (out_rev, owners_rev) = view(&ix).augment_multi(&[k("d.c.c"), k("d.c.a")], 0);
         assert_eq!(out_rev, out);
         assert_eq!(owners_rev, vec![0], "reversed order: c now claims b first");
     }
@@ -1263,11 +1002,11 @@ mod tests {
         ix.insert_matching(&k("d.c.s0"), &k("d.c.mid"), p(0.9));
         ix.insert_matching(&k("d.c.mid"), &k("d.c.x"), p(0.9));
         ix.insert_matching(&k("d.c.s1"), &k("d.c.x"), p(0.9));
-        let (out, owners) = ix.augment_multi(&[k("d.c.s0"), k("d.c.s1")], 1);
+        let (out, owners) = view(&ix).augment_multi(&[k("d.c.s0"), k("d.c.s1")], 1);
         let xi = out.iter().position(|a| a.key == k("d.c.x")).unwrap();
         assert_eq!(owners[xi], 0);
         // With a one-hop budget only seed 1 reaches x.
-        let (out0, owners0) = ix.augment_multi(&[k("d.c.s0"), k("d.c.s1")], 0);
+        let (out0, owners0) = view(&ix).augment_multi(&[k("d.c.s0"), k("d.c.s1")], 0);
         let xi0 = out0.iter().position(|a| a.key == k("d.c.x")).unwrap();
         assert_eq!(owners0[xi0], 1);
     }
@@ -1276,7 +1015,7 @@ mod tests {
     fn augment_multi_skips_unknown_seeds_in_ownership() {
         let mut ix = AIndex::new();
         ix.insert_matching(&k("d.c.a"), &k("d.c.b"), p(0.9));
-        let (out, owners) = ix.augment_multi(&[k("no.such.key"), k("d.c.a")], 0);
+        let (out, owners) = view(&ix).augment_multi(&[k("no.such.key"), k("d.c.a")], 0);
         assert_eq!(out.len(), 1);
         assert_eq!(owners, vec![1], "owner indices refer to the original seed slice");
     }
@@ -1289,13 +1028,13 @@ mod tests {
             ix.insert_matching(&k(&format!("d.c.s{i}")), &k("d.c.hub"), p(0.9));
         }
         let seeds: Vec<GlobalKey> = (0..70).map(|i| k(&format!("d.c.s{i}"))).collect();
-        let (out, owners) = ix.augment_multi(&seeds, 0);
+        let (out, owners) = view(&ix).augment_multi(&seeds, 0);
         let hub = out.iter().position(|a| a.key == k("d.c.hub")).unwrap();
         assert_eq!(owners[hub], 0);
         // The 69th seed alone owns the hub when listed first.
         let mut rev = seeds.clone();
         rev.rotate_left(69);
-        let (out_rev, owners_rev) = ix.augment_multi(&rev, 0);
+        let (out_rev, owners_rev) = view(&ix).augment_multi(&rev, 0);
         let hub_rev = out_rev.iter().position(|a| a.key == k("d.c.hub")).unwrap();
         assert_eq!(owners_rev[hub_rev], 0, "rotation makes s69 the first seed");
         assert_eq!(out_rev.len(), out.len());
@@ -1303,11 +1042,11 @@ mod tests {
 
     #[test]
     fn repeated_queries_reuse_scratch_correctly() {
-        // Exercises epoch stamping across many queries on one index.
-        let ix = fig3();
-        let baseline = ix.augment(&[k("catalogue.albums.d1")], 1);
+        // Exercises epoch stamping across many queries on one view.
+        let view = view(&fig3());
+        let baseline = view.augment(&[k("catalogue.albums.d1")], 1);
         for _ in 0..100 {
-            assert_eq!(ix.augment(&[k("catalogue.albums.d1")], 1), baseline);
+            assert_eq!(view.augment(&[k("catalogue.albums.d1")], 1), baseline);
         }
     }
 
@@ -1317,7 +1056,7 @@ mod tests {
         assert!(ix.contains(&k("transactions.inventory.a32")));
         ix.remove_object(&k("transactions.inventory.a32"));
         assert!(!ix.contains(&k("transactions.inventory.a32")));
-        let out = ix.augment(&[k("catalogue.albums.d1")], 0);
+        let out = view(&ix).augment(&[k("catalogue.albums.d1")], 0);
         // a32 is gone; only the propagated matching to i1 remains.
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].key, k("transactions.sales_details.i1"));

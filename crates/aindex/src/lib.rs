@@ -7,13 +7,16 @@
 //!
 //! This crate implements:
 //!
-//! * the graph itself ([`AIndex`]) with insertion that **materializes
-//!   identity transitivity** (Example 7: inserting `a ~0.8 b` when
-//!   `b ~0.85 c` exists also materializes `a ~0.68 c`) and **enforces the
-//!   Consistency Condition** (`o₁ ≡ o₂ ∧ o₂ ∼ o₃ ⇒ o₁ ≡ o₃`, §II-B);
-//! * the **augmentation primitive**: the level-*n* neighbourhood used by
-//!   [`Definition 2/3`](crate::index::AIndex::augment) with path-product
-//!   probabilities (best path wins);
+//! * the graph's write side ([`AIndex`], the ledger) with insertion that
+//!   **materializes identity transitivity** (Example 7: inserting
+//!   `a ~0.8 b` when `b ~0.85 c` exists also materializes `a ~0.68 c`) and
+//!   **enforces the Consistency Condition**
+//!   (`o₁ ≡ o₂ ∧ o₂ ∼ o₃ ⇒ o₁ ≡ o₃`, §II-B);
+//! * the **augmentation primitive**: the level-*n* neighbourhood of
+//!   [`Definition 2/3`](crate::shard::IndexView::augment) with
+//!   path-product probabilities (best path wins), implemented once, over
+//!   the read side ([`IndexView`]) that a [`ShardedIndex`] keeps current
+//!   under concurrent mutation;
 //! * **lazy deletion** of vanished objects (§III-C(b)) and a **lineage
 //!   system** for cascading deletion of inferred p-relations — the paper
 //!   lists this as planned work; it is implemented here behind
@@ -34,4 +37,4 @@ pub mod shard;
 pub use index::{AIndex, AugmentedKey, DeletionPolicy, EdgeInfo, EdgeOrigin, IndexStats};
 pub use promote::{PathRepository, PromotionConfig};
 pub use serial::SerialError;
-pub use shard::{Augmentable, IndexView, ShardIndexStats, ShardedIndex, UpdateReport, SHARD_COUNT};
+pub use shard::{IndexView, ShardIndexStats, ShardedIndex, UpdateReport, SHARD_COUNT};

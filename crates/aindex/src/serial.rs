@@ -6,15 +6,20 @@
 //! ```text
 //! quepa-aindex v1
 //! node <key>                         # isolated nodes only
-//! edge <kind> <origin> <p> <a> <b>   # kind: id|match, origin: direct|inferred|promoted
+//! edge <kind> <origin> <p> <a> <b>   # kind: id|match, origin: direct|promoted
 //! ```
 //!
 //! Keys are percent-escaped (`%`, whitespace, newline) so arbitrary local
-//! keys survive. **Lineage is flattened**: inferred edges reload as
-//! direct edges (their parent links are not persisted), so cascade
+//! keys survive. **Lineage is flattened**: inferred edges are written and
+//! reload as direct edges (their parent links are not persisted; the
+//! origin `inferred` that earlier versions wrote still loads), so cascade
 //! deletion only reaches relations inserted after the load. The
 //! graph itself round-trips exactly (same nodes, edges, kinds,
 //! probabilities), which is what augmentation semantics depend on.
+//!
+//! The `node`/`edge` lines are also the body of a checkpoint shard file
+//! (`quepa-wal`): [`write_node`], [`write_edge`] and [`apply_lines`] are
+//! the one writer and the one parser of that line format.
 
 use std::fmt::Write as _;
 
@@ -98,6 +103,38 @@ pub fn unescape(s: &str) -> Result<String, String> {
     Ok(out)
 }
 
+/// Appends one `node <key>` line.
+pub fn write_node(out: &mut String, key: &GlobalKey) {
+    let _ = writeln!(out, "node {}", escape(&key.to_string()));
+}
+
+/// Appends one `edge <kind> <origin> <p> <a> <b>` line. Lineage is
+/// flattened here: an inferred edge is written as `direct`.
+pub fn write_edge(
+    out: &mut String,
+    kind: RelationKind,
+    origin: EdgeOrigin,
+    prob: Probability,
+    a: &GlobalKey,
+    b: &GlobalKey,
+) {
+    let kind = match kind {
+        RelationKind::Identity => "id",
+        RelationKind::Matching => "match",
+    };
+    let origin = match origin {
+        EdgeOrigin::Direct | EdgeOrigin::Inferred(..) => "direct",
+        EdgeOrigin::Promoted => "promoted",
+    };
+    let _ = writeln!(
+        out,
+        "edge {kind} {origin} {} {} {}",
+        prob.get(),
+        escape(&a.to_string()),
+        escape(&b.to_string()),
+    );
+}
+
 /// Serializes the live part of an index.
 pub fn to_string(index: &AIndex) -> String {
     let mut out = String::new();
@@ -111,57 +148,39 @@ pub fn to_string(index: &AIndex) -> String {
     }
     for key in index.keys() {
         if !connected.contains(key) {
-            let _ = writeln!(out, "node {}", escape(&key.to_string()));
+            write_node(&mut out, key);
         }
     }
     for (a, b, kind, prob, origin) in edges {
-        let kind = match kind {
-            RelationKind::Identity => "id",
-            RelationKind::Matching => "match",
-        };
-        let origin = match origin {
-            EdgeOrigin::Direct => "direct",
-            EdgeOrigin::Inferred(..) => "inferred",
-            EdgeOrigin::Promoted => "promoted",
-        };
-        let _ = writeln!(
-            out,
-            "edge {kind} {origin} {} {} {}",
-            prob.get(),
-            escape(&a.to_string()),
-            escape(&b.to_string()),
-        );
+        write_edge(&mut out, kind, origin, prob, a, b);
     }
     out
 }
 
-/// Loads an index serialized by [`to_string`].
-pub fn from_str(input: &str) -> Result<AIndex, SerialError> {
-    let mut lines = input.lines().enumerate();
-    match lines.next() {
-        Some((_, h)) if h.trim() == HEADER => {}
-        other => {
-            return Err(SerialError::BadHeader(
-                other.map(|(_, h)| h.to_owned()).unwrap_or_default(),
-            ))
-        }
-    }
-    let mut index = AIndex::new();
-    for (i, line) in lines {
-        let line_no = i + 1;
-        let bad =
-            |message: &str| SerialError::BadLine { line: line_no, message: message.to_owned() };
+/// Applies `node`/`edge` lines to an index under construction, returning
+/// how many were applied; `first_line` numbers the first line of `body`
+/// for error reports. Blank lines and `#` comments are skipped. The
+/// serialized graph is already closed under the Consistency Condition,
+/// so raw insertion suffices (and keeps probabilities bit-exact); an
+/// edge listed twice re-applies idempotently.
+pub fn apply_lines(
+    body: &str,
+    first_line: usize,
+    index: &mut AIndex,
+) -> Result<usize, SerialError> {
+    let mut applied = 0;
+    for (i, line) in body.lines().enumerate() {
+        let bad = |message: &str| SerialError::BadLine {
+            line: first_line + i,
+            message: message.to_owned(),
+        };
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
         let mut parts = line.split(' ');
         match parts.next() {
-            Some("node") => {
-                let raw = parts.next().ok_or_else(|| bad("node needs a key"))?;
-                let key: GlobalKey = unescape(raw).map_err(|m| bad(&m))?.parse()?;
-                index.ensure_node(&key);
-            }
+            Some("node") => index.ensure_node(&parse_key(parts.next(), "node needs a key", &bad)?),
             Some("edge") => {
                 let kind = match parts.next() {
                     Some("id") => RelationKind::Identity,
@@ -179,26 +198,40 @@ pub fn from_str(input: &str) -> Result<AIndex, SerialError> {
                     .parse()
                     .map_err(|_| bad("bad probability"))?;
                 let p = Probability::new(p)?;
-                let a: GlobalKey = unescape(parts.next().ok_or_else(|| bad("edge needs keys"))?)
-                    .map_err(|m| bad(&m))?
-                    .parse()?;
-                let b: GlobalKey = unescape(parts.next().ok_or_else(|| bad("edge needs 2 keys"))?)
-                    .map_err(|m| bad(&m))?
-                    .parse()?;
-                // The serialized graph is already closed under the
-                // Consistency Condition, so raw insertion suffices (and
-                // keeps probabilities bit-exact).
+                let a = parse_key(parts.next(), "edge needs keys", &bad)?;
+                let b = parse_key(parts.next(), "edge needs 2 keys", &bad)?;
                 index.insert_raw(&a, &b, kind, p, origin);
             }
             _ => return Err(bad("expected node|edge")),
         }
+        applied += 1;
     }
+    Ok(applied)
+}
+
+fn parse_key(
+    raw: Option<&str>,
+    missing: &str,
+    bad: &impl Fn(&str) -> SerialError,
+) -> Result<GlobalKey, SerialError> {
+    Ok(unescape(raw.ok_or_else(|| bad(missing))?).map_err(|m| bad(&m))?.parse()?)
+}
+
+/// Loads an index serialized by [`to_string`].
+pub fn from_str(input: &str) -> Result<AIndex, SerialError> {
+    let (header, body) = input.split_once('\n').unwrap_or((input, ""));
+    if header.trim() != HEADER {
+        return Err(SerialError::BadHeader(header.to_owned()));
+    }
+    let mut index = AIndex::new();
+    apply_lines(body, 2, &mut index)?;
     Ok(index)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::IndexView;
 
     fn k(s: &str) -> GlobalKey {
         s.parse().unwrap()
@@ -226,8 +259,8 @@ mod tests {
         assert_eq!(s1.matching_edges, s2.matching_edges);
         assert_eq!(s1.promoted_edges, s2.promoted_edges);
         // Augmentation answers are identical.
-        let a1 = ix.augment(&[k("a.c.1")], 2);
-        let a2 = back.augment(&[k("a.c.1")], 2);
+        let a1 = IndexView::of(&ix).augment(&[k("a.c.1")], 2);
+        let a2 = IndexView::of(&back).augment(&[k("a.c.1")], 2);
         assert_eq!(a1, a2);
         assert!(back.check_consistency().is_none());
     }

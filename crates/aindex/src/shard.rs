@@ -1,17 +1,21 @@
-//! Sharded A' index: per-shard immutable snapshots with delta overlays.
+//! Sharded A' index: per-shard immutable snapshots with delta overlays,
+//! and the one traversal kernel that reads them.
 //!
-//! The monolithic [`AIndex`] answers queries well but mutates badly at
-//! scale: publishing any change to concurrent readers means cloning and
-//! swapping the whole index. [`ShardedIndex`] keeps the master `AIndex`
-//! as the single writer-side source of truth and *projects* it into
-//! [`SHARD_COUNT`] read-only shard snapshots, each holding the nodes
-//! whose global key hashes into it plus their half-edges. Mutations run
-//! against the master under the writer lock; a journal of touched nodes
-//! is then drained into small per-shard **delta overlays**, so a lazy
-//! deletion republishes exactly one shard while every other shard's
-//! snapshot (and any in-flight [`IndexView`]) is untouched. An amortized
-//! compactor folds an overlay back into a fresh packed base once it
-//! grows past a fraction of the base.
+//! The [`AIndex`] ledger decides what a mutation does but cannot publish
+//! it cheaply: handing concurrent readers a changed ledger means cloning
+//! the whole thing. [`ShardedIndex`] keeps the ledger as the single
+//! writer-side source of truth and *projects* it into [`SHARD_COUNT`]
+//! read-only shard snapshots, each holding the nodes whose global key
+//! hashes into it plus their half-edges. Mutations run against the
+//! ledger under the writer lock; a journal of touched nodes is then
+//! drained into small per-shard **delta overlays**, so a lazy deletion
+//! republishes exactly one shard while every other shard's snapshot (and
+//! any in-flight [`IndexView`]) is untouched. An amortized compactor
+//! folds an overlay back into a fresh packed base once it grows past a
+//! fraction of the base. Every augmentation — served queries, baselines,
+//! the differential harness — reads through an [`IndexView`]: either the
+//! maintained one ([`ShardedIndex::view`]) or a one-off projection of a
+//! borrowed ledger ([`IndexView::of`]).
 //!
 //! ## Visibility rules
 //!
@@ -26,20 +30,21 @@
 //! half-edges now fail the incarnation check). Any *edge* change —
 //! insert, strengthen, revive, kill between two survivors — rebuilds
 //! both endpoints' entries, so a live edge is always recorded on both
-//! sides with current incarnations. Consequently the projection answers
-//! every query bit-identically to the master index.
+//! sides with current incarnations. Consequently the maintained view
+//! answers every query exactly as a fresh projection of the ledger does.
 //!
 //! ## Determinism
 //!
 //! The BFS relaxation and the ownership min-label pass are both
 //! order-independent (best probability wins with strict improvement;
 //! `min` distributes over path unions), and the final sort canonicalizes
-//! by `(probability desc, key asc)` — so traversing half-edges in shard
-//! order instead of master CSR order yields identical answers, which the
-//! differential harness (`quepa-check`) pins across the full scenario
-//! smoke.
+//! by `(probability desc, key asc)` — so the order half-edges sit in a
+//! shard (packed base or overlay, before or after a compaction) never
+//! shows in an answer. The differential harness (`quepa-check`) pins the
+//! kernel against an independent reference model across the full
+//! scenario smoke.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -47,6 +52,7 @@ use parking_lot::Mutex;
 use quepa_pdm::{GlobalKey, Probability, RelationKind};
 
 use crate::index::{AIndex, AugmentedKey, EdgeInfo, EdgeOrigin, IndexStats, JournalOp};
+use crate::serial;
 
 /// Number of shards the key space is hashed over.
 pub const SHARD_COUNT: usize = 16;
@@ -142,6 +148,12 @@ struct OverlayNode {
     edges: Vec<HalfEdge>,
 }
 
+impl OverlayNode {
+    fn resident_bytes(&self) -> usize {
+        self.edges.len() * std::mem::size_of::<HalfEdge>() + 48
+    }
+}
+
 /// The mutable delta layered over a [`ShardBase`]. Cloned on publication
 /// (it stays small by construction — compaction folds it away).
 #[derive(Debug, Clone, Default)]
@@ -230,28 +242,43 @@ struct Directory {
     max_slots: u32,
 }
 
+impl Directory {
+    fn new(shards: [Arc<ShardSnap>; SHARD_COUNT]) -> Self {
+        let max_slots = shards.iter().map(|s| s.slots).max().unwrap_or(0);
+        Directory { shards, max_slots }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Reader side
 // ---------------------------------------------------------------------------
 
-/// Per-query BFS workspace over the packed [`NodeRef`] space; the same
-/// epoch-stamping discipline as the master index's scratch.
+/// Per-query BFS workspace over the packed [`NodeRef`] space. The `stamp`
+/// array carries a query generation counter: a node's `best_*`/`slot`
+/// entries are valid only when `stamp[r] == epoch`, so successive queries
+/// reuse the buffers without clearing them.
 #[derive(Debug, Default)]
 struct ViewScratch {
     epoch: u32,
     stamp: Vec<u32>,
     best_prob: Vec<Probability>,
     best_dist: Vec<u32>,
+    /// Dense per-query slot of a stamped node (index into `touched`).
     slot: Vec<u32>,
+    /// Nodes stamped this query, in first-touch order.
     touched: Vec<NodeRef>,
     frontier: Vec<(NodeRef, Probability)>,
     next: Vec<(NodeRef, Probability)>,
+    /// Per-slot owning-seed label for the ownership pass (`u32::MAX` =
+    /// unowned so far).
     own_label: Vec<u32>,
+    /// Slots whose label changed last round, with the label to push.
     own_frontier: Vec<(u32, u32)>,
     own_next: Vec<(u32, u32)>,
 }
 
 impl ViewScratch {
+    /// Starts a new query generation over `refs` node references.
     fn begin(&mut self, refs: usize) {
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
@@ -269,6 +296,7 @@ impl ViewScratch {
         self.next.clear();
     }
 
+    /// Stamps `r` for this query with its first-touch probability and hop.
     fn mark(&mut self, r: NodeRef, prob: Probability, dist: u32) {
         let i = r as usize;
         self.stamp[i] = self.epoch;
@@ -304,10 +332,11 @@ impl ViewScratchPool {
     }
 }
 
-/// A lock-free, immutable read handle over the sharded index: the 16
-/// shard snapshots current at construction time. Cheap to take (one
-/// lock plus one `Arc` clone) and stable for its lifetime — concurrent
-/// mutations publish new snapshots without disturbing an existing view.
+/// A lock-free, immutable read handle over the index: the 16 shard
+/// snapshots current at construction time. Taking one from a
+/// [`ShardedIndex`] is cheap (one lock plus one `Arc` clone) and the view
+/// is stable for its lifetime — concurrent mutations publish new
+/// snapshots without disturbing an existing view.
 #[derive(Clone)]
 pub struct IndexView {
     dir: Arc<Directory>,
@@ -321,6 +350,14 @@ impl std::fmt::Debug for IndexView {
 }
 
 impl IndexView {
+    /// Projects a borrowed ledger into a standalone view — a full build
+    /// of every shard, for callers that hold a bare [`AIndex`] and read
+    /// it many times (baselines, tools, tests). A served index keeps its
+    /// view current incrementally instead: see [`ShardedIndex`].
+    pub fn of(ledger: &AIndex) -> IndexView {
+        IndexView { dir: Arc::new(project_ledger(ledger).1), scratch: Arc::default() }
+    }
+
     #[inline]
     fn snap(&self, shard: usize) -> &ShardSnap {
         &self.dir.shards[shard]
@@ -375,9 +412,9 @@ impl IndexView {
         out
     }
 
-    /// Size statistics, identical to the master index's
-    /// [`AIndex::stats`]. Full scan with visibility checks — a
-    /// diagnostic surface, not a hot path.
+    /// Size statistics, identical to the ledger's [`AIndex::stats`]. Full
+    /// scan with visibility checks — a diagnostic surface, not a hot
+    /// path.
     pub fn stats(&self) -> IndexStats {
         let mut s = IndexStats::default();
         for (shard, snap) in self.dir.shards.iter().enumerate() {
@@ -390,15 +427,7 @@ impl IndexView {
                 for e in snap.edges(slot) {
                     // Count each live edge once, from its lower endpoint.
                     if me < e.other && self.target(e).is_some() {
-                        match e.kind {
-                            RelationKind::Identity => s.identity_edges += 1,
-                            RelationKind::Matching => s.matching_edges += 1,
-                        }
-                        match e.origin {
-                            EdgeOrigin::Inferred(..) => s.inferred_edges += 1,
-                            EdgeOrigin::Promoted => s.promoted_edges += 1,
-                            EdgeOrigin::Direct => {}
-                        }
+                        s.count_edge(e.kind, e.origin);
                     }
                 }
             }
@@ -406,14 +435,28 @@ impl IndexView {
         s
     }
 
-    /// The augmentation primitive over the sharded projection — see
-    /// [`AIndex::augment`]; answers are bit-identical.
+    /// **The augmentation primitive** (Definitions 2 and 3): all keys
+    /// reachable from the `seeds` within `level + 1` hops, excluding the
+    /// seeds themselves, each with the best path-product probability and
+    /// ordered by decreasing probability (ties broken by key for
+    /// determinism).
+    ///
+    /// Level 0 returns the direct p-relations of the seeds; each further
+    /// level applies the construct to the previous result again.
     pub fn augment(&self, seeds: &[GlobalKey], level: usize) -> Vec<AugmentedKey> {
         self.augment_inner(seeds, level, false).0
     }
 
-    /// Multi-seed augmentation with seed ownership — see
-    /// [`AIndex::augment_multi`]; answers are bit-identical.
+    /// The multi-seed hot path: the canonical neighbourhood (identical to
+    /// [`augment`](IndexView::augment) over the same seeds) **plus**, for
+    /// each returned key, the index into `seeds` of its owning seed — the
+    /// first (lowest-index) seed whose own level-`level` augmentation
+    /// contains the key. Both are computed in one BFS over the index
+    /// instead of one traversal per seed.
+    ///
+    /// The ownership partition is exactly what the historical per-seed
+    /// loop produced: iterate seeds in order, augment each alone, and
+    /// assign every not-yet-claimed key to the current seed.
     pub fn augment_multi(
         &self,
         seeds: &[GlobalKey],
@@ -459,11 +502,15 @@ impl IndexView {
                     }
                 }
             }
+            // Recycle the spent frontier as the next `next` buffer.
             let mut spent = frontier;
             spent.clear();
             scratch.frontier = std::mem::replace(&mut scratch.next, spent);
         }
 
+        // Seeds carry distance 0 (first-touch stamping wins, so a seed
+        // reached again over an edge keeps it) and are excluded, as the
+        // definition requires.
         let mut reached: Vec<(NodeRef, AugmentedKey)> = Vec::with_capacity(scratch.touched.len());
         for &r in &scratch.touched {
             let i = r as usize;
@@ -493,8 +540,17 @@ impl IndexView {
         (out, owners)
     }
 
-    /// Layered min-label ownership propagation — the exact algorithm of
-    /// the master index's ownership pass, over shard half-edges.
+    /// Computes first-reaching-seed ownership over the BFS-reached
+    /// subgraph by layered min-label propagation. The owner of a node is
+    /// the lowest seed index within `max_hops`, and minimum distributes
+    /// over path unions, so a single `u32` label per slot suffices:
+    /// after `h` strictly layered rounds a slot's label is the lowest
+    /// seed index within `h` hops. Only slots whose label changed last
+    /// round push this round, and a value pushed in round `h` was valid
+    /// at distance `h - 1`, so labels never travel faster than one hop
+    /// per round. Restricting propagation to reached nodes is lossless:
+    /// every intermediate node of a within-budget path is itself within
+    /// budget.
     fn ownership_pass(
         &self,
         seeds: &[GlobalKey],
@@ -562,23 +618,23 @@ impl IndexView {
 // Writer side
 // ---------------------------------------------------------------------------
 
-/// Writer-side state: the master index plus the projection bookkeeping.
+/// Where each ledger node lives in shard space, and how often it has
+/// been resurrected — the projection's own bookkeeping.
 #[derive(Debug)]
-struct Writer {
-    master: AIndex,
-    /// master node id → packed shard reference.
+struct Placement {
+    /// ledger node id → packed shard reference.
     refs: Vec<NodeRef>,
-    /// master node id → incarnation counter.
+    /// ledger node id → incarnation counter.
     incs: Vec<u32>,
-    /// Per shard, member master ids in slot order.
+    /// Per shard, member ledger ids in slot order.
     members: Vec<Vec<u32>>,
 }
 
-impl Writer {
-    fn register_nodes(&mut self) {
-        for n in self.refs.len()..self.master.interned_len() {
-            let key = self.master.key_at(n as u32);
-            let shard = route(key);
+impl Placement {
+    /// Places the ledger nodes interned since the last call.
+    fn register_nodes(&mut self, ledger: &AIndex) {
+        for n in self.refs.len()..ledger.interned_len() {
+            let shard = route(ledger.key_at(n as u32));
             let slot = self.members[shard].len() as u32;
             self.members[shard].push(n as u32);
             self.refs.push(make_ref(shard, slot));
@@ -586,28 +642,27 @@ impl Writer {
         }
     }
 
-    /// Builds the projected state of one master node.
-    fn project(&self, n: u32) -> OverlayNode {
-        let alive = self.master.node_alive(n);
-        let edges = if alive {
-            self.master
-                .live_incident_of(n)
-                .map(|(o, kind, prob, origin)| HalfEdge {
-                    other: self.refs[o as usize],
-                    other_inc: self.incs[o as usize],
-                    kind,
-                    prob,
-                    origin,
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        OverlayNode { key: self.master.key_at(n).clone(), alive, inc: self.incs[n as usize], edges }
+    /// The traversable half-edges of ledger node `n`, stamped with each
+    /// far endpoint's current incarnation.
+    fn half_edges<'a>(&'a self, ledger: &'a AIndex, n: u32) -> impl Iterator<Item = HalfEdge> + 'a {
+        ledger.live_incident_of(n).map(|(o, kind, prob, origin)| HalfEdge {
+            other: self.refs[o as usize],
+            other_inc: self.incs[o as usize],
+            kind,
+            prob,
+            origin,
+        })
     }
 
-    /// Rebuilds one shard's packed base from the master (compaction).
-    fn compact_shard(&self, shard: usize) -> ShardSnap {
+    /// Builds the projected state of one ledger node.
+    fn project(&self, ledger: &AIndex, n: u32) -> OverlayNode {
+        let alive = ledger.node_alive(n);
+        let edges = if alive { self.half_edges(ledger, n).collect() } else { Vec::new() };
+        OverlayNode { key: ledger.key_at(n).clone(), alive, inc: self.incs[n as usize], edges }
+    }
+
+    /// Packs one shard's base from the ledger (build and compaction).
+    fn compact_shard(&self, ledger: &AIndex, shard: usize) -> ShardSnap {
         let members = &self.members[shard];
         let mut base = ShardBase {
             names: HashMap::with_capacity(members.len()),
@@ -619,24 +674,16 @@ impl Writer {
             live_nodes: 0,
         };
         for (slot, &n) in members.iter().enumerate() {
-            let key = self.master.key_at(n);
+            let key = ledger.key_at(n);
             base.names.insert(key.clone(), slot as u32);
             base.keys.push(key.clone());
-            let alive = self.master.node_alive(n);
+            let alive = ledger.node_alive(n);
             base.alive.push(alive);
             base.incs.push(self.incs[n as usize]);
             base.offsets.push(base.edges.len() as u32);
             if alive {
                 base.live_nodes += 1;
-                base.edges.extend(self.master.live_incident_of(n).map(
-                    |(o, kind, prob, origin)| HalfEdge {
-                        other: self.refs[o as usize],
-                        other_inc: self.incs[o as usize],
-                        kind,
-                        prob,
-                        origin,
-                    },
-                ));
+                base.edges.extend(self.half_edges(ledger, n));
             }
         }
         base.offsets.push(base.edges.len() as u32);
@@ -650,6 +697,34 @@ impl Writer {
     }
 }
 
+/// Projects a whole ledger: places every interned node and packs all
+/// [`SHARD_COUNT`] shard bases.
+fn project_ledger(ledger: &AIndex) -> (Placement, Directory) {
+    let mut place =
+        Placement { refs: Vec::new(), incs: Vec::new(), members: vec![Vec::new(); SHARD_COUNT] };
+    place.register_nodes(ledger);
+    let shards = std::array::from_fn(|shard| Arc::new(place.compact_shard(ledger, shard)));
+    (place, Directory::new(shards))
+}
+
+/// Writer-side state: the ledger plus where the projection put its nodes.
+#[derive(Debug)]
+struct Writer {
+    ledger: AIndex,
+    place: Placement,
+}
+
+impl Writer {
+    /// Takes ownership of `ledger` (journaling from here on) and projects
+    /// it in full.
+    fn project(mut ledger: AIndex) -> (Writer, Directory) {
+        ledger.set_journaling(true);
+        ledger.take_journal();
+        let (place, dir) = project_ledger(&ledger);
+        (Writer { ledger, place }, dir)
+    }
+}
+
 /// Compaction trigger: fold the overlay into a fresh base once it
 /// exceeds an eighth of the base (with a floor so small shards do not
 /// recompact on every drain).
@@ -658,26 +733,24 @@ fn wants_compaction(overlay_len: usize, base_len: usize) -> bool {
 }
 
 /// What one [`ShardedIndex::update_reporting`] call did to the
-/// projection. The durability layer uses `touched` to track which
-/// shards are dirty since the last checkpoint cut and `compacted` as
-/// the cut trigger (a compaction has just rebuilt exactly the state a
-/// checkpoint serializes).
-///
-/// Caveat: `touched` reflects the master journal, and a lazy
-/// `remove_object` deliberately suppresses journaling of the victim's
-/// incident edges (the projection hides them via liveness checks
-/// instead) — yet the *serialized* form of each neighbour's shard does
-/// change. A caller tracking serialization dirtiness must add the
-/// removed key's neighbour shards itself, before applying the removal.
+/// projection. The durability layer uses `dirty` to track which shards
+/// to re-serialize at the next checkpoint cut and `compacted` as the cut
+/// trigger (a compaction has just rebuilt exactly the state a checkpoint
+/// serializes).
 #[derive(Debug, Clone, Default)]
 pub struct UpdateReport {
     /// Shards whose published snapshot was replaced by this update.
     pub touched: Vec<usize>,
     /// Shards whose packed base was rebuilt by this update.
     pub compacted: Vec<usize>,
+    /// Shards whose [serialized form](ShardedIndex::serialize_shard)
+    /// changed: every `touched` shard, plus the home shards of a lazily
+    /// removed object's neighbours — each lost an edge line although its
+    /// snapshot was not republished.
+    pub dirty: Vec<usize>,
 }
 
-/// The sharded A' index: a writer-side master [`AIndex`] projected into
+/// The sharded A' index: a writer-side [`AIndex`] ledger projected into
 /// hash shards with delta-overlay mutation. See the module docs.
 #[derive(Debug)]
 pub struct ShardedIndex {
@@ -692,25 +765,14 @@ impl ShardedIndex {
     /// Builds the sharded projection of `index` (a full compaction of
     /// every shard). Construction does not count toward the swap or
     /// compaction counters — they measure post-build mutation traffic.
-    pub fn new(mut index: AIndex) -> Self {
-        index.set_journaling(true);
-        index.take_journal();
-        let mut writer = Writer {
-            master: index,
-            refs: Vec::new(),
-            incs: Vec::new(),
-            members: vec![Vec::new(); SHARD_COUNT],
-        };
-        writer.register_nodes();
-        let shards: [Arc<ShardSnap>; SHARD_COUNT] =
-            std::array::from_fn(|shard| Arc::new(writer.compact_shard(shard)));
-        let max_slots = shards.iter().map(|s| s.slots).max().unwrap_or(0);
+    pub fn new(index: AIndex) -> Self {
+        let (writer, dir) = Writer::project(index);
         ShardedIndex {
             writer: Mutex::new(writer),
-            published: Mutex::new(Arc::new(Directory { shards, max_slots })),
+            published: Mutex::new(Arc::new(dir)),
             swaps: std::array::from_fn(|_| AtomicU64::new(0)),
             compactions: std::array::from_fn(|_| AtomicU64::new(0)),
-            scratch: Arc::new(ViewScratchPool::default()),
+            scratch: Arc::default(),
         }
     }
 
@@ -719,122 +781,101 @@ impl ShardedIndex {
         IndexView { dir: self.published.lock().clone(), scratch: Arc::clone(&self.scratch) }
     }
 
-    /// A standalone clone of the master index (persistence surface).
+    /// A standalone clone of the ledger (persistence surface).
     pub fn snapshot(&self) -> AIndex {
         let writer = self.writer.lock();
-        let mut index = writer.master.clone();
+        let mut index = writer.ledger.clone();
         index.set_journaling(false);
         index
     }
 
-    /// Runs a mutation against the master index, then drains the journal
-    /// into the affected shards' overlays and publishes them — one new
+    /// Runs a mutation against the ledger, then drains the journal into
+    /// the affected shards' overlays and publishes them — one new
     /// snapshot per *touched* shard, every other shard untouched.
     pub fn update<R>(&self, f: impl FnOnce(&mut AIndex) -> R) -> R {
         self.update_reporting(f).0
     }
 
     /// Like [`update`](ShardedIndex::update), but also reports which
-    /// shards the drain compacted — the checkpoint boundary.
+    /// shards the drain republished, compacted and dirtied — the
+    /// checkpoint boundary.
     pub fn update_reporting<R>(&self, f: impl FnOnce(&mut AIndex) -> R) -> (R, UpdateReport) {
         let mut writer = self.writer.lock();
-        let out = f(&mut writer.master);
+        let out = f(&mut writer.ledger);
         let report = self.drain(&mut writer);
         (out, report)
     }
 
     /// Serializes one shard's live members and their incident edges as
-    /// checkpoint body lines (`node <key>` / `edge <kind> <origin> <p>
-    /// <a> <b>`, keys percent-escaped). Like the serial format, lineage
-    /// is flattened: inferred edges are recorded as direct. Cross-shard
-    /// edges appear once per endpoint shard; loading re-applies them
-    /// idempotently.
+    /// checkpoint body lines (the [`crate::serial`] line format).
+    /// Cross-shard edges appear once per endpoint shard; loading
+    /// re-applies them idempotently.
     pub fn serialize_shard(&self, shard: usize) -> String {
-        use std::fmt::Write as _;
         let writer = self.writer.lock();
+        let ledger = &writer.ledger;
         let mut out = String::new();
-        for &n in &writer.members[shard] {
-            if !writer.master.node_alive(n) {
+        for &n in &writer.place.members[shard] {
+            if !ledger.node_alive(n) {
                 continue;
             }
-            let key = writer.master.key_at(n);
-            let _ = writeln!(out, "node {}", crate::serial::escape(&key.to_string()));
-            for (o, kind, prob, origin) in writer.master.live_incident_of(n) {
-                let kind = match kind {
-                    RelationKind::Identity => "id",
-                    RelationKind::Matching => "match",
-                };
-                let origin = match origin {
-                    EdgeOrigin::Direct | EdgeOrigin::Inferred(..) => "direct",
-                    EdgeOrigin::Promoted => "promoted",
-                };
-                let _ = writeln!(
-                    out,
-                    "edge {kind} {origin} {} {} {}",
-                    prob.get(),
-                    crate::serial::escape(&key.to_string()),
-                    crate::serial::escape(&writer.master.key_at(o).to_string()),
-                );
+            let key = ledger.key_at(n);
+            serial::write_node(&mut out, key);
+            for (o, kind, prob, origin) in ledger.live_incident_of(n) {
+                serial::write_edge(&mut out, kind, origin, prob, key, ledger.key_at(o));
             }
         }
         out
     }
 
     /// Replaces the whole index (full rebuild of every shard).
-    pub fn replace(&self, mut index: AIndex) {
-        index.set_journaling(true);
-        index.take_journal();
+    pub fn replace(&self, index: AIndex) {
         let mut writer = self.writer.lock();
-        *writer = Writer {
-            master: index,
-            refs: Vec::new(),
-            incs: Vec::new(),
-            members: vec![Vec::new(); SHARD_COUNT],
-        };
-        writer.register_nodes();
-        let shards: [Arc<ShardSnap>; SHARD_COUNT] =
-            std::array::from_fn(|shard| Arc::new(writer.compact_shard(shard)));
-        let max_slots = shards.iter().map(|s| s.slots).max().unwrap_or(0);
+        let (fresh, dir) = Writer::project(index);
+        *writer = fresh;
         for shard in 0..SHARD_COUNT {
             self.swaps[shard].fetch_add(1, Ordering::Relaxed);
             self.compactions[shard].fetch_add(1, Ordering::Relaxed);
         }
-        *self.published.lock() = Arc::new(Directory { shards, max_slots });
+        *self.published.lock() = Arc::new(dir);
     }
 
-    /// Applies the journal accumulated in the master to the projection.
-    /// Reports the shards that were republished and compacted.
+    /// Applies the journal accumulated in the ledger to the projection.
+    /// Reports the shards that were republished, compacted and dirtied.
     fn drain(&self, writer: &mut Writer) -> UpdateReport {
-        let ops = writer.master.take_journal();
+        let ops = writer.ledger.take_journal();
         if ops.is_empty() {
             return UpdateReport::default();
         }
-        writer.register_nodes();
-        let mut created: Vec<u32> = Vec::new();
+        let Writer { ledger, place } = writer;
+        let first_new = place.refs.len() as u32;
+        place.register_nodes(ledger);
+        // Ledger ids to re-project, deduped, grouped by shard; `dirty`
+        // also covers the shards of merely unlinked nodes.
+        let mut stale: Vec<Vec<u32>> = vec![Vec::new(); SHARD_COUNT];
+        let mut dirty = [false; SHARD_COUNT];
+        let mut seen: HashSet<u32> = HashSet::new();
         for &op in &ops {
-            match op {
-                JournalOp::Created(n) => created.push(n),
-                JournalOp::Revived(n) => writer.incs[n as usize] += 1,
-                JournalOp::Touched(_) => {}
-            }
-        }
-        // Dirty master ids, deduped, grouped by shard.
-        let mut dirty: Vec<Vec<u32>> = vec![Vec::new(); SHARD_COUNT];
-        let mut seen: std::collections::HashSet<u32> = std::collections::HashSet::new();
-        for &op in &ops {
-            let n = match op {
-                JournalOp::Created(n) | JournalOp::Revived(n) | JournalOp::Touched(n) => n,
+            let (n, reproject) = match op {
+                JournalOp::Revived(n) => {
+                    place.incs[n as usize] += 1;
+                    (n, true)
+                }
+                JournalOp::Touched(n) => (n, true),
+                JournalOp::Unlinked(n) => (n, false),
             };
-            if seen.insert(n) {
-                dirty[shard_of(writer.refs[n as usize])].push(n);
+            let shard = shard_of(place.refs[n as usize]);
+            dirty[shard] = true;
+            if reproject && seen.insert(n) {
+                stale[shard].push(n);
             }
         }
-        let created: std::collections::HashSet<u32> = created.into_iter().collect();
+        let dirty: Vec<usize> = (0..SHARD_COUNT).filter(|&shard| dirty[shard]).collect();
 
         let current = self.published.lock().clone();
-        let mut replaced: Vec<(usize, Arc<ShardSnap>)> = Vec::new();
+        let mut shards = current.shards.clone();
+        let mut touched: Vec<usize> = Vec::new();
         let mut compacted: Vec<usize> = Vec::new();
-        for (shard, nodes) in dirty.iter().enumerate() {
+        for (shard, nodes) in stale.iter().enumerate() {
             if nodes.is_empty() {
                 continue;
             }
@@ -843,41 +884,37 @@ impl ShardedIndex {
                 if wants_compaction(old.overlay.nodes.len() + nodes.len(), old.base.keys.len()) {
                     self.compactions[shard].fetch_add(1, Ordering::Relaxed);
                     compacted.push(shard);
-                    writer.compact_shard(shard)
+                    place.compact_shard(ledger, shard)
                 } else {
                     let mut overlay = old.overlay.clone();
                     let mut resident = old.resident_bytes;
                     for &n in nodes {
-                        let slot = slot_of(writer.refs[n as usize]);
-                        let node = writer.project(n);
-                        if created.contains(&n) {
+                        let slot = slot_of(place.refs[n as usize]);
+                        let node = place.project(ledger, n);
+                        if n >= first_new {
                             overlay.names.insert(node.key.clone(), slot);
                             resident += key_heap_bytes(&node.key) + 32;
                         }
-                        resident += node.edges.len() * std::mem::size_of::<HalfEdge>() + 48;
-                        overlay.nodes.insert(slot, node);
+                        resident += node.resident_bytes();
+                        if let Some(replaced) = overlay.nodes.insert(slot, node) {
+                            resident -= replaced.resident_bytes();
+                        }
                     }
                     ShardSnap {
                         base: Arc::clone(&old.base),
                         overlay,
-                        slots: writer.members[shard].len() as u32,
+                        slots: place.members[shard].len() as u32,
                         resident_bytes: resident,
                     }
                 };
             self.swaps[shard].fetch_add(1, Ordering::Relaxed);
-            replaced.push((shard, Arc::new(snap)));
+            shards[shard] = Arc::new(snap);
+            touched.push(shard);
         }
-        let touched: Vec<usize> = replaced.iter().map(|(shard, _)| *shard).collect();
-        if replaced.is_empty() {
-            return UpdateReport { touched, compacted };
+        if !touched.is_empty() {
+            *self.published.lock() = Arc::new(Directory::new(shards));
         }
-        let mut shards = current.shards.clone();
-        for (shard, snap) in replaced {
-            shards[shard] = snap;
-        }
-        let max_slots = shards.iter().map(|s| s.slots).max().unwrap_or(0);
-        *self.published.lock() = Arc::new(Directory { shards, max_slots });
-        UpdateReport { touched, compacted }
+        UpdateReport { touched, compacted, dirty }
     }
 
     /// Per-shard statistics of the published projection.
@@ -895,26 +932,6 @@ impl ShardedIndex {
                 swaps: self.swaps[shard].load(Ordering::Relaxed),
             })
             .collect()
-    }
-}
-
-/// Anything that can answer the multi-seed augmentation primitive — the
-/// planner's only requirement, satisfied by both the monolithic
-/// [`AIndex`] and the sharded [`IndexView`].
-pub trait Augmentable {
-    /// See [`AIndex::augment_multi`].
-    fn augment_multi(&self, seeds: &[GlobalKey], level: usize) -> (Vec<AugmentedKey>, Vec<u32>);
-}
-
-impl Augmentable for AIndex {
-    fn augment_multi(&self, seeds: &[GlobalKey], level: usize) -> (Vec<AugmentedKey>, Vec<u32>) {
-        AIndex::augment_multi(self, seeds, level)
-    }
-}
-
-impl Augmentable for IndexView {
-    fn augment_multi(&self, seeds: &[GlobalKey], level: usize) -> (Vec<AugmentedKey>, Vec<u32>) {
-        IndexView::augment_multi(self, seeds, level)
     }
 }
 
@@ -960,12 +977,18 @@ mod tests {
         sets
     }
 
-    fn assert_equivalent(master: &AIndex, sharded: &ShardedIndex, groups: usize) {
+    /// The incrementally maintained view must answer exactly as a fresh
+    /// projection of the same ledger does, and agree with the ledger's own
+    /// point lookups.
+    fn assert_equivalent(sharded: &ShardedIndex, groups: usize) {
+        let ledger = sharded.snapshot();
+        let fresh = IndexView::of(&ledger);
         let view = sharded.view();
-        assert_eq!(master.stats(), view.stats(), "stats diverge");
+        assert_eq!(ledger.stats(), view.stats(), "stats diverge");
+        assert_eq!(fresh.stats(), view.stats(), "stats diverge from a fresh projection");
         for seeds in seed_sets(groups) {
             for level in 0..3 {
-                let (want, want_own) = AIndex::augment_multi(master, &seeds, level);
+                let (want, want_own) = fresh.augment_multi(&seeds, level);
                 let (got, got_own) = view.augment_multi(&seeds, level);
                 assert_eq!(want, got, "augment diverges (level {level}, seeds {seeds:?})");
                 assert_eq!(want_own, got_own, "ownership diverges (level {level})");
@@ -973,11 +996,12 @@ mod tests {
         }
         for g in 0..groups {
             let key = k(&format!("db0.c.a{g}"));
-            assert_eq!(master.contains(&key), view.contains(&key));
-            assert_eq!(master.neighbors(&key), view.neighbors(&key));
+            assert_eq!(ledger.contains(&key), view.contains(&key));
+            assert_eq!(ledger.neighbors(&key), view.neighbors(&key));
+            assert_eq!(fresh.neighbors(&key), view.neighbors(&key));
             let b = k(&format!("db1.c.b{g}"));
             assert_eq!(
-                master.edge(&key, &b, RelationKind::Identity),
+                ledger.edge(&key, &b, RelationKind::Identity),
                 view.edge(&key, &b, RelationKind::Identity)
             );
         }
@@ -985,9 +1009,8 @@ mod tests {
 
     #[test]
     fn projection_matches_master_after_build() {
-        let master = sample_index(20);
-        let sharded = ShardedIndex::new(master.clone());
-        assert_equivalent(&master, &sharded, 20);
+        let sharded = ShardedIndex::new(sample_index(20));
+        assert_equivalent(&sharded, 20);
     }
 
     #[test]
@@ -1003,8 +1026,7 @@ mod tests {
         });
         // Resurrect a removed key with a new relation.
         sharded.update(|ix| ix.insert_identity(&k("db1.c.b7"), &k("db2.c.c7"), p(0.95)));
-        let master = sharded.snapshot();
-        assert_equivalent(&master, &sharded, 20);
+        assert_equivalent(&sharded, 20);
     }
 
     #[test]
@@ -1040,6 +1062,21 @@ mod tests {
     }
 
     #[test]
+    fn removal_reports_neighbor_shards_dirty_but_republishes_only_home() {
+        let sharded = ShardedIndex::new(sample_index(12));
+        let victim = k("db1.c.b4");
+        let mut expected: Vec<usize> =
+            sharded.view().neighbors(&victim).iter().map(|(n, _, _)| route(n)).collect();
+        expected.push(route(&victim));
+        expected.sort_unstable();
+        expected.dedup();
+        assert!(expected.len() > 1, "the sample must spread the victim's neighbours");
+        let (_, report) = sharded.update_reporting(|ix| ix.remove_object(&victim));
+        assert_eq!(report.touched, vec![route(&victim)]);
+        assert_eq!(report.dirty, expected, "every shard that lost a serialized line is dirty");
+    }
+
+    #[test]
     fn resurrection_does_not_revive_stale_edges() {
         let sharded = ShardedIndex::new(sample_index(8));
         let victim = k("db2.c.c3");
@@ -1048,8 +1085,7 @@ mod tests {
         // stay dead even though neighbouring shards still hold stale
         // half-edges (their incarnation check must fail).
         sharded.update(|ix| ix.insert_matching(&victim, &k("db5.c.new"), p(0.5)));
-        let master = sharded.snapshot();
-        assert_equivalent(&master, &sharded, 8);
+        assert_equivalent(&sharded, 8);
         let view = sharded.view();
         assert!(view.contains(&victim));
         assert!(view.edge(&k("db1.c.b3"), &victim, RelationKind::Identity).is_none());
@@ -1095,8 +1131,7 @@ mod tests {
             stats.iter().any(|s| s.compactions > 0),
             "sustained mutation must trigger compaction: {stats:?}"
         );
-        let master = sharded.snapshot();
-        assert_equivalent(&master, &sharded, groups);
+        assert_equivalent(&sharded, groups);
     }
 
     #[test]
@@ -1110,19 +1145,17 @@ mod tests {
         // including ones between surviving nodes — those must republish
         // their shards too.
         sharded.update(|ix| ix.remove_object(&k("db1.c.b")));
-        let master = sharded.snapshot();
+        let ledger = sharded.snapshot();
+        let fresh = IndexView::of(&ledger);
         let view = sharded.view();
-        assert_eq!(master.stats(), view.stats());
+        assert_eq!(ledger.stats(), view.stats());
         assert_eq!(
-            master.edge(&k("db0.c.a"), &k("db2.c.c"), RelationKind::Identity),
+            ledger.edge(&k("db0.c.a"), &k("db2.c.c"), RelationKind::Identity),
             view.edge(&k("db0.c.a"), &k("db2.c.c"), RelationKind::Identity),
         );
         for seeds in [vec![k("db0.c.a")], vec![k("db2.c.c"), k("db3.c.m")]] {
             for level in 0..3 {
-                assert_eq!(
-                    AIndex::augment_multi(&master, &seeds, level),
-                    view.augment_multi(&seeds, level)
-                );
+                assert_eq!(fresh.augment_multi(&seeds, level), view.augment_multi(&seeds, level));
             }
         }
     }
@@ -1172,12 +1205,30 @@ mod tests {
         assert!(stats.iter().filter(|s| s.entries > 0).count() > 1, "keys must spread shards");
     }
 
+    /// Regression: re-projecting a node that already sits in the overlay
+    /// replaces its bytes in the gauge instead of adding to them.
+    #[test]
+    fn resident_bytes_do_not_grow_when_the_same_nodes_are_retouched() {
+        let resident_after = |touches: usize| {
+            let sharded = ShardedIndex::new(sample_index(12));
+            for i in 0..touches {
+                // Each strengthening re-projects the same endpoints.
+                sharded.update(|ix| {
+                    ix.insert_matching(&k("db0.c.a1"), &k("db3.c.m5"), p(0.5 + 0.01 * i as f64))
+                });
+            }
+            let stats = sharded.shard_stats();
+            assert!(stats.iter().all(|s| s.compactions == 0), "must stay in the overlay");
+            stats.iter().map(|s| s.resident_bytes).sum::<usize>()
+        };
+        assert_eq!(resident_after(40), resident_after(1));
+    }
+
     #[test]
     fn replace_rebuilds_every_shard() {
         let sharded = ShardedIndex::new(sample_index(5));
         sharded.replace(sample_index(9));
-        let master = sharded.snapshot();
-        assert_equivalent(&master, &sharded, 9);
+        assert_equivalent(&sharded, 9);
         assert!(sharded.shard_stats().iter().all(|s| s.swaps == 1 && s.compactions == 1));
     }
 }

@@ -2,7 +2,8 @@
 //! sequences.
 
 use proptest::prelude::*;
-use quepa_aindex::{AIndex, DeletionPolicy};
+use quepa_aindex::shard::route;
+use quepa_aindex::{AIndex, DeletionPolicy, IndexView, ShardedIndex};
 use quepa_pdm::{GlobalKey, Probability, RelationKind};
 
 #[derive(Debug, Clone)]
@@ -76,13 +77,14 @@ proptest! {
         for op in &ops {
             apply(&mut ix, op);
         }
-        let out = ix.augment(&[key(seed)], level);
+        let view = IndexView::of(&ix);
+        let out = view.augment(&[key(seed)], level);
         prop_assert!(out.windows(2).all(|w| w[0].probability >= w[1].probability));
         prop_assert!(out.iter().all(|a| a.key != key(seed)));
         prop_assert!(out.iter().all(|a| a.distance <= level + 1 && a.distance >= 1));
         // Level monotonicity: every key found at level L appears at L+1
         // with at least the same probability.
-        let bigger = ix.augment(&[key(seed)], level + 1);
+        let bigger = view.augment(&[key(seed)], level + 1);
         for a in &out {
             let found = bigger.iter().find(|b| b.key == a.key);
             prop_assert!(found.is_some(), "key lost when level grew");
@@ -109,7 +111,7 @@ proptest! {
         }
         ix.remove_object(&key(victim));
         prop_assert!(!ix.contains(&key(victim)));
-        let out = ix.augment(&[key(seed)], 3);
+        let out = IndexView::of(&ix).augment(&[key(seed)], 3);
         prop_assert!(out.iter().all(|a| a.key != key(victim)));
         prop_assert!(ix.neighbors(&key(victim)).is_empty());
     }
@@ -185,7 +187,10 @@ proptest! {
         let back = quepa_aindex::serial::from_str(&text).unwrap();
         prop_assert_eq!(back.node_count(), ix.node_count());
         prop_assert_eq!(back.edge_count(), ix.edge_count());
-        prop_assert_eq!(back.augment(&[key(seed)], level), ix.augment(&[key(seed)], level));
+        prop_assert_eq!(
+            IndexView::of(&back).augment(&[key(seed)], level),
+            IndexView::of(&ix).augment(&[key(seed)], level)
+        );
         prop_assert!(back.check_consistency().is_none());
     }
 
@@ -207,15 +212,16 @@ proptest! {
         // Seeds may repeat, be absent from the index, or be dead.
         let seeds: Vec<GlobalKey> = raw_seeds.iter().map(|s| key(*s)).collect();
 
-        let (multi, owners) = ix.augment_multi(&seeds, level);
-        prop_assert_eq!(&multi, &ix.augment(&seeds, level), "answer must be canonical");
+        let view = IndexView::of(&ix);
+        let (multi, owners) = view.augment_multi(&seeds, level);
+        prop_assert_eq!(&multi, &view.augment(&seeds, level), "answer must be canonical");
         prop_assert_eq!(owners.len(), multi.len());
 
         // Oracle: the historical per-seed loop over the same seeds.
         let mut claimed: std::collections::HashMap<GlobalKey, u32> =
             seeds.iter().map(|s| (s.clone(), u32::MAX)).collect();
         for (j, seed) in seeds.iter().enumerate() {
-            for a in ix.augment(std::slice::from_ref(seed), level) {
+            for a in view.augment(std::slice::from_ref(seed), level) {
                 claimed.entry(a.key).or_insert(j as u32);
             }
         }
@@ -229,4 +235,79 @@ proptest! {
             );
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The view a `ShardedIndex` maintains incrementally — journal drains
+    /// into overlays, overlays folded by compaction — answers exactly as a
+    /// fresh projection of the same ledger. The scripts insert, remove and
+    /// re-insert over a pool that crowds one shard, so its overlay crosses
+    /// the compaction trigger mid-script and keeps mutating afterwards.
+    #[test]
+    fn maintained_view_matches_fresh_projection(
+        script in prop::collection::vec(arb_script_op(), 80..160),
+        raw_seeds in prop::collection::vec(0usize..POOL, 1..6),
+    ) {
+        let pool = crowded_pool();
+        let sharded = ShardedIndex::new(AIndex::new());
+        let seeds: Vec<GlobalKey> = raw_seeds.iter().map(|&s| pool[s].clone()).collect();
+        for (i, op) in script.iter().enumerate() {
+            sharded.update(|ix| match *op {
+                ScriptOp::Identity(a, b, p) => {
+                    ix.insert_identity(&pool[a], &pool[b], Probability::of(p))
+                }
+                ScriptOp::Matching(a, b, p) => {
+                    ix.insert_matching(&pool[a], &pool[b], Probability::of(p))
+                }
+                ScriptOp::Remove(a) => ix.remove_object(&pool[a]),
+            });
+            if i % 16 != 15 && i + 1 != script.len() {
+                continue;
+            }
+            let (view, fresh) = (sharded.view(), IndexView::of(&sharded.snapshot()));
+            prop_assert_eq!(view.stats(), fresh.stats(), "stats after op {}", i);
+            for level in 0..3 {
+                prop_assert_eq!(view.augment(&seeds, level), fresh.augment(&seeds, level));
+                prop_assert_eq!(
+                    view.augment_multi(&seeds, level),
+                    fresh.augment_multi(&seeds, level),
+                    "owners at level {} after op {}", level, i
+                );
+            }
+            for key in &pool {
+                prop_assert_eq!(view.neighbors(key), fresh.neighbors(key));
+            }
+        }
+    }
+}
+
+const POOL: usize = 144;
+
+/// 120 keys that all route to one shard plus 24 that route elsewhere.
+fn crowded_pool() -> Vec<GlobalKey> {
+    let candidates =
+        || (0..).map(|i| format!("db{}.coll.p{i}", i % 4).parse::<GlobalKey>().unwrap());
+    let crowded = route(&candidates().next().unwrap());
+    let mut pool: Vec<GlobalKey> = candidates().filter(|k| route(k) == crowded).take(120).collect();
+    pool.extend(candidates().filter(|k| route(k) != crowded).take(POOL - 120));
+    pool
+}
+
+#[derive(Debug, Clone, Copy)]
+enum ScriptOp {
+    Identity(usize, usize, f64),
+    Matching(usize, usize, f64),
+    Remove(usize),
+}
+
+fn arb_script_op() -> impl Strategy<Value = ScriptOp> {
+    let n = 0usize..POOL;
+    let p = 0.05f64..=1.0;
+    prop_oneof![
+        2 => (n.clone(), n.clone(), p.clone()).prop_map(|(a, b, p)| ScriptOp::Identity(a, b, p)),
+        5 => (n.clone(), n.clone(), p).prop_map(|(a, b, p)| ScriptOp::Matching(a, b, p)),
+        2 => n.prop_map(ScriptOp::Remove),
+    ]
 }

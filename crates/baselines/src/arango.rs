@@ -21,11 +21,10 @@
 //!   (small transient intermediates — "performing slightly better").
 
 use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use quepa_aindex::AIndex;
+use quepa_aindex::IndexView;
 use quepa_pdm::{DataObject, GlobalKey};
 use quepa_polystore::Polystore;
 
@@ -36,7 +35,7 @@ use crate::middleware::{Middleware, MiddlewareAnswer, MiddlewareError};
 /// The shared in-memory multi-model store both variants run on.
 struct ArangoCore {
     polystore: Polystore,
-    index: Arc<AIndex>,
+    index: IndexView,
     budget: MemoryBudget,
     imported: Mutex<Option<HashMap<GlobalKey, DataObject>>>,
     /// Per-object import cost (parse + index maintenance).
@@ -46,7 +45,7 @@ struct ArangoCore {
 }
 
 impl ArangoCore {
-    fn new(polystore: Polystore, index: Arc<AIndex>, budget_bytes: usize) -> Self {
+    fn new(polystore: Polystore, index: IndexView, budget_bytes: usize) -> Self {
         ArangoCore {
             polystore,
             index,
@@ -157,7 +156,7 @@ pub struct ArangoNat {
 
 impl ArangoNat {
     /// Creates the baseline with the given heap budget.
-    pub fn new(polystore: Polystore, index: Arc<AIndex>, budget_bytes: usize) -> Self {
+    pub fn new(polystore: Polystore, index: IndexView, budget_bytes: usize) -> Self {
         ArangoNat { core: ArangoCore::new(polystore, index, budget_bytes) }
     }
 
@@ -197,7 +196,7 @@ pub struct ArangoAug {
 
 impl ArangoAug {
     /// Creates the baseline with the given heap budget.
-    pub fn new(polystore: Polystore, index: Arc<AIndex>, budget_bytes: usize) -> Self {
+    pub fn new(polystore: Polystore, index: IndexView, budget_bytes: usize) -> Self {
         ArangoAug { core: ArangoCore::new(polystore, index, budget_bytes) }
     }
 
@@ -248,7 +247,7 @@ mod tests {
     #[test]
     fn arango_answers_document_queries() {
         let b = built(50, 0);
-        let nat = ArangoNat::new(b.polystore.clone(), Arc::new(b.index.clone()), usize::MAX);
+        let nat = ArangoNat::new(b.polystore.clone(), IndexView::of(&b.index), usize::MAX);
         let a =
             nat.augmented_query("catalogue", r#"db.albums.find({"seq":{"$lt":5}})"#, 0).unwrap();
         assert_eq!(a.original.len(), 5);
@@ -266,7 +265,7 @@ mod tests {
     #[test]
     fn arango_rejects_relational_targets() {
         let b = built(10, 0);
-        let nat = ArangoNat::new(b.polystore.clone(), Arc::new(b.index.clone()), usize::MAX);
+        let nat = ArangoNat::new(b.polystore.clone(), IndexView::of(&b.index), usize::MAX);
         assert!(matches!(
             nat.augmented_query("transactions", "SELECT * FROM inventory", 0),
             Err(MiddlewareError::Unsupported(_))
@@ -277,13 +276,13 @@ mod tests {
     fn import_charges_memory_and_ooms_as_stores_grow() {
         let budget = 256 << 10; // 256 KiB
         let small = built(50, 0);
-        let nat = ArangoNat::new(small.polystore.clone(), Arc::new(small.index.clone()), budget);
+        let nat = ArangoNat::new(small.polystore.clone(), IndexView::of(&small.index), budget);
         assert!(nat.warm_up().is_ok(), "small polystore fits");
         let used_small = nat.budget().used();
         assert!(used_small > 0);
 
         let big = built(50, 3); // 13 stores: 4× the import
-        let nat13 = ArangoNat::new(big.polystore.clone(), Arc::new(big.index.clone()), budget);
+        let nat13 = ArangoNat::new(big.polystore.clone(), IndexView::of(&big.index), budget);
         assert!(
             matches!(nat13.warm_up(), Err(MiddlewareError::OutOfMemory { .. })),
             "13-store polystore must blow the same budget (small used {used_small})"
@@ -293,7 +292,7 @@ mod tests {
     #[test]
     fn warm_up_is_idempotent_and_reset_clears() {
         let b = built(30, 0);
-        let aug = ArangoAug::new(b.polystore.clone(), Arc::new(b.index.clone()), usize::MAX);
+        let aug = ArangoAug::new(b.polystore.clone(), IndexView::of(&b.index), usize::MAX);
         aug.warm_up().unwrap();
         let used = aug.budget().used();
         aug.warm_up().unwrap();
@@ -305,8 +304,8 @@ mod tests {
     #[test]
     fn nat_charges_intermediates_aug_does_not() {
         let b = built(60, 0);
-        let index = Arc::new(b.index.clone());
-        let nat = ArangoNat::new(b.polystore.clone(), Arc::clone(&index), usize::MAX);
+        let index = IndexView::of(&b.index);
+        let nat = ArangoNat::new(b.polystore.clone(), index.clone(), usize::MAX);
         let aug = ArangoAug::new(b.polystore.clone(), index, usize::MAX);
         nat.warm_up().unwrap();
         aug.warm_up().unwrap();
@@ -324,8 +323,8 @@ mod tests {
     #[test]
     fn nat_and_aug_agree_on_answers() {
         let b = built(40, 0);
-        let index = Arc::new(b.index.clone());
-        let nat = ArangoNat::new(b.polystore.clone(), Arc::clone(&index), usize::MAX);
+        let index = IndexView::of(&b.index);
+        let nat = ArangoNat::new(b.polystore.clone(), index.clone(), usize::MAX);
         let aug = ArangoAug::new(b.polystore.clone(), index, usize::MAX);
         let q = r#"db.albums.find({"seq":{"$lt":10}})"#;
         let a1 = nat.augmented_query("catalogue", q, 1).unwrap();

@@ -9,10 +9,9 @@
 //!   per-object conversion overhead.
 
 use std::collections::{BTreeSet, HashMap};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use quepa_aindex::AIndex;
+use quepa_aindex::IndexView;
 use quepa_pdm::{CollectionName, DataObject, DatabaseName, GlobalKey};
 use quepa_polystore::Polystore;
 
@@ -48,7 +47,7 @@ pub(crate) fn local_answer(
 /// The (database, collection) pairs and target keys the augmentation of
 /// `seeds` at `level` touches, per the A' index.
 pub(crate) fn augmentation_targets(
-    index: &AIndex,
+    index: &IndexView,
     seeds: &[DataObject],
     level: usize,
 ) -> (Vec<GlobalKey>, BTreeSet<(DatabaseName, CollectionName)>) {
@@ -63,7 +62,7 @@ pub(crate) fn augmentation_targets(
 /// META-NAT: global-view joins with full materialization.
 pub struct MetaNat {
     polystore: Polystore,
-    index: Arc<AIndex>,
+    index: IndexView,
     budget: MemoryBudget,
     /// CPU cost per materialized object (row conversion into the unified
     /// model).
@@ -72,7 +71,7 @@ pub struct MetaNat {
 
 impl MetaNat {
     /// Creates the baseline with the given heap budget.
-    pub fn new(polystore: Polystore, index: Arc<AIndex>, budget_bytes: usize) -> Self {
+    pub fn new(polystore: Polystore, index: IndexView, budget_bytes: usize) -> Self {
         MetaNat {
             polystore,
             index,
@@ -162,7 +161,7 @@ impl MetaNat {
 /// META-AUG: QUEPA's algorithm over Metamodel's per-object interface.
 pub struct MetaAug {
     polystore: Polystore,
-    index: Arc<AIndex>,
+    index: IndexView,
     /// Per-object interface overhead (conversion through the unified data
     /// model; Metamodel has no batched key access).
     per_object_cost: Duration,
@@ -170,7 +169,7 @@ pub struct MetaAug {
 
 impl MetaAug {
     /// Creates the baseline.
-    pub fn new(polystore: Polystore, index: Arc<AIndex>) -> Self {
+    pub fn new(polystore: Polystore, index: IndexView) -> Self {
         MetaAug { polystore, index, per_object_cost: Duration::from_micros(2) }
     }
 }
@@ -230,7 +229,7 @@ mod tests {
     #[test]
     fn meta_nat_answers_without_redis() {
         let b = built();
-        let nat = MetaNat::new(b.polystore.clone(), Arc::new(b.index.clone()), usize::MAX);
+        let nat = MetaNat::new(b.polystore.clone(), IndexView::of(&b.index), usize::MAX);
         let a = nat
             .augmented_query("transactions", "SELECT * FROM inventory WHERE seq < 5", 0)
             .unwrap();
@@ -244,7 +243,7 @@ mod tests {
     #[test]
     fn meta_nat_ooms_on_small_budget() {
         let b = built();
-        let nat = MetaNat::new(b.polystore.clone(), Arc::new(b.index.clone()), 4_096);
+        let nat = MetaNat::new(b.polystore.clone(), IndexView::of(&b.index), 4_096);
         let err = nat
             .augmented_query("transactions", "SELECT * FROM inventory WHERE seq < 30", 0)
             .unwrap_err();
@@ -254,12 +253,12 @@ mod tests {
     #[test]
     fn meta_rejects_redis_targets() {
         let b = built();
-        let nat = MetaNat::new(b.polystore.clone(), Arc::new(b.index.clone()), usize::MAX);
+        let nat = MetaNat::new(b.polystore.clone(), IndexView::of(&b.index), usize::MAX);
         assert!(matches!(
             nat.augmented_query("discount", "GET k0:x:y", 0),
             Err(MiddlewareError::Unsupported(_))
         ));
-        let aug = MetaAug::new(b.polystore.clone(), Arc::new(b.index.clone()));
+        let aug = MetaAug::new(b.polystore.clone(), IndexView::of(&b.index));
         assert!(matches!(
             aug.augmented_query("discount", "GET k0:x:y", 0),
             Err(MiddlewareError::Unsupported(_))
@@ -269,8 +268,8 @@ mod tests {
     #[test]
     fn meta_aug_matches_nat_on_supported_stores() {
         let b = built();
-        let index = Arc::new(b.index.clone());
-        let nat = MetaNat::new(b.polystore.clone(), Arc::clone(&index), usize::MAX);
+        let index = IndexView::of(&b.index);
+        let nat = MetaNat::new(b.polystore.clone(), index.clone(), usize::MAX);
         let aug = MetaAug::new(b.polystore.clone(), index);
         let q = "SELECT * FROM inventory WHERE seq < 8";
         let a1 = nat.augmented_query("transactions", q, 1).unwrap();

@@ -7,10 +7,9 @@
 //! *every* run, which is why the paper observes "the steepest slope".
 
 use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use quepa_aindex::AIndex;
+use quepa_aindex::IndexView;
 use quepa_pdm::{DataObject, GlobalKey};
 use quepa_polystore::Polystore;
 
@@ -20,7 +19,7 @@ use crate::middleware::{Middleware, MiddlewareAnswer, MiddlewareError};
 /// The Talend workflow baseline.
 pub struct Talend {
     polystore: Polystore,
-    index: Arc<AIndex>,
+    index: IndexView,
     /// Per-object serialization cost into the staging area (write + later
     /// read back), paid on top of the network transfer.
     staging_cost: Duration,
@@ -30,7 +29,7 @@ pub struct Talend {
 
 impl Talend {
     /// Creates the baseline.
-    pub fn new(polystore: Polystore, index: Arc<AIndex>) -> Self {
+    pub fn new(polystore: Polystore, index: IndexView) -> Self {
         Talend {
             polystore,
             index,
@@ -99,7 +98,7 @@ mod tests {
             deployment: Deployment::InProcess,
             seed: 5,
         });
-        let t = Talend::new(b.polystore.clone(), Arc::new(b.index.clone()));
+        let t = Talend::new(b.polystore.clone(), IndexView::of(&b.index));
         let a =
             t.augmented_query("transactions", "SELECT * FROM inventory WHERE seq < 5", 0).unwrap();
         assert_eq!(a.original.len(), 5);
@@ -118,7 +117,7 @@ mod tests {
             deployment: Deployment::InProcess,
             seed: 5,
         });
-        let t = Talend::new(b.polystore.clone(), Arc::new(b.index.clone()));
+        let t = Talend::new(b.polystore.clone(), IndexView::of(&b.index));
         assert!(matches!(
             t.augmented_query("discount", "GET x", 0),
             Err(MiddlewareError::Unsupported(_))

@@ -10,7 +10,7 @@
 //!   itself (how much of BATCH's win is grouping logic vs. round trips).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use quepa_aindex::{AIndex, EdgeOrigin};
+use quepa_aindex::{AIndex, EdgeOrigin, IndexView};
 use quepa_bench::Lab;
 use quepa_core::{AugmenterKind, QuepaConfig};
 use quepa_pdm::{GlobalKey, Probability, RelationKind};
@@ -117,6 +117,7 @@ fn bench_closure_query_ablation(c: &mut Criterion) {
             );
         }
     }
+    let (closed, raw) = (IndexView::of(&closed), IndexView::of(&raw));
     let seeds: Vec<GlobalKey> = (0..200).map(|e| key(3, e * 7)).collect();
     let mut group = c.benchmark_group("ablation-closure-query");
     group.warm_up_time(std::time::Duration::from_secs(1));

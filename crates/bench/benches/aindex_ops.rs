@@ -3,7 +3,7 @@
 //! lazy deletion.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use quepa_aindex::AIndex;
+use quepa_aindex::{AIndex, IndexView};
 use quepa_pdm::{GlobalKey, Probability};
 
 fn key(db: usize, n: usize) -> GlobalKey {
@@ -39,14 +39,14 @@ fn bench_insert(c: &mut Criterion) {
 }
 
 fn bench_augment(c: &mut Criterion) {
-    let ix = build_index(10_000);
+    let view = IndexView::of(&build_index(10_000));
     let seeds: Vec<GlobalKey> = (0..100).map(|e| key(0, e * 7)).collect();
     let mut group = c.benchmark_group("aindex-augment");
     group.warm_up_time(std::time::Duration::from_secs(1));
     group.measurement_time(std::time::Duration::from_secs(3));
     for level in [0usize, 1, 2, 3] {
         group.bench_with_input(BenchmarkId::new("level", level), &level, |b, &level| {
-            b.iter(|| ix.augment(&seeds, level));
+            b.iter(|| view.augment(&seeds, level));
         });
     }
     group.finish();

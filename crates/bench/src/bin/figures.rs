@@ -511,11 +511,8 @@ fn fig_cache(albums: usize) {
 /// Growing the polystore to 13 stores — or materializing the largest
 /// queries' join intermediates — exceeds it, the paper's Fig. 13 cliffs.
 fn middleware_budget(lab: &Lab) -> usize {
-    let probe = quepa_baselines::ArangoNat::new(
-        lab.polystore.clone(),
-        std::sync::Arc::clone(&lab.index),
-        usize::MAX,
-    );
+    let probe =
+        quepa_baselines::ArangoNat::new(lab.polystore.clone(), lab.index.clone(), usize::MAX);
     quepa_baselines::Middleware::warm_up(&probe).expect("unbounded import");
     probe.budget().high_water() * 12 / 10
 }

@@ -16,10 +16,9 @@ pub mod serving;
 pub mod throughput;
 pub mod traffic;
 
-use std::sync::Arc;
 use std::time::Duration;
 
-use quepa_aindex::AIndex;
+use quepa_aindex::IndexView;
 use quepa_baselines::{ArangoAug, ArangoNat, MetaAug, MetaNat, Middleware, Talend};
 use quepa_core::{Quepa, QuepaConfig};
 use quepa_polystore::{Deployment, Polystore};
@@ -33,8 +32,9 @@ pub struct Lab {
     pub quepa: Quepa,
     /// A handle to the same store registry (baselines share it).
     pub polystore: Polystore,
-    /// A snapshot of the A' index for the baselines.
-    pub index: Arc<AIndex>,
+    /// The A' index as built, for the baselines (a frozen view: the
+    /// lazy deletions `quepa` performs later do not show in it).
+    pub index: IndexView,
 }
 
 impl Lab {
@@ -43,8 +43,8 @@ impl Lab {
         let config = WorkloadConfig { albums, replica_sets, deployment, seed: 42 };
         let built = BuiltPolystore::build(config);
         let polystore = built.polystore.clone();
-        let index = Arc::new(built.index.clone());
         let quepa = built.into_quepa();
+        let index = quepa.index();
         Lab { config, quepa, polystore, index }
     }
 
@@ -79,11 +79,11 @@ impl Lab {
     /// given heap budget for the memory-bound ones.
     pub fn middlewares(&self, budget_bytes: usize) -> Vec<Box<dyn Middleware>> {
         vec![
-            Box::new(MetaNat::new(self.polystore.clone(), Arc::clone(&self.index), budget_bytes)),
-            Box::new(MetaAug::new(self.polystore.clone(), Arc::clone(&self.index))),
-            Box::new(Talend::new(self.polystore.clone(), Arc::clone(&self.index))),
-            Box::new(ArangoNat::new(self.polystore.clone(), Arc::clone(&self.index), budget_bytes)),
-            Box::new(ArangoAug::new(self.polystore.clone(), Arc::clone(&self.index), budget_bytes)),
+            Box::new(MetaNat::new(self.polystore.clone(), self.index.clone(), budget_bytes)),
+            Box::new(MetaAug::new(self.polystore.clone(), self.index.clone())),
+            Box::new(Talend::new(self.polystore.clone(), self.index.clone())),
+            Box::new(ArangoNat::new(self.polystore.clone(), self.index.clone(), budget_bytes)),
+            Box::new(ArangoAug::new(self.polystore.clone(), self.index.clone(), budget_bytes)),
         ]
     }
 

@@ -13,7 +13,7 @@
 //!   (±2% recorded, ≤1.05× live): durability must be free when unused.
 //! * **What does recovery cost?** A durable directory holding a
 //!   checkpoint cut at the stream's midpoint plus a WAL tail of the
-//!   second half is recovered cold ([`quepa_wal::recover`]: load 16
+//!   second half is recovered cold ([`quepa_wal::recover()`]: load 16
 //!   shard files + replay the tail). Recorded at 10⁴ and 10⁵ ops; the
 //!   gate bounds the growth ratio (≤25× for 10× ops — recovery must
 //!   stay roughly linear in the log, never quadratic).

@@ -19,15 +19,15 @@
 //!   `remove_object` calls while [`READERS`] closed-loop reader threads
 //!   augment continuously, once against the sharded delta-overlay path
 //!   (`ShardedIndex::update`: one shard republished per removal) and once
-//!   against the whole-index-swap baseline (`SnapshotCell::update`:
-//!   clone-everything copy-on-write). The sharded path must win by ≥5×.
+//!   against the whole-index-swap baseline (clone the ledger, mutate
+//!   the clone, `ShardedIndex::replace`: every shard rebuilt and
+//!   republished per removal). The sharded path must win by ≥5×.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
 use std::time::Instant;
 
 use quepa_aindex::{AIndex, ShardedIndex};
-use quepa_core::snapshot::SnapshotCell;
 use quepa_pdm::GlobalKey;
 use quepa_polystore::Deployment;
 use quepa_workload::{BuiltPolystore, TopologyFamily, WorkloadConfig};
@@ -57,8 +57,8 @@ pub struct ScaleLab {
     pub entries: usize,
     /// The index under test, behind the sharded serving path.
     pub sharded: ShardedIndex,
-    /// A pristine unsharded clone (the mutation baseline starts here).
-    pub master: AIndex,
+    /// A pristine ledger clone (each mutation measurement starts here).
+    pub ledger: AIndex,
     /// The fixed augmentation seed set.
     pub seeds: Vec<GlobalKey>,
     /// Distinct removal victims, disjoint from the seeds.
@@ -72,9 +72,9 @@ pub fn build(objects: usize) -> ScaleLab {
     let t0 = Instant::now();
     let built = BuiltPolystore::build(config);
     let build_s = t0.elapsed().as_secs_f64();
-    let master = built.index;
+    let ledger = built.index;
 
-    let all: Vec<GlobalKey> = master.keys().cloned().collect();
+    let all: Vec<GlobalKey> = ledger.keys().cloned().collect();
     assert!(all.len() > SEEDS + MUTATIONS, "scale lab too small: {} keys", all.len());
     let seeds: Vec<GlobalKey> = all[..SEEDS].to_vec();
     // Victims stride through the middle of the key range so every
@@ -83,7 +83,7 @@ pub fn build(objects: usize) -> ScaleLab {
     let victims: Vec<GlobalKey> =
         (0..MUTATIONS).map(|i| all[SEEDS + (i + 1) * stride].clone()).collect();
 
-    let sharded = ShardedIndex::new(master.clone());
+    let sharded = ShardedIndex::new(ledger.clone());
     let stats = sharded.shard_stats();
     ScaleLab {
         objects,
@@ -91,7 +91,7 @@ pub fn build(objects: usize) -> ScaleLab {
         resident_bytes: stats.iter().map(|s| s.resident_bytes).sum(),
         entries: stats.iter().map(|s| s.entries).sum(),
         sharded,
-        master,
+        ledger,
         seeds,
         victims,
     }
@@ -210,42 +210,25 @@ pub struct MutationPoint {
 /// publishes one directory swap, while [`READERS`] threads keep
 /// augmenting on their own views.
 pub fn mutation_throughput_sharded(lab: &ScaleLab) -> MutationPoint {
-    let sharded = ShardedIndex::new(lab.master.clone());
-    run_mutations(
-        &lab.victims,
-        &lab.seeds,
-        |seeds| {
-            sharded.view().augment_multi(seeds, 1);
-        },
-        |key| {
-            sharded.update(|ix| ix.remove_object(key));
-        },
-    )
+    run_mutations(lab, |sharded, key| sharded.update(|ix| ix.remove_object(key)))
 }
 
-/// Mutation throughput through the whole-index-swap baseline the sharded
-/// path replaced: every removal clones the entire index copy-on-write and
-/// swaps the `Arc`.
+/// Mutation throughput through the whole-index-swap baseline the
+/// delta-overlay path replaced: every removal is published by cloning
+/// the entire ledger, mutating the clone and republishing every shard.
 pub fn mutation_throughput_swap(lab: &ScaleLab) -> MutationPoint {
-    let cell = SnapshotCell::new(lab.master.clone());
-    run_mutations(
-        &lab.victims,
-        &lab.seeds,
-        |seeds| {
-            cell.load().augment_multi(seeds, 1);
-        },
-        |key| {
-            cell.update(|ix| ix.remove_object(key));
-        },
-    )
+    run_mutations(lab, |sharded, key| {
+        let mut ledger = sharded.snapshot();
+        ledger.remove_object(key);
+        sharded.replace(ledger);
+    })
 }
 
-fn run_mutations(
-    victims: &[GlobalKey],
-    seeds: &[GlobalKey],
-    read: impl Fn(&[GlobalKey]) + Sync,
-    write: impl Fn(&GlobalKey),
-) -> MutationPoint {
+/// Applies `write` once per victim to a fresh sharded copy of the lab's
+/// ledger while [`READERS`] threads augment on views of it.
+fn run_mutations(lab: &ScaleLab, write: impl Fn(&ShardedIndex, &GlobalKey)) -> MutationPoint {
+    let sharded = ShardedIndex::new(lab.ledger.clone());
+    let (victims, seeds) = (&lab.victims, &lab.seeds);
     let stop = AtomicBool::new(false);
     let start = Barrier::new(READERS + 1);
     let mut reads = 0usize;
@@ -253,12 +236,12 @@ fn run_mutations(
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..READERS)
             .map(|_| {
-                let (read, stop, start) = (&read, &stop, &start);
+                let (sharded, stop, start) = (&sharded, &stop, &start);
                 scope.spawn(move || {
                     start.wait();
                     let mut done = 0usize;
                     while !stop.load(Ordering::Relaxed) {
-                        read(seeds);
+                        sharded.view().augment_multi(seeds, 1);
                         done += 1;
                     }
                     done
@@ -268,7 +251,7 @@ fn run_mutations(
         start.wait();
         let t0 = Instant::now();
         for key in victims {
-            write(key);
+            write(&sharded, key);
         }
         wall = t0.elapsed().as_secs_f64();
         stop.store(true, Ordering::Relaxed);

@@ -5,9 +5,10 @@
 //! One [`check_crash_scenario`] run turns the scenario's relation and
 //! removal streams into a sequence of logical [`IndexOp`] mutations and
 //! drives them through a durable [`Quepa`] (WAL + checkpoint cuts in a
-//! scratch directory), honouring the [`CrashSpec`]'s checkpoint
-//! schedule. At the crash point the instance is dropped and the
-//! directory is optionally damaged the way real crashes damage it:
+//! scratch directory), honouring the checkpoint schedule of its
+//! [`CrashSpec`](crate::scenario::CrashSpec). At the crash point the
+//! instance is dropped and the directory is optionally damaged the way
+//! real crashes damage it:
 //!
 //! * `partial` — the next record is appended to the WAL but never
 //!   applied or acknowledged (the crash struck between write-ahead and
@@ -119,14 +120,15 @@ fn probe_keys(ops: &[IndexOp]) -> Vec<GlobalKey> {
     keys
 }
 
-/// Holds two indexes to bit-identical answers over the probe surface.
-fn diff_index(got: &AIndex, want: &AIndex, keys: &[GlobalKey], what: &str) -> Result<(), String> {
-    if got.node_count() != want.node_count() {
-        return Err(format!(
-            "{what}: node_count {} vs twin {}",
-            got.node_count(),
-            want.node_count()
-        ));
+/// Holds two instances' indexes to bit-identical answers over the probe
+/// surface, read the way queries read them.
+fn diff_index(got: &Quepa, want: &Quepa, keys: &[GlobalKey], what: &str) -> Result<(), String> {
+    let (got, want) = (got.index(), want.index());
+    // Node counts only: recovery flattens lineage, so the inferred-edge
+    // statistic legitimately differs from the never-crashed twin's.
+    let (got_nodes, want_nodes) = (got.stats().nodes, want.stats().nodes);
+    if got_nodes != want_nodes {
+        return Err(format!("{what}: node_count {got_nodes} vs twin {want_nodes}"));
     }
     for key in keys {
         if got.contains(key) != want.contains(key) {
@@ -243,8 +245,8 @@ pub fn check_crash_scenario(scenario: &Scenario) -> Result<CheckReport, CheckFai
         return Err(fail("the torn final record went unnoticed by recovery".into()));
     }
     diff_index(
-        &recovered.index_snapshot(),
-        &twin.index_snapshot(),
+        &recovered,
+        &twin,
         &keys,
         &format!("after recovery at op {expected}/{} ({report:?})", ops.len()),
     )
@@ -285,13 +287,8 @@ pub fn check_crash_scenario(scenario: &Scenario) -> Result<CheckReport, CheckFai
             .map_err(|e| fail(format!("post-recovery apply of op {i} failed: {e}")))?;
         twin.apply_mutations(std::slice::from_ref(op)).expect("volatile apply cannot fail");
     }
-    diff_index(
-        &recovered.index_snapshot(),
-        &twin.index_snapshot(),
-        &keys,
-        "after applying the remaining ops post-recovery",
-    )
-    .map_err(fail)?;
+    diff_index(&recovered, &twin, &keys, "after applying the remaining ops post-recovery")
+        .map_err(fail)?;
 
     drop(recovered);
     let (second, _) = Quepa::recover_durable(
@@ -302,13 +299,7 @@ pub fn check_crash_scenario(scenario: &Scenario) -> Result<CheckReport, CheckFai
         &RecoveryOptions::default(),
     )
     .map_err(|e| fail(format!("second-generation recovery failed: {e}")))?;
-    diff_index(
-        &second.index_snapshot(),
-        &twin.index_snapshot(),
-        &keys,
-        "second-generation recovery",
-    )
-    .map_err(fail)?;
+    diff_index(&second, &twin, &keys, "second-generation recovery").map_err(fail)?;
 
     Ok(CheckReport {
         configs: 1,

@@ -18,9 +18,10 @@
 //!    *through* phantoms vanish and survivors' probabilities can drop.
 //! 4. **Warm cache** — with a cache, a second identical search returns
 //!    the same answer from cache (`cache_hits` covers the augmented set).
-//! 5. **`augment_multi` == per-seed union** — the one-pass multi-seed
-//!    BFS equals single-seed augmentation, and its ownership partition
-//!    equals the model's lowest-seed-within-budget rule.
+//! 5. **`augment_multi` == per-seed union** — the served kernel's
+//!    one-pass multi-seed BFS ([`IndexView`] over a projection of the
+//!    scenario's index) equals its plain `augment`, and its ownership
+//!    partition equals the model's lowest-seed-within-budget rule.
 //! 6. **Metrics determinism** — twin instances produce bit-identical
 //!    metrics snapshots (histograms are of *simulated* latency), and the
 //!    store/cache sections are invariant under a thread-count change.
@@ -47,6 +48,7 @@
 
 use std::collections::BTreeMap;
 
+use quepa_aindex::IndexView;
 use quepa_core::{
     pool_width, AnswerNormalForm, AugmentedAnswer, AugmenterKind, MissingKey, MissingReason, Quepa,
 };
@@ -691,7 +693,7 @@ fn check_multi_seed(
     seeds: &[GlobalKey],
     fail: &impl Fn(String) -> CheckFailure,
 ) -> Result<(), CheckFailure> {
-    let index = scenario.build_index();
+    let index = IndexView::of(&scenario.build_index());
     let single = index.augment(seeds, scenario.level);
     let (multi, owners) = index.augment_multi(seeds, scenario.level);
     if single != multi {

@@ -382,7 +382,7 @@ impl ModelIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quepa_aindex::AIndex;
+    use quepa_aindex::{AIndex, IndexView};
 
     fn key(s: &str) -> GlobalKey {
         s.parse().unwrap()
@@ -452,7 +452,7 @@ mod tests {
 
         for level in 0..3 {
             let seeds = [key("d0.c.k0"), key("d0.c.k3")];
-            let real_out = real.augment(&seeds, level);
+            let real_out = IndexView::of(&real).augment(&seeds, level);
             let model_out = model.augment(&seeds, level);
             assert_eq!(real_out.len(), model_out.len(), "level {level}");
             for (r, m) in real_out.iter().zip(&model_out) {

@@ -51,7 +51,7 @@ use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use quepa_aindex::{Augmentable, AugmentedKey};
+use quepa_aindex::{AugmentedKey, IndexView};
 use quepa_obs::{MetricsRegistry, Stage};
 use quepa_pdm::{CollectionName, DataObject, DatabaseName, GlobalKey, LocalKey, Probability, Pushdown};
 use quepa_polystore::retry::{BreakerSet, CircuitBreaker};
@@ -147,7 +147,7 @@ struct Task {
 #[derive(Debug, Clone)]
 pub struct AugmentPlan {
     /// The canonical augmented keys, identical to
-    /// `AIndex::augment(seeds, level)` over the same seeds.
+    /// [`IndexView::augment`] over the same seeds and level.
     pub augmented: Vec<AugmentedKey>,
     /// Per `augmented` entry, the index of its owning seed.
     ownership: Vec<u32>,
@@ -156,9 +156,7 @@ pub struct AugmentPlan {
 }
 
 /// Traverses the A' index once, producing the retrieval plan for `seeds`.
-/// Generic over [`Augmentable`] so it serves both the monolithic
-/// [`quepa_aindex::AIndex`] and a sharded [`quepa_aindex::IndexView`].
-pub fn plan<I: Augmentable>(index: &I, seed_keys: &[GlobalKey], level: usize) -> AugmentPlan {
+pub fn plan(index: &IndexView, seed_keys: &[GlobalKey], level: usize) -> AugmentPlan {
     let (augmented, ownership) = index.augment_multi(seed_keys, level);
     AugmentPlan { augmented, ownership, seed_count: seed_keys.len() }
 }

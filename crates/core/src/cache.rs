@@ -6,9 +6,9 @@
 //! intrusive-list LRU with O(1) get/insert.
 //!
 //! To keep the concurrent augmenters from serializing on a single lock,
-//! large caches are split into [`SHARD_COUNT`] shards, each an exact LRU
+//! large caches are split into `SHARD_COUNT` shards, each an exact LRU
 //! over its own key-hash slice with its own `parking_lot` mutex. Small
-//! caches (below [`SHARD_THRESHOLD`]) stay single-sharded so that the
+//! caches (below `SHARD_THRESHOLD`) stay single-sharded so that the
 //! global LRU order — which unit tests and tiny-capacity configurations
 //! rely on — is exact. The shard count is fixed at construction; resizing
 //! redistributes capacity over the existing shards (`total / n` each, the

@@ -32,7 +32,6 @@
 use std::path::{Path, PathBuf};
 
 use parking_lot::Mutex;
-use quepa_aindex::shard::route;
 use quepa_aindex::{AIndex, ShardedIndex, SHARD_COUNT};
 use quepa_polystore::Polystore;
 pub use quepa_wal::{dir_has_state, IndexOp, Lsn, RecoveryOptions, RecoveryReport, SyncPolicy};
@@ -214,12 +213,9 @@ impl Quepa {
     pub fn apply_mutations(&self, ops: &[IndexOp]) -> Result<Lsn> {
         let mut span = quepa_obs::span_on(&self.obs, quepa_obs::Stage::Commit, "apply");
         span.add_items(ops.len() as u64);
+        let apply = |ix: &mut AIndex| ops.iter().for_each(|op| op.apply(ix));
         let Some(dur) = &self.durability else {
-            self.index.update(|ix| {
-                for op in ops {
-                    op.apply(ix);
-                }
-            });
+            self.index.update(apply);
             return Ok(0);
         };
         let mut st = dur.state.lock();
@@ -232,21 +228,8 @@ impl Quepa {
         let lsn = st.wal.append(ops).map_err(wal_err)?;
         st.records_appended += ops.len() as u64;
         self.polystore.commit_durable_all()?;
-        let (extra_dirty, report) = self.index.update_reporting(|ix| {
-            // A lazy removal changes the neighbours' serialized shards
-            // without journaling them — collect those before applying.
-            let mut extra = Vec::new();
-            for op in ops {
-                if let IndexOp::RemoveObject { key } = op {
-                    for (neighbor, _, _) in ix.neighbors(key) {
-                        extra.push(route(&neighbor));
-                    }
-                }
-                op.apply(ix);
-            }
-            extra
-        });
-        for shard in extra_dirty.into_iter().chain(report.touched) {
+        let ((), report) = self.index.update_reporting(apply);
+        for shard in report.dirty {
             st.dirty[shard] = true;
         }
         if !report.compacted.is_empty() {

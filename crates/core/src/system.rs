@@ -110,7 +110,8 @@ impl Quepa {
         self.index.view()
     }
 
-    /// A standalone clone of the A' index (persistence: `SAVE INDEX`).
+    /// A standalone clone of the A' index ledger (persistence: `SAVE
+    /// INDEX`). To *read* the index, take [`index`](Quepa::index).
     pub fn index_snapshot(&self) -> AIndex {
         self.index.snapshot()
     }
@@ -121,7 +122,7 @@ impl Quepa {
     }
 
     /// Mutates the A' index (Collector updates, manual curation): `f`
-    /// runs on the master index under the writer lock, then the touched
+    /// runs on the index ledger under the writer lock, then the touched
     /// shards' snapshots are republished as one atomic transition.
     /// Concurrent readers keep the views they hold; concurrent updates
     /// serialize and compose.

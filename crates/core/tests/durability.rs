@@ -9,7 +9,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use quepa_aindex::AIndex;
+use quepa_aindex::{AIndex, IndexView};
 use quepa_core::{IndexOp, Quepa, QuepaConfig, RecoveryOptions, SyncPolicy};
 use quepa_kvstore::KvStore;
 use quepa_pdm::{GlobalKey, Probability};
@@ -109,9 +109,9 @@ fn probe_keys() -> Vec<GlobalKey> {
     keys
 }
 
-/// Asserts two indexes answer bit-identically over the probe surface.
-fn assert_index_equal(got: &AIndex, want: &AIndex, what: &str) {
-    assert_eq!(got.node_count(), want.node_count(), "{what}: node_count");
+/// Asserts two index views answer bit-identically over the probe surface.
+fn assert_index_equal(got: &IndexView, want: &IndexView, what: &str) {
+    assert_eq!(got.stats().nodes, want.stats().nodes, "{what}: node_count");
     let keys = probe_keys();
     for key in &keys {
         assert_eq!(got.contains(key), want.contains(key), "{what}: contains {key}");
@@ -153,7 +153,7 @@ fn recovery_is_bit_identical_to_a_never_crashed_twin() {
     )
     .unwrap();
     assert!(!report.torn_tail);
-    assert_index_equal(&recovered.index_snapshot(), &twin.index_snapshot(), "first recovery");
+    assert_index_equal(&recovered.index(), &twin.index(), "first recovery");
 
     // A second generation of recovery (no writes in between) is stable.
     drop(recovered);
@@ -165,7 +165,7 @@ fn recovery_is_bit_identical_to_a_never_crashed_twin() {
         &RecoveryOptions::default(),
     )
     .unwrap();
-    assert_index_equal(&again.index_snapshot(), &twin.index_snapshot(), "second recovery");
+    assert_index_equal(&again.index(), &twin.index(), "second recovery");
 }
 
 #[test]
@@ -201,7 +201,7 @@ fn recovery_continues_accepting_mutations() {
         recovered.apply_mutations(batch).unwrap();
         twin.apply_mutations(batch).unwrap();
     }
-    assert_index_equal(&recovered.index_snapshot(), &twin.index_snapshot(), "post-recovery writes");
+    assert_index_equal(&recovered.index(), &twin.index(), "post-recovery writes");
 
     drop(recovered);
     let (second, _) = Quepa::recover_durable(
@@ -212,11 +212,7 @@ fn recovery_continues_accepting_mutations() {
         &RecoveryOptions::default(),
     )
     .unwrap();
-    assert_index_equal(
-        &second.index_snapshot(),
-        &twin.index_snapshot(),
-        "second-generation recovery",
-    );
+    assert_index_equal(&second.index(), &twin.index(), "second-generation recovery");
 }
 
 #[test]
@@ -259,7 +255,7 @@ fn closure_mutations_survive_via_the_next_checkpoint() {
     )
     .unwrap();
     assert!(report.checkpoints_loaded > 0, "the forced cut must be loaded");
-    assert_index_equal(&recovered.index_snapshot(), &twin.index_snapshot(), "stale checkpoint");
+    assert_index_equal(&recovered.index(), &twin.index(), "stale checkpoint");
 }
 
 #[test]
@@ -293,7 +289,7 @@ fn unlogged_closure_mutation_is_lost_but_recovery_stays_sound() {
         &RecoveryOptions::default(),
     )
     .unwrap();
-    assert_index_equal(&recovered.index_snapshot(), &twin.index_snapshot(), "lost closure");
+    assert_index_equal(&recovered.index(), &twin.index(), "lost closure");
 }
 
 #[test]
@@ -337,7 +333,7 @@ fn volatile_instances_share_the_mutation_path() {
         }
         ix
     };
-    assert_index_equal(&quepa.index_snapshot(), &direct, "volatile apply");
+    assert_index_equal(&quepa.index(), &IndexView::of(&direct), "volatile apply");
 }
 
 #[test]
@@ -372,7 +368,7 @@ fn skip_wal_tail_injection_visibly_diverges() {
     .unwrap();
     assert_eq!(report.replayed, 0, "everything after the initial cut was skipped");
     assert!(
-        lossy.index_snapshot().node_count() < twin.index_snapshot().node_count(),
+        lossy.index().stats().nodes < twin.index().stats().nodes,
         "skipping the WAL tail must visibly lose state"
     );
 }

@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use quepa_aindex::AIndex;
+use quepa_aindex::{AIndex, IndexView};
 use quepa_core::augmenter::{self, AugmentationOutcome, FetchRuntime};
 use quepa_core::cache::ObjectCache;
 use quepa_core::{
@@ -28,7 +28,7 @@ fn key(s: usize, k: usize) -> GlobalKey {
 
 /// A polystore plus an A' index that also references keys the stores do
 /// not hold (k16..k19), so every strategy exercises the missing path.
-fn build() -> (Polystore, AIndex) {
+fn build() -> (Polystore, IndexView) {
     let mut polystore = Polystore::new();
     for s in 0..STORES {
         let mut kv = KvStore::new(format!("db{s}"));
@@ -57,7 +57,7 @@ fn build() -> (Polystore, AIndex) {
             Probability::of(0.4),
         );
     }
-    (polystore, index)
+    (polystore, IndexView::of(&index))
 }
 
 fn run_with(
@@ -153,7 +153,7 @@ fn shard_merge_is_interleaving_independent() {
 
 /// The plan every strategy-table case runs: all of `db0` as seeds, two
 /// hops — every store, the phantom keys and cross-seed sharing.
-fn table_plan(index: &AIndex) -> augmenter::AugmentPlan {
+fn table_plan(index: &IndexView) -> augmenter::AugmentPlan {
     let seeds: Vec<GlobalKey> = (0..KEYS_PER_STORE).map(|k| key(0, k)).collect();
     augmenter::plan(index, &seeds, 2)
 }

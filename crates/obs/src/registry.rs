@@ -7,7 +7,7 @@
 //! * per-store recorders: a simulated-latency histogram, a backoff
 //!   histogram and chaos/breaker counters;
 //! * per-stage recorders: a simulated-latency histogram plus span/item
-//!   counters, one per [`Stage`](crate::span::Stage);
+//!   counters, one per [`Stage`];
 //! * cache probe counters;
 //! * a bounded wall-clock trace ring (human debugging only — never part
 //!   of a snapshot, because wall time is not deterministic).

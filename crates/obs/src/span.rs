@@ -14,9 +14,8 @@
 //!
 //! * **deterministic metrics** — counts and *simulated* durations
 //!   (closed-form link costs and backoff pauses). These land in the
-//!   [`MetricsRegistry`](crate::registry::MetricsRegistry) and are
-//!   bit-identical across same-seed runs;
-//! * **wall-clock spans** — [`span`]/[`SpanGuard`] measure real elapsed
+//!   [`MetricsRegistry`] and are bit-identical across same-seed runs;
+//! * **wall-clock spans** — [`span_on`]/[`SpanGuard`] measure real elapsed
 //!   time for humans chasing a slow augmentation. They land in the
 //!   registry's bounded trace ring and are *excluded* from snapshots.
 

@@ -32,15 +32,15 @@
 //!
 //! A copied file keeps its original `lsn` stamp (when the shard content
 //! was last serialized); the cut's own LSN lives in the directory name
-//! and is what recovery replays from. Lineage is flattened like the
-//! serial format: inferred edges reload as direct.
+//! and is what recovery replays from. The body is the `node`/`edge`
+//! line format of `quepa_aindex::serial` (lineage flattened: inferred
+//! edges reload as direct).
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use quepa_aindex::serial::unescape;
-use quepa_aindex::{AIndex, EdgeOrigin, SHARD_COUNT};
-use quepa_pdm::{GlobalKey, Probability, RelationKind};
+use quepa_aindex::serial::apply_lines;
+use quepa_aindex::{AIndex, SHARD_COUNT};
 
 use crate::crc::crc32;
 use crate::log::{Lsn, WalError};
@@ -206,55 +206,7 @@ pub fn load_checkpoint(cut_dir: &Path, shard: usize) -> Result<Checkpoint, WalEr
 /// bit-exact; each cross-shard edge appears in both endpoints' files
 /// and re-applies idempotently.
 pub fn apply_body(body: &str, index: &mut AIndex) -> Result<usize, String> {
-    let mut applied = 0;
-    for (i, line) in body.lines().enumerate() {
-        let bad = |message: String| format!("checkpoint body line {}: {message}", i + 1);
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let mut parts = line.split(' ');
-        match parts.next() {
-            Some("node") => {
-                let raw = parts.next().ok_or_else(|| bad("node needs a key".into()))?;
-                let key: GlobalKey = unescape(raw)
-                    .map_err(|m| bad(m.to_string()))?
-                    .parse()
-                    .map_err(|e: quepa_pdm::PdmError| bad(e.to_string()))?;
-                index.ensure_node(&key);
-            }
-            Some("edge") => {
-                let kind = match parts.next() {
-                    Some("id") => RelationKind::Identity,
-                    Some("match") => RelationKind::Matching,
-                    other => return Err(bad(format!("bad edge kind {other:?}"))),
-                };
-                let origin = match parts.next() {
-                    Some("direct" | "inferred") => EdgeOrigin::Direct,
-                    Some("promoted") => EdgeOrigin::Promoted,
-                    other => return Err(bad(format!("bad edge origin {other:?}"))),
-                };
-                let p: f64 = parts
-                    .next()
-                    .ok_or_else(|| bad("edge needs a probability".into()))?
-                    .parse()
-                    .map_err(|_| bad("bad probability".into()))?;
-                let p = Probability::new(p).map_err(|e| bad(e.to_string()))?;
-                let mut key = |tag: &str| -> Result<GlobalKey, String> {
-                    unescape(parts.next().ok_or_else(|| bad(format!("edge needs {tag}")))?)
-                        .map_err(|m| bad(m.to_string()))?
-                        .parse()
-                        .map_err(|e: quepa_pdm::PdmError| bad(e.to_string()))
-                };
-                let a = key("key a")?;
-                let b = key("key b")?;
-                index.insert_raw(&a, &b, kind, p, origin);
-            }
-            other => return Err(bad(format!("expected node|edge, got {other:?}"))),
-        }
-        applied += 1;
-    }
-    Ok(applied)
+    apply_lines(body, 1, index).map_err(|e| format!("checkpoint body: {e}"))
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@
 //!   previous cut are re-serialized, the rest are carried over — so a
 //!   shard compaction, which already rewrites exactly one shard,
 //!   checkpoints at that boundary for the cost of that one shard;
-//! * **recovery** ([`recover`]): load the newest committed cut and
+//! * **recovery** ([`recover()`]): load the newest committed cut and
 //!   replay the WAL tail past its LSN. Because the cut is consistent,
 //!   replay sees exactly the state the original execution saw and the
 //!   recovered index answers **bit-identically** to a never-crashed

@@ -160,6 +160,7 @@ fn two_keys(parts: &mut std::str::Split<'_, char>) -> Result<(GlobalKey, GlobalK
 #[cfg(test)]
 mod tests {
     use super::*;
+    use quepa_aindex::IndexView;
 
     fn k(s: &str) -> GlobalKey {
         s.parse().unwrap()
@@ -237,6 +238,9 @@ mod tests {
             op.apply(&mut replayed);
         }
         assert_eq!(direct.stats(), replayed.stats());
-        assert_eq!(direct.augment(&[k("a.c.1")], 2), replayed.augment(&[k("a.c.1")], 2));
+        assert_eq!(
+            IndexView::of(&direct).augment(&[k("a.c.1")], 2),
+            IndexView::of(&replayed).augment(&[k("a.c.1")], 2)
+        );
     }
 }

@@ -13,8 +13,7 @@
 
 use std::path::PathBuf;
 
-use quepa_aindex::shard::route;
-use quepa_aindex::{AIndex, ShardedIndex, SHARD_COUNT};
+use quepa_aindex::{AIndex, IndexView, ShardedIndex, SHARD_COUNT};
 use quepa_pdm::{GlobalKey, Probability, RelationKind};
 use quepa_wal::{recover, wal_path, write_cut, IndexOp, RecoveryOptions, SyncPolicy, Wal};
 
@@ -85,6 +84,8 @@ fn random_op(rng: &mut Rng, keys: &[GlobalKey]) -> IndexOp {
 }
 
 fn assert_answers_equal(got: &AIndex, want: &AIndex, keys: &[GlobalKey], seed: u64) {
+    assert_eq!(got.node_count(), want.node_count(), "seed {seed}: node counts diverge");
+    let (got, want) = (IndexView::of(got), IndexView::of(want));
     for key in keys {
         assert_eq!(
             got.contains(key),
@@ -106,7 +107,6 @@ fn assert_answers_equal(got: &AIndex, want: &AIndex, keys: &[GlobalKey], seed: u
             );
         }
     }
-    assert_eq!(got.node_count(), want.node_count(), "seed {seed}: node counts diverge");
 }
 
 /// One seeded run: random ops, random incremental-cut schedule,
@@ -130,19 +130,8 @@ fn run_seed(seed: u64) {
     for _ in 0..total_ops {
         let op = random_op(&mut rng, &keys);
         let lsn = wal.append(std::slice::from_ref(&op)).unwrap();
-        let (extra_dirty, report) = sharded.update_reporting(|ix| {
-            // A lazy removal changes the neighbours' serialized shards
-            // without journaling them — collect those before applying.
-            let mut extra = Vec::new();
-            if let IndexOp::RemoveObject { key } = &op {
-                for (neighbor, _, _) in ix.neighbors(key) {
-                    extra.push(route(&neighbor));
-                }
-            }
-            op.apply(ix);
-            extra
-        });
-        for shard in extra_dirty.into_iter().chain(report.touched) {
+        let ((), report) = sharded.update_reporting(|ix| op.apply(ix));
+        for shard in report.dirty {
             dirty[shard] = true;
         }
         ops.push(op);

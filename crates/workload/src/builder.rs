@@ -280,6 +280,7 @@ fn slug(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use quepa_aindex::IndexView;
 
     fn small(replica_sets: usize) -> BuiltPolystore {
         BuiltPolystore::build(WorkloadConfig {
@@ -338,7 +339,7 @@ mod tests {
         assert!(stats.matching_edges > 0);
         // Every inventory item's augmentation reaches its catalogue copy.
         let a0 = key("transactions", "inventory", "a0");
-        let out = built.index.augment(std::slice::from_ref(&a0), 0);
+        let out = IndexView::of(&built.index).augment(std::slice::from_ref(&a0), 0);
         assert!(out.iter().any(|a| a.key == key("catalogue", "albums", "d0")));
         assert!(out.iter().any(|a| a.key == key("catalogue_r1", "albums", "d0")));
     }
@@ -348,8 +349,8 @@ mod tests {
         let small4 = small(0);
         let small13 = small(3);
         let a0 = key("transactions", "inventory", "a0");
-        let n4 = small4.index.augment(std::slice::from_ref(&a0), 0).len();
-        let n13 = small13.index.augment(std::slice::from_ref(&a0), 0).len();
+        let n4 = IndexView::of(&small4.index).augment(std::slice::from_ref(&a0), 0).len();
+        let n13 = IndexView::of(&small13.index).augment(std::slice::from_ref(&a0), 0).len();
         assert!(n13 > n4, "more stores ⇒ bigger augmented answers ({n4} vs {n13})");
     }
 

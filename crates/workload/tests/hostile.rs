@@ -5,7 +5,7 @@
 //! never a torn half-removal.
 
 use quepa_aindex::shard::route;
-use quepa_aindex::{AIndex, AugmentedKey, ShardedIndex};
+use quepa_aindex::{AIndex, AugmentedKey, IndexView, ShardedIndex};
 use quepa_pdm::GlobalKey;
 use quepa_workload::TopologyFamily;
 
@@ -48,13 +48,17 @@ fn hub_removal_republishes_exactly_its_home_shard() {
     }
 }
 
-/// The predicted answer after removing `victims[..prefix]`.
-fn predicted(master: &AIndex, victims: &[GlobalKey], probes: &[GlobalKey]) -> Vec<(Vec<AugmentedKey>, Vec<u32>)> {
-    let mut index = master.clone();
-    let mut states = vec![index.augment_multi(probes, 1)];
+/// The predicted answer after removing `victims[..prefix]`: a fresh
+/// projection of the ledger at each prefix.
+fn predicted(
+    mut ledger: AIndex,
+    victims: &[GlobalKey],
+    probes: &[GlobalKey],
+) -> Vec<(Vec<AugmentedKey>, Vec<u32>)> {
+    let mut states = vec![IndexView::of(&ledger).augment_multi(probes, 1)];
     for victim in victims {
-        index.remove_object(victim);
-        states.push(index.augment_multi(probes, 1));
+        ledger.remove_object(victim);
+        states.push(IndexView::of(&ledger).augment_multi(probes, 1));
     }
     states
 }
@@ -71,7 +75,7 @@ fn racing_readers_observe_only_predicted_prefix_states() {
     // Probe from satellites only, so every state (including post-hub)
     // still resolves the seeds themselves.
     let probes: Vec<GlobalKey> = (1..=8).map(|i| topo.key(i * 3 + 1)).collect();
-    let states = predicted(&topo.index(), &victims, &probes);
+    let states = predicted(topo.index(), &victims, &probes);
     // The removals must actually change the answer, or the test is
     // vacuous.
     assert!(

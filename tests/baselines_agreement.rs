@@ -2,8 +2,8 @@
 //! answers on the stores every tool supports, plus the failure modes the
 //! paper reports (out-of-memory, unsupported stores).
 
+use quepa::aindex::IndexView;
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 use quepa::baselines::{ArangoAug, MetaAug, Middleware, MiddlewareError, Talend};
 use quepa::core::QuepaConfig;
@@ -26,7 +26,7 @@ fn key_set(objs: &[quepa::pdm::DataObject]) -> BTreeSet<String> {
 #[test]
 fn meta_aug_equals_quepa_minus_redis() {
     let built = build();
-    let index = Arc::new(built.index.clone());
+    let index = IndexView::of(&built.index);
     let polystore = built.polystore.clone();
     let quepa = built.into_quepa();
     quepa.set_config(QuepaConfig { cache_size: 0, ..QuepaConfig::default() });
@@ -48,8 +48,8 @@ fn meta_aug_equals_quepa_minus_redis() {
 #[test]
 fn talend_equals_meta_aug() {
     let built = build();
-    let index = Arc::new(built.index.clone());
-    let meta = MetaAug::new(built.polystore.clone(), Arc::clone(&index));
+    let index = IndexView::of(&built.index);
+    let meta = MetaAug::new(built.polystore.clone(), index.clone());
     let talend = Talend::new(built.polystore.clone(), index);
     let q = query_for(StoreKind::Document, 9);
     let a = meta.augmented_query("catalogue", &q, 0).unwrap();
@@ -61,7 +61,7 @@ fn talend_equals_meta_aug() {
 #[test]
 fn arango_covers_non_relational_subset_of_quepa() {
     let built = build();
-    let index = Arc::new(built.index.clone());
+    let index = IndexView::of(&built.index);
     let polystore = built.polystore.clone();
     let quepa = built.into_quepa();
     let q = query_for(StoreKind::Document, 10);
@@ -82,13 +82,13 @@ fn arango_covers_non_relational_subset_of_quepa() {
 #[test]
 fn every_middleware_reports_unsupported_stores_cleanly() {
     let built = build();
-    let index = Arc::new(built.index.clone());
+    let index = IndexView::of(&built.index);
     let middlewares: Vec<(Box<dyn Middleware>, &str)> = vec![
         (
-            Box::new(MetaAug::new(built.polystore.clone(), Arc::clone(&index))),
+            Box::new(MetaAug::new(built.polystore.clone(), index.clone())),
             "discount", // Metamodel: no Redis
         ),
-        (Box::new(Talend::new(built.polystore.clone(), Arc::clone(&index))), "discount"),
+        (Box::new(Talend::new(built.polystore.clone(), index.clone())), "discount"),
         (
             Box::new(ArangoAug::new(built.polystore.clone(), index, usize::MAX)),
             "transactions", // Arango: no SQL import
