@@ -681,11 +681,8 @@ fn main() {
         FLASH_LIVE_HORIZON_S,
     );
     let after = squepa.metrics_snapshot().admission;
-    let (d_offered, d_served, d_shed) = (
-        after.offered - before.offered,
-        after.served - before.served,
-        after.shed - before.shed,
-    );
+    let (d_offered, d_served, d_shed) =
+        (after.offered - before.offered, after.served - before.served, after.shed - before.shed);
     let flash_live_ok = flash_live.errors == 0
         && flash_live.offered > 0
         && flash_live.offered == flash_live.served() + flash_live.shed

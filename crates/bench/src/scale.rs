@@ -314,7 +314,8 @@ mod tests {
             assert!(lab.build_s > 0.0 && lab.entries > 0 && lab.resident_bytes > 0);
             assert!(lab.relations > 0 && lab.objects >= 2_000, "{}", family.name());
             assert_eq!(lab.hub.is_some(), family == TopologyFamily::Supernode);
-            let (cold, warm) = augment_latency_on(&lab.sharded, &lab.seeds, hostile_level(family), 3);
+            let (cold, warm) =
+                augment_latency_on(&lab.sharded, &lab.seeds, hostile_level(family), 3);
             assert!(cold > 0.0 && warm > 0.0, "{}", family.name());
         }
     }

@@ -558,17 +558,18 @@ fn check_pushdown_modes(
     }
     let base = scenario.configs.first().expect("scenarios carry at least one config");
     let mode = |p: bool| if p { "pushdown" } else { "fallback" };
-    let run = |pushdown: bool| -> Result<(AnswerNormalForm, AnswerNormalForm, usize), CheckFailure> {
-        let spec = ConfigSpec { pushdown, ..*base };
-        let quepa = build_quepa(scenario, &spec);
-        let cold = search_answer(&quepa, scenario, database, query).map_err(|e| {
-            fail(format!("pushdown-mode cold run ({}) failed: {e}", mode(pushdown)))
-        })?;
-        let warm = search_answer(&quepa, scenario, database, query).map_err(|e| {
-            fail(format!("pushdown-mode warm run ({}) failed: {e}", mode(pushdown)))
-        })?;
-        Ok((cold.normal_form(), warm.normal_form(), warm.cache_hits))
-    };
+    let run =
+        |pushdown: bool| -> Result<(AnswerNormalForm, AnswerNormalForm, usize), CheckFailure> {
+            let spec = ConfigSpec { pushdown, ..*base };
+            let quepa = build_quepa(scenario, &spec);
+            let cold = search_answer(&quepa, scenario, database, query).map_err(|e| {
+                fail(format!("pushdown-mode cold run ({}) failed: {e}", mode(pushdown)))
+            })?;
+            let warm = search_answer(&quepa, scenario, database, query).map_err(|e| {
+                fail(format!("pushdown-mode warm run ({}) failed: {e}", mode(pushdown)))
+            })?;
+            Ok((cold.normal_form(), warm.normal_form(), warm.cache_hits))
+        };
     let (on_cold, on_warm, on_hits) = run(true)?;
     let (off_cold, off_warm, off_hits) = run(false)?;
     if on_cold != off_cold {

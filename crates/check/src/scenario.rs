@@ -350,7 +350,8 @@ impl Scenario {
             TopologyFamily::DeepChain => quepa_workload::hostile::DEEP_CHAIN_DEPTH,
             TopologyFamily::NearDup => topo.range(24, 40),
         };
-        let shape: HostileTopology = family.generate(scale, mix(seed, fnv(family.name().as_bytes())));
+        let shape: HostileTopology =
+            family.generate(scale, mix(seed, fnv(family.name().as_bytes())));
         let n_stores = topo.range(2, 4);
         let kinds =
             [StoreKind::KeyValue, StoreKind::Relational, StoreKind::Document, StoreKind::Graph];
@@ -447,7 +448,8 @@ impl Scenario {
             // must survive consistently.
             TopologyFamily::NearDup => {
                 if rm.chance(70) {
-                    let cluster = rm.below(shape.objects / quepa_workload::hostile::NEAR_DUP_CLUSTER);
+                    let cluster =
+                        rm.below(shape.objects / quepa_workload::hostile::NEAR_DUP_CLUSTER);
                     removals.push(locate(cluster * quepa_workload::hostile::NEAR_DUP_CLUSTER));
                 }
             }

@@ -221,9 +221,10 @@ impl Optimizer for AdaptiveOptimizer {
             .map(|t| t.predict(&row).round().max(0.0) as usize)
             .unwrap_or(current.cache_size);
         let pushdown = if features.filtered {
-            self.t5_pushdown.as_ref().map(|t| t.predict_name(&row) == "push").unwrap_or(
-                current.pushdown,
-            )
+            self.t5_pushdown
+                .as_ref()
+                .map(|t| t.predict_name(&row) == "push")
+                .unwrap_or(current.pushdown)
         } else {
             current.pushdown
         };
@@ -248,8 +249,12 @@ impl Optimizer for AdaptiveOptimizer {
         // group's own paradigm and fan-out substituted in: the group's
         // store kind replaces the query target and the group's key count
         // is the augmentation it pays for.
-        let probe =
-            QueryFeatures { target_kind: kind, augmented_size: group_keys, filtered: true, ..*features };
+        let probe = QueryFeatures {
+            target_kind: kind,
+            augmented_size: group_keys,
+            filtered: true,
+            ..*features
+        };
         let row = feature_row(&self.schema, &probe);
         self.t5_pushdown.as_ref().map(|t| t.predict_name(&row) == "push")
     }

@@ -53,7 +53,9 @@ use std::sync::Arc;
 
 use quepa_aindex::{AugmentedKey, IndexView};
 use quepa_obs::{MetricsRegistry, Stage};
-use quepa_pdm::{CollectionName, DataObject, DatabaseName, GlobalKey, LocalKey, Probability, Pushdown};
+use quepa_pdm::{
+    CollectionName, DataObject, DatabaseName, GlobalKey, LocalKey, Probability, Pushdown,
+};
 use quepa_polystore::retry::{BreakerSet, CircuitBreaker};
 use quepa_polystore::{FilteredFetch, PolyError, Polystore, StoreKind};
 
@@ -358,9 +360,8 @@ fn decide_groups(
     let mut sizes: std::collections::BTreeMap<(DatabaseName, CollectionName), usize> =
         std::collections::BTreeMap::new();
     for task in owned.iter().flatten() {
-        *sizes
-            .entry((task.key.database().clone(), task.key.collection().clone()))
-            .or_default() += 1;
+        *sizes.entry((task.key.database().clone(), task.key.collection().clone())).or_default() +=
+            1;
     }
     sizes
         .into_iter()

@@ -57,7 +57,9 @@ pub mod snapshot;
 pub mod system;
 pub mod validator;
 
-pub use adaptive::{AdaptiveOptimizer, HumanOptimizer, OnlineOptimizer, Optimizer, RandomOptimizer};
+pub use adaptive::{
+    AdaptiveOptimizer, HumanOptimizer, OnlineOptimizer, Optimizer, RandomOptimizer,
+};
 pub use augmenter::{
     AugmentationOutcome, AugmentedObject, DecisionReason, GroupDecision, GroupStrategy, MissingKey,
     MissingReason,

@@ -458,7 +458,9 @@ impl Quepa {
                 )?;
                 outcome
             }
-            _ => augmenter::run_planned_with(&self.polystore, &self.cache, &plan, &config, &runtime)?,
+            _ => {
+                augmenter::run_planned_with(&self.polystore, &self.cache, &plan, &config, &runtime)?
+            }
         };
 
         // Lazy deletion (§III-C): objects that vanished from the polystore

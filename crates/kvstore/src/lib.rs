@@ -158,9 +158,7 @@ impl KvStore {
     /// The keys currently holding exactly `value`, from the secondary
     /// index (no scan). Sorted; empty when no key holds the value.
     pub fn keys_with_value(&self, value: &str) -> Vec<&str> {
-        self.by_value.get(value).map_or_else(Vec::new, |ks| {
-            ks.iter().map(String::as_str).collect()
-        })
+        self.by_value.get(value).map_or_else(Vec::new, |ks| ks.iter().map(String::as_str).collect())
     }
 
     /// Batched lookup with a store-side predicate over `(key, value)`:
@@ -179,9 +177,7 @@ impl KvStore {
         for k in keys {
             let Some(v) = self.map.get(*k) else { continue };
             let hit = match value_eq {
-                Some(want) => {
-                    self.by_value.get(want).is_some_and(|ks| ks.contains(*k))
-                }
+                Some(want) => self.by_value.get(want).is_some_and(|ks| ks.contains(*k)),
                 None => pred(k, v),
             };
             if hit {
@@ -422,19 +418,17 @@ mod tests {
     #[test]
     fn multi_get_where_splits_matched_and_rejected() {
         let kv = discounts();
-        let (m, r) = kv.multi_get_where(
-            &["k1:cure:wish", "nope", "k2:cure:faith"],
-            None,
-            &|_, v| v == "40%",
-        );
+        let (m, r) =
+            kv.multi_get_where(&["k1:cure:wish", "nope", "k2:cure:faith"], None, &|_, v| {
+                v == "40%"
+            });
         assert_eq!(m, vec![("k1:cure:wish".to_owned(), "40%".to_owned())]);
         assert_eq!(r, vec!["k2:cure:faith".to_owned()], "missing keys are skipped, not rejected");
         // Index-served equality agrees with the predicate path.
-        let (m2, r2) = kv.multi_get_where(
-            &["k1:cure:wish", "nope", "k2:cure:faith"],
-            Some("40%"),
-            &|_, _| unreachable!("index path must not call the predicate"),
-        );
+        let (m2, r2) =
+            kv.multi_get_where(&["k1:cure:wish", "nope", "k2:cure:faith"], Some("40%"), &|_, _| {
+                unreachable!("index path must not call the predicate")
+            });
         assert_eq!((m, r), (m2, r2));
     }
 

@@ -141,11 +141,9 @@ pub fn prometheus_text(snapshot: &MetricsSnapshot) -> String {
             |s| s.breaker_rejections,
         ),
         ("quepa_store_faults_total", "Injected faults observed per store", |s| s.faults),
-        (
-            "quepa_pushdown_chosen_total",
-            "Store groups the planner executed as a pushdown",
-            |s| s.pushdown_chosen,
-        ),
+        ("quepa_pushdown_chosen_total", "Store groups the planner executed as a pushdown", |s| {
+            s.pushdown_chosen
+        }),
         (
             "quepa_pushdown_declined_total",
             "Store groups where the connector declined the filter",

@@ -119,15 +119,15 @@ impl PushClause {
             PushOp::Lte => cmp_ok(field, &self.literal, |o| o.is_le()),
             PushOp::Contains => {
                 let needle = self.literal.as_str().map(str::to_lowercase);
-                field.and_then(Value::as_str).zip(needle).is_some_and(|(s, n)| {
-                    s.to_lowercase().contains(&n)
-                })
+                field
+                    .and_then(Value::as_str)
+                    .zip(needle)
+                    .is_some_and(|(s, n)| s.to_lowercase().contains(&n))
             }
-            PushOp::Prefix => {
-                field.and_then(Value::as_str).zip(self.literal.as_str()).is_some_and(
-                    |(s, p)| s.starts_with(p),
-                )
-            }
+            PushOp::Prefix => field
+                .and_then(Value::as_str)
+                .zip(self.literal.as_str())
+                .is_some_and(|(s, p)| s.starts_with(p)),
         }
     }
 }

@@ -161,9 +161,8 @@ impl Connector for GraphConnector {
             let visible =
                 db.get(&id).is_some_and(|n| n.label.to_lowercase() == collection.as_str());
             if visible {
-                out.rejected.push(
-                    LocalKey::new(&id).map_err(|e| PolyError::store(self.name.as_str(), e))?,
-                );
+                out.rejected
+                    .push(LocalKey::new(&id).map_err(|e| PolyError::store(self.name.as_str(), e))?);
             }
         }
         drop(db);

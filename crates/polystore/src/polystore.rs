@@ -346,9 +346,24 @@ mod tests {
         let mut seq_and_key = Pushdown::path("seq", PushOp::Lte, 1);
         seq_and_key.clauses.extend(Pushdown::key(PushOp::Prefix, "s").clauses);
         let cases: Vec<(&str, &str, Vec<&str>, Pushdown)> = vec![
-            ("transactions", "inventory", vec!["a32", "zz"], Pushdown::path("artist", PushOp::Eq, "Cure")),
-            ("transactions", "inventory", vec!["a32"], Pushdown::path("artist", PushOp::Eq, "Nobody")),
-            ("catalogue", "albums", vec!["d1", "ghost"], Pushdown::path("title", PushOp::Contains, "WISH")),
+            (
+                "transactions",
+                "inventory",
+                vec!["a32", "zz"],
+                Pushdown::path("artist", PushOp::Eq, "Cure"),
+            ),
+            (
+                "transactions",
+                "inventory",
+                vec!["a32"],
+                Pushdown::path("artist", PushOp::Eq, "Nobody"),
+            ),
+            (
+                "catalogue",
+                "albums",
+                vec!["d1", "ghost"],
+                Pushdown::path("title", PushOp::Contains, "WISH"),
+            ),
             ("catalogue", "albums", vec!["d1"], Pushdown::key(PushOp::Prefix, "x")),
             ("discount", "drop", vec!["k1:cure:wish", "nope"], Pushdown::value(PushOp::Eq, "40%")),
             ("discount", "drop", vec!["k1:cure:wish"], Pushdown::value(PushOp::Eq, "99%")),
@@ -372,10 +387,8 @@ mod tests {
                     want_rejected.push(o.key().key().clone());
                 }
             }
-            let got_keys: Vec<String> =
-                got.matched.iter().map(|o| o.key().to_string()).collect();
-            let want_keys: Vec<String> =
-                want_matched.iter().map(|o| o.key().to_string()).collect();
+            let got_keys: Vec<String> = got.matched.iter().map(|o| o.key().to_string()).collect();
+            let want_keys: Vec<String> = want_matched.iter().map(|o| o.key().to_string()).collect();
             assert_eq!(got_keys, want_keys, "{db} {filter}");
             for (g, w) in got.matched.iter().zip(&want_matched) {
                 assert_eq!(g.value(), w.value(), "{db} {filter}");

@@ -33,12 +33,7 @@ const QUERY: &str = "SELECT * FROM inventory WHERE seq < 10";
 /// The narrow gate: two executors, degrade past depth 2, shed past
 /// depth 4, and a deadline small enough that queue estimates trip it.
 fn tight_gate() -> AdmissionConfig {
-    AdmissionConfig {
-        width: 2,
-        soft_depth: 2,
-        hard_depth: 4,
-        deadline: Duration::from_millis(5),
-    }
+    AdmissionConfig { width: 2, soft_depth: 2, hard_depth: 4, deadline: Duration::from_millis(5) }
 }
 
 fn quepa() -> Arc<quepa_core::Quepa> {

@@ -218,8 +218,7 @@ fn deep_chain(scale: usize, seed: u64) -> HostileTopology {
         }
         let mut identity_run = 0usize;
         for j in 0..depth {
-            let identity =
-                identity_run < DEEP_CHAIN_MAX_IDENTITY_RUN && rng.gen_range(0..100) < 15;
+            let identity = identity_run < DEEP_CHAIN_MAX_IDENTITY_RUN && rng.gen_range(0..100) < 15;
             identity_run = if identity { identity_run + 1 } else { 0 };
             relations.push(HostileRelation {
                 a: base + j,

@@ -25,8 +25,8 @@ pub mod hostile;
 pub mod queries;
 
 pub use builder::{BuiltPolystore, WorkloadConfig, OBJECTS_PER_ALBUM};
-pub use hostile::{HostileRelation, HostileTopology, TopologyFamily};
 pub use gen::MusicData;
+pub use hostile::{HostileRelation, HostileTopology, TopologyFamily};
 pub use queries::{
     holdout_query_set, query_for, standard_query_set, zipf_query_stream, zipf_window_query,
     TestQuery, ZipfSampler,

@@ -70,8 +70,7 @@ fn racing_readers_observe_only_predicted_prefix_states() {
     // The hub dies mid-sequence: two satellites, the hub, two more.
     // (Post-hub removals don't perturb the probed neighborhood — their
     // predicted states are duplicates, which the matcher must tolerate.)
-    let victims: Vec<GlobalKey> =
-        vec![topo.key(10), topo.key(20), hub, topo.key(30), topo.key(40)];
+    let victims: Vec<GlobalKey> = vec![topo.key(10), topo.key(20), hub, topo.key(30), topo.key(40)];
     // Probe from satellites only, so every state (including post-hub)
     // still resolves the seeds themselves.
     let probes: Vec<GlobalKey> = (1..=8).map(|i| topo.key(i * 3 + 1)).collect();

@@ -153,9 +153,9 @@ impl<'q> CommandProcessor<'q> {
                 _ => return format!("usage: CONFIG {} ON|OFF", knob.to_ascii_uppercase()),
             };
             match knob.to_ascii_uppercase().as_str() {
-                "OBS" => self
-                    .quepa
-                    .set_config(QuepaConfig { observability: on, ..self.quepa.config() }),
+                "OBS" => {
+                    self.quepa.set_config(QuepaConfig { observability: on, ..self.quepa.config() })
+                }
                 "PUSH" => {
                     self.quepa.set_config(QuepaConfig { pushdown: on, ..self.quepa.config() })
                 }
@@ -459,23 +459,26 @@ mod tests {
     fn filtered_search_and_explain() {
         let q = quepa();
         let mut p = CommandProcessor::new(&q);
-        let out =
-            p.handle("SEARCH transactions 1 SELECT * FROM inventory WHERE seq < 2 :: key contains \"9\"");
+        let out = p.handle(
+            "SEARCH transactions 1 SELECT * FROM inventory WHERE seq < 2 :: key contains \"9\"",
+        );
         assert!(out.contains("augmented in"), "{out}");
         assert!(out.contains("filter: key contains \"9\""), "{out}");
         let out = p.handle("SEARCH transactions 1 SELECT * FROM t :: key ?? x");
         assert!(out.contains("bad filter"), "{out}");
 
-        let out =
-            p.handle("EXPLAIN transactions 1 SELECT * FROM inventory WHERE seq < 2 :: key contains \"9\"");
+        let out = p.handle(
+            "EXPLAIN transactions 1 SELECT * FROM inventory WHERE seq < 2 :: key contains \"9\"",
+        );
         assert!(out.contains("filter: key contains \"9\""), "{out}");
         assert!(out.contains("PUSHDOWN") || out.contains("FETCH-ALL"), "{out}");
         assert!(p.handle("EXPLAIN transactions 1 SELECT * FROM t").contains("usage: EXPLAIN"));
 
         let out = p.handle("CONFIG PUSH OFF");
         assert!(out.contains("no-pushdown"), "{out}");
-        let out =
-            p.handle("EXPLAIN transactions 1 SELECT * FROM inventory WHERE seq < 2 :: key contains \"9\"");
+        let out = p.handle(
+            "EXPLAIN transactions 1 SELECT * FROM inventory WHERE seq < 2 :: key contains \"9\"",
+        );
         assert!(out.contains("FETCH-ALL"), "{out}");
         assert!(out.contains("disabled"), "{out}");
         let out = p.handle("CONFIG PUSH ON");
