@@ -202,7 +202,8 @@ impl Middleware for MetaAug {
             }
             // One round trip per object: Metamodel's API is record-at-a-
             // time; plus the unified-model conversion cost.
-            if let Some(object) = self.polystore.get(key)? {
+            let connector = self.polystore.connector(key.database())?;
+            if let Some(object) = connector.get(key.collection(), key.key())? {
                 burn(self.per_object_cost);
                 augmented.push(object);
             }

@@ -40,7 +40,8 @@ fn bench_stores(c: &mut Criterion) {
     });
     group.bench_function("point-get-by-global-key", |b| {
         let key: quepa_pdm::GlobalKey = "transactions.inventory.a77".parse().unwrap();
-        b.iter(|| lab.polystore.get(&key).unwrap());
+        let connector = lab.polystore.connector(key.database()).unwrap();
+        b.iter(|| connector.get(key.collection(), key.key()).unwrap());
     });
     group.finish();
 }

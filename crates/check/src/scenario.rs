@@ -641,7 +641,6 @@ impl Scenario {
         if gated.is_empty() && plan.is_none() {
             return pristine;
         }
-        let latency = self.deployment.latency();
         let target = self.query_database();
         pristine.wrap_connectors(|inner| {
             let inner: Arc<dyn Connector> = if gated.iter().any(|g| g == inner.database().as_str())
@@ -652,7 +651,7 @@ impl Scenario {
             };
             match &plan {
                 Some(plan) if inner.database().as_str() != target => {
-                    Arc::new(FaultyConnector::new(inner, Arc::clone(plan), latency))
+                    Arc::new(FaultyConnector::new(inner, Arc::clone(plan)))
                 }
                 _ => inner,
             }

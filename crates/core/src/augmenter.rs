@@ -24,9 +24,10 @@
 //! | OUTER-INNER | key         | `(THREADS_SIZE/2)²` | one          |
 //!
 //! `compile` turns the partition into waves of units — each the tasks
-//! plus the `Wire` operation that fetches them (`get` per key, one
+//! plus the `Wire` shape that fetches them (`get` per key, one
 //! `multi_get`, or one `fetch_where` for a store group the planner
-//! pushed the filter down to) — and the one ticket executor
+//! pushed the filter down to; on the wire all three are the one
+//! `Polystore::fetch`) — and the one ticket executor
 //! (`Engine::execute`) runs a wave: tickets claim units off a shared
 //! atomic cursor as jobs on a [`WorkerPool`] (the instance's shared one,
 //! or a one-shot pool when none is attached) while the query parks on a
@@ -57,7 +58,7 @@ use quepa_pdm::{
     CollectionName, DataObject, DatabaseName, GlobalKey, LocalKey, Probability, Pushdown,
 };
 use quepa_polystore::retry::{BreakerSet, CircuitBreaker};
-use quepa_polystore::{FilteredFetch, PolyError, Polystore, StoreKind};
+use quepa_polystore::{PolyError, Polystore, StoreKind};
 
 use crate::cache::ObjectCache;
 use crate::config::{AugmenterKind, DegradeMode, QuepaConfig, ResilienceConfig};
@@ -766,33 +767,22 @@ impl Engine {
         debug_assert!(wire != Wire::Get || pending.len() == 1);
         let first = &pending[0].0.key;
         let (database, collection) = (first.database(), first.collection());
-        let local_keys = || pending.iter().map(|(t, _)| t.key.key().clone()).collect::<Vec<_>>();
-        let retry = &self.resilience.retry;
+        let local_keys: Vec<LocalKey> = pending.iter().map(|(t, _)| t.key.key().clone()).collect();
         let breaker = self.breaker(database);
-        let breaker = breaker.as_deref();
-        // A `fetch_where` shares its retry salt and fault identity with
-        // the `multi_get` of the same key list, so the planner's choice
-        // never changes which faults fire.
-        let fetched = match wire {
-            Wire::Get => self.polystore.get_resilient(first, retry, breaker).map(|found| {
-                FilteredFetch { matched: Vec::from_iter(found), rejected: Vec::new() }
-            }),
-            Wire::MultiGet => self
-                .polystore
-                .multi_get_resilient(database, collection, &local_keys(), retry, breaker)
-                .map(|matched| FilteredFetch { matched, rejected: Vec::new() }),
-            Wire::FetchWhere => {
-                let filter = self.filter.as_ref().expect("only filtered runs plan pushdown units");
-                self.polystore.fetch_where_resilient(
-                    database,
-                    collection,
-                    &local_keys(),
-                    filter,
-                    retry,
-                    breaker,
-                )
-            }
-        };
+        // Only a pushdown unit carries the run's filter into the store;
+        // it shares its retry salt and fault identity with the unfiltered
+        // fetch of the same key list, so the planner's choice never
+        // changes which faults fire.
+        let filter = (wire == Wire::FetchWhere)
+            .then(|| self.filter.as_ref().expect("only filtered runs plan pushdown units"));
+        let fetched = self.polystore.fetch(
+            database,
+            collection,
+            &local_keys,
+            filter,
+            &self.resilience.retry,
+            breaker.as_deref(),
+        );
         let fetched = match fetched {
             Ok(fetched) => fetched,
             Err(error) => {

@@ -76,7 +76,7 @@ fn build(plan: &FaultPlan, deployment: Deployment, config: QuepaConfig) -> Quepa
         if inner.database().as_str() == "db0" {
             inner // the query target stays healthy: chaos hits the links
         } else {
-            Arc::new(FaultyConnector::new(inner, Arc::clone(&plan), latency))
+            Arc::new(FaultyConnector::new(inner, Arc::clone(&plan)))
         }
     });
     let mut index = AIndex::new();

@@ -9,22 +9,26 @@ use std::sync::Arc;
 use quepa_aindex::AIndex;
 use quepa_core::{AugmenterKind, DegradeMode, Quepa, QuepaConfig, QuepaError, ResilienceConfig};
 use quepa_kvstore::KvStore;
-use quepa_pdm::{CollectionName, DataObject, DatabaseName, GlobalKey, LocalKey, Probability};
-use quepa_polystore::{Connector, KvConnector, LatencyModel, PolyError, Polystore, StoreKind};
+use quepa_pdm::{CollectionName, GlobalKey, LocalKey, Probability};
+use quepa_polystore::{Connector, KvConnector, LatencyModel, Layer, Layered, PolyError, Polystore};
 
-/// Wraps a connector; every `fail_every`-th key-based lookup errors.
-struct FlakyConnector {
-    inner: KvConnector,
+/// Every `fail_every`-th key-based lookup errors.
+struct Flaky {
     calls: AtomicUsize,
     fail_every: usize,
 }
 
-impl FlakyConnector {
-    fn trip(&self) -> Result<(), PolyError> {
+impl Layer for Flaky {
+    fn before_fetch(
+        &self,
+        inner: &dyn Connector,
+        _collection: &CollectionName,
+        _keys: &[LocalKey],
+    ) -> Result<(), PolyError> {
         let n = self.calls.fetch_add(1, Ordering::SeqCst) + 1;
         if self.fail_every > 0 && n.is_multiple_of(self.fail_every) {
             Err(PolyError::Store {
-                database: self.inner.database().to_string(),
+                database: inner.database().to_string(),
                 message: "injected fault".into(),
             })
         } else {
@@ -33,55 +37,30 @@ impl FlakyConnector {
     }
 }
 
-impl Connector for FlakyConnector {
-    fn database(&self) -> &DatabaseName {
-        self.inner.database()
-    }
-    fn kind(&self) -> StoreKind {
-        self.inner.kind()
-    }
-    fn collections(&self) -> Vec<CollectionName> {
-        self.inner.collections()
-    }
-    fn execute(&self, query: &str) -> Result<Vec<DataObject>, PolyError> {
-        self.inner.execute(query)
-    }
-    fn execute_update(&self, statement: &str) -> Result<usize, PolyError> {
-        self.inner.execute_update(statement)
-    }
-    fn get(
+/// Any lookup touching `poisoned` fails — a whole batch errors when the
+/// poisoned key is *anywhere* in it, modelling one corrupt object sinking
+/// a batched round trip.
+struct PoisonedBatch {
+    poisoned: String,
+}
+
+impl Layer for PoisonedBatch {
+    fn before_fetch(
         &self,
-        collection: &CollectionName,
-        key: &LocalKey,
-    ) -> Result<Option<DataObject>, PolyError> {
-        self.trip()?;
-        self.inner.get(collection, key)
-    }
-    fn multi_get(
-        &self,
-        collection: &CollectionName,
+        inner: &dyn Connector,
+        _collection: &CollectionName,
         keys: &[LocalKey],
-    ) -> Result<Vec<DataObject>, PolyError> {
-        self.trip()?;
-        self.inner.multi_get(collection, keys)
-    }
-    fn scan_collection(&self, collection: &CollectionName) -> Result<Vec<DataObject>, PolyError> {
-        self.inner.scan_collection(collection)
-    }
-    fn object_count(&self) -> usize {
-        self.inner.object_count()
-    }
-    fn stats(&self) -> quepa_polystore::stats::StatsSnapshot {
-        self.inner.stats()
-    }
-    fn reset_stats(&self) {
-        self.inner.reset_stats()
+    ) -> Result<(), PolyError> {
+        if keys.iter().any(|k| k.as_str() == self.poisoned) {
+            return Err(PolyError::store(inner.database().as_str(), "poisoned object"));
+        }
+        Ok(())
     }
 }
 
-/// Two stores: db0 (healthy, the query target) and db1 (flaky, holds the
-/// related objects).
-fn build(fail_every: usize) -> Quepa {
+/// Two stores: db0 (healthy, the query target) and db1 (behind `layer`,
+/// holds the related objects).
+fn build_behind(layer: impl Layer + 'static) -> Quepa {
     let mut kv0 = KvStore::new("db0");
     let mut kv1 = KvStore::new("db1");
     for k in 0..20 {
@@ -90,17 +69,19 @@ fn build(fail_every: usize) -> Quepa {
     }
     let mut polystore = Polystore::new();
     polystore.register(Arc::new(KvConnector::new(kv0, "c", LatencyModel::FREE)));
-    polystore.register(Arc::new(FlakyConnector {
-        inner: KvConnector::new(kv1, "c", LatencyModel::FREE),
-        calls: AtomicUsize::new(0),
-        fail_every,
-    }));
+    let db1 = Arc::new(KvConnector::new(kv1, "c", LatencyModel::FREE));
+    polystore.register(Arc::new(Layered::wrap(db1, layer)));
     let mut index = AIndex::new();
     let key = |db: usize, k: usize| -> GlobalKey { format!("db{db}.c.k{k}").parse().unwrap() };
     for k in 0..20 {
         index.insert_matching(&key(0, k), &key(1, k), Probability::of(0.8));
     }
     Quepa::new(polystore, index)
+}
+
+/// db1 fails every `fail_every`-th lookup (never, when 0).
+fn build(fail_every: usize) -> Quepa {
+    build_behind(Flaky { calls: AtomicUsize::new(0), fail_every })
 }
 
 #[test]
@@ -167,91 +148,10 @@ fn faults_do_not_corrupt_later_runs() {
     assert!(saw_success, "runs between faults recover fully");
 }
 
-/// Wraps a connector; any lookup touching `poisoned` fails — a whole
-/// `multi_get` batch errors when the poisoned key is *anywhere* in it,
-/// modelling one corrupt object sinking a batched round trip.
-struct PoisonedBatchConnector {
-    inner: KvConnector,
-    poisoned: String,
-}
-
-impl PoisonedBatchConnector {
-    fn fail(&self) -> PolyError {
-        PolyError::store(self.inner.database().as_str(), "poisoned object")
-    }
-}
-
-impl Connector for PoisonedBatchConnector {
-    fn database(&self) -> &DatabaseName {
-        self.inner.database()
-    }
-    fn kind(&self) -> StoreKind {
-        self.inner.kind()
-    }
-    fn collections(&self) -> Vec<CollectionName> {
-        self.inner.collections()
-    }
-    fn execute(&self, query: &str) -> Result<Vec<DataObject>, PolyError> {
-        self.inner.execute(query)
-    }
-    fn execute_update(&self, statement: &str) -> Result<usize, PolyError> {
-        self.inner.execute_update(statement)
-    }
-    fn get(
-        &self,
-        collection: &CollectionName,
-        key: &LocalKey,
-    ) -> Result<Option<DataObject>, PolyError> {
-        if key.as_str() == self.poisoned {
-            return Err(self.fail());
-        }
-        self.inner.get(collection, key)
-    }
-    fn multi_get(
-        &self,
-        collection: &CollectionName,
-        keys: &[LocalKey],
-    ) -> Result<Vec<DataObject>, PolyError> {
-        if keys.iter().any(|k| k.as_str() == self.poisoned) {
-            return Err(self.fail());
-        }
-        self.inner.multi_get(collection, keys)
-    }
-    fn scan_collection(&self, collection: &CollectionName) -> Result<Vec<DataObject>, PolyError> {
-        self.inner.scan_collection(collection)
-    }
-    fn object_count(&self) -> usize {
-        self.inner.object_count()
-    }
-    fn stats(&self) -> quepa_polystore::stats::StatsSnapshot {
-        self.inner.stats()
-    }
-    fn reset_stats(&self) {
-        self.inner.reset_stats()
-    }
-}
-
 /// Like [`build`], but db1 carries one poisoned key instead of periodic
 /// faults.
 fn build_poisoned(poisoned: &str) -> Quepa {
-    let mut kv0 = KvStore::new("db0");
-    let mut kv1 = KvStore::new("db1");
-    for k in 0..20 {
-        kv0.set(format!("k{k}"), "v");
-        kv1.set(format!("k{k}"), "w");
-    }
-    let mut polystore = Polystore::new();
-    polystore.register(Arc::new(KvConnector::new(kv0, "c", LatencyModel::FREE)));
-    polystore.register(Arc::new(PoisonedBatchConnector {
-        inner: KvConnector::new(kv1, "c", LatencyModel::FREE),
-        poisoned: poisoned.to_owned(),
-    }));
-    let mut index = AIndex::new();
-    let key = |db: usize, k: usize| -> GlobalKey { format!("db{db}.c.k{k}").parse().unwrap() };
-    for k in 0..20 {
-        index.insert_matching(&key(0, k), &key(1, k), Probability::of(0.8));
-    }
-    Quepa::new(polystore, index)
+    build_behind(PoisonedBatch { poisoned: poisoned.to_owned() })
 }
 
 /// Satellite pin: a single poisoned object must not poison the rest of

@@ -60,7 +60,7 @@ fn build(plan: Option<&FaultPlan>, config: QuepaConfig) -> Quepa {
                 if inner.database().as_str() == "db0" {
                     inner
                 } else {
-                    Arc::new(FaultyConnector::new(inner, Arc::clone(&plan), latency))
+                    Arc::new(FaultyConnector::new(inner, Arc::clone(&plan)))
                 }
             })
         }

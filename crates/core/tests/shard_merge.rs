@@ -252,9 +252,8 @@ fn every_execution_path_yields_the_same_answer() {
     }
     let (healthy, index) = build();
     let outage = Arc::new(FaultPlan::new(7).with_outage("db1"));
-    let faulty = healthy.wrap_connectors(|inner| {
-        Arc::new(FaultyConnector::new(inner, Arc::clone(&outage), LatencyModel::FREE))
-    });
+    let faulty =
+        healthy.wrap_connectors(|inner| Arc::new(FaultyConnector::new(inner, Arc::clone(&outage))));
     let plan = table_plan(&index);
     // Keeps k1 and k10..k19: matched, rejected and phantom keys all occur.
     let filter = Pushdown::key(PushOp::Contains, "1");

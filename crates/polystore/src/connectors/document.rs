@@ -7,26 +7,22 @@ use quepa_pdm::{
     Value,
 };
 
-use crate::connector::{Connector, FilteredFetch, StoreKind};
-use crate::connectors::payload_bytes;
+use crate::connector::{Connector, FilteredFetch, Link, StoreKind};
 use crate::error::{PolyError, Result};
 use crate::net::LatencyModel;
-use crate::stats::{ConnectorStats, StatsSnapshot};
 
 /// Wraps a [`DocumentDb`] as a polystore connector. Documents become data
 /// objects keyed by their `_id`.
 pub struct DocumentConnector {
-    name: DatabaseName,
+    link: Link,
     db: RwLock<DocumentDb>,
-    latency: LatencyModel,
-    stats: ConnectorStats,
 }
 
 impl DocumentConnector {
     /// Creates the connector.
     pub fn new(db: DocumentDb, latency: LatencyModel) -> Self {
         let name = DatabaseName::new(db.name()).expect("valid database name");
-        DocumentConnector { name, db: RwLock::new(db), latency, stats: ConnectorStats::new() }
+        DocumentConnector { link: Link::new(name, latency), db: RwLock::new(db) }
     }
 
     /// Builds an object from a document. `collection` is the
@@ -36,17 +32,17 @@ impl DocumentConnector {
         let id = match doc.get("_id") {
             Some(Value::Str(s)) => s.clone(),
             Some(Value::Int(i)) => i.to_string(),
-            _ => return Err(PolyError::store(self.name.as_str(), "document lacks a usable _id")),
+            _ => return Err(self.link.store_error("document lacks a usable _id")),
         };
-        let local = LocalKey::new(&id).map_err(|e| PolyError::store(self.name.as_str(), e))?;
-        let key = GlobalKey::new(self.name.clone(), collection.clone(), local);
+        let local = LocalKey::new(&id).map_err(|e| self.link.store_error(e))?;
+        let key = GlobalKey::new(self.database().clone(), collection.clone(), local);
         Ok(DataObject::new(key, doc))
     }
 }
 
 impl Connector for DocumentConnector {
-    fn database(&self) -> &DatabaseName {
-        &self.name
+    fn link(&self) -> &Link {
+        &self.link
     }
 
     fn kind(&self) -> StoreKind {
@@ -63,115 +59,74 @@ impl Connector for DocumentConnector {
     }
 
     fn execute(&self, query: &str) -> Result<Vec<DataObject>> {
-        let q = DocQuery::parse(query).map_err(|e| PolyError::store(self.name.as_str(), e))?;
+        let q = DocQuery::parse(query).map_err(|e| self.link.store_error(e))?;
         if q.verb == QueryVerb::Remove {
             return Err(PolyError::WrongKind {
-                database: self.name.to_string(),
+                database: self.database().to_string(),
                 operation: "execute() only runs find/count; use execute_update for remove".into(),
             });
         }
         let collection = q.collection.clone();
-        let docs =
-            self.db.read().run_read(&q).map_err(|e| PolyError::store(self.name.as_str(), e))?;
+        let docs = self.db.read().run_read(&q).map_err(|e| self.link.store_error(e))?;
         // A count() result is a bare aggregate document without an _id; wrap
         // it under a synthetic key so it still flows through as an object.
-        let coll = CollectionName::new(&collection)
-            .map_err(|e| PolyError::store(self.name.as_str(), e))?;
+        let coll = CollectionName::new(&collection).map_err(|e| self.link.store_error(e))?;
         let objects: Vec<DataObject> = if q.verb == QueryVerb::Count {
-            let key = GlobalKey::parse_parts(self.name.as_str(), &collection, "_count")
-                .map_err(|e| PolyError::store(self.name.as_str(), e))?;
+            let key = GlobalKey::parse_parts(self.database().as_str(), &collection, "_count")
+                .map_err(|e| self.link.store_error(e))?;
             docs.into_iter().map(|d| DataObject::new(key.clone(), d)).collect()
         } else {
             docs.into_iter().map(|d| self.object_from_doc(&coll, d)).collect::<Result<_>>()?
         };
-        let bytes = payload_bytes(&objects);
-        let cost = self.latency.cost(objects.len(), bytes);
-        self.latency.pay(objects.len(), bytes);
-        self.stats.record(true, objects.len(), bytes, cost);
-        quepa_obs::record_link_event(self.name.as_str(), cost);
+        self.link.charge(true, &objects);
         Ok(objects)
     }
 
     fn execute_update(&self, statement: &str) -> Result<usize> {
-        let docs = self
-            .db
-            .write()
-            .query(statement)
-            .map_err(|e| PolyError::store(self.name.as_str(), e))?;
-        let cost = self.latency.cost(0, 0);
-        self.latency.pay(0, 0);
-        self.stats.record(true, 0, 0, cost);
-        quepa_obs::record_link_event(self.name.as_str(), cost);
+        let docs = self.db.write().query(statement).map_err(|e| self.link.store_error(e))?;
+        self.link.charge(true, &[]);
         Ok(docs.first().and_then(|d| d.get("removed")).and_then(Value::as_int).unwrap_or(0)
             as usize)
-    }
-
-    fn get(&self, collection: &CollectionName, key: &LocalKey) -> Result<Option<DataObject>> {
-        let doc = self.db.read().get(collection.as_str(), key.as_str()).cloned();
-        let object = match doc {
-            None => None,
-            Some(d) => Some(self.object_from_doc(collection, d)?),
-        };
-        let (n, bytes) = object.as_ref().map_or((0, 0), |o| (1, o.approx_size()));
-        let cost = self.latency.cost(n, bytes);
-        self.latency.pay(n, bytes);
-        self.stats.record(false, n, bytes, cost);
-        quepa_obs::record_link_event(self.name.as_str(), cost);
-        Ok(object)
-    }
-
-    fn multi_get(&self, collection: &CollectionName, keys: &[LocalKey]) -> Result<Vec<DataObject>> {
-        let key_strs: Vec<&str> = keys.iter().map(LocalKey::as_str).collect();
-        let docs = self.db.read().multi_get(collection.as_str(), &key_strs);
-        let objects: Result<Vec<DataObject>> =
-            docs.into_iter().map(|(_, d)| self.object_from_doc(collection, d)).collect();
-        let objects = objects?;
-        let bytes = payload_bytes(&objects);
-        let cost = self.latency.cost(objects.len(), bytes);
-        self.latency.pay(objects.len(), bytes);
-        self.stats.record(false, objects.len(), bytes, cost);
-        quepa_obs::record_link_event(self.name.as_str(), cost);
-        Ok(objects)
     }
 
     fn supports_pushdown(&self, _filter: &Pushdown) -> bool {
         true
     }
 
-    fn fetch_where(
+    fn fetch(
         &self,
         collection: &CollectionName,
         keys: &[LocalKey],
-        filter: &Pushdown,
+        filter: Option<&Pushdown>,
     ) -> Result<FilteredFetch> {
         // Path clauses translate to the store's own filter language and run
         // inside the engine; key/root clauses (which the document filter
         // cannot address — `_id` may be an integer whose local key is its
         // decimal rendering) are evaluated on what the engine returns,
         // before anything is charged to the wire.
-        let (native, residual) = split_for_doc_filter(filter);
+        let (native, residual) = filter.map(split_for_doc_filter).unzip();
         let key_strs: Vec<&str> = keys.iter().map(LocalKey::as_str).collect();
-        let (pairs, rejected) =
-            self.db.read().multi_get_where(collection.as_str(), &key_strs, &native);
+        let db = self.db.read();
+        let (pairs, rejected) = match &native {
+            Some(native) => db.multi_get_where(collection.as_str(), &key_strs, native),
+            None => (db.multi_get(collection.as_str(), &key_strs), Vec::new()),
+        };
+        drop(db);
         let mut out = FilteredFetch::default();
         for id in rejected {
-            out.rejected
-                .push(LocalKey::new(&id).map_err(|e| PolyError::store(self.name.as_str(), e))?);
+            out.rejected.push(LocalKey::new(&id).map_err(|e| self.link.store_error(e))?);
         }
         for (_, doc) in pairs {
             let object = self.object_from_doc(collection, doc)?;
-            if residual.matches(object.key().key().as_str(), object.value()) {
+            let key = object.key().key();
+            if residual.as_ref().is_none_or(|r: &Pushdown| r.matches(key.as_str(), object.value()))
+            {
                 out.matched.push(object);
             } else {
-                out.rejected.push(object.key().key().clone());
+                out.rejected.push(key.clone());
             }
         }
-        let bytes = payload_bytes(&out.matched);
-        let cost = self.latency.cost(out.matched.len(), bytes);
-        self.latency.pay(out.matched.len(), bytes);
-        self.stats.record(false, out.matched.len(), bytes, cost);
-        quepa_obs::record_link_event(self.name.as_str(), cost);
-        quepa_obs::record_pushdown_latency(self.name.as_str(), cost);
+        self.link.charge_fetch(&out.matched, filter.is_some());
         Ok(out)
     }
 
@@ -181,18 +136,6 @@ impl Connector for DocumentConnector {
 
     fn object_count(&self) -> usize {
         self.db.read().total_docs()
-    }
-
-    fn stats(&self) -> StatsSnapshot {
-        self.stats.snapshot()
-    }
-
-    fn reset_stats(&self) {
-        self.stats.reset();
-    }
-
-    fn record_resilience(&self, retries: u64, timeouts: u64, breaker_trips: u64) {
-        self.stats.record_resilience(retries, timeouts, breaker_trips);
     }
 }
 

@@ -4,11 +4,9 @@ use parking_lot::RwLock;
 use quepa_graphstore::{GraphDb, Node};
 use quepa_pdm::{CollectionName, DataObject, DatabaseName, GlobalKey, LocalKey, Pushdown};
 
-use crate::connector::{Connector, FilteredFetch, StoreKind};
-use crate::connectors::payload_bytes;
+use crate::connector::{Connector, FilteredFetch, Link, StoreKind};
 use crate::error::{PolyError, Result};
 use crate::net::LatencyModel;
-use crate::stats::{ConnectorStats, StatsSnapshot};
 
 /// Wraps a [`GraphDb`] as a polystore connector.
 ///
@@ -16,47 +14,35 @@ use crate::stats::{ConnectorStats, StatsSnapshot};
 /// global keys use the lowercased label as the collection segment), and a
 /// node's id is its local key.
 pub struct GraphConnector {
-    name: DatabaseName,
+    link: Link,
     db: RwLock<GraphDb>,
-    latency: LatencyModel,
-    stats: ConnectorStats,
 }
 
 impl GraphConnector {
     /// Creates the connector.
     pub fn new(db: GraphDb, latency: LatencyModel) -> Self {
         let name = DatabaseName::new(db.name()).expect("valid database name");
-        GraphConnector { name, db: RwLock::new(db), latency, stats: ConnectorStats::new() }
+        GraphConnector { link: Link::new(name, latency), db: RwLock::new(db) }
     }
 
     fn object_from_node(&self, node: &Node) -> Result<DataObject> {
         let collection = node.label.to_lowercase();
-        let coll = CollectionName::new(&collection)
-            .map_err(|e| PolyError::store(self.name.as_str(), e))?;
+        let coll = CollectionName::new(&collection).map_err(|e| self.link.store_error(e))?;
         self.object_from_node_in(&coll, node)
     }
 
     /// Builds an object from a node whose collection (lowercased label) is
     /// already interned — the per-object cost is just the local key.
     fn object_from_node_in(&self, collection: &CollectionName, node: &Node) -> Result<DataObject> {
-        let local = LocalKey::new(&node.id).map_err(|e| PolyError::store(self.name.as_str(), e))?;
-        let key = GlobalKey::new(self.name.clone(), collection.clone(), local);
+        let local = LocalKey::new(&node.id).map_err(|e| self.link.store_error(e))?;
+        let key = GlobalKey::new(self.database().clone(), collection.clone(), local);
         Ok(DataObject::new(key, node.to_value()))
-    }
-
-    fn charge(&self, is_query: bool, objects: &[DataObject]) -> std::time::Duration {
-        let bytes = payload_bytes(objects);
-        let cost = self.latency.cost(objects.len(), bytes);
-        self.latency.pay(objects.len(), bytes);
-        self.stats.record(is_query, objects.len(), bytes, cost);
-        quepa_obs::record_link_event(self.name.as_str(), cost);
-        cost
     }
 }
 
 impl Connector for GraphConnector {
-    fn database(&self) -> &DatabaseName {
-        &self.name
+    fn link(&self) -> &Link {
+        &self.link
     }
 
     fn kind(&self) -> StoreKind {
@@ -73,12 +59,12 @@ impl Connector for GraphConnector {
 
     fn execute(&self, query: &str) -> Result<Vec<DataObject>> {
         let db = self.db.read();
-        let nodes = db.query(query).map_err(|e| PolyError::store(self.name.as_str(), e))?;
+        let nodes = db.query(query).map_err(|e| self.link.store_error(e))?;
         let objects: Result<Vec<DataObject>> =
             nodes.iter().map(|n| self.object_from_node(n)).collect();
         drop(db);
         let objects = objects?;
-        self.charge(true, &objects);
+        self.link.charge(true, &objects);
         Ok(objects)
     }
 
@@ -91,83 +77,51 @@ impl Connector for GraphConnector {
                 if del.eq_ignore_ascii_case("DELETE") && node.eq_ignore_ascii_case("NODE") =>
             {
                 let removed = self.db.write().remove_node(id);
-                self.latency.pay(0, 0);
-                self.stats.record(true, 0, 0, self.latency.cost(0, 0));
+                self.link.charge(true, &[]);
                 Ok(usize::from(removed))
             }
             _ => Err(PolyError::WrongKind {
-                database: self.name.to_string(),
+                database: self.database().to_string(),
                 operation: "graph updates support only `DELETE NODE <id>`".into(),
             }),
         }
-    }
-
-    fn get(&self, collection: &CollectionName, key: &LocalKey) -> Result<Option<DataObject>> {
-        let db = self.db.read();
-        let object = match db.get(key.as_str()) {
-            Some(node) if node.label.to_lowercase() == collection.as_str() => {
-                Some(self.object_from_node_in(collection, node)?)
-            }
-            _ => None,
-        };
-        drop(db);
-        match &object {
-            Some(o) => self.charge(false, std::slice::from_ref(o)),
-            None => self.charge(false, &[]),
-        };
-        Ok(object)
-    }
-
-    fn multi_get(&self, collection: &CollectionName, keys: &[LocalKey]) -> Result<Vec<DataObject>> {
-        let db = self.db.read();
-        let key_strs: Vec<&str> = keys.iter().map(LocalKey::as_str).collect();
-        let objects: Result<Vec<DataObject>> = db
-            .multi_get(&key_strs)
-            .into_iter()
-            .filter(|n| n.label.to_lowercase() == collection.as_str())
-            .map(|n| self.object_from_node_in(collection, n))
-            .collect();
-        drop(db);
-        let objects = objects?;
-        self.charge(false, &objects);
-        Ok(objects)
     }
 
     fn supports_pushdown(&self, _filter: &Pushdown) -> bool {
         true
     }
 
-    fn fetch_where(
+    fn fetch(
         &self,
         collection: &CollectionName,
         keys: &[LocalKey],
-        filter: &Pushdown,
+        filter: Option<&Pushdown>,
     ) -> Result<FilteredFetch> {
         let db = self.db.read();
         let key_strs: Vec<&str> = keys.iter().map(LocalKey::as_str).collect();
+        let visible = |n: &Node| n.label.to_lowercase() == collection.as_str();
         // The traversal filter: label *and* predicate are applied at the
-        // node before it leaves the store. A node under a different label
-        // is invisible to this collection (same as `multi_get`), so it is
-        // dropped from the rejected list too — to the caller it is simply
-        // not here, not filtered-out.
-        let (nodes, rejected) = db.multi_get_where(&key_strs, &|n: &Node| {
-            n.label.to_lowercase() == collection.as_str() && filter.matches(&n.id, &n.to_value())
-        });
+        // node before it leaves the store.
+        let (nodes, rejected) = match filter {
+            None => (db.multi_get(&key_strs).into_iter().filter(|n| visible(n)).collect(), vec![]),
+            Some(filter) => db.multi_get_where(&key_strs, &|n: &Node| {
+                visible(n) && filter.matches(&n.id, &n.to_value())
+            }),
+        };
         let mut out = FilteredFetch::default();
         for node in nodes {
             out.matched.push(self.object_from_node_in(collection, node)?);
         }
+        // A node under a different label is invisible to this collection,
+        // so it is dropped from the rejected list too — to the caller it
+        // is simply not here, not filtered-out.
         for id in rejected {
-            let visible =
-                db.get(&id).is_some_and(|n| n.label.to_lowercase() == collection.as_str());
-            if visible {
-                out.rejected
-                    .push(LocalKey::new(&id).map_err(|e| PolyError::store(self.name.as_str(), e))?);
+            if db.get(&id).is_some_and(visible) {
+                out.rejected.push(LocalKey::new(&id).map_err(|e| self.link.store_error(e))?);
             }
         }
         drop(db);
-        let cost = self.charge(false, &out.matched);
-        quepa_obs::record_pushdown_latency(self.name.as_str(), cost);
+        self.link.charge_fetch(&out.matched, filter.is_some());
         Ok(out)
     }
 
@@ -180,24 +134,12 @@ impl Connector for GraphConnector {
             .collect();
         drop(db);
         let objects = objects?;
-        self.charge(true, &objects);
+        self.link.charge(true, &objects);
         Ok(objects)
     }
 
     fn object_count(&self) -> usize {
         self.db.read().node_count()
-    }
-
-    fn stats(&self) -> StatsSnapshot {
-        self.stats.snapshot()
-    }
-
-    fn reset_stats(&self) {
-        self.stats.reset();
-    }
-
-    fn record_resilience(&self, retries: u64, timeouts: u64, breaker_trips: u64) {
-        self.stats.record_resilience(retries, timeouts, breaker_trips);
     }
 }
 

@@ -7,11 +7,9 @@ use quepa_pdm::{
     Value,
 };
 
-use crate::connector::{Connector, FilteredFetch, StoreKind};
-use crate::connectors::payload_bytes;
+use crate::connector::{Connector, FilteredFetch, Link, StoreKind};
 use crate::error::{PolyError, Result};
 use crate::net::LatencyModel;
-use crate::stats::{ConnectorStats, StatsSnapshot};
 
 /// Wraps a [`KvStore`] as a polystore connector.
 ///
@@ -21,11 +19,9 @@ use crate::stats::{ConnectorStats, StatsSnapshot};
 /// global key `discount.drop.k1:cure:wish`). Entry values become string
 /// data objects.
 pub struct KvConnector {
-    name: DatabaseName,
+    link: Link,
     collection: CollectionName,
     store: RwLock<KvStore>,
-    latency: LatencyModel,
-    stats: ConnectorStats,
 }
 
 impl KvConnector {
@@ -33,35 +29,24 @@ impl KvConnector {
     pub fn new(store: KvStore, collection: &str, latency: LatencyModel) -> Self {
         let name = DatabaseName::new(store.name()).expect("valid database name");
         KvConnector {
-            name,
+            link: Link::new(name, latency),
             collection: CollectionName::new(collection).expect("valid collection name"),
             store: RwLock::new(store),
-            latency,
-            stats: ConnectorStats::new(),
         }
     }
 
     fn object_from_pair(&self, key: &str, value: String) -> Result<DataObject> {
         // Database and collection names are interned at construction; only
         // the local key allocates.
-        let local = LocalKey::new(key).map_err(|e| PolyError::store(self.name.as_str(), e))?;
-        let gk = GlobalKey::new(self.name.clone(), self.collection.clone(), local);
+        let local = LocalKey::new(key).map_err(|e| self.link.store_error(e))?;
+        let gk = GlobalKey::new(self.database().clone(), self.collection.clone(), local);
         Ok(DataObject::new(gk, Value::Str(value)))
-    }
-
-    fn charge(&self, is_query: bool, objects: &[DataObject]) -> std::time::Duration {
-        let bytes = payload_bytes(objects);
-        let cost = self.latency.cost(objects.len(), bytes);
-        self.latency.pay(objects.len(), bytes);
-        self.stats.record(is_query, objects.len(), bytes, cost);
-        quepa_obs::record_link_event(self.name.as_str(), cost);
-        cost
     }
 }
 
 impl Connector for KvConnector {
-    fn database(&self) -> &DatabaseName {
-        &self.name
+    fn link(&self) -> &Link {
+        &self.link
     }
 
     fn kind(&self) -> StoreKind {
@@ -73,19 +58,18 @@ impl Connector for KvConnector {
     }
 
     fn execute(&self, query: &str) -> Result<Vec<DataObject>> {
-        let reply = self
-            .store
-            .write()
-            .execute(query)
-            .map_err(|e| PolyError::store(self.name.as_str(), e))?;
+        let reply = self.store.write().execute(query).map_err(|e| self.link.store_error(e))?;
         let objects = match reply {
             Reply::Ok => Vec::new(),
             Reply::Int(n) => {
                 // Numeric replies (EXISTS/DBSIZE/DEL) surface as a synthetic
                 // scalar object so they still flow through uniformly.
-                let gk =
-                    GlobalKey::parse_parts(self.name.as_str(), self.collection.as_str(), "_int")
-                        .map_err(|e| PolyError::store(self.name.as_str(), e))?;
+                let gk = GlobalKey::parse_parts(
+                    self.database().as_str(),
+                    self.collection.as_str(),
+                    "_int",
+                )
+                .map_err(|e| self.link.store_error(e))?;
                 vec![DataObject::new(gk, Value::Int(n))]
             }
             Reply::Value(v) => match v {
@@ -96,7 +80,7 @@ impl Connector for KvConnector {
                     let key = query
                         .split_whitespace()
                         .nth(1)
-                        .ok_or_else(|| PolyError::store(self.name.as_str(), "GET without key"))?;
+                        .ok_or_else(|| self.link.store_error("GET without key"))?;
                     vec![self.object_from_pair(key, v)?]
                 }
             },
@@ -105,18 +89,13 @@ impl Connector for KvConnector {
                 .map(|(k, v)| self.object_from_pair(&k, v))
                 .collect::<Result<_>>()?,
         };
-        self.charge(true, &objects);
+        self.link.charge(true, &objects);
         Ok(objects)
     }
 
     fn execute_update(&self, statement: &str) -> Result<usize> {
-        let reply = self
-            .store
-            .write()
-            .execute(statement)
-            .map_err(|e| PolyError::store(self.name.as_str(), e))?;
-        self.latency.pay(0, 0);
-        self.stats.record(true, 0, 0, self.latency.cost(0, 0));
+        let reply = self.store.write().execute(statement).map_err(|e| self.link.store_error(e))?;
+        self.link.charge(true, &[]);
         Ok(match reply {
             Reply::Int(n) => n.max(0) as usize,
             Reply::Ok => 1,
@@ -124,68 +103,46 @@ impl Connector for KvConnector {
         })
     }
 
-    fn get(&self, collection: &CollectionName, key: &LocalKey) -> Result<Option<DataObject>> {
-        self.check_collection(collection)?;
-        let value = self.store.read().get(key.as_str()).map(str::to_owned);
-        let object = match value {
-            None => None,
-            Some(v) => Some(self.object_from_pair(key.as_str(), v)?),
-        };
-        match &object {
-            Some(o) => self.charge(false, std::slice::from_ref(o)),
-            None => self.charge(false, &[]),
-        };
-        Ok(object)
-    }
-
-    fn multi_get(&self, collection: &CollectionName, keys: &[LocalKey]) -> Result<Vec<DataObject>> {
-        self.check_collection(collection)?;
-        let key_strs: Vec<&str> = keys.iter().map(LocalKey::as_str).collect();
-        let pairs = self.store.read().multi_get(&key_strs);
-        let objects: Result<Vec<DataObject>> =
-            pairs.into_iter().map(|(k, v)| self.object_from_pair(&k, v)).collect();
-        let objects = objects?;
-        self.charge(false, &objects);
-        Ok(objects)
-    }
-
     fn supports_pushdown(&self, _filter: &Pushdown) -> bool {
         true
     }
 
-    fn fetch_where(
+    fn fetch(
         &self,
         collection: &CollectionName,
         keys: &[LocalKey],
-        filter: &Pushdown,
+        filter: Option<&Pushdown>,
     ) -> Result<FilteredFetch> {
         self.check_collection(collection)?;
-        // An exact root-value equality is served straight from the store's
-        // secondary value index; anything else evaluates the canonical
-        // predicate per entry — in both cases inside the store, so only
-        // matches are charged to the wire.
-        let value_eq = match filter.clauses.as_slice() {
-            [c] if c.field == PushField::Value && c.op == PushOp::Eq => c.literal.as_str(),
-            _ => None,
-        };
         let key_strs: Vec<&str> = keys.iter().map(LocalKey::as_str).collect();
         let store = self.store.read();
-        let (pairs, rejected) = store.multi_get_where(&key_strs, value_eq, &|k, v| {
-            // Borrow-free shim: evaluate the shared predicate over the
-            // entry rendered exactly as `object_from_pair` would.
-            filter.matches(k, &Value::str(v))
-        });
+        let (pairs, rejected) = match filter {
+            None => (store.multi_get(&key_strs), Vec::new()),
+            Some(filter) => {
+                // An exact root-value equality is served straight from the
+                // store's secondary value index; anything else evaluates
+                // the canonical predicate per entry — in both cases inside
+                // the store, so only matches are charged to the wire.
+                let value_eq = match filter.clauses.as_slice() {
+                    [c] if c.field == PushField::Value && c.op == PushOp::Eq => c.literal.as_str(),
+                    _ => None,
+                };
+                store.multi_get_where(&key_strs, value_eq, &|k, v| {
+                    // Borrow-free shim: evaluate the shared predicate over
+                    // the entry rendered exactly as `object_from_pair` would.
+                    filter.matches(k, &Value::str(v))
+                })
+            }
+        };
         drop(store);
         let mut out = FilteredFetch::default();
         for id in rejected {
-            out.rejected
-                .push(LocalKey::new(&id).map_err(|e| PolyError::store(self.name.as_str(), e))?);
+            out.rejected.push(LocalKey::new(&id).map_err(|e| self.link.store_error(e))?);
         }
         for (k, v) in pairs {
             out.matched.push(self.object_from_pair(&k, v)?);
         }
-        let cost = self.charge(false, &out.matched);
-        quepa_obs::record_pushdown_latency(self.name.as_str(), cost);
+        self.link.charge_fetch(&out.matched, filter.is_some());
         Ok(out)
     }
 
@@ -197,18 +154,6 @@ impl Connector for KvConnector {
     fn object_count(&self) -> usize {
         self.store.read().len()
     }
-
-    fn stats(&self) -> StatsSnapshot {
-        self.stats.snapshot()
-    }
-
-    fn reset_stats(&self) {
-        self.stats.reset();
-    }
-
-    fn record_resilience(&self, retries: u64, timeouts: u64, breaker_trips: u64) {
-        self.stats.record_resilience(retries, timeouts, breaker_trips);
-    }
 }
 
 impl KvConnector {
@@ -217,7 +162,7 @@ impl KvConnector {
             Ok(())
         } else {
             Err(PolyError::UnknownCollection {
-                database: self.name.to_string(),
+                database: self.database().to_string(),
                 collection: collection.to_string(),
             })
         }

@@ -1,9 +1,9 @@
 //! Concrete connectors for the four engines of the Polyphony scenario.
 //!
 //! Every connector owns its engine behind a `parking_lot::RwLock` (reads
-//! dominate; the concurrent augmenters issue lookups from many threads),
-//! charges the configured [`LatencyModel`](crate::net::LatencyModel) for
-//! each round trip, and records [`ConnectorStats`](crate::stats).
+//! dominate; the concurrent augmenters issue lookups from many threads)
+//! and a [`Link`](crate::connector::Link), which every round trip is
+//! charged to: the connectors translate, the link pays and counts.
 
 mod document;
 mod graph;
@@ -14,10 +14,3 @@ pub use document::DocumentConnector;
 pub use graph::GraphConnector;
 pub use kv::KvConnector;
 pub use relational::RelationalConnector;
-
-use quepa_pdm::DataObject;
-
-/// Sums the approximate payload size of a batch of objects.
-pub(crate) fn payload_bytes(objects: &[DataObject]) -> usize {
-    objects.iter().map(DataObject::approx_size).sum()
-}

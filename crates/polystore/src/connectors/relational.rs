@@ -5,21 +5,17 @@ use quepa_pdm::{CollectionName, DataObject, DatabaseName, GlobalKey, LocalKey, P
 use quepa_relstore::engine::{Database, ResultRow};
 use quepa_relstore::sql::ast::Statement;
 
-use crate::connector::{Connector, FilteredFetch, StoreKind};
-use crate::connectors::payload_bytes;
+use crate::connector::{Connector, FilteredFetch, Link, StoreKind};
 use crate::error::{PolyError, Result};
 use crate::net::LatencyModel;
-use crate::stats::{ConnectorStats, StatsSnapshot};
 
 /// Wraps a [`Database`] as a polystore connector.
 ///
 /// Result rows become data objects whose local key is the row's primary-key
 /// value and whose payload is the row rendered as a PDM object value.
 pub struct RelationalConnector {
-    name: DatabaseName,
+    link: Link,
     db: RwLock<Database>,
-    latency: LatencyModel,
-    stats: ConnectorStats,
 }
 
 impl RelationalConnector {
@@ -27,7 +23,7 @@ impl RelationalConnector {
     /// from the engine's own name.
     pub fn new(db: Database, latency: LatencyModel) -> Self {
         let name = DatabaseName::new(db.name()).expect("valid database name");
-        RelationalConnector { name, db: RwLock::new(db), latency, stats: ConnectorStats::new() }
+        RelationalConnector { link: Link::new(name, latency), db: RwLock::new(db) }
     }
 
     /// Builds an object from a result row. `table` is the already-interned
@@ -44,21 +40,18 @@ impl RelationalConnector {
             // The Validator rewrites queries to always include the key
             // column, so a missing pk here is an internal error.
             None => {
-                return Err(PolyError::store(
-                    self.name.as_str(),
-                    format!("result row lacks key column {pk_col}"),
-                ))
+                return Err(self.link.store_error(format!("result row lacks key column {pk_col}")))
             }
         };
-        let local = LocalKey::new(&pk).map_err(|e| PolyError::store(self.name.as_str(), e))?;
-        let key = GlobalKey::new(self.name.clone(), table.clone(), local);
+        let local = LocalKey::new(&pk).map_err(|e| self.link.store_error(e))?;
+        let key = GlobalKey::new(self.database().clone(), table.clone(), local);
         Ok(DataObject::new(key, Value::Object(row)))
     }
 }
 
 impl Connector for RelationalConnector {
-    fn database(&self) -> &DatabaseName {
-        &self.name
+    fn link(&self) -> &Link {
+        &self.link
     }
 
     fn kind(&self) -> StoreKind {
@@ -76,129 +69,63 @@ impl Connector for RelationalConnector {
 
     fn execute(&self, query: &str) -> Result<Vec<DataObject>> {
         let db = self.db.read();
-        let stmt = db.prepare(query).map_err(|e| PolyError::store(self.name.as_str(), e))?;
+        let stmt = db.prepare(query).map_err(|e| self.link.store_error(e))?;
         let Statement::Select(select) = stmt else {
             return Err(PolyError::WrongKind {
-                database: self.name.to_string(),
+                database: self.database().to_string(),
                 operation: "execute() only runs SELECT; use execute_update for DML".into(),
             });
         };
         let table = select.table.clone();
-        let pk_col = db
-            .table(&table)
-            .map_err(|e| PolyError::store(self.name.as_str(), e))?
-            .pk_column()
-            .to_owned();
-        let rows = db.run_select(&select).map_err(|e| PolyError::store(self.name.as_str(), e))?;
+        let pk_col = db.table(&table).map_err(|e| self.link.store_error(e))?.pk_column().to_owned();
+        let rows = db.run_select(&select).map_err(|e| self.link.store_error(e))?;
         drop(db);
-        let coll =
-            CollectionName::new(&table).map_err(|e| PolyError::store(self.name.as_str(), e))?;
+        let coll = CollectionName::new(&table).map_err(|e| self.link.store_error(e))?;
         // Aggregate results carry no key; wrap them under a synthetic one
         // (the Validator refuses to *augment* these, but they are legal
         // local queries).
         let objects: Vec<DataObject> = if select.has_aggregates() {
-            let key = GlobalKey::parse_parts(self.name.as_str(), &table, "_agg")
-                .map_err(|e| PolyError::store(self.name.as_str(), e))?;
+            let key = GlobalKey::parse_parts(self.database().as_str(), &table, "_agg")
+                .map_err(|e| self.link.store_error(e))?;
             rows.into_iter().map(|row| DataObject::new(key.clone(), Value::Object(row))).collect()
         } else {
             rows.into_iter()
                 .map(|row| self.object_from_row(&coll, &pk_col, row))
                 .collect::<Result<_>>()?
         };
-        let bytes = payload_bytes(&objects);
-        let cost = self.latency.cost(objects.len(), bytes);
-        self.latency.pay(objects.len(), bytes);
-        self.stats.record(true, objects.len(), bytes, cost);
-        quepa_obs::record_link_event(self.name.as_str(), cost);
+        self.link.charge(true, &objects);
         Ok(objects)
     }
 
     fn execute_update(&self, statement: &str) -> Result<usize> {
-        let rows = self
-            .db
-            .write()
-            .execute(statement)
-            .map_err(|e| PolyError::store(self.name.as_str(), e))?;
-        let cost = self.latency.cost(0, 0);
-        self.latency.pay(0, 0);
-        self.stats.record(true, 0, 0, cost);
-        quepa_obs::record_link_event(self.name.as_str(), cost);
+        let rows = self.db.write().execute(statement).map_err(|e| self.link.store_error(e))?;
+        self.link.charge(true, &[]);
         Ok(rows.first().and_then(|r| r.get("affected")).and_then(Value::as_int).unwrap_or(0)
             as usize)
-    }
-
-    fn get(&self, collection: &CollectionName, key: &LocalKey) -> Result<Option<DataObject>> {
-        let db = self.db.read();
-        let row = db
-            .get(collection.as_str(), key.as_str())
-            .map_err(|e| PolyError::store(self.name.as_str(), e))?;
-        drop(db);
-        let object = match row {
-            None => None,
-            Some(row) => {
-                let pk_col = self
-                    .db
-                    .read()
-                    .table(collection.as_str())
-                    .expect("checked above")
-                    .pk_column()
-                    .to_owned();
-                Some(self.object_from_row(collection, &pk_col, row)?)
-            }
-        };
-        let (n, bytes) = object.as_ref().map_or((0, 0), |o| (1, o.approx_size()));
-        let cost = self.latency.cost(n, bytes);
-        self.latency.pay(n, bytes);
-        self.stats.record(false, n, bytes, cost);
-        quepa_obs::record_link_event(self.name.as_str(), cost);
-        Ok(object)
-    }
-
-    fn multi_get(&self, collection: &CollectionName, keys: &[LocalKey]) -> Result<Vec<DataObject>> {
-        let db = self.db.read();
-        let key_strs: Vec<&str> = keys.iter().map(LocalKey::as_str).collect();
-        let rows = db
-            .multi_get(collection.as_str(), &key_strs)
-            .map_err(|e| PolyError::store(self.name.as_str(), e))?;
-        let pk_col = db
-            .table(collection.as_str())
-            .map_err(|e| PolyError::store(self.name.as_str(), e))?
-            .pk_column()
-            .to_owned();
-        drop(db);
-        let objects: Result<Vec<DataObject>> = rows
-            .into_iter()
-            .map(|(_, row)| self.object_from_row(collection, &pk_col, row))
-            .collect();
-        let objects = objects?;
-        let bytes = payload_bytes(&objects);
-        let cost = self.latency.cost(objects.len(), bytes);
-        self.latency.pay(objects.len(), bytes);
-        self.stats.record(false, objects.len(), bytes, cost);
-        quepa_obs::record_link_event(self.name.as_str(), cost);
-        Ok(objects)
     }
 
     fn supports_pushdown(&self, _filter: &Pushdown) -> bool {
         true
     }
 
-    fn fetch_where(
+    fn fetch(
         &self,
         collection: &CollectionName,
         keys: &[LocalKey],
-        filter: &Pushdown,
+        filter: Option<&Pushdown>,
     ) -> Result<FilteredFetch> {
-        // The engine's `WHERE pk IN (…) AND <pred>` access path: rejected
-        // rows never leave the store, so only matches are charged.
+        // The engine's `WHERE pk IN (…) [AND <pred>]` access path:
+        // rejected rows never leave the store, so only matches are charged.
         let db = self.db.read();
         let key_strs: Vec<&str> = keys.iter().map(LocalKey::as_str).collect();
-        let (rows, rejected) = db
-            .multi_get_where(collection.as_str(), &key_strs, filter)
-            .map_err(|e| PolyError::store(self.name.as_str(), e))?;
+        let (rows, rejected) = match filter {
+            Some(filter) => db.multi_get_where(collection.as_str(), &key_strs, filter),
+            None => db.multi_get(collection.as_str(), &key_strs).map(|rows| (rows, Vec::new())),
+        }
+        .map_err(|e| self.link.store_error(e))?;
         let pk_col = db
             .table(collection.as_str())
-            .map_err(|e| PolyError::store(self.name.as_str(), e))?
+            .map_err(|e| self.link.store_error(e))?
             .pk_column()
             .to_owned();
         drop(db);
@@ -208,14 +135,9 @@ impl Connector for RelationalConnector {
             .collect::<Result<_>>()?;
         let rejected: Vec<LocalKey> = rejected
             .into_iter()
-            .map(|k| LocalKey::new(&k).map_err(|e| PolyError::store(self.name.as_str(), e)))
+            .map(|k| LocalKey::new(&k).map_err(|e| self.link.store_error(e)))
             .collect::<Result<_>>()?;
-        let bytes = payload_bytes(&matched);
-        let cost = self.latency.cost(matched.len(), bytes);
-        self.latency.pay(matched.len(), bytes);
-        self.stats.record(false, matched.len(), bytes, cost);
-        quepa_obs::record_link_event(self.name.as_str(), cost);
-        quepa_obs::record_pushdown_latency(self.name.as_str(), cost);
+        self.link.charge_fetch(&matched, filter.is_some());
         Ok(FilteredFetch { matched, rejected })
     }
 
@@ -225,18 +147,6 @@ impl Connector for RelationalConnector {
 
     fn object_count(&self) -> usize {
         self.db.read().total_rows()
-    }
-
-    fn stats(&self) -> StatsSnapshot {
-        self.stats.snapshot()
-    }
-
-    fn reset_stats(&self) {
-        self.stats.reset();
-    }
-
-    fn record_resilience(&self, retries: u64, timeouts: u64, breaker_trips: u64) {
-        self.stats.record_resilience(retries, timeouts, breaker_trips);
     }
 }
 

@@ -9,23 +9,22 @@
 //! seed yields the same faults on the same keys, whatever the
 //! interleaving.
 //!
-//! [`FaultyConnector`] wraps any [`Connector`] with a plan and the link's
-//! [`LatencyModel`]. Faulted calls **pay their (deterministic) network
-//! latency before erroring** — a refused connection still burns a round
-//! trip on the wire, and timeout semantics are only testable when the
-//! time is spent first (see the order-pinning test below).
+//! [`FaultyConnector`] is any [`Connector`] under a [`FaultLayer`]: a
+//! plan, with faulted calls paid through the inner store's own link.
+//! Faulted calls **pay their (deterministic) network latency before
+//! erroring** — a refused connection still burns a round trip on the
+//! wire, and timeout semantics are only testable when the time is spent
+//! first (see the order-pinning test below).
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use quepa_pdm::{CollectionName, DataObject, DatabaseName, LocalKey, Pushdown};
+use quepa_pdm::{CollectionName, LocalKey};
 
-use crate::connector::{Connector, FilteredFetch, StoreKind};
+use crate::connector::{Connector, Layer, Layered};
 use crate::error::{PolyError, Result};
-use crate::net::LatencyModel;
-use crate::stats::StatsSnapshot;
 
 /// What the plan decided for one call attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -195,38 +194,44 @@ pub fn query_identity(query: &str) -> u64 {
     fnv(query.as_bytes())
 }
 
-/// Wraps a connector with a fault plan.
+/// The fault-injecting [`Layer`]: a plan plus the streak counters.
 ///
-/// Key-based lookups (`get` / `multi_get`) and native queries consult
-/// the plan; `scan_collection` (the Collector's offline ingest path) and
-/// metadata calls pass through. Transient-fault streaks are tracked with
-/// a per-identity attempt counter that is **monotone and order-free**:
-/// the counter only ever advances (one step per faulted decision, under
-/// the same lock that reads it), never resets, and is keyed purely by
-/// call identity. However many callers race one identity, the total
-/// number of injected transient errors is exactly the plan's streak and
-/// no single caller can observe more than that — which is what lets the
-/// concurrent differential harness check transient plans at all.
-pub struct FaultyConnector {
-    inner: Arc<dyn Connector>,
+/// Keyed fetches and native queries consult the plan; `scan_collection`
+/// (the Collector's offline ingest path) and metadata calls pass through.
+/// Transient-fault streaks are tracked with a per-identity attempt
+/// counter that is **monotone and order-free**: the counter only ever
+/// advances (one step per faulted decision, under the same lock that
+/// reads it), never resets, and is keyed purely by call identity. However
+/// many callers race one identity, the total number of injected transient
+/// errors is exactly the plan's streak and no single caller can observe
+/// more than that — which is what lets the concurrent differential
+/// harness check transient plans at all.
+pub struct FaultLayer {
     plan: Arc<FaultPlan>,
-    latency: LatencyModel,
     attempts: Mutex<HashMap<u64, u32>>,
 }
 
-impl FaultyConnector {
-    /// Wraps `inner`; `latency` is the link cost faulted calls pay
-    /// before erroring (healthy calls pay inside `inner` as usual).
-    pub fn new(inner: Arc<dyn Connector>, plan: Arc<FaultPlan>, latency: LatencyModel) -> Self {
-        FaultyConnector { inner, plan, latency, attempts: Mutex::new(HashMap::new()) }
-    }
+/// A connector wrapped with a fault plan. Healthy calls pay inside the
+/// inner store as usual; faulted calls pay through the inner store's
+/// [`Link`](crate::connector::Link), so a wrapper can never disagree with
+/// its store about the link it sits on.
+pub type FaultyConnector = Layered<FaultLayer>;
 
+impl FaultyConnector {
+    /// Wraps `inner` with `plan`.
+    pub fn new(inner: Arc<dyn Connector>, plan: Arc<FaultPlan>) -> Self {
+        Layered::wrap(inner, FaultLayer { plan, attempts: Mutex::new(HashMap::new()) })
+    }
+}
+
+impl FaultLayer {
     /// Consults the plan for this call. `Ok(())` means proceed to the
     /// inner connector; `Err` is the injected fault, *returned only
     /// after the latency has been paid* — the wire does not refund a
     /// refused connection, and timeout tests need the time spent first.
-    fn apply(&self, identity: u64) -> Result<()> {
-        let database = self.inner.database().as_str();
+    fn apply(&self, inner: &dyn Connector, identity: u64) -> Result<()> {
+        let link = inner.link();
+        let database = link.database().as_str();
         // Read → decide → bump under ONE lock acquisition, and never
         // reset: the (attempt, decision) pair is atomic and the counter
         // is monotone. Racing callers of the same identity serialize
@@ -243,120 +248,63 @@ impl FaultyConnector {
             }
             decision
         };
-        match decision {
-            FaultDecision::Healthy => Ok(()),
-            FaultDecision::Spike(extra) => {
-                quepa_obs::record_fault(database);
-                quepa_obs::record_link_event(database, self.latency.cost(0, 0) + extra);
-                self.latency.pay_extra(extra);
-                Ok(())
-            }
+        let (extra, outcome) = match decision {
+            FaultDecision::Healthy => return Ok(()),
+            FaultDecision::Spike(extra) => (extra, Ok(())),
             FaultDecision::Transient => {
-                quepa_obs::record_fault(database);
-                quepa_obs::record_link_event(database, self.latency.cost(0, 0));
-                self.latency.pay(0, 0);
-                Err(PolyError::store(database, "injected transient fault"))
+                (Duration::ZERO, Err(link.store_error("injected transient fault")))
             }
             FaultDecision::Timeout => {
-                quepa_obs::record_fault(database);
-                quepa_obs::record_link_event(database, self.latency.cost(0, 0) + self.plan.spike);
-                self.latency.pay_extra(self.plan.spike);
-                Err(PolyError::Timeout { database: database.to_string() })
+                (self.plan.spike, Err(PolyError::Timeout { database: database.to_string() }))
             }
             FaultDecision::Down => {
-                quepa_obs::record_fault(database);
-                quepa_obs::record_link_event(database, self.latency.cost(0, 0));
-                self.latency.pay(0, 0);
-                Err(PolyError::Unavailable { database: database.to_string() })
+                (Duration::ZERO, Err(PolyError::Unavailable { database: database.to_string() }))
             }
-        }
+        };
+        quepa_obs::record_fault(database);
+        link.pay_unanswered(extra);
+        outcome
     }
 }
 
-impl Connector for FaultyConnector {
-    fn database(&self) -> &DatabaseName {
-        self.inner.database()
+impl Layer for FaultLayer {
+    fn before_query(&self, inner: &dyn Connector, statement: &str) -> Result<()> {
+        self.apply(inner, query_identity(statement))
     }
 
-    fn kind(&self) -> StoreKind {
-        self.inner.kind()
-    }
-
-    fn collections(&self) -> Vec<CollectionName> {
-        self.inner.collections()
-    }
-
-    fn execute(&self, query: &str) -> Result<Vec<DataObject>> {
-        self.apply(query_identity(query))?;
-        self.inner.execute(query)
-    }
-
-    fn execute_update(&self, statement: &str) -> Result<usize> {
-        self.apply(query_identity(statement))?;
-        self.inner.execute_update(statement)
-    }
-
-    fn get(&self, collection: &CollectionName, key: &LocalKey) -> Result<Option<DataObject>> {
-        self.apply(call_identity(collection, [key]))?;
-        self.inner.get(collection, key)
-    }
-
-    fn multi_get(&self, collection: &CollectionName, keys: &[LocalKey]) -> Result<Vec<DataObject>> {
-        self.apply(call_identity(collection, keys))?;
-        self.inner.multi_get(collection, keys)
-    }
-
-    fn supports_pushdown(&self, filter: &Pushdown) -> bool {
-        self.inner.supports_pushdown(filter)
-    }
-
-    fn fetch_where(
+    /// A filtered and an unfiltered fetch of one key list share one
+    /// identity: the fault plan cannot tell the two strategies apart, so
+    /// the planner's choice never changes which faults fire.
+    fn before_fetch(
         &self,
+        inner: &dyn Connector,
         collection: &CollectionName,
         keys: &[LocalKey],
-        filter: &Pushdown,
-    ) -> Result<FilteredFetch> {
-        // Same identity as a `multi_get` of the same key list: the fault
-        // plan cannot tell the two strategies apart, so the planner's
-        // choice never changes which faults fire.
-        self.apply(call_identity(collection, keys))?;
-        self.inner.fetch_where(collection, keys, filter)
-    }
-
-    fn scan_collection(&self, collection: &CollectionName) -> Result<Vec<DataObject>> {
-        self.inner.scan_collection(collection)
-    }
-
-    fn object_count(&self) -> usize {
-        self.inner.object_count()
-    }
-
-    fn stats(&self) -> StatsSnapshot {
-        self.inner.stats()
-    }
-
-    fn reset_stats(&self) {
-        self.inner.reset_stats()
-    }
-
-    fn record_resilience(&self, retries: u64, timeouts: u64, breaker_trips: u64) {
-        self.inner.record_resilience(retries, timeouts, breaker_trips)
+    ) -> Result<()> {
+        self.apply(inner, call_identity(collection, keys))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::connector::{FilteredFetch, Link, PushdownGate, StoreKind};
     use crate::connectors::KvConnector;
+    use crate::net::LatencyModel;
     use quepa_kvstore::KvStore;
+    use quepa_pdm::{DataObject, DatabaseName, Pushdown};
     use std::time::Instant;
 
-    fn kv_connector() -> Arc<dyn Connector> {
+    fn kv_connector_behind(latency: LatencyModel) -> Arc<dyn Connector> {
         let mut kv = KvStore::new("db1");
         for k in 0..8 {
             kv.set(format!("k{k}"), "v");
         }
-        Arc::new(KvConnector::new(kv, "c", LatencyModel::FREE))
+        Arc::new(KvConnector::new(kv, "c", latency))
+    }
+
+    fn kv_connector() -> Arc<dyn Connector> {
+        kv_connector_behind(LatencyModel::FREE)
     }
 
     fn coll() -> CollectionName {
@@ -423,7 +371,7 @@ mod tests {
             per_kib: Duration::ZERO,
         };
         let plan = Arc::new(FaultPlan::new(5).with_outage("db1"));
-        let faulty = FaultyConnector::new(kv_connector(), plan, latency);
+        let faulty = FaultyConnector::new(kv_connector_behind(latency), plan);
         let t0 = Instant::now();
         let err = faulty.get(&coll(), &LocalKey::new("k0").unwrap()).unwrap_err();
         let elapsed = t0.elapsed();
@@ -437,7 +385,7 @@ mod tests {
     #[test]
     fn transient_fault_then_recovery_through_wrapper() {
         let plan = Arc::new(FaultPlan::new(11).with_transient_faults(1.0, 2));
-        let faulty = FaultyConnector::new(kv_connector(), plan.clone(), LatencyModel::FREE);
+        let faulty = FaultyConnector::new(kv_connector(), plan.clone());
         let key = LocalKey::new("k1").unwrap();
         let identity = call_identity(&coll(), [&key]);
         let streak = (0..4)
@@ -479,8 +427,7 @@ mod tests {
         assert!((1..=3).contains(&streak));
 
         for round in 0..16 {
-            let faulty =
-                FaultyConnector::new(kv_connector(), Arc::clone(&plan), LatencyModel::FREE);
+            let faulty = FaultyConnector::new(kv_connector(), Arc::clone(&plan));
             let threads = 8;
             let errors = AtomicUsize::new(0);
             let barrier = Barrier::new(threads);
@@ -529,7 +476,7 @@ mod tests {
         let filter = Pushdown::value(quepa_pdm::PushOp::Eq, "v");
         // Alternate strategies against the SAME wrapper: the shared
         // counter walks one streak between them, then both succeed.
-        let faulty = FaultyConnector::new(kv_connector(), Arc::clone(&plan), LatencyModel::FREE);
+        let faulty = FaultyConnector::new(kv_connector(), Arc::clone(&plan));
         for attempt in 0..streak {
             let res = if attempt % 2 == 0 {
                 faulty.fetch_where(&coll(), &keys, &filter).map(|_| ())
@@ -547,11 +494,72 @@ mod tests {
     #[test]
     fn down_store_fails_multi_get_and_execute() {
         let plan = Arc::new(FaultPlan::new(2).with_outage("db1"));
-        let faulty = FaultyConnector::new(kv_connector(), plan, LatencyModel::FREE);
+        let faulty = FaultyConnector::new(kv_connector(), plan);
         let keys = [LocalKey::new("k0").unwrap(), LocalKey::new("k1").unwrap()];
         assert!(matches!(faulty.multi_get(&coll(), &keys), Err(PolyError::Unavailable { .. })));
         assert!(matches!(faulty.execute("SCAN k"), Err(PolyError::Unavailable { .. })));
         // Offline ingest is spared: chaos targets the serving path.
         assert_eq!(faulty.scan_collection(&coll()).unwrap().len(), 8);
+    }
+
+    /// A store with something to flush — the one connector a test writes
+    /// by hand, because it is a store and not a wrapper.
+    struct DurableStore(Link);
+
+    impl Connector for DurableStore {
+        fn link(&self) -> &Link {
+            &self.0
+        }
+        fn kind(&self) -> StoreKind {
+            StoreKind::KeyValue
+        }
+        fn collections(&self) -> Vec<CollectionName> {
+            Vec::new()
+        }
+        fn object_count(&self) -> usize {
+            0
+        }
+        fn execute(&self, _query: &str) -> Result<Vec<DataObject>> {
+            Ok(Vec::new())
+        }
+        fn execute_update(&self, _statement: &str) -> Result<usize> {
+            Ok(0)
+        }
+        fn scan_collection(&self, _collection: &CollectionName) -> Result<Vec<DataObject>> {
+            Ok(Vec::new())
+        }
+        fn fetch(
+            &self,
+            _collection: &CollectionName,
+            _keys: &[LocalKey],
+            _filter: Option<&Pushdown>,
+        ) -> Result<FilteredFetch> {
+            Ok(FilteredFetch::default())
+        }
+        fn commit_durable(&self) -> Result<bool> {
+            Ok(true)
+        }
+    }
+
+    /// Regression: a wrapper must forward `commit_durable`, or a store
+    /// wrapped for chaos (or gated) silently skips its flush between the
+    /// WAL append and the index update of every durable batch.
+    #[test]
+    fn wrappers_forward_commit_durable() {
+        let store = || -> Arc<dyn Connector> {
+            let link = Link::new(DatabaseName::new("db1").unwrap(), LatencyModel::FREE);
+            Arc::new(DurableStore(link))
+        };
+        let plan = Arc::new(FaultPlan::new(1));
+        let stacks: [(&str, Arc<dyn Connector>); 3] = [
+            ("bare", store()),
+            ("fault-wrapped", Arc::new(FaultyConnector::new(store(), plan))),
+            ("gate-wrapped", Arc::new(PushdownGate::new(store()))),
+        ];
+        for (stack, connector) in stacks {
+            let mut polystore = crate::Polystore::new();
+            polystore.register(connector);
+            assert_eq!(polystore.commit_durable_all().unwrap(), 1, "{stack}");
+        }
     }
 }

@@ -5,10 +5,19 @@
 //! * the [`Connector`] trait — "each connector is able to communicate with a
 //!   specific database system by sending queries in the local language and
 //!   returning the result. Data objects are parsed into an internal
-//!   representation" (the PDM [`DataObject`](quepa_pdm::DataObject));
+//!   representation" (the PDM [`DataObject`](quepa_pdm::DataObject)). The
+//!   contract is narrow: a store answers native queries and the one keyed
+//!   primitive [`Connector::fetch`] (`get` / `multi_get` / `fetch_where`
+//!   are provided shapes of it), and charges every round trip to its
+//!   [`Link`];
+//! * [`Layer`] and the one generic wrapper [`Layered`] — fault injection
+//!   ([`FaultyConnector`]), the pushdown gate ([`PushdownGate`]) and test
+//!   doubles state only what they do differently; forwarding is written
+//!   once;
 //! * concrete connectors for the four engines of the Polyphony scenario
 //!   ([`connectors`]);
-//! * the [`Polystore`] registry routing by database name;
+//! * the [`Polystore`] registry routing by database name, with the one
+//!   resilient keyed call [`Polystore::fetch`];
 //! * a deterministic **network cost model** ([`net`]) reproducing the
 //!   paper's centralized / distributed EC2 deployments at microsecond scale
 //!   (1000× shrunk), so batching and parallelism keep their first-order
@@ -17,7 +26,7 @@
 //!   resilience counters: retries, timeouts, breaker trips), which the
 //!   experiments report;
 //! * the resilience layer: a deterministic, seeded [`fault`] plan that
-//!   wraps any connector to inject transient errors, latency spikes,
+//!   layers over any connector to inject transient errors, latency spikes,
 //!   timeouts and whole-store outages from a reproducible schedule, and
 //!   the [`retry`] policies (exponential backoff with deterministic
 //!   jitter, per-round-trip deadlines, per-store circuit breakers) that
@@ -35,10 +44,12 @@ pub mod polystore;
 pub mod retry;
 pub mod stats;
 
-pub use connector::{Connector, FilteredFetch, PushdownGate, StoreKind};
+pub use connector::{
+    Connector, FilteredFetch, Layer, Layered, Link, NoPushdown, PushdownGate, StoreKind,
+};
 pub use connectors::{DocumentConnector, GraphConnector, KvConnector, RelationalConnector};
 pub use error::{PolyError, Result};
-pub use fault::{FaultDecision, FaultPlan, FaultyConnector};
+pub use fault::{FaultDecision, FaultLayer, FaultPlan, FaultyConnector};
 pub use net::{Deployment, LatencyModel};
 pub use polystore::Polystore;
 pub use retry::{

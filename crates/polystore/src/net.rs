@@ -49,25 +49,13 @@ impl LatencyModel {
     /// that overlap is exactly what the concurrent augmenters exploit.
     /// (Linux hrtimer sleeps have ~50 µs granularity, the same order as
     /// the centralized RTT; the distortion is a constant factor across all
-    /// strategies, so relative comparisons survive.)
-    pub fn pay(&self, objects: usize, bytes: usize) {
+    /// strategies, so relative comparisons survive.) Returns the cost paid.
+    pub fn pay(&self, objects: usize, bytes: usize) -> Duration {
         let cost = self.cost(objects, bytes);
-        if cost.is_zero() {
-            return;
+        if !cost.is_zero() {
+            std::thread::sleep(cost);
         }
-        std::thread::sleep(cost);
-    }
-
-    /// Pays one empty round trip plus `extra` wall time in a single
-    /// sleep — the fault layer's latency spikes and timed-out calls,
-    /// which must spend their (deterministic) time *before* any error
-    /// is surfaced so timeout semantics stay testable.
-    pub fn pay_extra(&self, extra: Duration) {
-        let cost = self.cost(0, 0) + extra;
-        if cost.is_zero() {
-            return;
-        }
-        std::thread::sleep(cost);
+        cost
     }
 }
 

@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use quepa_pdm::{CollectionName, DataObject, DatabaseName, GlobalKey, LocalKey, Pushdown};
+use quepa_pdm::{CollectionName, DataObject, DatabaseName, LocalKey, Pushdown};
 
 use crate::connector::{Connector, FilteredFetch, StoreKind};
 use crate::error::{PolyError, Result};
@@ -70,112 +70,41 @@ impl Polystore {
         self.connector_by_name(database)?.execute_update(statement)
     }
 
-    /// Point lookup by global key. `Ok(None)` = the object is gone (the A'
-    /// index's lazy-deletion signal).
-    pub fn get(&self, key: &GlobalKey) -> Result<Option<DataObject>> {
-        self.connector(key.database())?.get(key.collection(), key.key())
-    }
-
-    /// Batched lookup: all `keys` must belong to `database.collection`; one
-    /// round trip.
-    pub fn multi_get(
-        &self,
-        database: &DatabaseName,
-        collection: &CollectionName,
-        keys: &[LocalKey],
-    ) -> Result<Vec<DataObject>> {
-        self.connector(database)?.multi_get(collection, keys)
-    }
-
-    /// One key-based round trip under a retry policy and an optional
-    /// circuit breaker — the body behind every `*_resilient` lookup.
+    /// One keyed round trip (see [`Connector::fetch`]): all `keys` belong
+    /// to `database.collection`, `filter` rides into the store when given,
+    /// and the call runs under a retry policy and an optional circuit
+    /// breaker.
     ///
-    /// A trivial policy without a breaker is exactly one `call`: the
-    /// happy path pays nothing for the resilience layer. Otherwise the
+    /// A trivial policy without a breaker is exactly one connector call:
+    /// the happy path pays nothing for the resilience layer. Otherwise the
     /// call is driven through [`run_round_trip`]: transient errors are
     /// retried with deterministic backoff, exhausted retries collapse
     /// into [`PolyError::Unreachable`], and retry/timeout/breaker events
     /// are attributed to the connector's statistics. The salt is the
-    /// identity of `collection` plus `keys`, whatever the call does with
-    /// them — so seeded fault plans and jitter cannot tell a `multi_get`
-    /// from a `fetch_where` of the same key list.
-    fn resilient<'k, T>(
+    /// identity of `collection` plus `keys`, whatever the filter — so
+    /// seeded fault plans and jitter cannot tell a filtered fetch from an
+    /// unfiltered one of the same key list.
+    pub fn fetch(
         &self,
         database: &DatabaseName,
         collection: &CollectionName,
-        keys: impl IntoIterator<Item = &'k LocalKey>,
+        keys: &[LocalKey],
+        filter: Option<&Pushdown>,
         policy: &RetryPolicy,
         breaker: Option<&CircuitBreaker>,
-        call: impl Fn(&dyn Connector) -> Result<T>,
-    ) -> Result<T> {
-        let connector = self.connector(database)?.as_ref();
+    ) -> Result<FilteredFetch> {
+        let connector = self.connector(database)?;
         if policy.is_trivial() && breaker.is_none() {
-            return call(connector);
+            return connector.fetch(collection, keys, filter);
         }
         let salt = call_identity(collection, keys);
-        let (result, report) = run_round_trip(policy, breaker, database, salt, || call(connector));
+        let (result, report) = run_round_trip(policy, breaker, database, salt, || {
+            connector.fetch(collection, keys, filter)
+        });
         if report.retries + report.timeouts + report.breaker_trips > 0 {
             connector.record_resilience(report.retries, report.timeouts, report.breaker_trips);
         }
         result
-    }
-
-    /// [`get`](Polystore::get) under a retry policy and an optional
-    /// circuit breaker.
-    pub fn get_resilient(
-        &self,
-        key: &GlobalKey,
-        policy: &RetryPolicy,
-        breaker: Option<&CircuitBreaker>,
-    ) -> Result<Option<DataObject>> {
-        let (collection, local) = (key.collection(), key.key());
-        self.resilient(key.database(), collection, [local], policy, breaker, |c| {
-            c.get(collection, local)
-        })
-    }
-
-    /// [`multi_get`](Polystore::multi_get) under a retry policy and an
-    /// optional circuit breaker; the whole batch is one round trip and
-    /// retries as a unit.
-    pub fn multi_get_resilient(
-        &self,
-        database: &DatabaseName,
-        collection: &CollectionName,
-        keys: &[LocalKey],
-        policy: &RetryPolicy,
-        breaker: Option<&CircuitBreaker>,
-    ) -> Result<Vec<DataObject>> {
-        self.resilient(database, collection, keys, policy, breaker, |c| {
-            c.multi_get(collection, keys)
-        })
-    }
-
-    /// Filtered batched lookup (see [`Connector::fetch_where`]): one round
-    /// trip, the predicate applied inside the store.
-    pub fn fetch_where(
-        &self,
-        database: &DatabaseName,
-        collection: &CollectionName,
-        keys: &[LocalKey],
-        filter: &Pushdown,
-    ) -> Result<FilteredFetch> {
-        self.connector(database)?.fetch_where(collection, keys, filter)
-    }
-
-    /// [`fetch_where`](Polystore::fetch_where) under a retry policy and
-    /// an optional circuit breaker.
-    pub fn fetch_where_resilient(
-        &self,
-        database: &DatabaseName,
-        collection: &CollectionName,
-        keys: &[LocalKey],
-        filter: &Pushdown,
-        policy: &RetryPolicy,
-        breaker: Option<&CircuitBreaker>,
-    ) -> Result<FilteredFetch> {
-        self.resilient(database, collection, keys, policy, breaker, |c| {
-            c.fetch_where(collection, keys, filter)
-        })
     }
 
     /// Rebuilds the registry with every connector passed through `wrap` —
@@ -259,7 +188,7 @@ mod tests {
     use crate::net::LatencyModel;
     use quepa_docstore::DocumentDb;
     use quepa_kvstore::KvStore;
-    use quepa_pdm::text;
+    use quepa_pdm::{text, GlobalKey};
     use quepa_relstore::engine::Database;
 
     fn sample() -> Polystore {
@@ -281,6 +210,16 @@ mod tests {
         p
     }
 
+    /// Point lookup by global key through the one keyed path.
+    fn get(p: &Polystore, key: &str) -> Option<DataObject> {
+        let key: GlobalKey = key.parse().unwrap();
+        let keys = std::slice::from_ref(key.key());
+        p.fetch(key.database(), key.collection(), keys, None, &RetryPolicy::default(), None)
+            .unwrap()
+            .matched
+            .pop()
+    }
+
     #[test]
     fn routing() {
         let p = sample();
@@ -297,11 +236,9 @@ mod tests {
     #[test]
     fn global_key_lookup() {
         let p = sample();
-        let key: GlobalKey = "discount.drop.k1:cure:wish".parse().unwrap();
-        let obj = p.get(&key).unwrap().unwrap();
+        let obj = get(&p, "discount.drop.k1:cure:wish").unwrap();
         assert_eq!(obj.value().as_str(), Some("40%"));
-        let missing: GlobalKey = "discount.drop.zzz".parse().unwrap();
-        assert!(p.get(&missing).unwrap().is_none());
+        assert!(get(&p, "discount.drop.zzz").is_none());
     }
 
     #[test]
@@ -326,22 +263,38 @@ mod tests {
         assert_eq!(h[&StoreKind::KeyValue], 1);
     }
 
-    /// The native pushdown paths of all four connectors must agree
-    /// bit-for-bit with the reference: `multi_get` plus the canonical
-    /// client-side evaluator — same matched objects (same order), same
-    /// rejected keys, same implied-missing keys.
+    /// The keyed contract, for all four stores behind every wrapper
+    /// stack: a native filtered fetch must agree bit-for-bit with the
+    /// reference — an unfiltered fetch plus the canonical client-side
+    /// evaluator (same matched objects in the same order, same rejected
+    /// keys, same implied-missing keys) — `get` / `multi_get` /
+    /// `fetch_where` are shapes of the one `fetch`, and a layer has no
+    /// statistics of its own: every call is exactly one round trip on the
+    /// inner store's link.
     #[test]
     fn fetch_where_agrees_with_client_side_filtering() {
+        use crate::connector::PushdownGate;
         use crate::connectors::GraphConnector;
+        use crate::fault::{FaultPlan, FaultyConnector};
         use quepa_graphstore::GraphDb;
         use quepa_pdm::{PushOp, Pushdown, Value};
 
-        let mut p = sample();
+        let mut bare = sample();
         let mut g = GraphDb::new("similar");
         g.add_node("s1", "Song", [("title", Value::str("Apart")), ("seq", Value::Int(1))]).unwrap();
         g.add_node("s2", "Song", [("title", Value::str("Elise")), ("seq", Value::Int(2))]).unwrap();
         g.add_node("a1", "Album", [("title", Value::str("Wish"))]).unwrap();
-        p.register(Arc::new(GraphConnector::new(g, LatencyModel::FREE)));
+        bare.register(Arc::new(GraphConnector::new(g, LatencyModel::FREE)));
+
+        let gate = |c| Arc::new(PushdownGate::new(c)) as Arc<dyn Connector>;
+        let plan = Arc::new(FaultPlan::new(1));
+        let fault = |c| Arc::new(FaultyConnector::new(c, Arc::clone(&plan))) as Arc<dyn Connector>;
+        let registries = [
+            ("bare", bare.clone(), true),
+            ("gate", bare.wrap_connectors(gate), false),
+            ("fault", bare.wrap_connectors(fault), true),
+            ("gate-in-fault", bare.wrap_connectors(|c| fault(gate(c))), false),
+        ];
 
         let mut seq_and_key = Pushdown::path("seq", PushOp::Lte, 1);
         seq_and_key.clauses.extend(Pushdown::key(PushOp::Prefix, "s").clauses);
@@ -370,30 +323,49 @@ mod tests {
             ("similar", "song", vec!["s1", "s2", "a1", "zz"], seq_and_key),
             ("similar", "song", vec!["s1", "s2"], Pushdown::default()),
         ];
-        for (db, coll, keys, filter) in cases {
+        for (db, coll, keys, filter) in &cases {
             let database = DatabaseName::new(db).unwrap();
             let collection = CollectionName::new(coll).unwrap();
             let keys: Vec<LocalKey> = keys.iter().map(|k| LocalKey::new(k).unwrap()).collect();
-            let connector = p.connector(&database).unwrap();
-            assert!(connector.supports_pushdown(&filter), "{db} declines {filter}");
-            let got = p.fetch_where(&database, &collection, &keys, &filter).unwrap();
-            let fetched = p.multi_get(&database, &collection, &keys).unwrap();
-            let mut want_matched = Vec::new();
-            let mut want_rejected = Vec::new();
-            for o in fetched {
-                if filter.matches(o.key().key().as_str(), o.value()) {
-                    want_matched.push(o);
-                } else {
-                    want_rejected.push(o.key().key().clone());
+            let inner = bare.connector(&database).unwrap();
+            for (stack, registry, native) in &registries {
+                let at = format!("{stack} {db} {filter}");
+                let connector = registry.connector(&database).unwrap();
+                assert_eq!(connector.supports_pushdown(filter), *native, "{at}");
+                // Each call below must cost the inner link one round trip.
+                let mut trips = inner.stats().round_trips;
+                let mut one_trip = |what: &str| {
+                    trips += 1;
+                    assert_eq!(inner.stats().round_trips, trips, "{at}: {what}");
+                };
+
+                let fetched = connector.multi_get(&collection, &keys).unwrap();
+                one_trip("multi_get");
+                let plain = connector.fetch(&collection, &keys, None).unwrap();
+                one_trip("fetch");
+                assert_eq!(plain.matched, fetched, "{at}");
+                assert!(plain.rejected.is_empty(), "{at}");
+                for key in &keys {
+                    let got = connector.get(&collection, key).unwrap();
+                    one_trip("get");
+                    let batch = connector.multi_get(&collection, std::slice::from_ref(key));
+                    one_trip("multi_get of one");
+                    assert_eq!(got, batch.unwrap().pop(), "{at}: {key}");
+                }
+
+                let no_retry = RetryPolicy::default();
+                let got = registry
+                    .fetch(&database, &collection, &keys, Some(filter), &no_retry, None)
+                    .unwrap();
+                one_trip("Polystore::fetch");
+                let direct = connector.fetch_where(&collection, &keys, filter).unwrap();
+                one_trip("fetch_where");
+                let want = FilteredFetch::split(fetched, Some(filter));
+                for have in [&got, &direct] {
+                    assert_eq!(have.matched, want.matched, "{at}");
+                    assert_eq!(have.rejected, want.rejected, "{at}");
                 }
             }
-            let got_keys: Vec<String> = got.matched.iter().map(|o| o.key().to_string()).collect();
-            let want_keys: Vec<String> = want_matched.iter().map(|o| o.key().to_string()).collect();
-            assert_eq!(got_keys, want_keys, "{db} {filter}");
-            for (g, w) in got.matched.iter().zip(&want_matched) {
-                assert_eq!(g.value(), w.value(), "{db} {filter}");
-            }
-            assert_eq!(got.rejected, want_rejected, "{db} {filter}");
         }
     }
 
@@ -401,7 +373,6 @@ mod tests {
     fn cross_database_update() {
         let p = sample();
         assert_eq!(p.execute_update("discount", "DEL k1:cure:wish").unwrap(), 1);
-        let key: GlobalKey = "discount.drop.k1:cure:wish".parse().unwrap();
-        assert!(p.get(&key).unwrap().is_none());
+        assert!(get(&p, "discount.drop.k1:cure:wish").is_none());
     }
 }

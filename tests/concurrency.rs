@@ -7,9 +7,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Condvar, Mutex};
 
 use quepa::core::{AnswerNormalForm, AugmenterKind, Quepa, QuepaConfig};
-use quepa::pdm::{CollectionName, DataObject, DatabaseName, LocalKey};
+use quepa::pdm::{CollectionName, LocalKey};
 use quepa::polystore::{
-    Connector, Deployment, Polystore, Result as PolyResult, StatsSnapshot, StoreKind,
+    Connector, Deployment, Layer, Layered, Polystore, Result as PolyResult, StoreKind,
 };
 use quepa::workload::{query_for, BuiltPolystore, WorkloadConfig};
 
@@ -208,80 +208,31 @@ impl Gate {
     }
 }
 
-/// Delegating connector that counts point/batched lookups — the round
-/// trips the single-flight layer is supposed to coalesce — and parks them
-/// on a [`Gate`] until the test releases it.
-struct GateConnector {
-    inner: Arc<dyn Connector>,
+/// A layer that counts keyed fetches — the round trips the single-flight
+/// layer is supposed to coalesce — and parks them on a [`Gate`] until the
+/// test releases it.
+struct GateLayer {
     round_trips: Arc<AtomicUsize>,
     gate: Arc<Gate>,
 }
 
-impl Connector for GateConnector {
-    fn database(&self) -> &DatabaseName {
-        self.inner.database()
-    }
-
-    fn kind(&self) -> StoreKind {
-        self.inner.kind()
-    }
-
-    fn collections(&self) -> Vec<CollectionName> {
-        self.inner.collections()
-    }
-
-    fn execute(&self, query: &str) -> PolyResult<Vec<DataObject>> {
-        self.inner.execute(query)
-    }
-
-    fn execute_update(&self, statement: &str) -> PolyResult<usize> {
-        self.inner.execute_update(statement)
-    }
-
-    fn get(&self, collection: &CollectionName, key: &LocalKey) -> PolyResult<Option<DataObject>> {
-        self.gate.hold();
-        self.round_trips.fetch_add(1, Ordering::Relaxed);
-        self.inner.get(collection, key)
-    }
-
-    fn multi_get(
+impl Layer for GateLayer {
+    fn before_fetch(
         &self,
-        collection: &CollectionName,
-        keys: &[LocalKey],
-    ) -> PolyResult<Vec<DataObject>> {
+        _inner: &dyn Connector,
+        _collection: &CollectionName,
+        _keys: &[LocalKey],
+    ) -> PolyResult<()> {
         self.gate.hold();
         self.round_trips.fetch_add(1, Ordering::Relaxed);
-        self.inner.multi_get(collection, keys)
-    }
-
-    fn scan_collection(&self, collection: &CollectionName) -> PolyResult<Vec<DataObject>> {
-        self.inner.scan_collection(collection)
-    }
-
-    fn object_count(&self) -> usize {
-        self.inner.object_count()
-    }
-
-    fn stats(&self) -> StatsSnapshot {
-        self.inner.stats()
-    }
-
-    fn reset_stats(&self) {
-        self.inner.reset_stats()
-    }
-
-    fn record_resilience(&self, retries: u64, timeouts: u64, breaker_trips: u64) {
-        self.inner.record_resilience(retries, timeouts, breaker_trips)
+        Ok(())
     }
 }
 
 fn gated(polystore: &Polystore, round_trips: &Arc<AtomicUsize>, gate: &Arc<Gate>) -> Polystore {
     polystore.wrap_connectors(|inner| {
-        Arc::new(GateConnector {
-            inner,
-            round_trips: Arc::clone(round_trips),
-            gate: Arc::clone(gate),
-        })
+        let layer = GateLayer { round_trips: Arc::clone(round_trips), gate: Arc::clone(gate) };
+        Arc::new(Layered::wrap(inner, layer))
     })
 }
 
