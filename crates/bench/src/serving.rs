@@ -25,7 +25,8 @@ use std::time::{Duration, Instant};
 use quepa_core::{pool_width, Quepa};
 use quepa_polystore::Deployment;
 use quepa_serve::{
-    augment_payload, read_response, send_request, AdmissionConfig, Request, Status, Verb,
+    augment_payload, configure_stream, read_response, send_request, AdmissionConfig, Request,
+    Status, Verb,
 };
 use quepa_workload::{BuiltPolystore, WorkloadConfig};
 use rand::rngs::StdRng;
@@ -336,7 +337,9 @@ pub fn measure_schedule(
             .map(|arrivals| {
                 let barrier = &barrier;
                 s.spawn(move || {
-                    let writer = TcpStream::connect(addr).expect("connect to server");
+                    let writer = TcpStream::connect(addr)
+                        .and_then(configure_stream)
+                        .expect("connect to server");
                     let reader_stream = writer.try_clone().expect("clone stream");
                     barrier.wait();
                     let start = Instant::now();

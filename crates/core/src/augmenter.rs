@@ -29,13 +29,21 @@
 //! pushed the filter down to; on the wire all three are the one
 //! `Polystore::fetch`) — and the one ticket executor
 //! (`Engine::execute`) runs a wave: tickets claim units off a shared
-//! atomic cursor as jobs on a [`WorkerPool`] (the instance's shared one,
-//! or a one-shot pool when none is attached) while the query parks on a
-//! [`Latch`]; a single ticket runs inline on the caller. Every ticket
-//! accumulates into its own sink shard merged after completion —
-//! workers never share a lock — and the final sort by (probability desc,
-//! key asc) makes the outcome independent of worker interleaving and
-//! shard merge order.
+//! atomic cursor. **The submitting thread is a ticket** — it starts
+//! claiming at once — and the other `tickets − 1` are helpers, jobs on a
+//! [`WorkerPool`] (the instance's shared one, or a one-shot pool when
+//! none is attached) that the submitting thread summons once per wave,
+//! the first time a unit's cache probe leaves keys pending, i.e. before
+//! its own first blocking call. Threads exist to overlap round trips
+//! (§IV): a cold wave fans out exactly as wide as the table says, a wave
+//! the cache answers in full never touches the pool, and a pool that is
+//! saturated or wedged costs a query its overlap, never its answer — the
+//! caller drains the cursor itself. Outcomes settle per unit (slot *i*
+//! for unit *i*) on a [`Latch`] that counts units, so no query waits for
+//! a helper that found nothing left to claim; they merge in unit order,
+//! the first failure in unit order (panic or error) being the wave's,
+//! and the final sort by (probability desc, key asc) makes the outcome
+//! independent of worker interleaving and merge order.
 //!
 //! Every unit goes through the one fetch routine
 //! (`Engine::fetch_unit`): cache probe → flight join, when a
@@ -47,6 +55,7 @@
 //! waiters account the published object exactly like a cache hit. See
 //! [`crate::flight`] for the equality argument.
 
+use std::cell::{Cell, OnceCell};
 use std::collections::{HashMap, HashSet};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -305,7 +314,7 @@ fn run_plan(
     // filtered run never joins either: a leader's published outcome is
     // not filter-aware.
     let coalesce = config.cache_size > 0 && filter.is_none();
-    let engine = Engine {
+    let engine = Arc::new(Engine {
         polystore: polystore.clone(),
         cache: Arc::clone(cache),
         resilience: config.resilience,
@@ -313,9 +322,9 @@ fn run_plan(
         obs: runtime.obs.map(Arc::clone),
         flight: runtime.flight.filter(|_| coalesce).map(Arc::clone),
         filter: filter.map(|(f, _)| f.clone()),
-    };
-    // A single ticket runs on the calling thread: observe it like any
-    // worker.
+    });
+    // The calling thread is a ticket of every wave: observe it like any
+    // helper.
     let _ctx = engine.observe_fetch();
     let decisions = match filter {
         Some((f, decider)) => decide_groups(polystore, &owned, &config, f, decider),
@@ -580,10 +589,8 @@ impl Sink {
     }
 }
 
-/// The retrieval engine, cloned into pool tickets: every field is either
-/// a cheap handle (`Arc`s, the connector-registry `Polystore`) or `Copy`,
-/// so a clone is a reference, not a data copy.
-#[derive(Clone)]
+/// The retrieval engine of one run, shared by handle with every wave's
+/// helpers.
 struct Engine {
     polystore: Polystore,
     cache: Arc<ObjectCache>,
@@ -617,28 +624,52 @@ fn unreachable_reason(error: &PolyError) -> Option<MissingReason> {
     }
 }
 
-/// One wave of tickets executing on a pool. `'static` by construction
-/// (the engine is owned), so jobs need no scoped lifetimes.
-struct TicketBatch {
-    engine: Engine,
+/// One wave of units and where their outcomes settle. `'static` by
+/// construction (the engine is a shared handle), so helper jobs need no
+/// scoped lifetimes.
+struct Wave {
+    engine: Arc<Engine>,
     units: Vec<Unit>,
+    /// The claim cursor every ticket — the caller and its helpers alike —
+    /// takes units off.
     next: AtomicUsize,
-    slots: parking_lot::Mutex<Vec<Option<TicketOutcome>>>,
-    latch: Latch,
+    /// Slot *i* holds unit *i*'s outcome; `None` is a unit settled unrun
+    /// behind a failure.
+    slots: parking_lot::Mutex<Vec<Option<UnitOutcome>>>,
+    /// Counts *units*, not tickets: it opens when the last unit settles,
+    /// whoever ran it, so a helper that starts after the cursor ran out
+    /// is never waited for.
+    settled: Latch,
 }
 
-type TicketOutcome = std::result::Result<Result<Sink>, Box<dyn std::any::Any + Send + 'static>>;
+type UnitOutcome = std::result::Result<Result<Sink>, Box<dyn std::any::Any + Send + 'static>>;
 
-impl TicketBatch {
-    fn run_ticket(&self) -> Result<Sink> {
-        let _ctx = self.engine.observe_fetch();
-        let mut local = Sink::default();
+impl Wave {
+    /// One ticket: claims units off the cursor until it runs out, each
+    /// into its own slot. `summon` is handed down to the fetch routine
+    /// (see [`Engine::execute`]).
+    fn drain(&self, summon: &dyn Fn()) {
         loop {
             let i = self.next.fetch_add(1, Ordering::Relaxed);
-            if i >= self.units.len() {
-                return Ok(local);
+            let Some(unit) = self.units.get(i) else { return };
+            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                let mut sink = Sink::default();
+                self.engine.run_unit(unit, &mut sink, summon).map(|()| sink)
+            }));
+            let failed = !matches!(outcome, Ok(Ok(_)));
+            self.slots.lock()[i] = Some(outcome);
+            let mut settled = 1;
+            if failed {
+                // Fail fast, as a serial run stops at its first error:
+                // the failing ticket claims every unit still unclaimed
+                // and settles it unrun. Units before the first failing
+                // one were all claimed earlier and run to completion, so
+                // which failure is first in unit order does not depend
+                // on who ran what.
+                let unclaimed = self.next.swap(self.units.len(), Ordering::Relaxed);
+                settled += self.units.len().saturating_sub(unclaimed);
             }
-            self.engine.run_unit(&self.units[i], &mut local)?;
+            self.settled.count_down_by(settled);
         }
     }
 }
@@ -693,9 +724,11 @@ impl Engine {
     /// independent lookups: each key probes, joins and settles on its
     /// own, so the cache sees them one after the other as §IV's
     /// per-object loop does.
-    fn run_unit(&self, unit: &Unit, sink: &mut Sink) -> Result<()> {
+    fn run_unit(&self, unit: &Unit, sink: &mut Sink, summon: &dyn Fn()) -> Result<()> {
         let step = if unit.wire == Wire::Get { 1 } else { unit.tasks.len().max(1) };
-        unit.tasks.chunks(step).try_for_each(|tasks| self.fetch_unit(tasks, unit.wire, sink))
+        unit.tasks
+            .chunks(step)
+            .try_for_each(|tasks| self.fetch_unit(tasks, unit.wire, sink, summon))
     }
 
     /// The one fetch routine: cache first, then — for what the cache
@@ -704,7 +737,13 @@ impl Engine {
     /// whatever other queries' leaders publish for the rest. `tasks`
     /// share one (database, collection) unless `wire` is `Get` over a
     /// single key.
-    fn fetch_unit(&self, tasks: &[Task], wire: Wire, sink: &mut Sink) -> Result<()> {
+    fn fetch_unit(
+        &self,
+        tasks: &[Task],
+        wire: Wire,
+        sink: &mut Sink,
+        summon: &dyn Fn(),
+    ) -> Result<()> {
         let mut pending: Vec<Pending<'_>> = Vec::with_capacity(tasks.len());
         for task in tasks {
             match self.cache.probe(&task.key) {
@@ -715,6 +754,10 @@ impl Engine {
         if pending.is_empty() {
             return Ok(());
         }
+        // Keys the cache cannot answer: blocking work lies ahead (a
+        // flight to wait on, a round trip), so the wave fans out now,
+        // before this thread first blocks.
+        summon();
         // The misses join the flight table as one atomic unit: this
         // query leads some keys, waits on others, and finds the rest
         // cached after all (a flight landed since the probe).
@@ -845,56 +888,59 @@ impl Engine {
         Ok(())
     }
 
-    /// The ticket executor: `tickets` workers claim `units` off a shared
-    /// cursor, each into its own sink shard, merged in ticket order. The
-    /// tickets are pool jobs and the caller parks on a latch — on `pool`,
-    /// or on a one-shot pool of exactly `tickets` workers when the run
-    /// has none. A single ticket runs inline on the caller: no pool hop.
-    fn execute(&self, units: Vec<Unit>, tickets: usize, pool: Option<&WorkerPool>) -> Result<Sink> {
-        let tickets = tickets.min(units.len());
-        if tickets <= 1 {
-            let mut sink = Sink::default();
-            units.iter().try_for_each(|unit| self.run_unit(unit, &mut sink))?;
-            return Ok(sink);
-        }
-        let one_shot;
-        let pool = match pool {
-            Some(pool) => pool,
-            None => {
-                one_shot = WorkerPool::new(tickets);
-                &one_shot
+    /// The ticket executor. The submitting thread is a ticket: it claims
+    /// `units` off the wave's cursor itself, and a wave whose every probe
+    /// hits the cache never leaves it. The other `tickets − 1` are
+    /// helpers, submitted once per wave — to `pool`, or to a one-shot
+    /// pool built on the spot when the run has none — the first time a
+    /// unit the caller runs finds keys the cache cannot answer, i.e.
+    /// before the caller's own first blocking call. The pool bounds
+    /// helpers only: if none ever starts, the caller drains the cursor
+    /// alone. Outcomes settle per unit and merge in unit order; the first
+    /// failure in unit order — a panic re-raised, an error returned — is
+    /// the wave's.
+    fn execute(
+        self: &Arc<Self>,
+        units: Vec<Unit>,
+        tickets: usize,
+        pool: Option<&WorkerPool>,
+    ) -> Result<Sink> {
+        let helpers = tickets.min(units.len()).saturating_sub(1);
+        let wave = Arc::new(Wave {
+            engine: Arc::clone(self),
+            next: AtomicUsize::new(0),
+            slots: parking_lot::Mutex::new(units.iter().map(|_| None).collect()),
+            settled: Latch::new(units.len()),
+            units,
+        });
+        // Declared before the first job can exist and dropped (joined)
+        // when this call returns: a late helper finds the cursor
+        // exhausted and exits at once.
+        let one_shot = OnceCell::new();
+        let summoned = Cell::new(helpers == 0);
+        let summon = || {
+            if summoned.replace(true) {
+                return;
+            }
+            let pool = pool.unwrap_or_else(|| one_shot.get_or_init(|| WorkerPool::new(helpers)));
+            for _ in 0..helpers {
+                let wave = Arc::clone(&wave);
+                pool.submit(move || {
+                    let _ctx = wave.engine.observe_fetch();
+                    // Only the submitting thread summons.
+                    wave.drain(&|| ());
+                });
             }
         };
-        let batch = Arc::new(TicketBatch {
-            engine: self.clone(),
-            units,
-            next: AtomicUsize::new(0),
-            slots: parking_lot::Mutex::new((0..tickets).map(|_| None).collect()),
-            latch: Latch::new(tickets),
-        });
-        for ticket in 0..tickets {
-            let batch = Arc::clone(&batch);
-            pool.submit(move || {
-                let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| batch.run_ticket()));
-                batch.slots.lock()[ticket] = Some(outcome);
-                batch.latch.count_down();
-            });
-        }
-        batch.latch.wait();
-        let slots = std::mem::take(&mut *batch.slots.lock());
-        let mut shards = Vec::with_capacity(tickets);
-        for slot in slots {
-            match slot.expect("every ticket reported before the latch opened") {
-                Ok(shard) => shards.push(shard),
-                // A panicking ticket panics the submitting query, ahead
-                // of any ticket's error; the first in ticket order wins.
+        wave.drain(&summon);
+        wave.settled.wait();
+        let slots = std::mem::take(&mut *wave.slots.lock());
+        let mut sink = Sink::default();
+        for outcome in slots.into_iter().flatten() {
+            match outcome {
+                Ok(shard) => sink.merge(shard?),
                 Err(panic) => std::panic::resume_unwind(panic),
             }
-        }
-        // Shards merge in ticket order, surfacing the first error.
-        let mut sink = Sink::default();
-        for shard in shards {
-            sink.merge(shard?);
         }
         Ok(sink)
     }

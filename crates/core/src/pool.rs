@@ -1,20 +1,24 @@
-//! The fetch worker pool: where every fetch ticket runs.
+//! The fetch worker pool: where a query's *helper* tickets run.
 //!
-//! A [`Quepa`] instance owns a single bounded pool; each query submits
-//! its fetch tickets as jobs and parks on a [`Latch`] until its wave
-//! completes. Tickets claim work units from a shared queue (injector +
-//! atomic claiming inside each wave), so 64 concurrent queries share the
-//! same few workers instead of running 64 × `THREADS_SIZE` threads. An
-//! execution outside any instance runs the same ticket path on a
-//! one-shot pool sized to its ticket count — the augmenter has no other
-//! way to start a thread.
+//! A [`Quepa`] instance owns a single bounded pool. A query runs its
+//! wave's units on the thread that submitted it and, the first time a
+//! cache probe leaves keys to fetch, submits its helper tickets here as
+//! jobs; every ticket — the caller included — claims work units off the
+//! wave's atomic cursor, and the wave's [`Latch`] counts *units*, so the
+//! query waits for work in progress and never for a job that has not
+//! started. 64 concurrent queries thus share the same few workers
+//! instead of running 64 × `THREADS_SIZE` threads, and the pool's width
+//! bounds how much overlap they get, not whether they finish. An
+//! execution outside any instance submits its helpers to a one-shot pool
+//! sized to their count — the augmenter has no other way to start a
+//! thread.
 //!
 //! Sizing: fetch work is round-trip-shaped — a worker spends most of a
 //! ticket parked in the polystore's simulated network sleep, not on the
 //! CPU — so the default width oversubscribes the core count instead of
 //! matching it (an IO pool, not a compute pool). Workers are spawned
-//! lazily on demand, so a short-lived instance that only ever runs
-//! sequential queries never starts a thread.
+//! lazily on demand, so an instance that only ever runs sequential
+//! queries — or queries its cache answers — never starts a thread.
 //!
 //! [`Quepa`]: crate::system::Quepa
 
@@ -103,6 +107,12 @@ impl WorkerPool {
         lock_state(&self.shared).spawned
     }
 
+    /// Workers currently parked waiting for a job.
+    #[cfg(test)]
+    fn idle(&self) -> usize {
+        lock_state(&self.shared).idle
+    }
+
     /// Enqueues a job, lazily starting a worker when none is idle and the
     /// pool is below its width.
     pub fn submit(&self, job: impl FnOnce() + Send + 'static) {
@@ -143,8 +153,8 @@ fn worker_loop(shared: &PoolShared) {
             }
         };
         match job {
-            // Ticket bodies catch their own panics and store them in the
-            // batch result; this outer catch only keeps a worker alive if
+            // Tickets catch their units' panics and store them in the
+            // wave's slots; this outer catch only keeps a worker alive if
             // a raw job (tests, future callers) panics anyway.
             Some(job) => drop(catch_unwind(AssertUnwindSafe(job))),
             None => return,
@@ -172,29 +182,34 @@ impl std::fmt::Debug for WorkerPool {
     }
 }
 
-/// A completion latch: the submitting query parks until every ticket of
-/// its batch counted down.
+/// A completion latch: the submitting query parks until every unit of
+/// its wave counted down.
 pub struct Latch {
     remaining: Mutex<usize>,
     done: Condvar,
 }
 
 impl Latch {
-    /// A latch waiting for `count` tickets.
+    /// A latch waiting for `count` completions.
     pub fn new(count: usize) -> Self {
         Latch { remaining: Mutex::new(count), done: Condvar::new() }
     }
 
-    /// Marks one ticket complete, waking waiters when the count hits 0.
+    /// Marks one complete, waking waiters when the count hits 0.
     pub fn count_down(&self) {
+        self.count_down_by(1);
+    }
+
+    /// Marks `n` complete at once, waking waiters when the count hits 0.
+    pub fn count_down_by(&self, n: usize) {
         let mut remaining = self.remaining.lock().unwrap_or_else(|e| e.into_inner());
-        *remaining = remaining.saturating_sub(1);
+        *remaining = remaining.saturating_sub(n);
         if *remaining == 0 {
             self.done.notify_all();
         }
     }
 
-    /// Parks until every ticket counted down.
+    /// Parks until the count hits 0.
     pub fn wait(&self) {
         let mut remaining = self.remaining.lock().unwrap_or_else(|e| e.into_inner());
         while *remaining > 0 {
@@ -242,10 +257,16 @@ mod tests {
             let l = Arc::clone(&latch);
             pool.submit(move || l.count_down());
             latch.wait();
+            // The latch opens inside the job, before the worker is back
+            // in the queue: let it park, or the next submit finds nobody
+            // idle and (rightly) spawns.
+            while pool.idle() == 0 {
+                std::thread::yield_now();
+            }
         }
-        // Sequential jobs find an idle worker again, so one thread serves
-        // all three (a second may race the first job's park; never three).
-        assert!(pool.spawned() <= 2, "spawned {}", pool.spawned());
+        // Sequential jobs find the idle worker again: one thread serves
+        // all three.
+        assert_eq!(pool.spawned(), 1);
     }
 
     #[test]

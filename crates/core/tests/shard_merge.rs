@@ -5,7 +5,9 @@
 //! batch sizes, cache states, and repeated runs (different thread
 //! interleavings).
 
-use std::sync::Arc;
+use std::panic::AssertUnwindSafe;
+use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::time::Duration;
 
 use quepa_aindex::{AIndex, IndexView};
 use quepa_core::augmenter::{self, AugmentationOutcome, FetchRuntime};
@@ -15,9 +17,12 @@ use quepa_core::{
     WorkerPool,
 };
 use quepa_kvstore::KvStore;
-use quepa_pdm::{GlobalKey, Probability, PushOp, Pushdown};
+use quepa_pdm::{CollectionName, GlobalKey, LocalKey, Probability, PushOp, Pushdown};
 use quepa_polystore::retry::BreakerSet;
-use quepa_polystore::{FaultPlan, FaultyConnector, KvConnector, LatencyModel, Polystore};
+use quepa_polystore::{
+    Connector, FaultPlan, FaultyConnector, KvConnector, LatencyModel, Layer, Layered, PolyError,
+    Polystore, Result as PolyResult,
+};
 
 const STORES: usize = 4;
 const KEYS_PER_STORE: usize = 16;
@@ -333,4 +338,215 @@ fn every_execution_path_yields_the_same_answer() {
             }
         }
     }
+}
+
+// -- the executor's contracts ------------------------------------------------
+
+/// A fixture no phantom key lives in — `db0.k` ↔ `db1.k` and nothing
+/// else — so a second run finds every key cached.
+fn paired() -> (Polystore, augmenter::AugmentPlan) {
+    let mut polystore = Polystore::new();
+    let mut index = AIndex::new();
+    for s in 0..2 {
+        let mut kv = KvStore::new(format!("db{s}"));
+        for k in 0..KEYS_PER_STORE {
+            kv.set(format!("k{k}"), format!("v{s}-{k}"));
+            index.insert_matching(&key(0, k), &key(1, k), Probability::of(0.8));
+        }
+        polystore.register(Arc::new(KvConnector::new(kv, "c", LatencyModel::FREE)));
+    }
+    let seeds: Vec<GlobalKey> = (0..KEYS_PER_STORE).map(|k| key(0, k)).collect();
+    (polystore, augmenter::plan(&IndexView::of(&index), &seeds, 0))
+}
+
+fn pooled_run(
+    polystore: &Polystore,
+    cache: &Arc<ObjectCache>,
+    plan: &augmenter::AugmentPlan,
+    threads: usize,
+    pool: &WorkerPool,
+) -> quepa_core::Result<AugmentationOutcome> {
+    let breakers = Arc::new(BreakerSet::disabled());
+    let runtime = FetchRuntime { breakers: &breakers, obs: None, pool: Some(pool), flight: None };
+    let config = table_config(AugmenterKind::OuterBatch, threads, 1024);
+    augmenter::run_planned_with(polystore, cache, plan, &config, &runtime)
+}
+
+/// Helpers are summoned by the first cache miss: a wave whose every
+/// probe hits never touches the pool, a cold one fans out to at most
+/// `threads_size − 1` helpers beside the caller.
+#[test]
+fn a_warm_wave_never_touches_the_pool() {
+    let (polystore, plan) = paired();
+    let cache = Arc::new(ObjectCache::new(1024));
+
+    let cold_pool = WorkerPool::new(8);
+    let cold = pooled_run(&polystore, &cache, &plan, 4, &cold_pool).unwrap();
+    assert!(cold.missing.is_empty() && cold.cache_hits == 0, "the fixture must start cold");
+    assert_eq!(cold.objects.len(), KEYS_PER_STORE, "four batch groups of 4");
+    assert!((1..=3).contains(&cold_pool.spawned()), "cold spawned {}", cold_pool.spawned());
+
+    let warm_pool = WorkerPool::new(8);
+    let warm = pooled_run(&polystore, &cache, &plan, 4, &warm_pool).unwrap();
+    assert_eq!(warm.cache_hits, cold.objects.len(), "every key must be cached");
+    assert_eq!(projected(&warm), projected(&cold));
+    assert_eq!(warm_pool.spawned(), 0, "no miss, no helper");
+}
+
+/// A gate the test holds closed, counting who is parked on it.
+#[derive(Default)]
+struct Gate {
+    /// (open, arrivals so far)
+    state: Mutex<(bool, usize)>,
+    changed: Condvar,
+}
+
+impl Gate {
+    fn hold(&self) {
+        let mut state = self.state.lock().unwrap();
+        state.1 += 1;
+        self.changed.notify_all();
+        while !state.0 {
+            state = self.changed.wait(state).unwrap();
+        }
+    }
+
+    fn release(&self) {
+        self.state.lock().unwrap().0 = true;
+        self.changed.notify_all();
+    }
+
+    /// Waits (under a watchdog) until `n` callers have arrived; returns
+    /// how many had when it gave up.
+    fn arrivals(&self, n: usize) -> usize {
+        let state = self.state.lock().unwrap();
+        let (state, _) = self.changed.wait_timeout_while(state, WATCHDOG, |s| s.1 < n).unwrap();
+        state.1
+    }
+}
+
+const WATCHDOG: Duration = Duration::from_secs(20);
+
+/// Holds every keyed fetch on the gate.
+struct GateLayer(Arc<Gate>);
+
+impl Layer for GateLayer {
+    fn before_fetch(
+        &self,
+        _inner: &dyn Connector,
+        _collection: &CollectionName,
+        _keys: &[LocalKey],
+    ) -> PolyResult<()> {
+        self.0.hold();
+        Ok(())
+    }
+}
+
+/// The pool bounds helpers, not queries: with the pool's only worker
+/// wedged in a foreign job, a cold 4-ticket query still completes — the
+/// caller drains the cursor itself — with the serial answer.
+#[test]
+fn a_wedged_pool_cannot_stall_a_query() {
+    let (polystore, index) = build();
+    let plan = table_plan(&index);
+    let serial = run_with(&polystore, &plan, AugmenterKind::Sequential, 4, 1, false);
+
+    let pool = WorkerPool::new(1);
+    let gate = Arc::new(Gate::default());
+    let wedge = Arc::clone(&gate);
+    pool.submit(move || wedge.hold());
+    assert_eq!(gate.arrivals(1), 1, "the worker must be parked in the held job");
+
+    let (done, outcome) = mpsc::channel();
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let cache = Arc::new(ObjectCache::new(1024));
+            let _ = done.send(pooled_run(&polystore, &cache, &plan, 4, &pool));
+        });
+        let outcome = outcome.recv_timeout(WATCHDOG);
+        gate.release();
+        let got = outcome.expect("the query hung behind the wedged pool").unwrap();
+        assert_eq!(projected(&got), projected(&serial));
+        assert_eq!(got.missing, serial.missing);
+    });
+    assert_eq!(pool.spawned(), 1);
+}
+
+/// Helpers are summoned before the caller's first blocking call: with
+/// every round trip held closed, a cold wave of ≥ 4 units has 4 of them
+/// in flight at once — the caller's and three helpers'.
+#[test]
+fn a_cold_wave_fans_out_before_the_first_round_trip() {
+    let (polystore, index) = build();
+    let gate = Arc::new(Gate::default());
+    let gated = polystore
+        .wrap_connectors(|inner| Arc::new(Layered::wrap(inner, GateLayer(Arc::clone(&gate)))));
+    let plan = table_plan(&index);
+    let pool = WorkerPool::new(8);
+    std::thread::scope(|s| {
+        let query = s.spawn(|| {
+            let cache = Arc::new(ObjectCache::new(1024));
+            pooled_run(&gated, &cache, &plan, 4, &pool).unwrap()
+        });
+        let in_flight = gate.arrivals(4);
+        gate.release();
+        assert_eq!(in_flight, 4, "round trips in flight while the gate was closed");
+        let serial = run_with(&polystore, &plan, AugmenterKind::Sequential, 4, 1, false);
+        assert_eq!(projected(&query.join().unwrap()), projected(&serial));
+    });
+}
+
+/// Fails every keyed fetch of one database, naming the batch it failed
+/// on: `db1` errors, `db3` panics.
+struct Failing;
+
+impl Layer for Failing {
+    fn before_fetch(
+        &self,
+        inner: &dyn Connector,
+        _collection: &CollectionName,
+        keys: &[LocalKey],
+    ) -> PolyResult<()> {
+        match inner.database().as_str() {
+            "db1" => Err(PolyError::store("db1", keys[0].as_str())),
+            "db3" => panic!("db3 {}", keys[0].as_str()),
+            _ => Ok(()),
+        }
+    }
+}
+
+/// A failing unit fails the query that submitted it, whichever thread ran
+/// it, and the first failure in *unit* order wins: a 4-ticket run reports
+/// exactly what a serial run — which stops at its first failing unit —
+/// reports, error or panic, every time.
+#[test]
+fn the_first_failure_in_unit_order_wins() {
+    let (polystore, index) = build();
+    let plan = table_plan(&index);
+    let pool = WorkerPool::new(8);
+    // What a run surfaces: the error it returned or the panic it raised.
+    let failure = |polystore: &Polystore, threads: usize| -> String {
+        let cache = Arc::new(ObjectCache::new(1024));
+        let run = AssertUnwindSafe(|| pooled_run(polystore, &cache, &plan, threads, &pool));
+        match std::panic::catch_unwind(run) {
+            Ok(outcome) => format!("error: {}", outcome.expect_err("a failing store must fail")),
+            Err(panic) => format!("panic: {}", panic.downcast::<String>().expect("a message")),
+        }
+    };
+    let mut seen = Vec::new();
+    for failing in [&["db1"][..], &["db3"], &["db1", "db3"]] {
+        let broken = polystore.wrap_connectors(|inner| {
+            if failing.contains(&inner.database().as_str()) {
+                Arc::new(Layered::wrap(inner, Failing))
+            } else {
+                inner
+            }
+        });
+        let serial = failure(&broken, 1);
+        for _ in 0..10 {
+            assert_eq!(failure(&broken, 4), serial, "failing {failing:?}");
+        }
+        seen.push(serial);
+    }
+    assert!(seen[0].starts_with("error: ") && seen[1].starts_with("panic: "), "{seen:?}");
 }

@@ -12,8 +12,8 @@ use std::io::{self, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 
 use crate::protocol::{
-    augment_payload, decode_request, decode_response, encode_request, query_payload, read_frame,
-    write_frame, Request, Response, Verb,
+    augment_payload, configure_stream, decode_request, decode_response, encode_request,
+    query_payload, read_frame, write_frame, Request, Response, Verb,
 };
 
 /// Writes one request frame to `stream`.
@@ -47,7 +47,7 @@ pub struct Client {
 impl Client {
     /// Connects to a running server.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Client> {
-        let writer = TcpStream::connect(addr)?;
+        let writer = configure_stream(TcpStream::connect(addr)?)?;
         let reader = BufReader::new(writer.try_clone()?);
         Ok(Client { writer, reader, next_id: 1 })
     }

@@ -33,8 +33,8 @@ pub mod server;
 pub use admission::{AdmissionConfig, AdmissionController, Decision, Ticket};
 pub use client::{read_response, send_request, Client};
 pub use protocol::{
-    augment_payload, decode_request, decode_response, encode_request, encode_response,
-    parse_augment_payload, parse_query_payload, query_payload, read_frame, write_frame, FrameError,
-    Request, Response, Status, Verb, HEADER_LEN, MAX_FRAME,
+    augment_payload, configure_stream, decode_request, decode_response, encode_request,
+    encode_response, parse_augment_payload, parse_query_payload, query_payload, read_frame,
+    write_frame, FrameError, Request, Response, Status, Verb, HEADER_LEN, MAX_FRAME,
 };
 pub use server::Server;

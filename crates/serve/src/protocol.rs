@@ -28,6 +28,7 @@
 
 use std::fmt;
 use std::io::{self, Read, Write};
+use std::net::TcpStream;
 
 /// Bytes of `[id][verb-or-status]` — the fixed part counted by `len`.
 pub const HEADER_LEN: usize = 9;
@@ -226,6 +227,23 @@ pub fn read_frame(reader: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
 pub fn write_frame(writer: &mut impl Write, frame: &[u8]) -> io::Result<()> {
     writer.write_all(frame)?;
     writer.flush()
+}
+
+/// Sets the socket options of a stream that carries frames — the one
+/// place they are set, for the accept loop, [`Client::connect`] and the
+/// load generators alike. A frame is written whole and is complete the
+/// moment it is written, so nothing is gained by letting the kernel hold
+/// it back to coalesce it with a later write: under Nagle's algorithm a
+/// frame smaller than one segment waits for the peer's ACK of the frame
+/// before it, and on a pipelined connection that ACK rides on the peer's
+/// *next* frame — a response is then delayed by the client's
+/// inter-arrival time and a request by the server's service time.
+/// `TCP_NODELAY` turns that off.
+///
+/// [`Client::connect`]: crate::client::Client::connect
+pub fn configure_stream(stream: TcpStream) -> io::Result<TcpStream> {
+    stream.set_nodelay(true)?;
+    Ok(stream)
 }
 
 /// Builds an `AUGMENT` payload: `database \n level \n query`.

@@ -8,6 +8,13 @@
 //! execute inline on the reader thread — they are cheap, must not be
 //! shed, and keep working while the query plane is overloaded.
 //!
+//! Between a decoded frame and its response on the socket nothing waits
+//! for a timer: every accepted socket goes through
+//! [`configure_stream`] (`TCP_NODELAY`), so a response — one write,
+//! smaller than a segment — is not held back until the client's next
+//! request happens to acknowledge the previous one. The accept loop is
+//! also where the handles of connections that have ended are dropped.
+//!
 //! Admission control ([`AdmissionController`]) sits between decode and
 //! execute. Every decision lands in the instance's `quepa-obs` registry:
 //! `offered` at decode, `served` (plus `degraded`) when a response is
@@ -33,8 +40,8 @@ use quepa_core::{Quepa, WorkerPool};
 
 use crate::admission::{AdmissionConfig, AdmissionController, Decision};
 use crate::protocol::{
-    decode_request, encode_response, parse_augment_payload, parse_query_payload, read_frame,
-    write_frame, Request, Response, Status, Verb, HEADER_LEN, MAX_FRAME,
+    configure_stream, decode_request, encode_response, parse_augment_payload, parse_query_payload,
+    read_frame, write_frame, Request, Response, Status, Verb, HEADER_LEN, MAX_FRAME,
 };
 
 /// State shared by the accept thread and every connection.
@@ -100,6 +107,20 @@ impl Server {
         &self.shared.gate
     }
 
+    /// Per live connection, whether the accepted socket has `TCP_NODELAY`
+    /// on (for tests and diagnostics).
+    pub fn live_nodelay(&self) -> Vec<bool> {
+        let streams = self.shared.streams.lock().unwrap_or_else(|e| e.into_inner());
+        streams.iter().map(|(_, stream)| stream.nodelay().unwrap_or(false)).collect()
+    }
+
+    /// Connection threads the server still holds a handle to: the live
+    /// ones plus those that ended since the last accept (for tests and
+    /// diagnostics).
+    pub fn retained_handles(&self) -> usize {
+        self.connections.lock().unwrap_or_else(|e| e.into_inner()).len()
+    }
+
     /// Stops accepting, unblocks and joins every connection thread.
     /// Idempotent; also runs on drop.
     pub fn shutdown(&mut self) {
@@ -138,7 +159,8 @@ fn accept_loop(
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        let Ok(stream) = stream else { continue };
+        // A socket that cannot take its options is not served.
+        let Ok(stream) = stream.and_then(configure_stream) else { continue };
         let token = shared.next_conn.fetch_add(1, Ordering::Relaxed);
         if let Ok(keep) = stream.try_clone() {
             shared.streams.lock().unwrap_or_else(|e| e.into_inner()).push((token, keep));
@@ -148,7 +170,12 @@ fn accept_loop(
             .name("quepa-serve-conn".into())
             .spawn(move || handle_connection(&shared, stream, token))
             .expect("spawn connection thread");
-        connections.lock().unwrap_or_else(|e| e.into_inner()).push(handle);
+        // Handles of connections that have ended are dropped here, so a
+        // long-lived server holds one per live connection, not one per
+        // connection it ever saw.
+        let mut connections = connections.lock().unwrap_or_else(|e| e.into_inner());
+        connections.retain(|handle| !handle.is_finished());
+        connections.push(handle);
     }
 }
 

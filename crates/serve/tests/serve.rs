@@ -258,3 +258,31 @@ fn malformed_frames_answer_errors_or_close_cleanly() {
     let mut client = Client::connect(addr).unwrap();
     assert_eq!(client.metrics(false).unwrap().status, Status::Ok);
 }
+
+/// Every socket the server accepts has `TCP_NODELAY` on (as has the
+/// client's side of it): no frame waits for an ACK of the one before.
+#[test]
+fn accepted_sockets_have_nodelay_on() {
+    let server = Server::start(quepa(), "127.0.0.1:0", wide_open()).unwrap();
+    let mut clients: Vec<Client> =
+        (0..3).map(|_| Client::connect(server.local_addr()).unwrap()).collect();
+    // A round trip each: the server has accepted all three.
+    for client in &mut clients {
+        assert_eq!(client.metrics(false).unwrap().status, Status::Ok);
+    }
+    assert_eq!(server.live_nodelay(), [true; 3]);
+}
+
+/// A long-lived server that sees short connections keeps handles of the
+/// live ones only.
+#[test]
+fn finished_connections_do_not_accumulate() {
+    let server = Server::start(quepa(), "127.0.0.1:0", wide_open()).unwrap();
+    for _ in 0..300 {
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        assert_eq!(client.metrics(false).unwrap().status, Status::Ok);
+    }
+    // Pruning happens at accept, so the last few may not have ended yet.
+    let retained = server.retained_handles();
+    assert!(retained <= 16, "{retained} handles retained after 300 connect-and-close cycles");
+}
