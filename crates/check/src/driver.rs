@@ -41,6 +41,11 @@
 //!    instance is killed at the seeded point (optionally leaving a torn
 //!    or unacknowledged WAL record behind), recovered, and held to
 //!    bit-for-bit agreement with a never-crashed twin.
+//! 10. **Index ≡ scan** — the local query, run on a polystore built with
+//!     the declared store indexes and on its twin built without them,
+//!     returns the same objects in the same order — and again after each
+//!     of the scenario's store mutations
+//!     ([`Scenario::store_mutations`]), applied to both twins.
 //!
 //! Every run builds *fresh* twin systems — lazy deletion mutates the
 //! index, so instances are never reused across runs (except where reuse
@@ -189,6 +194,7 @@ pub fn check_scenario(scenario: &Scenario) -> Result<CheckReport, CheckFailure> 
     check_retry_accounting(scenario, &database, &query, &model_out, &fail)?;
     check_removal_quiesce(scenario, &fail)?;
     check_pushdown_modes(scenario, &database, &query, &fail)?;
+    check_access_paths(scenario, &database, &query, &fail)?;
     // Invariant 9: scenarios carrying a crash plan also run the
     // crash-point recovery differential (no-op without one).
     crate::crash::check_crash_scenario(scenario)?;
@@ -587,6 +593,46 @@ fn check_pushdown_modes(
             "warm cache hits diverge between pushdown ({on_hits}) and fallback ({off_hits}) — \
              the two paths cached different object sets"
         )));
+    }
+    Ok(())
+}
+
+/// Invariant 10: a declared store index changes where the engine looks,
+/// never what it answers. The local query runs on the indexed polystore
+/// and on its scan-path twin, before and after every store mutation of
+/// the scenario; objects and order must agree each time, and so must what
+/// each mutation reports.
+fn check_access_paths(
+    scenario: &Scenario,
+    database: &str,
+    query: &str,
+    fail: &impl Fn(String) -> CheckFailure,
+) -> Result<(), CheckFailure> {
+    let indexed = scenario.build_polystore();
+    let scan = scenario.build_unindexed_polystore();
+    let compare = |after: &str| {
+        let (got, want) = (indexed.execute(database, query), scan.execute(database, query));
+        // Debug form, not `==`: it tells -0.0 from 0.0.
+        if format!("{got:?}") == format!("{want:?}") {
+            return Ok(());
+        }
+        Err(fail(format!(
+            "local query `{query}` {after}: indexed store diverges from its scan twin\n\
+             --- indexed ---\n{got:?}\n--- scan ---\n{want:?}"
+        )))
+    };
+    compare("on the fresh stores")?;
+    for statement in scenario.store_mutations() {
+        let (got, want) = (
+            indexed.execute_update(database, &statement),
+            scan.execute_update(database, &statement),
+        );
+        if format!("{got:?}") != format!("{want:?}") {
+            return Err(fail(format!(
+                "store mutation `{statement}`: indexed store reports {got:?}, its scan twin {want:?}"
+            )));
+        }
+        compare(&format!("after `{statement}`"))?;
     }
     Ok(())
 }

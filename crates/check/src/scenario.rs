@@ -582,8 +582,20 @@ impl Scenario {
     // -- materialization -------------------------------------------------
 
     /// Builds the pristine polystore (no fault wrapping) from the seeded
-    /// population hooks.
+    /// population hooks, with the indexes the schema declares: `seq` on
+    /// `inventory`, `albums` and `:Album`, as in
+    /// [`quepa_workload::BuiltPolystore::build`].
     pub fn build_polystore(&self) -> Polystore {
+        self.build_stores(true)
+    }
+
+    /// The same stores with no index declared: every local query takes the
+    /// scan path. The twin invariant 10 holds [`Self::build_polystore`] to.
+    pub fn build_unindexed_polystore(&self) -> Polystore {
+        self.build_stores(false)
+    }
+
+    fn build_stores(&self, indexed: bool) -> Polystore {
         let latency = self.deployment.latency();
         let mut polystore = Polystore::new();
         for (i, spec) in self.stores.iter().enumerate() {
@@ -595,20 +607,70 @@ impl Scenario {
                     polystore.register(Arc::new(KvConnector::new(kv, "c", latency)));
                 }
                 StoreKind::Relational => {
-                    let db = Database::populate_seeded(name, store_seed, spec.objects);
+                    let mut db = Database::populate_seeded(name, store_seed, spec.objects);
+                    if indexed {
+                        db.create_index("inventory", "seq").expect("the seeded table has a seq");
+                    }
                     polystore.register(Arc::new(RelationalConnector::new(db, latency)));
                 }
                 StoreKind::Document => {
-                    let db = DocumentDb::populate_seeded(name, store_seed, spec.objects);
+                    let mut db = DocumentDb::populate_seeded(name, store_seed, spec.objects);
+                    if indexed {
+                        db.create_index("albums", "seq");
+                    }
                     polystore.register(Arc::new(DocumentConnector::new(db, latency)));
                 }
                 StoreKind::Graph => {
-                    let db = GraphDb::populate_seeded(name, store_seed, spec.objects);
+                    let mut db = GraphDb::populate_seeded(name, store_seed, spec.objects);
+                    if indexed {
+                        db.create_index("Album", "seq");
+                    }
                     polystore.register(Arc::new(GraphConnector::new(db, latency)));
                 }
             }
         }
         polystore
+    }
+
+    /// Native DML against the query-target store, derived from the
+    /// scenario alone — what invariant 10 applies between its queries:
+    /// the [`Self::removals`] that address that store as keyed deletes,
+    /// then a window in the middle of the local query's range deleted
+    /// through the store's own predicate language (so the access path
+    /// picks the rows a statement changes, not only the rows it returns),
+    /// and in SQL a row moved out of the range and a deleted one put back.
+    pub fn store_mutations(&self) -> Vec<String> {
+        let kind = self.stores[self.query_store].kind;
+        let delete_key = |j: usize| {
+            let key = Self::local_key(kind, j);
+            match kind {
+                StoreKind::KeyValue => format!("DEL {key}"),
+                StoreKind::Relational => format!("DELETE FROM inventory WHERE id = '{key}'"),
+                StoreKind::Document => format!(r#"db.albums.remove({{"_id":"{key}"}})"#),
+                StoreKind::Graph => format!("DELETE NODE {key}"),
+            }
+        };
+        let mut out: Vec<String> = self
+            .removals
+            .iter()
+            .filter(|&&(store, _)| store == self.query_store)
+            .map(|&(_, obj)| delete_key(obj))
+            .collect();
+        let (lo, hi) = (self.query_size / 3, self.query_size / 2);
+        match kind {
+            StoreKind::Relational => {
+                out.push(format!("DELETE FROM inventory WHERE seq >= {lo} AND seq < {hi}"));
+                out.push(format!("UPDATE inventory SET seq = {} WHERE seq = 0", self.query_size));
+                out.push(format!("INSERT INTO inventory VALUES ('a{lo}', 'back', {lo})"));
+            }
+            StoreKind::Document => {
+                out.push(format!(r#"db.albums.remove({{"seq":{{"$gte":{lo},"$lt":{hi}}}}})"#));
+            }
+            // The graph's update language is `DELETE NODE` alone and the
+            // kv store has no `seq`: the window goes key by key.
+            StoreKind::Graph | StoreKind::KeyValue => out.extend((lo..hi).take(4).map(delete_key)),
+        }
+        out
     }
 
     /// The [`FaultPlan`] the spec describes, if any.

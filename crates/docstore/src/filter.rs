@@ -1,6 +1,7 @@
 //! Filter documents: a compiled form of Mongo-style query filters and the
 //! matcher that evaluates them against documents.
 
+use quepa_pdm::ordered::{Cmp, Sarg};
 use quepa_pdm::Value;
 
 use crate::error::{DocError, Result};
@@ -190,6 +191,29 @@ impl Filter {
                     }
                 }
             }
+        }
+    }
+
+    /// Collects, from the top-level conjunction, every condition an
+    /// ordered index can answer: `$eq`, `$gt`, `$gte`, `$lt`, `$lte` on a
+    /// field path. `$or`, `$not`, `$ne`, `$in`, `$exists` and the string
+    /// operators are skipped: they stay in the filter, they just offer no
+    /// bound.
+    pub fn conjunct_bounds<'a>(&'a self, out: &mut Vec<Sarg<'a>>) {
+        match self {
+            Filter::And(fs) => fs.iter().for_each(|f| f.conjunct_bounds(out)),
+            Filter::Field { path, op } => {
+                let (cmp, literal) = match op {
+                    FieldOp::Eq(v) => (Cmp::Eq, v),
+                    FieldOp::Gt(v) => (Cmp::Gt, v),
+                    FieldOp::Gte(v) => (Cmp::Ge, v),
+                    FieldOp::Lt(v) => (Cmp::Lt, v),
+                    FieldOp::Lte(v) => (Cmp::Le, v),
+                    _ => return,
+                };
+                out.push(Sarg { field: path, op: cmp, literal: literal.clone() });
+            }
+            _ => {}
         }
     }
 

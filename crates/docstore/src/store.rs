@@ -2,33 +2,99 @@
 
 use std::collections::{BTreeMap, HashMap};
 
+use quepa_pdm::ordered::{self, OrderedIndex};
 use quepa_pdm::Value;
 
 use crate::error::{DocError, Result};
 use crate::filter::Filter;
 use crate::query::{DocQuery, QueryVerb};
 
-/// One collection: documents keyed by `_id` (insertion order preserved via
-/// the `order` vector so scans and ties in sorting stay deterministic).
+/// One collection: a slab of documents in insertion order — the scan
+/// order, and the tie order of sorts — beside an `_id` → slot map and the
+/// declared field indexes. Deleting leaves `None` in the slot so slots stay
+/// stable; a re-inserted `_id` takes a fresh slot at the end.
 #[derive(Debug, Clone, Default)]
 struct Collection {
-    docs: HashMap<String, Value>,
-    order: Vec<String>,
-    tombstones: usize,
+    slots: Vec<Option<Value>>,
+    by_id: HashMap<String, usize>,
+    indexes: Vec<FieldIndex>,
+}
+
+/// A declared secondary index over one dotted field path. Documents
+/// without the field have no entry: no indexable condition matches them.
+#[derive(Debug, Clone)]
+struct FieldIndex {
+    path: String,
+    index: OrderedIndex,
 }
 
 impl Collection {
-    fn compact_if_needed(&mut self) {
-        // The order vector keeps ids of deleted docs as tombstones; compact
-        // once they dominate to keep scans linear in live documents.
-        if self.tombstones > self.docs.len() {
-            self.order.retain(|id| self.docs.contains_key(id));
-            self.tombstones = 0;
+    fn get(&self, id: &str) -> Option<&Value> {
+        self.slots[*self.by_id.get(id)?].as_ref()
+    }
+
+    fn insert(&mut self, id: String, doc: Value) {
+        let slot = self.slots.len();
+        for FieldIndex { path, index } in &mut self.indexes {
+            if let Some(v) = doc.get_path(path) {
+                index.insert(v, slot);
+            }
+        }
+        self.by_id.insert(id, slot);
+        self.slots.push(Some(doc));
+    }
+
+    fn remove(&mut self, slot: usize) {
+        let doc = self.slots[slot].take().expect("only live slots are removed");
+        self.by_id.remove(&doc_id(&doc).expect("stored documents passed insert's check"));
+        for FieldIndex { path, index } in &mut self.indexes {
+            if let Some(v) = doc.get_path(path) {
+                index.remove(v, slot);
+            }
         }
     }
 
-    fn iter_live(&self) -> impl Iterator<Item = (&String, &Value)> {
-        self.order.iter().filter_map(|id| self.docs.get_key_value(id))
+    /// The access path: the slots a query filtered by `filter` has to
+    /// visit, ascending — the `_id` map for a bare `_id` equality, a
+    /// declared index's range when a conjunct bounds its field (see
+    /// [`quepa_pdm::ordered`]), every live slot otherwise. Always a
+    /// superset of the matches; callers evaluate the whole filter on each.
+    fn candidates(&self, filter: &Filter) -> Vec<usize> {
+        if let Some(id) = filter.as_id_lookup() {
+            return self.by_id.get(id).copied().into_iter().collect();
+        }
+        let mut sargs = Vec::new();
+        filter.conjunct_bounds(&mut sargs);
+        let index_of = |path: &str| self.indexes.iter().find(|i| i.path == path).map(|i| &i.index);
+        ordered::choose(&sargs, index_of).unwrap_or_else(|| {
+            self.slots.iter().enumerate().filter_map(|(slot, d)| d.as_ref().map(|_| slot)).collect()
+        })
+    }
+
+    /// The slots of the documents `filter` accepts, in slot order — what
+    /// `find`, `count` and `remove` all start from.
+    fn matching(&self, filter: &Filter) -> Vec<usize> {
+        let mut hits = self.candidates(filter);
+        hits.retain(|&slot| filter.matches(self.doc(slot)));
+        hits
+    }
+
+    fn doc(&self, slot: usize) -> &Value {
+        self.slots[slot].as_ref().expect("candidate slots are live")
+    }
+}
+
+/// The key a document is stored under: its string `_id`, or the decimal
+/// rendering of an integer one.
+fn doc_id(doc: &Value) -> Result<String> {
+    match doc.get("_id") {
+        Some(Value::Str(s)) => Ok(s.clone()),
+        Some(Value::Int(i)) => Ok(i.to_string()),
+        Some(other) => Err(DocError::BadDocument(format!(
+            "_id must be a string or int, got {}",
+            other.type_name()
+        ))),
+        None => Err(DocError::BadDocument("document lacks an _id".into())),
     }
 }
 
@@ -57,7 +123,7 @@ impl DocumentDb {
 
     /// Number of live documents in a collection (0 if absent).
     pub fn len(&self, collection: &str) -> usize {
-        self.collections.get(collection).map_or(0, |c| c.docs.len())
+        self.collections.get(collection).map_or(0, |c| c.by_id.len())
     }
 
     /// True if the named collection is empty or absent.
@@ -69,17 +135,7 @@ impl DocumentDb {
     /// `_id`; integer ids are stored under their decimal rendering.
     /// Creates the collection on first use (Mongo behaviour).
     pub fn insert(&mut self, collection: &str, doc: Value) -> Result<String> {
-        let id = match doc.get("_id") {
-            Some(Value::Str(s)) => s.clone(),
-            Some(Value::Int(i)) => i.to_string(),
-            Some(other) => {
-                return Err(DocError::BadDocument(format!(
-                    "_id must be a string or int, got {}",
-                    other.type_name()
-                )))
-            }
-            None => return Err(DocError::BadDocument("document lacks an _id".into())),
-        };
+        let id = doc_id(&doc)?;
         if doc.as_object().is_none() {
             return Err(DocError::BadDocument(format!(
                 "document must be an object, got {}",
@@ -87,26 +143,47 @@ impl DocumentDb {
             )));
         }
         let coll = self.collections.entry(collection.to_owned()).or_default();
-        if coll.docs.contains_key(&id) {
+        if coll.by_id.contains_key(&id) {
             return Err(DocError::DuplicateId(id));
         }
-        coll.order.push(id.clone());
-        coll.docs.insert(id.clone(), doc);
+        coll.insert(id.clone(), doc);
         Ok(id)
+    }
+
+    /// Declares an ordered index over the dotted field `path` of
+    /// `collection` (created if absent, as by an insert), backfilling
+    /// from existing documents. Declaring it twice is a no-op.
+    pub fn create_index(&mut self, collection: &str, path: &str) {
+        let coll = self.collections.entry(collection.to_owned()).or_default();
+        if coll.indexes.iter().any(|i| i.path == path) {
+            return;
+        }
+        let mut index = OrderedIndex::new();
+        for (slot, doc) in coll.slots.iter().enumerate() {
+            if let Some(v) = doc.as_ref().and_then(|d| d.get_path(path)) {
+                index.insert(v, slot);
+            }
+        }
+        coll.indexes.push(FieldIndex { path: path.to_owned(), index });
+    }
+
+    /// The slots a query with this filter would visit (see the access
+    /// path of [`quepa_pdm::ordered`]): its length is the work the query
+    /// costs, whatever the collection holds. Empty for an absent collection.
+    pub fn candidates(&self, collection: &str, filter: &Filter) -> Vec<usize> {
+        self.collections.get(collection).map_or_else(Vec::new, |c| c.candidates(filter))
     }
 
     /// Point lookup by `_id`.
     pub fn get(&self, collection: &str, id: &str) -> Option<&Value> {
-        self.collections.get(collection)?.docs.get(id)
+        self.collections.get(collection)?.get(id)
     }
 
     /// Batched point lookup (one simulated round trip). Missing ids are
     /// skipped.
     pub fn multi_get(&self, collection: &str, ids: &[&str]) -> Vec<(String, Value)> {
         let Some(coll) = self.collections.get(collection) else { return Vec::new() };
-        ids.iter()
-            .filter_map(|id| coll.docs.get(*id).map(|d| ((*id).to_owned(), d.clone())))
-            .collect()
+        ids.iter().filter_map(|id| coll.get(id).map(|d| ((*id).to_owned(), d.clone()))).collect()
     }
 
     /// Batched point lookup with a store-side filter: one simulated round
@@ -125,7 +202,7 @@ impl DocumentDb {
         let mut matched = Vec::new();
         let mut rejected = Vec::new();
         for id in ids {
-            let Some(doc) = coll.docs.get(*id) else { continue };
+            let Some(doc) = coll.get(id) else { continue };
             if filter.matches(doc) {
                 matched.push(((*id).to_owned(), doc.clone()));
             } else {
@@ -137,16 +214,10 @@ impl DocumentDb {
 
     /// Deletes by `_id`; returns whether the document existed.
     pub fn delete(&mut self, collection: &str, id: &str) -> bool {
-        if let Some(coll) = self.collections.get_mut(collection) {
-            let existed = coll.docs.remove(id).is_some();
-            if existed {
-                coll.tombstones += 1;
-                coll.compact_if_needed();
-            }
-            existed
-        } else {
-            false
-        }
+        let Some(coll) = self.collections.get_mut(collection) else { return false };
+        let Some(&slot) = coll.by_id.get(id) else { return false };
+        coll.remove(slot);
+        true
     }
 
     /// Parses and runs a query string. `find` returns documents, `count`
@@ -175,16 +246,10 @@ impl DocumentDb {
                     .collections
                     .get_mut(&q.collection)
                     .ok_or_else(|| DocError::UnknownCollection(q.collection.clone()))?;
-                let doomed: Vec<String> = coll
-                    .iter_live()
-                    .filter(|(_, d)| q.filter.matches(d))
-                    .map(|(id, _)| id.clone())
-                    .collect();
-                for id in &doomed {
-                    coll.docs.remove(id);
-                    coll.tombstones += 1;
+                let doomed = coll.matching(&q.filter);
+                for &slot in &doomed {
+                    coll.remove(slot);
                 }
-                coll.compact_if_needed();
                 Ok(vec![Value::object([("removed", Value::Int(doomed.len() as i64))])])
             }
         }
@@ -205,13 +270,8 @@ impl DocumentDb {
             .get(&q.collection)
             .ok_or_else(|| DocError::UnknownCollection(q.collection.clone()))?;
 
-        let mut matched: Vec<&Value>;
-        if let Some(id) = q.filter.as_id_lookup() {
-            // Point lookup fast path.
-            matched = coll.docs.get(id).into_iter().collect();
-        } else {
-            matched = coll.iter_live().map(|(_, d)| d).filter(|d| q.filter.matches(d)).collect();
-        }
+        let mut matched: Vec<&Value> =
+            coll.matching(&q.filter).into_iter().map(|slot| coll.doc(slot)).collect();
 
         if q.verb == QueryVerb::Count {
             return Ok(vec![Value::object([("count", Value::Int(matched.len() as i64))])]);
@@ -237,7 +297,7 @@ impl DocumentDb {
 
     /// Total live documents across collections.
     pub fn total_docs(&self) -> usize {
-        self.collections.values().map(|c| c.docs.len()).sum()
+        self.collections.values().map(|c| c.by_id.len()).sum()
     }
 
     /// Seedable population hook for the simulation harness (`quepa-check`):
@@ -374,7 +434,7 @@ mod tests {
     }
 
     #[test]
-    fn tombstone_compaction_keeps_scans_correct() {
+    fn deleted_slots_keep_scans_correct() {
         let mut db = DocumentDb::new("x");
         for i in 0..100 {
             db.insert(
@@ -391,5 +451,105 @@ mod tests {
         assert_eq!(docs.len(), 20);
         let r = db.find(r#"db.c.count({"n":{"$gte":90}})"#).unwrap();
         assert_eq!(r[0].get("count").unwrap().as_int(), Some(10));
+    }
+
+    #[test]
+    fn reinserted_id_is_scanned_once() {
+        let mut db = DocumentDb::new("x");
+        let album =
+            |i: i64| Value::object([("_id", Value::str(format!("d{i}"))), ("seq", Value::Int(i))]);
+        for i in 0..4 {
+            db.insert("albums", album(i)).unwrap();
+        }
+        assert!(db.delete("albums", "d1"));
+        db.insert("albums", album(1)).unwrap();
+        let docs = db.find(r#"db.albums.find({"seq":{"$lt":10}})"#).unwrap();
+        let ids: Vec<_> = docs.iter().map(|d| d.get("_id").unwrap().as_str().unwrap()).collect();
+        assert_eq!(ids, vec!["d0", "d2", "d3", "d1"], "a re-inserted id takes a new slot");
+        let r = db.find("db.albums.count({})").unwrap();
+        assert_eq!(r[0].get("count").unwrap().as_int(), Some(4));
+    }
+
+    fn ids(docs: &[Value]) -> Vec<&str> {
+        docs.iter().map(|d| d.get("_id").unwrap().as_str().unwrap()).collect()
+    }
+
+    #[test]
+    fn indexed_bounds_keep_the_scan_semantics() {
+        let mut scan = DocumentDb::new("x");
+        for (id, x) in [
+            ("a", "null"),
+            ("b", "5"),
+            ("c", "5.0"),
+            ("d", "5.5"),
+            ("e", "7"),
+            ("f", r#""6""#),
+            ("g", "-0.0"),
+            ("h", "0"),
+            ("i", "[5]"),
+        ] {
+            scan.insert("c", text::parse(&format!(r#"{{"_id":"{id}","x":{x}}}"#)).unwrap())
+                .unwrap();
+        }
+        scan.insert("c", text::parse(r#"{"_id":"j"}"#).unwrap()).unwrap();
+        let mut indexed = scan.clone();
+        indexed.create_index("c", "x");
+        for (filter, expect) in [
+            // Int and Float meet: a Float bound selects Int documents and back.
+            (r#"{"x":{"$gte":5.0}}"#, vec!["b", "c", "d", "e"]),
+            (r#"{"x":5}"#, vec!["b", "c"]),
+            (r#"{"x":{"$gte":5,"$lte":5.5}}"#, vec!["b", "c", "d"]),
+            // Both zeros equal 0, but only the negative one is below it.
+            (r#"{"x":0}"#, vec!["g", "h"]),
+            (r#"{"x":{"$lt":0}}"#, vec!["g"]),
+            // Type bracketing: a string bound never admits a number, nor
+            // a number bound a string.
+            (r#"{"x":{"$lt":"7"}}"#, vec!["f"]),
+            (r#"{"x":{"$gt":6}}"#, vec!["e"]),
+            // null equals null, orders with nothing, and is not "missing".
+            (r#"{"x":null}"#, vec!["a"]),
+            (r#"{"x":{"$gte":null}}"#, vec![]),
+            // A container operand is compared structurally, by the scan.
+            (r#"{"x":[5]}"#, vec!["i"]),
+        ] {
+            let q = format!("db.c.find({filter})");
+            let docs = indexed.find(&q).unwrap();
+            assert_eq!(ids(&docs), expect, "{filter}");
+            assert_eq!(docs, scan.find(&q).unwrap(), "{filter}");
+        }
+    }
+
+    #[test]
+    fn candidates_track_result_size_not_collection_size() {
+        for n in [1_000, 10_000] {
+            let mut db = DocumentDb::populate_seeded("x", 7, n);
+            db.create_index("albums", "seq");
+            let candidates = |filter: &str| {
+                let filter = Filter::compile(&text::parse(filter).unwrap()).unwrap();
+                db.candidates("albums", &filter).len()
+            };
+            assert_eq!(candidates(r#"{"seq":{"$gte":500,"$lt":540}}"#), 40);
+            assert_eq!(
+                candidates(r#"{"title":{"$like":"album%"},"seq":{"$gte":500,"$lt":540}}"#),
+                40
+            );
+            assert_eq!(candidates(r#"{"seq":500}"#), 1);
+            assert_eq!(candidates(r#"{"seq":{"$lt":40,"$eq":7}}"#), 1, "equality before range");
+            assert_eq!(candidates(r#"{"seq":{"$gt":5,"$lt":3}}"#), 0);
+            assert_eq!(candidates(r#"{"_id":"d7"}"#), 1);
+            // No usable conjunct: every live slot, as before.
+            for fallback in [
+                r#"{"$or":[{"seq":{"$lt":5}},{"seq":{"$gt":7}}]}"#,
+                r#"{"$not":{"seq":{"$lt":5}}}"#,
+                r#"{"title":{"$like":"album%"}}"#,
+                r#"{"title":"x"}"#,
+                r#"{"seq":{"$ne":3}}"#,
+                "{}",
+            ] {
+                assert_eq!(candidates(fallback), n, "{fallback}");
+            }
+            let docs = db.find(r#"db.albums.find({"seq":{"$gte":500,"$lt":540}})"#).unwrap();
+            assert_eq!(docs.len(), 40);
+        }
     }
 }

@@ -10,6 +10,7 @@
 //!
 //! `op` is one of `= <> < <= > >= CONTAINS STARTS WITH`.
 
+use quepa_pdm::ordered::{Cmp, Sarg};
 use quepa_pdm::Value;
 
 use crate::graph::{GraphDb, GraphError, Node, Result};
@@ -92,22 +93,42 @@ pub fn parse_query(text: &str) -> Result<MatchQuery> {
     Parser::new(text).parse()
 }
 
+/// The anchor nodes a query has to visit, in the scan's order: by inline
+/// id if present; else the label's nodes, narrowed through a declared
+/// property index when an inline property or a `WHERE` predicate on the
+/// anchor variable bounds one (see [`GraphDb::label_candidates`]); else
+/// all nodes. A superset of the anchors that match — [`execute`] checks
+/// the whole pattern and every predicate on each.
+pub fn anchor_candidates<'g>(g: &'g GraphDb, q: &MatchQuery) -> Vec<&'g Node> {
+    let id_constraint =
+        q.anchor.props.iter().find(|(k, _)| k == "id").and_then(|(_, v)| v.as_str());
+    if let Some(id) = id_constraint {
+        return g.get(id).into_iter().collect();
+    }
+    let Some(label) = &q.anchor.label else { return g.all_nodes().collect() };
+    let mut sargs: Vec<Sarg<'_>> = Vec::new();
+    for (prop, v) in &q.anchor.props {
+        sargs.push(Sarg { field: prop, op: Cmp::Eq, literal: v.clone() });
+    }
+    for p in q.predicates.iter().filter(|p| p.var == q.anchor.var) {
+        let op = match p.op {
+            CmpOp::Eq => Cmp::Eq,
+            CmpOp::Lt => Cmp::Lt,
+            CmpOp::Le => Cmp::Le,
+            CmpOp::Gt => Cmp::Gt,
+            CmpOp::Ge => Cmp::Ge,
+            CmpOp::Ne | CmpOp::Contains | CmpOp::StartsWith => continue,
+        };
+        sargs.push(Sarg { field: &p.prop, op, literal: p.value.clone() });
+    }
+    // `id` addresses the node id, not a property.
+    sargs.retain(|s| s.field != "id");
+    g.label_candidates(label, &sargs)
+}
+
 /// Executes a parsed query against a graph.
 pub fn execute<'g>(g: &'g GraphDb, q: &MatchQuery) -> Result<Vec<&'g Node>> {
-    // Candidate anchors: by inline id if present, else by label, else all.
-    let id_constraint = q
-        .anchor
-        .props
-        .iter()
-        .find(|(k, _)| k == "id")
-        .and_then(|(_, v)| v.as_str().map(str::to_owned));
-    let anchors: Vec<&Node> = if let Some(id) = id_constraint {
-        g.get(&id).into_iter().collect()
-    } else if let Some(label) = &q.anchor.label {
-        g.nodes_with_label(label).collect()
-    } else {
-        g.all_nodes().collect()
-    };
+    let anchors = anchor_candidates(g, q);
 
     let mut out: Vec<&Node> = Vec::new();
     let mut seen: std::collections::HashSet<*const Node> = std::collections::HashSet::new();
@@ -642,5 +663,88 @@ mod tests {
         let g = sample();
         let r = g.query("match (n:Song) where n.plays > 200 return n limit 5").unwrap();
         assert_eq!(ids(r), vec!["s2"]);
+    }
+
+    #[test]
+    fn indexed_bounds_keep_the_scan_semantics() {
+        let mut scan = GraphDb::new("g");
+        for (id, x) in [
+            ("a", Value::Null),
+            ("b", Value::Int(5)),
+            ("c", Value::Float(5.0)),
+            ("d", Value::Float(5.5)),
+            ("e", Value::Int(7)),
+            ("f", Value::str("6")),
+            ("g", Value::Float(-0.0)),
+            ("h", Value::Int(0)),
+        ] {
+            scan.add_node(id, "N", [("x", x)]).unwrap();
+        }
+        scan.add_node("j", "N", std::iter::empty::<(String, Value)>()).unwrap();
+        let mut indexed = scan.clone();
+        indexed.create_index("N", "x");
+        for (pattern, expect) in [
+            // Int and Float meet: a Float bound selects Int nodes and back.
+            ("(n:N) WHERE n.x >= 5.0", vec!["b", "c", "d", "e"]),
+            ("(n:N {x: 5})", vec!["b", "c"]),
+            ("(n:N) WHERE n.x >= 5 AND n.x <= 5.5", vec!["b", "c", "d"]),
+            // Both zeros equal 0, but only the negative one is below it.
+            ("(n:N) WHERE n.x = 0", vec!["g", "h"]),
+            ("(n:N) WHERE n.x < 0", vec!["g"]),
+            // Type bracketing: a string bound never admits a number, nor
+            // a number bound a string.
+            ("(n:N) WHERE n.x < '7'", vec!["f"]),
+            ("(n:N) WHERE n.x > 6", vec!["e"]),
+            // null equals null and orders with nothing.
+            ("(n:N) WHERE n.x = null", vec!["a"]),
+            ("(n:N) WHERE n.x >= null", vec![]),
+        ] {
+            let q = format!("MATCH {pattern} RETURN n");
+            let nodes = indexed.query(&q).unwrap();
+            assert_eq!(ids(nodes.clone()), expect, "{pattern}");
+            assert_eq!(nodes, scan.query(&q).unwrap(), "{pattern}");
+        }
+    }
+
+    #[test]
+    fn anchor_candidates_track_result_size_not_graph_size() {
+        for n in [1_000, 10_000] {
+            let mut g = GraphDb::populate_seeded("g", 7, n);
+            g.create_index("Album", "seq");
+            let candidates = |q: &str| anchor_candidates(&g, &parse_query(q).unwrap()).len();
+            assert_eq!(
+                candidates("MATCH (n:Album) WHERE n.seq >= 500 AND n.seq < 540 RETURN n"),
+                40
+            );
+            assert_eq!(
+                candidates(
+                    "MATCH (n:Album)-[:SIMILAR]->(m) WHERE n.seq >= 500 AND n.seq < 540 \
+                     AND n.title STARTS WITH 'album' AND m.seq < 3 RETURN m"
+                ),
+                40
+            );
+            assert_eq!(candidates("MATCH (n:Album {seq: 500}) RETURN n"), 1);
+            assert_eq!(
+                candidates("MATCH (n:Album {seq: 7}) WHERE n.seq < 40 RETURN n"),
+                1,
+                "equality before range"
+            );
+            assert_eq!(candidates("MATCH (n:Album) WHERE n.seq > 5 AND n.seq < 3 RETURN n"), 0);
+            assert_eq!(candidates("MATCH (n {id: 'g7'}) RETURN n"), 1);
+            // No usable conjunct: every node of the label (or the graph).
+            for fallback in [
+                "MATCH (n:Album) WHERE n.seq <> 3 RETURN n",
+                "MATCH (n:Album) WHERE n.title STARTS WITH 'album' RETURN n",
+                "MATCH (n:Album {title: 'x'}) RETURN n",
+                "MATCH (n:Album)-[:SIMILAR]->(m) WHERE m.seq < 3 RETURN n",
+                "MATCH (n:Album) WHERE n.id >= 'g5' RETURN n",
+                "MATCH (n) WHERE n.seq < 3 RETURN n",
+                "MATCH (n:Album) RETURN n",
+            ] {
+                assert_eq!(candidates(fallback), n, "{fallback}");
+            }
+            let nodes = g.query("MATCH (n:Album) WHERE n.seq >= 500 AND n.seq < 540 RETURN n");
+            assert_eq!(nodes.unwrap().len(), 40);
+        }
     }
 }

@@ -3,6 +3,7 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 
+use quepa_pdm::ordered::{self, OrderedIndex, Sarg};
 use quepa_pdm::Value;
 
 /// Convenience alias.
@@ -72,8 +73,19 @@ pub struct GraphDb {
     adjacency: Vec<Adjacency>,
     by_id: HashMap<String, usize>,
     by_label: HashMap<String, Vec<usize>>,
+    prop_indexes: Vec<PropertyIndex>,
     edge_count: usize,
     tombstones: usize,
+}
+
+/// A declared secondary index over one property of the nodes of one
+/// label. Nodes without the property have no entry: no indexable
+/// condition matches them.
+#[derive(Debug, Clone)]
+struct PropertyIndex {
+    label: String,
+    property: String,
+    index: OrderedIndex,
 }
 
 impl GraphDb {
@@ -85,6 +97,7 @@ impl GraphDb {
             adjacency: Vec::new(),
             by_id: HashMap::new(),
             by_label: HashMap::new(),
+            prop_indexes: Vec::new(),
             edge_count: 0,
             tombstones: 0,
         }
@@ -115,11 +128,13 @@ impl GraphDb {
             return Err(GraphError::DuplicateNode(id.to_owned()));
         }
         let slot = self.nodes.len();
-        self.nodes.push(Node {
-            id: id.to_owned(),
-            label: label.to_owned(),
-            properties: properties.into_iter().map(|(k, v)| (k.into(), v)).collect(),
-        });
+        let properties: PropertyMap = properties.into_iter().map(|(k, v)| (k.into(), v)).collect();
+        for idx in self.prop_indexes.iter_mut().filter(|i| i.label == label) {
+            if let Some(v) = properties.get(&idx.property) {
+                idx.index.insert(v, slot);
+            }
+        }
+        self.nodes.push(Node { id: id.to_owned(), label: label.to_owned(), properties });
         self.adjacency.push(Adjacency::default());
         self.by_id.insert(id.to_owned(), slot);
         self.by_label.entry(label.to_owned()).or_default().push(slot);
@@ -154,6 +169,11 @@ impl GraphDb {
         let label = self.nodes[slot].label.clone();
         if let Some(bucket) = self.by_label.get_mut(&label) {
             bucket.retain(|&s| s != slot);
+        }
+        for idx in self.prop_indexes.iter_mut().filter(|i| i.label == label) {
+            if let Some(v) = self.nodes[slot].properties.get(&idx.property) {
+                idx.index.remove(v, slot);
+            }
         }
         // Drop edges touching the node from both directions' lists.
         let out_edges = std::mem::take(&mut self.adjacency[slot].out);
@@ -253,6 +273,45 @@ impl GraphDb {
     /// Nodes carrying a label.
     pub fn nodes_with_label(&self, label: &str) -> impl Iterator<Item = &Node> {
         self.by_label.get(label).into_iter().flatten().map(|&slot| &self.nodes[slot])
+    }
+
+    /// Declares an ordered index over `property` of the nodes labelled
+    /// `label`, backfilling from existing nodes. Declaring it twice is a
+    /// no-op.
+    pub fn create_index(&mut self, label: &str, property: &str) {
+        if self.prop_indexes.iter().any(|i| i.label == label && i.property == property) {
+            return;
+        }
+        let mut index = OrderedIndex::new();
+        for &slot in self.by_label.get(label).into_iter().flatten() {
+            if let Some(v) = self.nodes[slot].properties.get(property) {
+                index.insert(v, slot);
+            }
+        }
+        self.prop_indexes.push(PropertyIndex {
+            label: label.to_owned(),
+            property: property.to_owned(),
+            index,
+        });
+    }
+
+    /// The access path for nodes of one label: the nodes a pattern
+    /// constrained by `sargs` (conditions on properties, all of which
+    /// must hold) has to visit, in insertion order — the scan's order.
+    /// When a sarg bounds an indexed property these are that index's range
+    /// (see [`quepa_pdm::ordered`]); otherwise every node of the label.
+    /// Always a superset of the matches; the caller re-checks each node.
+    pub fn label_candidates(&self, label: &str, sargs: &[Sarg<'_>]) -> Vec<&Node> {
+        let index_of = |property: &str| {
+            self.prop_indexes
+                .iter()
+                .find(|i| i.label == label && i.property == property)
+                .map(|i| &i.index)
+        };
+        match ordered::choose(sargs, index_of) {
+            Some(slots) => slots.into_iter().map(|slot| &self.nodes[slot]).collect(),
+            None => self.nodes_with_label(label).collect(),
+        }
     }
 
     /// All live nodes.

@@ -28,6 +28,7 @@
 pub mod error;
 pub mod key;
 pub mod object;
+pub mod ordered;
 pub mod prelation;
 pub mod prob;
 pub mod pushdown;
@@ -37,6 +38,7 @@ pub mod value;
 pub use error::{PdmError, Result};
 pub use key::{CollectionName, DatabaseName, GlobalKey, LocalKey};
 pub use object::DataObject;
+pub use ordered::OrdValue;
 pub use prelation::{PRelation, RelationKind};
 pub use prob::Probability;
 pub use pushdown::{PushClause, PushField, PushOp, Pushdown};

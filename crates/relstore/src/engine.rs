@@ -2,12 +2,13 @@
 
 use std::collections::{BTreeMap, HashMap};
 
+use quepa_pdm::ordered::{self, OrderedIndex};
 use quepa_pdm::{Pushdown, Value};
 
 use crate::error::{RelError, Result};
 use crate::eval::{eval_predicate, ColumnSource};
-use crate::row::{OrdValue, Row};
-use crate::sql::ast::{AggFunc, OrderDir, SelectItem, SelectStmt, Statement};
+use crate::row::Row;
+use crate::sql::ast::{AggFunc, Expr, OrderDir, SelectItem, SelectStmt, Statement};
 use crate::sql::parser::parse_statement;
 
 /// A query result row: column name → value. Using the map form keeps result
@@ -22,7 +23,7 @@ pub type FilteredRows = (Vec<(String, ResultRow)>, Vec<String>);
 ///
 /// Rows live in a slab (`Vec<Option<Row>>`); deletion leaves a tombstone so
 /// row ids in indexes stay stable. The primary key has a unique hash index;
-/// any column can additionally get a non-unique equality index.
+/// any column can additionally get a non-unique ordered index.
 #[derive(Debug, Clone)]
 pub struct Table {
     name: String,
@@ -31,7 +32,31 @@ pub struct Table {
     rows: Vec<Option<Row>>,
     live_rows: usize,
     pk_index: HashMap<String, usize>,
-    secondary: HashMap<String, BTreeMap<OrdValue, Vec<usize>>>,
+    secondary: Vec<ColumnIndex>,
+}
+
+/// A declared secondary index and the position of the column it covers.
+#[derive(Debug, Clone)]
+struct ColumnIndex {
+    pos: usize,
+    index: OrderedIndex,
+}
+
+/// Moves `slot` in every index from the values of `old` to those of `new`
+/// (`None` = the row does not exist on that side).
+fn reindex(indexes: &mut [ColumnIndex], slot: usize, old: Option<&Row>, new: Option<&Row>) {
+    for ColumnIndex { pos, index } in indexes {
+        let (old, new) = (old.map(|r| &r[*pos]), new.map(|r| &r[*pos]));
+        if old == new {
+            continue;
+        }
+        if let Some(v) = old {
+            index.remove(v, slot);
+        }
+        if let Some(v) = new {
+            index.insert(v, slot);
+        }
+    }
 }
 
 impl Table {
@@ -47,7 +72,7 @@ impl Table {
             rows: Vec::new(),
             live_rows: 0,
             pk_index: HashMap::new(),
-            secondary: HashMap::new(),
+            secondary: Vec::new(),
         })
     }
 
@@ -100,10 +125,7 @@ impl Table {
             return Err(RelError::DuplicateKey(pk));
         }
         let id = self.rows.len();
-        for (col, index) in &mut self.secondary {
-            let pos = self.columns.iter().position(|c| c == col).expect("indexed column");
-            index.entry(OrdValue(row[pos].clone())).or_default().push(id);
-        }
+        reindex(&mut self.secondary, id, None, Some(&row));
         self.pk_index.insert(pk, id);
         self.rows.push(Some(row));
         self.live_rows += 1;
@@ -115,15 +137,7 @@ impl Table {
         self.live_rows -= 1;
         let pk = self.pk_string(&row);
         self.pk_index.remove(&pk);
-        for (col, index) in &mut self.secondary {
-            let pos = self.columns.iter().position(|c| c == col).expect("indexed column");
-            if let Some(ids) = index.get_mut(&OrdValue(row[pos].clone())) {
-                ids.retain(|&i| i != id);
-                if ids.is_empty() {
-                    index.remove(&OrdValue(row[pos].clone()));
-                }
-            }
-        }
+        reindex(&mut self.secondary, id, Some(&row), None);
     }
 
     /// Fetches a row by primary key.
@@ -139,6 +153,44 @@ impl Table {
     /// Iterates over live rows.
     fn live(&self) -> impl Iterator<Item = (usize, &Row)> {
         self.rows.iter().enumerate().filter_map(|(i, r)| r.as_ref().map(|r| (i, r)))
+    }
+
+    /// The access path: the slots a statement filtered by `filter` has to
+    /// visit, ascending. When a conjunct of the filter bounds an indexed
+    /// column these are that index's range (see [`quepa_pdm::ordered`]);
+    /// otherwise — no filter, `OR`, `NOT`, `LIKE`, an unindexed column —
+    /// every live slot. Either way a superset of the matching rows: the
+    /// caller evaluates the whole filter on each.
+    pub fn candidates(&self, filter: Option<&Expr>) -> Vec<usize> {
+        let mut sargs = Vec::new();
+        if let Some(f) = filter {
+            f.conjunct_bounds(&mut sargs);
+        }
+        let index_of = |col: &str| {
+            self.secondary.iter().find(|i| self.columns[i.pos] == col).map(|i| &i.index)
+        };
+        ordered::choose(&sargs, index_of).unwrap_or_else(|| self.live().map(|(id, _)| id).collect())
+    }
+
+    /// The slots of the rows `filter` accepts, in slot order — what
+    /// `SELECT`, `UPDATE` and `DELETE` all start from.
+    fn matching(&self, filter: Option<&Expr>) -> Result<Vec<usize>> {
+        let Some(f) = filter else { return Ok(self.candidates(None)) };
+        // Validate referenced columns up front: a crisp error, and the
+        // same one whichever rows the access path goes on to visit.
+        let mut cols = Vec::new();
+        f.referenced_columns(&mut cols);
+        for c in cols {
+            self.column_pos(&c)?;
+        }
+        let mut hits = Vec::new();
+        for id in self.candidates(filter) {
+            let row = self.rows[id].as_ref().expect("candidate slots are live");
+            if eval_predicate(f, &BoundRow { table: self, row })? {
+                hits.push(id);
+            }
+        }
+        Ok(hits)
     }
 }
 
@@ -183,16 +235,19 @@ impl Database {
         Ok(())
     }
 
-    /// Adds a non-unique equality index on `column` of `table`, backfilling
-    /// from existing rows.
+    /// Declares a non-unique ordered index on `column` of `table`,
+    /// backfilling from existing rows. Declaring it twice is a no-op.
     pub fn create_index(&mut self, table: &str, column: &str) -> Result<()> {
         let t = self.table_mut(table)?;
         let pos = t.column_pos(column)?;
-        let mut index: BTreeMap<OrdValue, Vec<usize>> = BTreeMap::new();
-        for (id, row) in t.live() {
-            index.entry(OrdValue(row[pos].clone())).or_default().push(id);
+        if t.secondary.iter().any(|i| i.pos == pos) {
+            return Ok(());
         }
-        t.secondary.insert(column.to_owned(), index);
+        let mut index = OrderedIndex::new();
+        for (id, row) in t.live() {
+            index.insert(&row[pos], id);
+        }
+        t.secondary.push(ColumnIndex { pos, index });
         Ok(())
     }
 
@@ -244,56 +299,20 @@ impl Database {
                     }
                     positions.push((pos, lit.to_value()));
                 }
-                let mut doomed = Vec::new();
-                for (id, row) in t.live() {
-                    let hit = match &filter {
-                        None => true,
-                        Some(f) => eval_predicate(f, &BoundRow { table: t, row })?,
-                    };
-                    if hit {
-                        doomed.push(id);
-                    }
-                }
-                for &id in &doomed {
-                    // Secondary indexes: detach the old values, attach new.
-                    let old_row = t.rows[id].clone().expect("live row");
-                    for (col, index) in &mut t.secondary {
-                        let pos = t.columns.iter().position(|c| c == col).expect("indexed column");
-                        if positions.iter().any(|(p, _)| *p == pos) {
-                            if let Some(ids) = index.get_mut(&OrdValue(old_row[pos].clone())) {
-                                ids.retain(|&i| i != id);
-                                if ids.is_empty() {
-                                    index.remove(&OrdValue(old_row[pos].clone()));
-                                }
-                            }
-                        }
-                    }
-                    let row = t.rows[id].as_mut().expect("live row");
+                let hits = t.matching(filter.as_ref())?;
+                for &id in &hits {
+                    let row = t.rows[id].as_mut().expect("matching slots are live");
+                    let old = row.clone();
                     for (pos, value) in &positions {
                         row[*pos] = value.clone();
                     }
-                    let new_row = t.rows[id].clone().expect("live row");
-                    for (col, index) in &mut t.secondary {
-                        let pos = t.columns.iter().position(|c| c == col).expect("indexed column");
-                        if positions.iter().any(|(p, _)| *p == pos) {
-                            index.entry(OrdValue(new_row[pos].clone())).or_default().push(id);
-                        }
-                    }
+                    reindex(&mut t.secondary, id, Some(&old), Some(row));
                 }
-                Ok(vec![affected(doomed.len())])
+                Ok(vec![affected(hits.len())])
             }
             Statement::Delete { table, filter } => {
                 let t = self.table_mut(&table)?;
-                let mut doomed = Vec::new();
-                for (id, row) in t.live() {
-                    let keep = match &filter {
-                        None => false,
-                        Some(f) => !eval_predicate(f, &BoundRow { table: t, row })?,
-                    };
-                    if !keep {
-                        doomed.push(id);
-                    }
-                }
+                let doomed = t.matching(filter.as_ref())?;
                 for id in &doomed {
                     t.delete_row(*id);
                 }
@@ -318,42 +337,11 @@ impl Database {
     /// Executes a parsed `SELECT`.
     pub fn run_select(&self, stmt: &SelectStmt) -> Result<Vec<ResultRow>> {
         let t = self.table(&stmt.table)?;
-        // Validate referenced columns up front for crisp errors.
-        if let Some(f) = &stmt.filter {
-            let mut cols = Vec::new();
-            f.referenced_columns(&mut cols);
-            for c in cols {
-                t.column_pos(&c)?;
-            }
-        }
-
-        // Plan: use an index when the filter is a single equality on an
-        // indexed column, else scan.
-        let mut matched: Vec<&Row> = Vec::new();
-        let index_hit = stmt
-            .filter
-            .as_ref()
-            .and_then(|f| f.as_equality())
-            .and_then(|(col, v)| t.secondary.get(col).map(|idx| (idx, v)));
-        if let Some((idx, v)) = index_hit {
-            if let Some(ids) = idx.get(&OrdValue(v)) {
-                for &id in ids {
-                    if let Some(row) = t.rows[id].as_ref() {
-                        matched.push(row);
-                    }
-                }
-            }
-        } else {
-            for (_, row) in t.live() {
-                let keep = match &stmt.filter {
-                    None => true,
-                    Some(f) => eval_predicate(f, &BoundRow { table: t, row })?,
-                };
-                if keep {
-                    matched.push(row);
-                }
-            }
-        }
+        let mut matched: Vec<&Row> = t
+            .matching(stmt.filter.as_ref())?
+            .into_iter()
+            .map(|id| t.rows[id].as_ref().expect("matching slots are live"))
+            .collect();
 
         if stmt.has_aggregates() {
             return self.run_aggregates(t, stmt, &matched);
@@ -777,5 +765,83 @@ mod tests {
     fn query_rejects_dml() {
         let db = sales_db();
         assert!(matches!(db.query("DELETE FROM inventory"), Err(RelError::Unsupported(_))));
+    }
+
+    #[test]
+    fn indexed_equality_with_null_matches_nothing() {
+        let mut db = Database::new("d");
+        db.create_table("t", "id", &["id", "x"]).unwrap();
+        db.execute("INSERT INTO t VALUES ('a', NULL), ('b', 1)").unwrap();
+        let scan = db.query("SELECT * FROM t WHERE x = NULL").unwrap();
+        assert!(scan.is_empty(), "any comparison with NULL is not-true");
+        db.create_index("t", "x").unwrap();
+        assert_eq!(db.query("SELECT * FROM t WHERE x = NULL").unwrap(), scan);
+    }
+
+    fn ids(rows: &[ResultRow]) -> Vec<&str> {
+        rows.iter().map(|r| r["id"].as_str().unwrap()).collect()
+    }
+
+    #[test]
+    fn indexed_bounds_keep_the_scan_semantics() {
+        let mut scan = Database::new("d");
+        scan.create_table("t", "id", &["id", "x"]).unwrap();
+        scan.execute(
+            "INSERT INTO t VALUES ('a', NULL), ('b', 5), ('c', 5.0), ('d', 5.5), ('e', 7), \
+             ('f', '6'), ('g', -0.0), ('h', 0)",
+        )
+        .unwrap();
+        let mut indexed = scan.clone();
+        indexed.create_index("t", "x").unwrap();
+        for (filter, expect) in [
+            // Int and Float meet: a Float bound selects Int rows and back.
+            ("x >= 5.0", vec!["b", "c", "d", "e", "f"]),
+            ("x = 5", vec!["b", "c"]),
+            ("x BETWEEN 5 AND 5.5", vec!["b", "c", "d"]),
+            // Both zeros equal 0, but only the negative one is below it.
+            ("x = 0", vec!["g", "h"]),
+            ("x < 0", vec!["g"]),
+            // Across types the order is the type rank: numbers sort
+            // before strings, so a string bound admits every number.
+            ("x < '6'", vec!["b", "c", "d", "e", "g", "h"]),
+            ("x > 6", vec!["e", "f"]),
+            // A comparison with NULL is never true, on either side.
+            ("x = NULL", vec![]),
+            ("x >= NULL", vec![]),
+            ("x < 100", vec!["b", "c", "d", "e", "g", "h"]),
+        ] {
+            let sql = format!("SELECT * FROM t WHERE {filter}");
+            let rows = indexed.query(&sql).unwrap();
+            assert_eq!(ids(&rows), expect, "{filter}");
+            assert_eq!(rows, scan.query(&sql).unwrap(), "{filter}");
+        }
+    }
+
+    #[test]
+    fn candidates_track_result_size_not_table_size() {
+        for n in [1_000, 10_000] {
+            let mut db = Database::populate_seeded("d", 7, n);
+            db.create_index("inventory", "seq").unwrap();
+            let t = db.table("inventory").unwrap();
+            let candidates = |filter: &str| {
+                let sql = format!("SELECT * FROM inventory WHERE {filter}");
+                let Statement::Select(stmt) = db.prepare(&sql).unwrap() else { unreachable!() };
+                t.candidates(stmt.filter.as_ref()).len()
+            };
+            assert_eq!(candidates("seq >= 500 AND seq < 540"), 40);
+            assert_eq!(candidates("seq BETWEEN 500 AND 539 AND name LIKE 'item%'"), 40);
+            assert_eq!(candidates("seq = 500"), 1);
+            assert_eq!(candidates("seq < 40 AND seq = 7"), 1, "equality before range");
+            assert_eq!(candidates("seq > 5 AND seq < 3"), 0);
+            // No usable conjunct: every live slot, as before.
+            for fallback in
+                ["seq < 5 OR seq > 7", "NOT seq < 5", "name LIKE 'item%'", "name = 'x'", "seq != 3"]
+            {
+                assert_eq!(candidates(fallback), n, "{fallback}");
+            }
+            assert_eq!(t.candidates(None).len(), n);
+            let rows = db.query("SELECT * FROM inventory WHERE seq >= 500 AND seq < 540").unwrap();
+            assert_eq!(rows.len(), 40);
+        }
     }
 }

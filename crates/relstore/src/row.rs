@@ -1,6 +1,5 @@
-//! Row representation and an orderable wrapper over PDM values.
-
-use std::cmp::Ordering;
+//! Row representation; the orderable wrapper over PDM values is
+//! [`quepa_pdm::OrdValue`], re-exported here.
 
 use quepa_pdm::Value;
 
@@ -8,34 +7,12 @@ use quepa_pdm::Value;
 /// schema.
 pub type Row = Vec<Value>;
 
-/// Wrapper giving [`Value`] a total order (via `Value::total_cmp`) so it can
-/// serve as a `BTreeMap` key in secondary indexes and in `ORDER BY` sorting.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OrdValue(pub Value);
-
-impl Eq for OrdValue {}
-
-impl PartialOrd for OrdValue {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for OrdValue {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
-impl From<Value> for OrdValue {
-    fn from(v: Value) -> Self {
-        OrdValue(v)
-    }
-}
+pub use quepa_pdm::OrdValue;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cmp::Ordering;
     use std::collections::BTreeMap;
 
     #[test]

@@ -1,5 +1,6 @@
 //! The SQL abstract syntax tree.
 
+use quepa_pdm::ordered::{Cmp, Sarg};
 use quepa_pdm::Value;
 
 /// A literal value in SQL text.
@@ -117,19 +118,44 @@ impl Expr {
         }
     }
 
-    /// If the expression is exactly `column = literal` (in either operand
-    /// order), returns the pair — the planner uses this to hit equality
-    /// indexes.
-    pub fn as_equality(&self) -> Option<(&str, Value)> {
-        if let Expr::Binary { op: BinOp::Eq, left, right } = self {
-            match (left.as_ref(), right.as_ref()) {
-                (Expr::Column(c), Expr::Literal(l)) | (Expr::Literal(l), Expr::Column(c)) => {
-                    return Some((c, l.to_value()));
-                }
-                _ => {}
+    /// Collects, from the top-level `AND` chain of the expression, every
+    /// conjunct an ordered index can answer: `column op literal` with `op`
+    /// one of `= < <= > >=` (either operand order) and `column BETWEEN low
+    /// AND high`. Everything else — `OR`, `NOT`, `LIKE`, `IN`, `!=` — is
+    /// skipped: it stays in the predicate, it just offers no bound.
+    pub fn conjunct_bounds<'a>(&'a self, out: &mut Vec<Sarg<'a>>) {
+        match self {
+            Expr::Binary { op: BinOp::And, left, right } => {
+                left.conjunct_bounds(out);
+                right.conjunct_bounds(out);
             }
+            Expr::Binary { op, left, right } => {
+                let cmp = match op {
+                    BinOp::Eq => Cmp::Eq,
+                    BinOp::Lt => Cmp::Lt,
+                    BinOp::Le => Cmp::Le,
+                    BinOp::Gt => Cmp::Gt,
+                    BinOp::Ge => Cmp::Ge,
+                    _ => return,
+                };
+                match (left.as_ref(), right.as_ref()) {
+                    (Expr::Column(c), Expr::Literal(l)) => {
+                        out.push(Sarg { field: c, op: cmp, literal: l.to_value() });
+                    }
+                    (Expr::Literal(l), Expr::Column(c)) => {
+                        out.push(Sarg { field: c, op: cmp.flipped(), literal: l.to_value() });
+                    }
+                    _ => {}
+                }
+            }
+            Expr::Between { expr, low, high, negated: false } => {
+                if let Expr::Column(c) = expr.as_ref() {
+                    out.push(Sarg { field: c, op: Cmp::Ge, literal: low.to_value() });
+                    out.push(Sarg { field: c, op: Cmp::Le, literal: high.to_value() });
+                }
+            }
+            _ => {}
         }
-        None
     }
 }
 
@@ -245,26 +271,46 @@ pub enum Statement {
 mod tests {
     use super::*;
 
+    fn cmp(op: BinOp, left: Expr, right: Expr) -> Expr {
+        Expr::Binary { op, left: Box::new(left), right: Box::new(right) }
+    }
+
+    fn bounds(e: &Expr) -> Vec<(String, Cmp, Value)> {
+        let mut out = Vec::new();
+        e.conjunct_bounds(&mut out);
+        out.into_iter().map(|s| (s.field.to_owned(), s.op, s.literal)).collect()
+    }
+
     #[test]
-    fn as_equality_both_orders() {
-        let e = Expr::Binary {
-            op: BinOp::Eq,
-            left: Box::new(Expr::Column("id".into())),
-            right: Box::new(Expr::Literal(Literal::Str("a32".into()))),
+    fn conjunct_bounds_both_orders() {
+        let col = |c: &str| Expr::Column(c.into());
+        let int = |i| Expr::Literal(Literal::Int(i));
+        let between = |negated| Expr::Between {
+            expr: Box::new(col("m")),
+            low: Literal::Int(1),
+            high: Literal::Int(2),
+            negated,
         };
-        assert_eq!(e.as_equality(), Some(("id", Value::str("a32"))));
-        let flipped = Expr::Binary {
-            op: BinOp::Eq,
-            left: Box::new(Expr::Literal(Literal::Int(3))),
-            right: Box::new(Expr::Column("n".into())),
-        };
-        assert_eq!(flipped.as_equality(), Some(("n", Value::Int(3))));
-        let non_eq = Expr::Binary {
-            op: BinOp::Lt,
-            left: Box::new(Expr::Column("n".into())),
-            right: Box::new(Expr::Literal(Literal::Int(3))),
-        };
-        assert_eq!(non_eq.as_equality(), None);
+        let eq = cmp(BinOp::Eq, col("id"), Expr::Literal(Literal::Str("a32".into())));
+        assert_eq!(bounds(&eq), vec![("id".to_owned(), Cmp::Eq, Value::str("a32"))]);
+        // `3 < n` bounds n from below.
+        let flipped = cmp(BinOp::Lt, int(3), col("n"));
+        assert_eq!(bounds(&flipped), vec![("n".to_owned(), Cmp::Gt, Value::Int(3))]);
+        // An AND chain yields each usable conjunct; BETWEEN yields two;
+        // LIKE, != and anything under OR or NOT yield none.
+        let like = cmp(BinOp::Like, col("s"), Expr::Literal(Literal::Str("%x%".into())));
+        let or = cmp(BinOp::Or, cmp(BinOp::Eq, col("a"), int(1)), cmp(BinOp::Eq, col("b"), int(2)));
+        let not = Expr::Not(Box::new(cmp(BinOp::Eq, col("c"), int(1))));
+        let ne = cmp(BinOp::Ne, col("d"), int(1));
+        let chain = [between(false), like, or, not, ne]
+            .into_iter()
+            .fold(cmp(BinOp::Ge, col("n"), int(5)), |acc, e| cmp(BinOp::And, acc, e));
+        let fields: Vec<_> = bounds(&chain).into_iter().map(|(f, op, _)| (f, op)).collect();
+        assert_eq!(
+            fields,
+            vec![("n".to_owned(), Cmp::Ge), ("m".to_owned(), Cmp::Ge), ("m".to_owned(), Cmp::Le)]
+        );
+        assert!(bounds(&between(true)).is_empty(), "NOT BETWEEN offers nothing");
     }
 
     #[test]

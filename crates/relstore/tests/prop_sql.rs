@@ -17,7 +17,93 @@ fn like_naive(p: &[char], t: &[char]) -> bool {
     }
 }
 
+/// A literal for the indexed `seq` column: mostly small integers (so
+/// values collide), but also NULL, floats that equal integers, both
+/// zeros, and a string — everything the scan has an opinion on.
+fn seq_literal(x: i64) -> String {
+    match x.rem_euclid(16) {
+        0 => "NULL".into(),
+        1 => format!("{}.0", x.rem_euclid(7)),
+        2 => format!("{}.5", x.rem_euclid(7)),
+        3 => "-0.0".into(),
+        4 => "0.0".into(),
+        5 => format!("'s{}'", x.rem_euclid(3)),
+        _ => (x.rem_euclid(14) - 2).to_string(),
+    }
+}
+
+/// The query battery run after every mutation: windows, equalities,
+/// mixed conjuncts, and the shapes that must fall back to the scan.
+fn sql_battery(a: i64, b: i64) -> Vec<String> {
+    let (lo, hi) = (a.rem_euclid(12) - 1, b.rem_euclid(12));
+    let (la, lb) = (seq_literal(a), seq_literal(b));
+    vec![
+        format!("SELECT * FROM t WHERE seq >= {lo} AND seq < {hi}"),
+        format!("SELECT * FROM t WHERE seq BETWEEN {lo} AND {hi}"),
+        format!("SELECT * FROM t WHERE seq = {la}"),
+        format!("SELECT * FROM t WHERE {lb} <= seq"),
+        format!("SELECT * FROM t WHERE seq > {la} AND seq <= {lb}"),
+        format!("SELECT * FROM t WHERE seq < {hi} AND tag = 't{}'", a.rem_euclid(3)),
+        format!("SELECT * FROM t WHERE tag LIKE 't%' AND seq >= {lo}.0 ORDER BY tag"),
+        format!("SELECT * FROM t WHERE tag >= 't1' AND seq = {lo}"),
+        format!("SELECT * FROM t WHERE seq < {lo} OR seq > {hi}"),
+        format!("SELECT * FROM t WHERE NOT seq < {hi}"),
+        format!("SELECT * FROM t WHERE seq != {lo} AND seq IN ({lo}, {hi})"),
+        format!("SELECT id FROM t WHERE seq >= {lo} ORDER BY seq DESC LIMIT 3"),
+        format!("SELECT COUNT(*), MIN(seq) FROM t WHERE seq > {lo} AND seq > {hi}"),
+        "SELECT * FROM t WHERE seq = NULL".into(),
+        "SELECT * FROM t WHERE seq < 'zz' AND seq >= 's0'".into(),
+        "SELECT * FROM t".into(),
+    ]
+}
+
 proptest! {
+    /// *Index ≡ scan*: a database with ordered indexes on `seq` and `tag`
+    /// and its twin without answer every statement identically — rows,
+    /// order, affected counts and errors — under random inserts, deletes,
+    /// updates and re-inserts between the queries.
+    #[test]
+    fn index_equiv_scan(steps in prop::collection::vec((0u8..8, any::<i64>(), any::<i64>()), 1..24)) {
+        let mut indexed = Database::new("d");
+        let mut plain = Database::new("d");
+        for db in [&mut indexed, &mut plain] {
+            db.create_table("t", "id", &["id", "seq", "tag"]).unwrap();
+        }
+        indexed.create_index("t", "seq").unwrap();
+        indexed.create_index("t", "tag").unwrap();
+        for (kind, a, b) in steps {
+            let id = a.rem_euclid(20);
+            let mutation = match kind {
+                // Inserts dominate; a deleted id comes back with new values.
+                0..=3 => format!(
+                    "INSERT INTO t VALUES ('k{id}', {}, 't{}')", seq_literal(b), b.rem_euclid(3)
+                ),
+                4 => format!("DELETE FROM t WHERE id = 'k{id}'"),
+                5 => format!(
+                    "DELETE FROM t WHERE seq >= {} AND seq < {}", b.rem_euclid(12), b.rem_euclid(12) + 2
+                ),
+                6 => format!("UPDATE t SET seq = {} WHERE id = 'k{id}'", seq_literal(b)),
+                _ => format!(
+                    "UPDATE t SET seq = {}, tag = 't9' WHERE seq = {}", seq_literal(b), seq_literal(a)
+                ),
+            };
+            prop_assert_eq!(
+                format!("{:?}", indexed.execute(&mutation)),
+                format!("{:?}", plain.execute(&mutation)),
+                "{}", mutation
+            );
+            for q in sql_battery(a, b) {
+                let scanned = plain.query(&q);
+                prop_assert!(scanned.is_ok(), "{}: {:?}", q, scanned);
+                prop_assert_eq!(
+                    format!("{:?}", indexed.query(&q)),
+                    format!("{:?}", scanned),
+                    "{} after {}", q, mutation
+                );
+            }
+        }
+    }
+
     /// The fast LIKE matcher agrees with the naive recursive one.
     #[test]
     fn like_agrees_with_reference(

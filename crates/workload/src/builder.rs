@@ -104,10 +104,15 @@ impl BuiltPolystore {
         polystore.register(Arc::new(KvConnector::new(kv, "drop", latency)));
 
         // ---- replicated stores -------------------------------------------
+        // Each engine's schema declares an ordered index on the `seq` of
+        // its album collection — the one the test-bed's size and window
+        // queries select on, and what Polyphony's MySQL, MongoDB and
+        // Neo4j instances would have on it.
         for suffix in &suffixes {
             // Relational: transactions{suffix}.
             let mut rel = Database::new(format!("transactions{suffix}"));
             rel.create_table("inventory", "id", &["id", "artist", "name", "year", "seq"]).unwrap();
+            rel.create_index("inventory", "seq").unwrap();
             rel.create_table("sales", "id", &["id", "customer", "total", "seq"]).unwrap();
             rel.create_table("sales_details", "id", &["id", "sale", "item", "seq"]).unwrap();
             for album in &data.albums {
@@ -151,6 +156,7 @@ impl BuiltPolystore {
 
             // Document: catalogue{suffix}.
             let mut doc = DocumentDb::new(format!("catalogue{suffix}"));
+            doc.create_index("albums", "seq");
             for album in &data.albums {
                 doc.insert(
                     "albums",
@@ -180,6 +186,7 @@ impl BuiltPolystore {
 
             // Graph: similar{suffix}.
             let mut graph = GraphDb::new(format!("similar{suffix}"));
+            graph.create_index("Album", "seq");
             for album in &data.albums {
                 graph
                     .add_node(
