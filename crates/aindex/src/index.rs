@@ -230,11 +230,6 @@ impl AIndex {
         AIndex { policy, ..Self::default() }
     }
 
-    /// The configured deletion policy.
-    pub fn policy(&self) -> DeletionPolicy {
-        self.policy
-    }
-
     fn intern(&mut self, key: &GlobalKey) -> NodeId {
         if let Some(&id) = self.ids.get(key) {
             // Re-inserting a lazily deleted key resurrects the node.

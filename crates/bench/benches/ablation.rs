@@ -1,35 +1,82 @@
-//! Ablation benchmarks for QUEPA's design choices:
+//! Ablations of QUEPA's design choices, each an on/off ratio inside this
+//! one run (median of alternating pairs, see [`quepa_bench::sample`]):
 //!
 //! * **LRU cache on/off** — what the §IV-C cache buys on repeated queries;
 //! * **Consistency materialization** — the insert-time cost of enforcing
 //!   the Consistency Condition / identity transitivity (raw edge insertion
 //!   vs. the materializing insert path);
-//! * **Canonical vs. per-seed augmentation planning** — the CPU price of
-//!   the work-partition step that lets the outer augmenters parallelize;
-//! * **Batch grouping** — grouping keys by store vs. the grouped fetch
-//!   itself (how much of BATCH's win is grouping logic vs. round trips).
+//! * **Closure at query time** — what that materialization buys back:
+//!   level 0 over the closed index vs. level 1 over the raw one;
+//! * **Batch grouping** — one grouped round trip per store vs.
+//!   key-at-a-time fetches of the same objects.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use std::hint::black_box;
+use std::time::Instant;
+
 use quepa_aindex::{AIndex, EdgeOrigin, IndexView};
-use quepa_bench::Lab;
+use quepa_bench::{sample, Lab};
 use quepa_core::{AugmenterKind, QuepaConfig};
 use quepa_pdm::{GlobalKey, Probability, RelationKind};
 use quepa_polystore::{Deployment, StoreKind};
 use quepa_workload::queries::query_for;
 
+/// Cliques of 6 copies per entity: the worst realistic case in the
+/// generated workloads (13-store polystores build 10-cliques).
+const ENTITIES: usize = 2_000;
+
 fn key(db: usize, n: usize) -> GlobalKey {
     GlobalKey::parse_parts(format!("db{db}"), "c", format!("k{n}")).unwrap()
 }
 
-/// Cache on vs. off on a repeated (warm) query.
-fn bench_cache_ablation(c: &mut Criterion) {
+/// Wall seconds of one call of `f`.
+fn seconds<T>(f: impl FnOnce() -> T) -> f64 {
+    let start = Instant::now();
+    black_box(f());
+    start.elapsed().as_secs_f64()
+}
+
+/// Prints `with` over `without` as the median per-pair ratio of `pairs`
+/// alternating pairs (after two throwaway pairs).
+fn ablate(
+    name: &str,
+    (without_label, mut without): (&str, impl FnMut() -> f64),
+    (with_label, mut with): (&str, impl FnMut() -> f64),
+    pairs: usize,
+) {
+    sample::paired(&mut without, &mut with, 2);
+    let read = sample::paired(&mut without, &mut with, pairs);
+    println!(
+        "{name:<24} {with_label} {:.6}s / {without_label} {:.6}s = {:.3}x  (IQR {:.3} over {pairs} pairs)",
+        read.b.median, read.a.median, read.ratio.median, read.ratio.iqr
+    );
+}
+
+/// The materializing insert path (`closed`) or raw edge insertion of the
+/// same direct relations.
+fn build_index(closed: bool, with_matching: bool) -> AIndex {
+    let mut ix = AIndex::new();
+    let mut insert = |a: &GlobalKey, b: &GlobalKey, kind, p: f64| match (closed, kind) {
+        (true, RelationKind::Identity) => ix.insert_identity(a, b, Probability::of(p)),
+        (true, RelationKind::Matching) => ix.insert_matching(a, b, Probability::of(p)),
+        (false, kind) => ix.insert_raw(a, b, kind, Probability::of(p), EdgeOrigin::Direct),
+    };
+    for e in 0..ENTITIES {
+        for d in 1..6 {
+            insert(&key(0, e), &key(d, e), RelationKind::Identity, 0.9);
+        }
+        if with_matching {
+            insert(&key(0, e), &key(6, e), RelationKind::Matching, 0.7);
+        }
+    }
+    ix
+}
+
+fn main() {
+    // Cache on vs. off on a repeated (warm) query: prime once, measure
+    // repeats.
     let lab = Lab::new(800, 1, Deployment::Centralized);
     let query = query_for(StoreKind::Relational, 300);
-    let mut group = c.benchmark_group("ablation-cache");
-    group.warm_up_time(std::time::Duration::from_secs(1));
-    group.measurement_time(std::time::Duration::from_secs(3));
-    group.sample_size(10);
-    for (label, cache_size) in [("off", 0usize), ("on", 1 << 20)] {
+    let warm = |cache_size: usize| {
         let config = QuepaConfig {
             augmenter: AugmenterKind::OuterBatch,
             batch_size: 256,
@@ -37,114 +84,35 @@ fn bench_cache_ablation(c: &mut Criterion) {
             cache_size,
             ..QuepaConfig::default()
         };
-        group.bench_with_input(BenchmarkId::from_parameter(label), &config, |b, config| {
-            // Warm runs: prime once, measure repeats.
-            lab.quepa.set_optimizer(None);
-            lab.quepa.set_config(*config);
-            lab.quepa.drop_caches();
-            let _ = lab.quepa.augmented_search("transactions", &query, 0);
-            b.iter(|| lab.quepa.augmented_search("transactions", &query, 0).unwrap());
-        });
-    }
-    group.finish();
-}
+        let (lab, query) = (&lab, &query);
+        move || lab.run("transactions", query, 0, config, false).0.as_secs_f64()
+    };
+    ablate("ablation-cache", ("off", warm(0)), ("on", warm(1 << 20)), 10);
 
-/// The cost of consistency enforcement at insert time: the materializing
-/// insert path vs. raw edge insertion of the same direct relations.
-fn bench_consistency_ablation(c: &mut Criterion) {
-    // Cliques of 6 copies per entity: the worst realistic case in the
-    // generated workloads (13-store polystores build 10-cliques).
-    let entities = 2_000usize;
-    let mut group = c.benchmark_group("ablation-consistency");
-    group.warm_up_time(std::time::Duration::from_secs(1));
-    group.measurement_time(std::time::Duration::from_secs(3));
-    group.sample_size(10);
-    group.bench_function("materializing-insert", |b| {
-        b.iter(|| {
-            let mut ix = AIndex::new();
-            for e in 0..entities {
-                for d in 1..6 {
-                    ix.insert_identity(&key(0, e), &key(d, e), Probability::of(0.9));
-                }
-                ix.insert_matching(&key(0, e), &key(6, e), Probability::of(0.7));
-            }
-            ix
-        });
-    });
-    group.bench_function("raw-insert", |b| {
-        b.iter(|| {
-            let mut ix = AIndex::new();
-            for e in 0..entities {
-                for d in 1..6 {
-                    ix.insert_raw(
-                        &key(0, e),
-                        &key(d, e),
-                        RelationKind::Identity,
-                        Probability::of(0.9),
-                        EdgeOrigin::Direct,
-                    );
-                }
-                ix.insert_raw(
-                    &key(0, e),
-                    &key(6, e),
-                    RelationKind::Matching,
-                    Probability::of(0.7),
-                    EdgeOrigin::Direct,
-                );
-            }
-            ix
-        });
-    });
-    group.finish();
-}
+    ablate(
+        "ablation-consistency",
+        ("raw-insert", || seconds(|| build_index(false, true))),
+        ("materializing-insert", || seconds(|| build_index(true, true))),
+        10,
+    );
 
-/// What the closure buys at *query* time: augmenting over a materialized
-/// index (level 0 suffices) vs. chasing the same relations over a raw,
-/// unclosed index (level must rise to reach the same objects).
-fn bench_closure_query_ablation(c: &mut Criterion) {
-    let entities = 2_000usize;
-    let mut closed = AIndex::new();
-    let mut raw = AIndex::new();
-    for e in 0..entities {
-        for d in 1..6 {
-            closed.insert_identity(&key(0, e), &key(d, e), Probability::of(0.9));
-            raw.insert_raw(
-                &key(0, e),
-                &key(d, e),
-                RelationKind::Identity,
-                Probability::of(0.9),
-                EdgeOrigin::Direct,
-            );
-        }
-    }
-    let (closed, raw) = (IndexView::of(&closed), IndexView::of(&raw));
+    // Closed: every clique member is one hop away (level 0). Raw: the
+    // star topology needs level 1 from a non-hub seed.
+    let closed = IndexView::of(&build_index(true, false));
+    let raw = IndexView::of(&build_index(false, false));
     let seeds: Vec<GlobalKey> = (0..200).map(|e| key(3, e * 7)).collect();
-    let mut group = c.benchmark_group("ablation-closure-query");
-    group.warm_up_time(std::time::Duration::from_secs(1));
-    group.measurement_time(std::time::Duration::from_secs(3));
-    // Closed: every clique member is one hop away (level 0).
-    group.bench_function("closed-level0", |b| {
-        b.iter(|| closed.augment(&seeds, 0));
-    });
-    // Raw: the star topology needs level 1 from a non-hub seed.
-    group.bench_function("raw-level1", |b| {
-        b.iter(|| raw.augment(&seeds, 1));
-    });
-    group.finish();
-}
+    ablate(
+        "ablation-closure-query",
+        ("raw-level1", || seconds(|| raw.augment(&seeds, 1))),
+        ("closed-level0", || seconds(|| closed.augment(&seeds, 0))),
+        50,
+    );
 
-/// Batching ablation at a fixed store: one grouped round trip vs. key-at-
-/// a-time fetches, isolating the grouping machinery from the network.
-fn bench_grouping_ablation(c: &mut Criterion) {
+    // One grouped round trip vs. key-at-a-time fetches at a fixed store,
+    // isolating the grouping machinery from the network.
     let lab = Lab::new(800, 0, Deployment::Centralized);
     let query = query_for(StoreKind::Document, 400);
-    let mut group = c.benchmark_group("ablation-grouping");
-    group.warm_up_time(std::time::Duration::from_secs(1));
-    group.measurement_time(std::time::Duration::from_secs(3));
-    group.sample_size(10);
-    for (label, augmenter) in
-        [("sequential", AugmenterKind::Sequential), ("batch", AugmenterKind::Batch)]
-    {
+    let cold = |augmenter| {
         let config = QuepaConfig {
             augmenter,
             batch_size: 4096,
@@ -152,18 +120,13 @@ fn bench_grouping_ablation(c: &mut Criterion) {
             cache_size: 0,
             ..QuepaConfig::default()
         };
-        group.bench_with_input(BenchmarkId::from_parameter(label), &config, |b, config| {
-            b.iter(|| lab.run("catalogue", &query, 0, *config, true));
-        });
-    }
-    group.finish();
+        let (lab, query) = (&lab, &query);
+        move || lab.run("catalogue", query, 0, config, true).0.as_secs_f64()
+    };
+    ablate(
+        "ablation-grouping",
+        ("sequential", cold(AugmenterKind::Sequential)),
+        ("batch", cold(AugmenterKind::Batch)),
+        10,
+    );
 }
-
-criterion_group!(
-    benches,
-    bench_cache_ablation,
-    bench_consistency_ablation,
-    bench_closure_query_ablation,
-    bench_grouping_ablation
-);
-criterion_main!(benches);

@@ -4,56 +4,19 @@
 //! [`quepa_bench::pushdown`] for the configuration and why
 //! `threads_size = 1` / `cache_size = 0`).
 //!
-//! `main` writes `BENCH_pushdown.json` at the repository root: the
-//! median end-to-end seconds of each mode plus the headline
-//! fetch-all-over-pushdown speedup (target ≥2×, enforced by
-//! `bench_gate` recorded and live). The two modes are asserted
-//! bit-identical before anything is recorded.
+//! The long form of `bench_gate`'s `pushdown-speedup` row: more pairs,
+//! same reading (median per-pair fetch-all over pushdown seconds, NaN
+//! unless the two modes answer bit-identically), same bound, same exit
+//! code.
 
+use quepa_bench::claims::Report;
 use quepa_bench::pushdown;
 
-const RUNS: usize = 41;
+const PAIRS: usize = 41;
 
 fn main() {
-    let lab = pushdown::lab();
-    assert!(
-        pushdown::answers_agree(&lab),
-        "pushdown and fetch-all disagree — run quepa-check before benching"
-    );
-
-    let mut entries = Vec::new();
-    let mut means = [0.0f64; 2];
-    println!("{:>10} {:>11} {:>10} {:>8}", "mode", "mean_s", "augmented", "missing");
-    for (i, mode) in [true, false].into_iter().enumerate() {
-        let p = pushdown::measure(&lab, mode, RUNS);
-        println!(
-            "{:>10} {:>11.6} {:>10} {:>8}",
-            pushdown::mode_name(mode),
-            p.mean_s,
-            p.augmented,
-            p.missing
-        );
-        entries.push(format!(
-            "    {{\"scenario\": \"{}\", \"mean_s\": {:.6}, \"augmented\": {}, \"missing\": {}}}",
-            pushdown::scenario_name(mode),
-            p.mean_s,
-            p.augmented,
-            p.missing
-        ));
-        means[i] = p.mean_s;
-    }
-    let speedup = means[1] / means[0];
-    println!("\npushdown speedup vs fetch-all: {speedup:.2}x (target >= 2x)");
-
-    let json = format!(
-        "{{\n  \"benchmark\": \"pushdown\",\n  \"query\": \"{}\",\n  \"filter\": \"{}\",\n  \"speedup\": {:.2},\n  \"target_speedup\": 2.0,\n  \"scenarios\": [\n{}\n  ]\n}}\n",
-        pushdown::QUERY.replace('"', "\\\""),
-        pushdown::FILTER.replace('"', "\\\""),
-        speedup,
-        entries.join(",\n")
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pushdown.json");
-    std::fs::write(path, &json).expect("write baseline json");
-    println!("\nwrote {path}");
-    print!("{json}");
+    let (reading, detail) = pushdown::speedup(&pushdown::lab(), PAIRS);
+    let mut report = Report::default();
+    report.check("pushdown-speedup", reading, &detail);
+    report.finish("pushdown");
 }

@@ -1,98 +1,71 @@
 //! The durability sweep: WAL overhead on the mutation path and cold
 //! recovery latency (see [`quepa_bench::recovery`]).
 //!
-//! `main` writes `BENCH_recovery.json` at the repository root. Two
-//! headline ratios are recorded and enforced by `bench_gate`:
+//! Prints the four mutation paths and the two recovery points, then
+//! checks its two claims:
 //!
-//! * `wal_off_overhead` — volatile `apply_mutations` seconds per op over
-//!   the raw sharded-update baseline (target ≤1.05×: durability must be
-//!   free when unused);
-//! * `recover_growth_10x` — cold recovery seconds at 10⁵ ops over 10⁴
-//!   ops (target ≤25×: recovery stays roughly linear in the log).
+//! * `wal-off-overhead` — volatile `apply_mutations` seconds per op over
+//!   the raw sharded-update baseline, in alternating pairs (≤1.10×:
+//!   durability must be free when unused);
+//! * `recover-growth-10x` — cold recovery seconds at 10⁵ ops over 10⁴
+//!   ops (≤25×: recovery stays roughly linear in the log).
 
-use quepa_bench::recovery;
-use quepa_bench::scale::median;
+use quepa_bench::claims::Report;
+use quepa_bench::{recovery, sample};
 use quepa_core::SyncPolicy;
 
 const RUNS: usize = 5;
 
-fn measure(label: &str, f: impl Fn() -> recovery::MutationPoint) -> recovery::MutationPoint {
-    let mut means: Vec<(f64, recovery::MutationPoint)> =
-        (0..RUNS).map(|_| f()).map(|p| (p.mean_s, p)).collect();
-    means.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let p = means[RUNS / 2].1;
-    println!("  {label:<14} {:.9}s/op  ({:.0} ops/s)", p.mean_s, p.qps);
-    p
+fn mutation_path(label: &str, f: impl FnMut() -> f64) {
+    let per_op = sample::measure(0, RUNS, f);
+    println!(
+        "  {label:<14} {:.9}s/op  ({:.0} ops/s, IQR {:.9}s)",
+        per_op.median,
+        1.0 / per_op.median,
+        per_op.iqr
+    );
 }
 
-fn recover_point(ops: usize) -> (String, f64, usize) {
+fn recover_point(ops: usize) -> sample::Summary {
     let stream = recovery::ops(ops);
     let dir = recovery::BenchDir::new(&format!("recover-{ops}"));
     recovery::build_durable_dir(&dir.0, &stream);
-    let mut walls = Vec::with_capacity(RUNS);
-    let mut replayed = 0;
-    for _ in 0..RUNS {
+    let wall = sample::measure(0, RUNS, || {
         let (wall, report) = recovery::recover_cold(&dir.0);
         assert_eq!(report.replayed, ops - ops / 2, "recovery must replay the tail");
-        replayed = report.replayed;
-        walls.push(wall);
-    }
-    let wall = median(&mut walls);
-    let label = quepa_bench::scale::scale_label(ops);
-    println!("  recover/{label:<7} {wall:.6}s  ({replayed} records replayed)");
-    (label, wall, replayed)
+        wall
+    });
+    println!(
+        "  recover/{:<7} {:.6}s  (IQR {:.6}s, {} records replayed)",
+        quepa_bench::scale::scale_label(ops),
+        wall.median,
+        wall.iqr,
+        ops - ops / 2
+    );
+    wall
 }
 
 fn main() {
     println!("== mutation paths ({} ops, batch {})", recovery::MUTATION_OPS, recovery::BATCH);
     let stream = recovery::ops(recovery::MUTATION_OPS);
-    let baseline = measure("baseline", || recovery::mutation_baseline(&stream));
-    let wal_off = measure("wal-off", || recovery::mutation_wal_off(&stream));
-    let buffered = measure("wal-buffered", || {
+    mutation_path("baseline", || recovery::mutation_baseline(&stream));
+    mutation_path("wal-off", || recovery::mutation_wal_off(&stream));
+    mutation_path("wal-buffered", || {
         recovery::mutation_durable(&stream, SyncPolicy::Buffered, "buffered")
     });
-    let fsync =
-        measure("wal-fsync", || recovery::mutation_durable(&stream, SyncPolicy::Always, "fsync"));
+    mutation_path("wal-fsync", || recovery::mutation_durable(&stream, SyncPolicy::Always, "fsync"));
 
     println!("== cold recovery (checkpoint cut at midpoint + WAL tail)");
-    let points: Vec<(String, f64, usize)> =
-        [10_000usize, 100_000].into_iter().map(recover_point).collect();
+    let [small, large] = [10_000usize, 100_000].map(recover_point);
 
-    let overhead = wal_off.mean_s / baseline.mean_s;
-    let growth = points[1].1 / points[0].1;
-    println!(
-        "\nwal-off overhead vs baseline: {overhead:.3}x (target <= 1.05x)\n\
-         recovery growth 1e4 -> 1e5: {growth:.2}x (target <= 25x)"
+    println!();
+    let mut report = Report::default();
+    let (overhead, detail) = recovery::wal_off_overhead();
+    report.check("wal-off-overhead", overhead, &detail);
+    report.check(
+        "recover-growth-10x",
+        large.median / small.median,
+        &format!("{:.4} s at 1e5 ops / {:.4} s at 1e4 ops", large.median, small.median),
     );
-
-    let mut entries = Vec::new();
-    for (label, p) in [
-        ("baseline", baseline),
-        ("wal-off", wal_off),
-        ("wal-buffered", buffered),
-        ("wal-fsync", fsync),
-    ] {
-        entries.push(format!(
-            "    {{\"scenario\": \"recovery/1e4/mutation/{label}\", \"mean_s\": {:.9}, \"qps\": {:.1}}}",
-            p.mean_s, p.qps
-        ));
-    }
-    for (label, wall, replayed) in &points {
-        entries.push(format!(
-            "    {{\"scenario\": \"recovery/{label}/recover\", \"mean_s\": {wall:.9}, \"replayed\": {replayed}}}"
-        ));
-    }
-    let json = format!(
-        "{{\n  \"benchmark\": \"recovery\",\n  \"ops\": {},\n  \"batch\": {},\n  \
-         \"wal_off_overhead\": {overhead:.3},\n  \"target_wal_off_overhead\": 1.05,\n  \
-         \"recover_growth_10x\": {growth:.2},\n  \"target_recover_growth\": 25.0,\n  \
-         \"scenarios\": [\n{}\n  ]\n}}\n",
-        recovery::MUTATION_OPS,
-        recovery::BATCH,
-        entries.join(",\n")
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_recovery.json");
-    std::fs::write(path, &json).expect("write baseline json");
-    println!("\nwrote {path}");
-    print!("{json}");
+    report.finish("recovery");
 }

@@ -1,29 +1,37 @@
 //! The open-loop serving sweep: offered rates from sub-saturation to 2×
 //! measured capacity against the `quepa-serve` TCP front end (see
-//! [`quepa_bench::serving`]).
+//! [`quepa_bench::serving`]), then the time-varying traffic families
+//! ([`traffic::TrafficFamily`]: the diurnal ramp and the 4× flash crowd)
+//! against the same server. The run checks its own claims:
 //!
-//! `main` writes `BENCH_serving.json` at the repository root. Three
-//! headline ratios are recorded and enforced by `bench_gate`:
+//! * `sweep-ledger` — every leg (each constant-rate point, each traffic
+//!   family, each flash-crowd phase) accounts for every request on both
+//!   sides of the wire: client outcomes against the server's
+//!   admission-ledger delta, zero errors;
+//! * `flash-burst-shed` — the 4× burst actually sheds;
+//! * `goodput-floor` — goodput at 2× capacity over the peak goodput of
+//!   the sweep (≥0.7: overload must not collapse throughput);
+//! * `overload-p50-ratio` — median latency of *served* requests at 2×
+//!   capacity over the median at the sub-saturation rate (≤12×:
+//!   admission control must bound the wait — the 500 ms deadline over a
+//!   ~50 ms query — instead of queueing forever; an unbounded queue
+//!   reads ~20× at 4 s points and ~75× at the nightly 15 s ones);
+//! * `flash-recovery-ratio` — recovery-phase median over pre-burst
+//!   median of the flash crowd (≤1.15: within
+//!   [`traffic::RECOVERY_GRACE_S`] seconds of burst end the backlog is
+//!   gone).
 //!
-//! * `p999_overload_ratio` — p999 of *served* requests at 2× capacity
-//!   over p999 at the sub-saturation smoke rate (target ≤ 5×: admission
-//!   control must bound the tail instead of queueing forever);
-//! * `goodput_floor_ratio` — goodput at 2× capacity over the peak
-//!   goodput of the sweep (target ≥ 0.7: overload must not collapse
-//!   throughput);
-//! * `flash_recovery_ratio` — recovery-phase p999 over pre-burst p999 of
-//!   the flash-crowd traffic point (target ≤ 1.15: within
-//!   [`traffic::RECOVERY_GRACE_S`] seconds of burst end the tail must be
-//!   back within 15% of its pre-burst level).
-//!
-//! After the constant-rate sweep the run replays the time-varying
-//! traffic families ([`traffic::TrafficFamily`]) against the same
-//! server: the diurnal ramp and the 4× flash crowd, each recorded as a
-//! `serving/<family>` scenario with both the client-observed ledger and
-//! the server's own admission-ledger delta (two-sided accounting).
+//! The last two were p999 ratios until the sweep had to assert them
+//! itself: over fifteen runs on a 2-vCPU guest the sub-saturation p999 (a
+//! window of 150–350 samples, so the run's one or two worst requests)
+//! read 0.054–0.41 s while its median read 0.048–0.055 s, and the ratios
+//! read 1.0–9.5 (bound 5) and 0.18–5.3 (bound 1.15). The p999s are
+//! still printed with every leg; the medians of the same windows resolve
+//! the same two failures with a tenth of the spread.
 
 use std::time::Duration;
 
+use quepa_bench::claims::Report;
 use quepa_bench::{serving, traffic};
 use quepa_serve::Server;
 
@@ -33,219 +41,137 @@ fn point_secs() -> u64 {
     std::env::var("QUEPA_SERVING_POINT_SECS").ok().and_then(|s| s.parse().ok()).unwrap_or(4)
 }
 
-struct Point {
-    fraction: f64,
-    rate: f64,
-    report: serving::OpenLoopReport,
-}
-
-/// One replayed time-varying traffic point: client-side report plus the
-/// server admission-ledger delta across the run.
-struct TrafficPoint {
-    family: traffic::TrafficFamily,
-    report: serving::OpenLoopReport,
-    ledger_offered: u64,
-    ledger_served: u64,
-    ledger_degraded: u64,
-    ledger_shed: u64,
-}
-
 fn main() {
     let point_secs = point_secs();
     let quepa = serving::bench_quepa();
-    let server =
+    let mut server =
         Server::start(std::sync::Arc::clone(&quepa), "127.0.0.1:0", serving::bench_admission())
-            .unwrap();
+            .expect("start bench server");
     let addr = server.local_addr();
 
     println!("probing capacity (overload burst) ...");
     let capacity = serving::probe_capacity(addr);
     println!("peak sustainable goodput ~= {capacity:.1} qps");
 
-    let points: Vec<Point> = serving::SWEEP_FRACTIONS
+    // Requests no ledger accounts for, summed over every leg, and the
+    // legs they belong to.
+    let mut unaccounted = 0usize;
+    let mut broken: Vec<String> = Vec::new();
+    let mut replay = |name: String, schedule: &[f64], horizon_s: f64| {
+        let before = quepa.metrics_snapshot().admission;
+        let report = serving::measure_schedule(addr, schedule, serving::CONNECTIONS, horizon_s);
+        let lost = report.unaccounted(before, quepa.metrics_snapshot().admission);
+        println!(
+            "{name}: {} reqs, goodput {:.1} qps, p50 {:.4}s p99 {:.4}s p999 {:.4}s, shed {:.1}% ({} errors, {lost} unaccounted)",
+            report.offered,
+            report.goodput_qps,
+            report.percentile_s(0.50),
+            report.percentile_s(0.99),
+            report.percentile_s(0.999),
+            100.0 * report.shed_rate(),
+            report.errors,
+        );
+        if lost > 0 {
+            unaccounted += lost;
+            broken.push(name);
+        }
+        report
+    };
+
+    let points: Vec<serving::OpenLoopReport> = serving::SWEEP_FRACTIONS
         .iter()
         .enumerate()
         .map(|(i, &fraction)| {
-            let rate = (capacity * fraction).max(1.0);
-            let report = serving::measure_open_loop(
-                addr,
-                serving::OpenLoopSpec {
-                    rate,
-                    duration: Duration::from_secs(point_secs),
-                    connections: serving::CONNECTIONS,
-                    seed: 0xC0FFEE + i as u64,
-                },
+            let duration = Duration::from_secs(point_secs);
+            let schedule = serving::arrival_schedule(
+                (capacity * fraction).max(1.0),
+                duration,
+                0xC0FFEE + i as u64,
             );
-            println!(
-                "{}: offered {:.0}/s -> {} reqs, goodput {:.1} qps, p50 {:.4}s p99 {:.4}s p999 {:.4}s, shed {:.1}% ({} errors)",
-                serving::scenario_name(fraction),
-                rate,
-                report.offered,
-                report.goodput_qps,
-                report.percentile_s(0.50),
-                report.percentile_s(0.99),
-                report.percentile_s(0.999),
-                100.0 * report.shed_rate(),
-                report.errors,
-            );
-            assert_eq!(
-                report.offered,
-                report.served() + report.shed + report.errors,
-                "open-loop accounting must balance"
-            );
-            Point { fraction, rate, report }
+            replay(serving::scenario_name(fraction), &schedule, duration.as_secs_f64())
         })
         .collect();
+    let at = |fraction: f64| {
+        let i = serving::SWEEP_FRACTIONS.iter().position(|f| *f == fraction);
+        &points[i.expect("fraction swept")]
+    };
+    let (smoke, overload) = (at(serving::SMOKE_FRACTION), at(2.0));
+    let peak = points.iter().map(|p| p.goodput_qps).fold(0.0f64, f64::max);
 
-    let at =
-        |fraction: f64| points.iter().find(|p| p.fraction == fraction).expect("fraction swept");
-    let smoke = at(serving::SMOKE_FRACTION);
-    let overload = at(2.0);
-    let p999_ratio =
-        overload.report.percentile_s(0.999) / smoke.report.percentile_s(0.999).max(1e-9);
-    let peak = points.iter().map(|p| p.report.goodput_qps).fold(0.0f64, f64::max);
-    let goodput_floor = overload.report.goodput_qps / peak.max(1e-9);
-    println!(
-        "\np999 under 2x overload vs sub-saturation: {p999_ratio:.2}x (target <= 5x)\n\
-         goodput floor at 2x overload: {goodput_floor:.2} of peak {peak:.1} qps (target >= 0.7)"
-    );
-
-    // Time-varying traffic families against the same live server. Each
-    // point runs 5× the constant-rate point length so the flash crowd
-    // has meaningful pre-burst / burst / recovery windows.
+    // Each traffic leg runs 5× the constant-rate point length so the
+    // flash crowd has meaningful pre-burst / burst / recovery windows.
     let horizon_s = (5 * point_secs) as f64;
-    let traffic_points: Vec<TrafficPoint> = traffic::TrafficFamily::ALL
-        .iter()
-        .enumerate()
-        .map(|(i, &family)| {
-            println!("\nreplaying {} traffic for {horizon_s:.0}s ...", family.name());
-            let schedule = family.schedule(capacity, horizon_s, 0xD1F0 + i as u64);
-            let before = quepa.metrics_snapshot().admission;
-            let report =
-                serving::measure_schedule(addr, &schedule, serving::CONNECTIONS, horizon_s);
-            let after = quepa.metrics_snapshot().admission;
-            println!(
-                "{}: {} reqs, goodput {:.1} qps, p999 {:.4}s, shed {:.1}% ({} errors)",
-                family.name(),
-                report.offered,
-                report.goodput_qps,
-                report.percentile_s(0.999),
-                100.0 * report.shed_rate(),
-                report.errors,
-            );
-            assert_eq!(
-                report.offered,
-                report.served() + report.shed + report.errors,
-                "open-loop accounting must balance"
-            );
-            TrafficPoint {
-                family,
-                report,
-                ledger_offered: after.offered - before.offered,
-                ledger_served: after.served - before.served,
-                ledger_degraded: after.degraded - before.degraded,
-                ledger_shed: after.shed - before.shed,
-            }
-        })
-        .collect();
+    let mut flash = None;
+    for (i, family) in traffic::TrafficFamily::ALL.into_iter().enumerate() {
+        println!("\nreplaying {} traffic for {horizon_s:.0}s ...", family.name());
+        let schedule = family.schedule(capacity, horizon_s, 0xD1F0 + i as u64);
+        let report = replay(format!("serving/{}", family.name()), &schedule, horizon_s);
+        if family == traffic::TrafficFamily::FlashCrowd {
+            flash = Some(report);
+        }
+    }
+    server.shutdown();
 
-    let flash = traffic_points
-        .iter()
-        .find(|p| p.family == traffic::TrafficFamily::FlashCrowd)
-        .expect("flash crowd replayed");
-    let [pre_w, burst_w, recovery_w] = traffic::flash_phases(horizon_s);
-    let pre = flash.report.phase(pre_w.0, pre_w.1);
-    let burst = flash.report.phase(burst_w.0, burst_w.1);
-    let recovery = flash.report.phase(recovery_w.0, recovery_w.1);
-    let flash_recovery_ratio = recovery.percentile_s(0.999) / pre.percentile_s(0.999).max(1e-9);
+    let flash = flash.expect("flash crowd replayed");
+    let [pre, burst, recovery] = traffic::flash_phases(horizon_s).map(|(a, b)| flash.phase(a, b));
+    for (tag, phase) in [("pre", &pre), ("burst", &burst), ("recovery", &recovery)] {
+        if !phase.balances() {
+            unaccounted += 1;
+            broken.push(format!("flash-crowd {tag} phase"));
+        }
+    }
+
     println!(
-        "\nflash crowd: pre p999 {:.4}s, burst shed {:.1}%, recovery p999 {:.4}s -> \
-         recovery ratio {flash_recovery_ratio:.2}x (target <= 1.15x, grace {:.0}s)",
+        "\nflash crowd: pre-burst p50 {:.4}s p999 {:.4}s, burst shed {:.1}%, recovery p50 {:.4}s p999 {:.4}s",
+        pre.percentile_s(0.5),
         pre.percentile_s(0.999),
         100.0 * burst.shed as f64 / burst.offered.max(1) as f64,
+        recovery.percentile_s(0.5),
         recovery.percentile_s(0.999),
-        traffic::RECOVERY_GRACE_S,
     );
-
-    let mut entries = Vec::new();
-    for p in &points {
-        entries.push(format!(
-            "    {{\"scenario\": \"{}\", \"mean_s\": {:.9}, \"rate\": {:.1}, \"qps\": {:.1}, \
-             \"p50_s\": {:.9}, \"p99_s\": {:.9}, \"p999_s\": {:.9}, \"shed_rate\": {:.4}, \
-             \"offered\": {}, \"served\": {}, \"degraded\": {}, \"shed\": {}, \"errors\": {}}}",
-            serving::scenario_name(p.fraction),
-            p.report.mean_s(),
-            p.rate,
-            p.report.goodput_qps,
-            p.report.percentile_s(0.50),
-            p.report.percentile_s(0.99),
-            p.report.percentile_s(0.999),
-            p.report.shed_rate(),
-            p.report.offered,
-            p.report.served(),
-            p.report.degraded,
-            p.report.shed,
-            p.report.errors,
-        ));
-    }
-    for p in &traffic_points {
-        let mut entry = format!(
-            "    {{\"scenario\": \"serving/{}\", \"mean_s\": {:.9}, \"qps\": {:.1}, \
-             \"p50_s\": {:.9}, \"p99_s\": {:.9}, \"p999_s\": {:.9}, \"shed_rate\": {:.4}, \
-             \"offered\": {}, \"served\": {}, \"degraded\": {}, \"shed\": {}, \"errors\": {}, \
-             \"ledger_offered\": {}, \"ledger_served\": {}, \"ledger_degraded\": {}, \
-             \"ledger_shed\": {}",
-            p.family.name(),
-            p.report.mean_s(),
-            p.report.goodput_qps,
-            p.report.percentile_s(0.50),
-            p.report.percentile_s(0.99),
-            p.report.percentile_s(0.999),
-            p.report.shed_rate(),
-            p.report.offered,
-            p.report.served(),
-            p.report.degraded,
-            p.report.shed,
-            p.report.errors,
-            p.ledger_offered,
-            p.ledger_served,
-            p.ledger_degraded,
-            p.ledger_shed,
-        );
-        if p.family == traffic::TrafficFamily::FlashCrowd {
-            for (tag, phase) in [("pre", &pre), ("burst", &burst), ("recovery", &recovery)] {
-                entry.push_str(&format!(
-                    ", \"{tag}_offered\": {}, \"{tag}_served\": {}, \"{tag}_shed\": {}, \
-                     \"{tag}_errors\": {}",
-                    phase.offered,
-                    phase.served(),
-                    phase.shed,
-                    phase.errors,
-                ));
-            }
-            entry.push_str(&format!(
-                ", \"pre_p999_s\": {:.9}, \"recovery_p999_s\": {:.9}, \
-                 \"recovery_ratio\": {flash_recovery_ratio:.4}",
-                pre.percentile_s(0.999),
-                recovery.percentile_s(0.999),
-            ));
-        }
-        entry.push('}');
-        entries.push(entry);
-    }
-    let json = format!(
-        "{{\n  \"benchmark\": \"serving\",\n  \"capacity_qps\": {capacity:.1},\n  \
-         \"connections\": {},\n  \"point_secs\": {point_secs},\n  \
-         \"p999_overload_ratio\": {p999_ratio:.3},\n  \"target_p999_ratio\": 5.0,\n  \
-         \"goodput_floor_ratio\": {goodput_floor:.3},\n  \"target_goodput_floor\": 0.7,\n  \
-         \"flash_recovery_ratio\": {flash_recovery_ratio:.3},\n  \
-         \"target_flash_recovery_ratio\": 1.15,\n  \
-         \"scenarios\": [\n{}\n  ]\n}}\n",
-        serving::CONNECTIONS,
-        entries.join(",\n")
+    let mut report = Report::default();
+    report.check(
+        "sweep-ledger",
+        unaccounted as f64,
+        &if broken.is_empty() {
+            "every leg and phase, both sides of the wire".to_owned()
+        } else {
+            format!("unaccounted requests in: {}", broken.join(", "))
+        },
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serving.json");
-    std::fs::write(path, &json).expect("write baseline json");
-    println!("\nwrote {path}");
-    print!("{json}");
+    report.check(
+        "flash-burst-shed",
+        burst.shed as f64,
+        &format!("of {} offered at 4x capacity", burst.offered),
+    );
+    report.check(
+        "goodput-floor",
+        overload.goodput_qps / peak,
+        &format!("{:.1} qps at 2x / peak {peak:.1} qps", overload.goodput_qps),
+    );
+    report.check(
+        "overload-p50-ratio",
+        overload.percentile_s(0.5) / smoke.percentile_s(0.5),
+        &format!(
+            "{:.4} s at 2x / {:.4} s at {}x ({} and {} served)",
+            overload.percentile_s(0.5),
+            smoke.percentile_s(0.5),
+            serving::SMOKE_FRACTION,
+            overload.served(),
+            smoke.served()
+        ),
+    );
+    report.check(
+        "flash-recovery-ratio",
+        recovery.percentile_s(0.5) / pre.percentile_s(0.5),
+        &format!(
+            "{:.4} s after a {:.0} s grace / {:.4} s pre-burst ({} and {} served)",
+            recovery.percentile_s(0.5),
+            traffic::RECOVERY_GRACE_S,
+            pre.percentile_s(0.5),
+            recovery.served(),
+            pre.served()
+        ),
+    );
+    report.finish("serving");
 }

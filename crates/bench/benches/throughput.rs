@@ -4,46 +4,44 @@
 //! for the serving configuration and why `threads_size = 1` /
 //! `cache_size = 0`).
 //!
-//! `main` writes `BENCH_throughput.json` at the repository root: QPS,
-//! wall seconds per query (`mean_s`, the gate's comparison unit) and
-//! p50/p99 per-query latency for each client count, plus the headline
-//! 16-client-vs-serial QPS ratio (target ≥4×, enforced by `bench_gate`).
+//! Prints QPS, wall seconds per query and p50/p99 per-query latency for
+//! each client count and checks the `throughput-16v1` claim on them. The
+//! plateau the table shows (≈ 300 qps from 16 clients up) is the pool
+//! width over the simulated round trips of one query — a constant of the
+//! latency model, not a property of this code; the claim is the *ratio*.
 //!
 //! A second sweep replays per-client Zipf(1.1) window-query streams with
-//! the cache on (`zipf/*` scenarios) — the skewed-workload serving path
-//! through the sharded LRU and single-flight table.
+//! the cache on — the skewed-workload serving path through the sharded
+//! LRU and single-flight table.
 
-use quepa_bench::throughput;
+use quepa_bench::claims::Report;
+use quepa_bench::throughput::{self, ThroughputPoint};
+use quepa_bench::Lab;
 
-fn main() {
-    let lab = throughput::lab();
-    let mut entries = Vec::new();
-    let mut points = Vec::new();
+fn sweep(lab: &Lab, burst: fn(&Lab, usize, usize) -> ThroughputPoint) -> Vec<ThroughputPoint> {
     println!(
         "{:>8} {:>9} {:>10} {:>11} {:>10} {:>10}",
         "clients", "queries", "qps", "mean_s", "p50_s", "p99_s"
     );
-    for clients in throughput::CLIENT_LEVELS {
-        let p = throughput::measure(&lab, clients, throughput::default_per_client(clients));
-        println!(
-            "{:>8} {:>9} {:>10.1} {:>11.6} {:>10.6} {:>10.6}",
-            p.clients, p.queries, p.qps, p.mean_s, p.p50_s, p.p99_s
-        );
-        entries.push(format!(
-            "    {{\"scenario\": \"{}\", \"mean_s\": {:.6}, \"qps\": {:.1}, \"p50_s\": {:.6}, \"p99_s\": {:.6}}}",
-            throughput::scenario_name(clients),
-            p.mean_s,
-            p.qps,
-            p.p50_s,
-            p.p99_s
-        ));
-        points.push(p);
-    }
+    throughput::CLIENT_LEVELS
+        .into_iter()
+        .map(|clients| {
+            let p = burst(lab, clients, throughput::default_per_client(clients));
+            println!(
+                "{:>8} {:>9} {:>10.1} {:>11.6} {:>10.6} {:>10.6}",
+                p.clients, p.queries, p.qps, p.mean_s, p.p50_s, p.p99_s
+            );
+            p
+        })
+        .collect()
+}
+
+fn main() {
+    let lab = throughput::lab();
+    let points = sweep(&lab, throughput::closed_loop);
     let qps_of = |clients: usize| {
         points.iter().find(|p| p.clients == clients).map(|p| p.qps).unwrap_or(f64::NAN)
     };
-    let ratio = qps_of(16) / qps_of(1);
-    println!("\n16-client vs serial QPS ratio: {ratio:.2}x (target >= 4x)");
 
     println!(
         "\nZipf(s={}) skewed serving, {} ranks x {}-object windows, cache on:",
@@ -51,34 +49,14 @@ fn main() {
         throughput::ZIPF_RANKS,
         throughput::ZIPF_WINDOW
     );
-    println!(
-        "{:>8} {:>9} {:>10} {:>11} {:>10} {:>10}",
-        "clients", "queries", "qps", "mean_s", "p50_s", "p99_s"
-    );
-    for clients in throughput::CLIENT_LEVELS {
-        let p = throughput::measure_zipf(&lab, clients, throughput::default_per_client(clients));
-        println!(
-            "{:>8} {:>9} {:>10.1} {:>11.6} {:>10.6} {:>10.6}",
-            p.clients, p.queries, p.qps, p.mean_s, p.p50_s, p.p99_s
-        );
-        entries.push(format!(
-            "    {{\"scenario\": \"{}\", \"mean_s\": {:.6}, \"qps\": {:.1}, \"p50_s\": {:.6}, \"p99_s\": {:.6}}}",
-            throughput::zipf_scenario_name(clients),
-            p.mean_s,
-            p.qps,
-            p.p50_s,
-            p.p99_s
-        ));
-    }
+    sweep(&lab, throughput::closed_loop_zipf);
 
-    let json = format!(
-        "{{\n  \"benchmark\": \"throughput\",\n  \"query\": \"{}\",\n  \"qps_ratio_c16_vs_c1\": {:.2},\n  \"target_ratio\": 4.0,\n  \"scenarios\": [\n{}\n  ]\n}}\n",
-        throughput::QUERY.replace('"', "\\\""),
-        ratio,
-        entries.join(",\n")
+    println!();
+    let mut report = Report::default();
+    report.check(
+        "throughput-16v1",
+        qps_of(16) / qps_of(1),
+        &format!("{:.1} qps at 16 clients / {:.1} qps serial", qps_of(16), qps_of(1)),
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_throughput.json");
-    std::fs::write(path, &json).expect("write baseline json");
-    println!("\nwrote {path}");
-    print!("{json}");
+    report.finish("throughput");
 }

@@ -12,9 +12,10 @@
 //! cargo run --release -p quepa-bench --bin serving_smoke -- [secs] [rate]
 //! ```
 //!
-//! Defaults: 10 s at one quarter of the throughput bench's recorded
-//! serving capacity — the same operating point `bench_gate` re-measures.
-//! Exit code 0 on a healthy run, 1 on any violated invariant.
+//! Defaults: 10 s at one quarter of the bench server's model capacity
+//! ([`serving::MODEL_CAPACITY_QPS`]) — the operating point of
+//! `bench_gate`'s `smoke-ledger` row. Exit code 0 on a healthy run, 1 on
+//! any violated invariant.
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -22,17 +23,13 @@ use std::time::Duration;
 use quepa_bench::{serving, throughput};
 use quepa_serve::Server;
 
-/// Fallback sub-saturation rate when `BENCH_serving.json` is absent
-/// (first recording run), requests/second.
-const FALLBACK_RATE: f64 = 60.0;
-
 fn main() {
     let mut args = std::env::args().skip(1);
     let secs: u64 = args.next().map(|a| a.parse().expect("secs: integer")).unwrap_or(10);
     let rate: f64 = args
         .next()
         .map(|a| a.parse().expect("rate: requests/second"))
-        .unwrap_or_else(recorded_smoke_rate);
+        .unwrap_or(serving::SMOKE_FRACTION * serving::MODEL_CAPACITY_QPS);
 
     let quepa = serving::bench_quepa();
     let mut server = Server::start(quepa.clone(), "127.0.0.1:0", serving::bench_admission())
@@ -119,15 +116,4 @@ fn main() {
         report.goodput_qps,
         report.percentile_s(0.999)
     );
-}
-
-/// A quarter of the recorded serving capacity, or the fallback when the
-/// sweep has not been recorded yet.
-fn recorded_smoke_rate() -> f64 {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serving.json");
-    let smoke = serving::scenario_name(serving::SMOKE_FRACTION);
-    std::fs::read_to_string(path)
-        .ok()
-        .and_then(|text| quepa_bench::baseline::Baseline::parse(&text).ok()?.field(&smoke, "rate"))
-        .unwrap_or(FALLBACK_RATE)
 }

@@ -1,16 +1,23 @@
 //! # quepa-bench — the experiment harness
 //!
-//! Shared plumbing for the Criterion benches (`benches/`) and the
-//! `figures` binary that regenerates every figure of §VII. One [`Lab`] is
+//! Shared plumbing for the `figures` binary that regenerates every figure
+//! of §VII, the sweeps under `benches/` and `bench_gate`. One [`Lab`] is
 //! one experimental polystore (a scale + replica count + deployment) with
 //! its QUEPA instance and, on demand, the middleware baselines.
+//!
+//! Nothing here records an absolute time for a later run to be compared
+//! with — that is `BENCHMARK.json` and `benchmark/`. What this crate
+//! holds are the ratios and equalities of [`claims`], re-derived by
+//! every run through the one sampler, [`sample`]; a bench run leaves the
+//! working tree as it found it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
+pub mod claims;
 pub mod pushdown;
 pub mod recovery;
+pub mod sample;
 pub mod scale;
 pub mod serving;
 pub mod throughput;

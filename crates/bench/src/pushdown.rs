@@ -8,18 +8,18 @@
 //! round trip carrying the predicate, and only matching objects travel
 //! back — fetch-all pays the full batched fan-out and filters
 //! client-side. Under the distributed deployment's per-round-trip and
-//! per-byte costs the pushdown side must hold a ≥2× speedup
-//! (`bench_gate` enforces it, recorded and live).
+//! per-byte costs the pushdown side must hold a ≥2× speedup (the
+//! `pushdown-speedup` claim, checked by `bench_gate` and by the bench).
 //!
 //! The configuration pins `threads_size = 1` (round trips stack
 //! serially, so the wire saving is exactly what's measured) and
 //! `cache_size = 0` (every measured query pays its wire costs).
 
-use quepa_core::{AugmenterKind, QuepaConfig};
+use quepa_core::{AugmentedAnswer, AugmenterKind, QuepaConfig};
 use quepa_pdm::Pushdown;
 use quepa_polystore::Deployment;
 
-use crate::Lab;
+use crate::{sample, Lab};
 
 /// The workload query: 50 original objects ⇒ 50 augmentation seeds.
 pub const QUERY: &str = "SELECT * FROM inventory WHERE seq < 50";
@@ -58,76 +58,36 @@ pub fn config(pushdown: bool) -> QuepaConfig {
     }
 }
 
-/// The recorded scenario name of one planner mode.
-pub fn scenario_name(pushdown: bool) -> String {
-    format!("pushdown/10stores/level{LEVEL}/{}", mode_name(pushdown))
-}
-
-/// `pushdown` / `fetchall`.
-pub fn mode_name(pushdown: bool) -> &'static str {
-    if pushdown {
-        "pushdown"
-    } else {
-        "fetchall"
-    }
-}
-
-/// One measured planner mode.
-#[derive(Debug, Clone, Copy)]
-pub struct PushdownPoint {
-    /// Median end-to-end filtered-search seconds.
-    pub mean_s: f64,
-    /// Augmented objects surviving the predicate.
-    pub augmented: usize,
-    /// Missing keys (gone or unreachable — filter-independent).
-    pub missing: usize,
-}
-
-/// Median filtered-search seconds over `runs` cold executions after
-/// three throwaway warm-ups — the answer's own `duration`, the same
-/// simulated-latency methodology every other baseline records (medians
-/// resist scheduler spikes; see `bench_gate`).
-pub fn measure(lab: &Lab, pushdown: bool, runs: usize) -> PushdownPoint {
-    let f = filter();
+/// One cold filtered search with the planner's pushdown forced on or
+/// off.
+pub fn search(lab: &Lab, pushdown: bool) -> AugmentedAnswer {
     lab.quepa.set_optimizer(None);
     lab.quepa.set_config(config(pushdown));
-    let probe = || {
-        lab.quepa.drop_caches();
-        lab.quepa
-            .augmented_search_filtered(DATABASE, QUERY, LEVEL, &f)
-            .expect("benchmark query must be valid")
-    };
-    for _ in 0..3 {
-        probe();
-    }
-    let mut augmented = 0;
-    let mut missing = 0;
-    let mut samples: Vec<f64> = (0..runs)
-        .map(|_| {
-            let answer = probe();
-            augmented = answer.augmented.len();
-            missing = answer.missing.len();
-            answer.duration.as_secs_f64()
-        })
-        .collect();
-    samples.sort_by(f64::total_cmp);
-    PushdownPoint { mean_s: samples[runs / 2], augmented, missing }
+    lab.quepa.drop_caches();
+    lab.quepa
+        .augmented_search_filtered(DATABASE, QUERY, LEVEL, &filter())
+        .expect("benchmark query must be valid")
 }
 
-/// The two planner modes answer bit-identically — the emitter's own
-/// sanity check before anything is recorded.
-pub fn answers_agree(lab: &Lab) -> bool {
-    let f = filter();
-    lab.quepa.set_optimizer(None);
-    let run = |p: bool| {
-        lab.quepa.set_config(config(p));
-        lab.quepa.drop_caches();
-        lab.quepa
-            .augmented_search_filtered(DATABASE, QUERY, LEVEL, &f)
-            .expect("benchmark query must be valid")
-            .normal_form()
-    };
-    run(true) == run(false)
+/// The `pushdown-speedup` reading and its detail: the median over
+/// `pairs` alternating pairs of fetch-all seconds over pushdown seconds
+/// (each the answer's own `duration`, after three throwaway pairs) — NaN
+/// when the two modes do not answer bit-identically, which no speedup
+/// excuses.
+pub fn speedup(lab: &Lab, pairs: usize) -> (f64, String) {
+    if search(lab, true).normal_form() != search(lab, false).normal_form() {
+        return (f64::NAN, "pushdown and fetch-all answers differ — run quepa-check".into());
+    }
+    let seconds = |pushdown: bool| search(lab, pushdown).duration.as_secs_f64();
+    sample::paired(|| seconds(true), || seconds(false), 3);
+    let read = sample::paired(|| seconds(true), || seconds(false), pairs);
+    let detail = format!(
+        "fetch-all {:.2} ms / pushdown {:.2} ms, answers agree; IQR {:.2} over {pairs} pairs",
+        read.b.median * 1e3,
+        read.a.median * 1e3,
+        read.ratio.iqr,
+    );
+    (read.ratio.median, detail)
 }
 
 #[cfg(test)]
@@ -137,19 +97,13 @@ mod tests {
     #[test]
     fn modes_agree_and_pushdown_is_not_slower() {
         let lab = lab();
-        assert!(answers_agree(&lab));
-        let on = measure(&lab, true, 5);
-        let off = measure(&lab, false, 5);
-        assert!(on.augmented > 0, "the filter must keep some objects");
-        assert_eq!(on.augmented, off.augmented);
-        assert_eq!(on.missing, off.missing);
+        let (on, off) = (search(&lab, true), search(&lab, false));
+        assert!(!on.augmented.is_empty(), "the filter must keep some objects");
+        assert_eq!(on.normal_form(), off.normal_form());
+        assert_eq!(on.missing.len(), off.missing.len());
         // The full ≥2× claim is the bench gate's job; here pushdown must
         // simply not lose to the fan-out it replaces.
-        assert!(
-            on.mean_s < off.mean_s,
-            "pushdown ({:.6}s) should beat fetch-all ({:.6}s)",
-            on.mean_s,
-            off.mean_s
-        );
+        let (ratio, detail) = speedup(&lab, 5);
+        assert!(ratio > 1.0, "pushdown should beat fetch-all: {ratio:.2}x ({detail})");
     }
 }

@@ -1,8 +1,8 @@
-//! The million-object scale sweep (`benches/scale.rs`, gated by
-//! `bench_gate`).
+//! The million-object scale sweep (`benches/scale.rs`; `bench_gate`
+//! measures the 10⁴ mutation row).
 //!
 //! One [`ScaleLab`] is the A' index of a `WorkloadConfig::at_scale`
-//! polystore, served through the sharded index. The sweep records, per
+//! polystore, served through the sharded index. The sweep prints, per
 //! object count:
 //!
 //! * **build_s** — wall time to build the polystore + index;
@@ -31,6 +31,8 @@ use quepa_aindex::{AIndex, ShardedIndex};
 use quepa_pdm::GlobalKey;
 use quepa_polystore::Deployment;
 use quepa_workload::{BuiltPolystore, TopologyFamily, WorkloadConfig};
+
+use crate::sample::{self, Summary};
 
 /// Augmentation levels the sweep records.
 pub const LEVELS: [usize; 3] = [0, 1, 2];
@@ -97,10 +99,10 @@ pub fn build(objects: usize) -> ScaleLab {
     }
 }
 
-/// Median cold and warm augmentation seconds at `level` over `runs`
-/// measured pairs. Cold is the first `augment_multi` on a fresh view;
-/// warm repeats it on the same view.
-pub fn augment_latency(lab: &ScaleLab, level: usize, runs: usize) -> (f64, f64) {
+/// Cold and warm augmentation seconds at `level` over `runs` measured
+/// pairs. Cold is the first `augment_multi` on a fresh view; warm repeats
+/// it on the same view.
+pub fn augment_latency(lab: &ScaleLab, level: usize, runs: usize) -> (Summary, Summary) {
     augment_latency_on(&lab.sharded, &lab.seeds, level, runs)
 }
 
@@ -111,23 +113,23 @@ pub fn augment_latency_on(
     seeds: &[GlobalKey],
     level: usize,
     runs: usize,
-) -> (f64, f64) {
+) -> (Summary, Summary) {
     let mut cold = Vec::with_capacity(runs);
-    let mut warm = Vec::with_capacity(runs);
-    for _ in 0..runs {
+    let warm = sample::measure(0, runs, || {
         let view = sharded.view();
         let t0 = Instant::now();
         let first = view.augment_multi(seeds, level);
         cold.push(t0.elapsed().as_secs_f64());
         let t1 = Instant::now();
         let second = view.augment_multi(seeds, level);
-        warm.push(t1.elapsed().as_secs_f64());
+        let warm = t1.elapsed().as_secs_f64();
         assert_eq!(first, second, "augmentation must be deterministic on one view");
-    }
-    (median(&mut cold), median(&mut warm))
+        warm
+    });
+    (sample::summarize(&mut cold), warm)
 }
 
-/// Objects per hostile topology in the recorded sweep: large enough that
+/// Objects per hostile topology in the sweep: large enough that
 /// the supernode hub carries ~1e5 p-relations — the degree the tentpole
 /// names — and the deep-chain family holds >1500 chains of depth 64.
 pub const HOSTILE_SCALE: usize = 100_000;
@@ -157,7 +159,7 @@ pub struct HostileLab {
     pub hub: Option<GlobalKey>,
 }
 
-/// The augmentation level each family's baseline probes at: deep chains
+/// The augmentation level each family is probed at: deep chains
 /// are a depth stress, the other two are breadth stresses.
 pub fn hostile_level(family: TopologyFamily) -> usize {
     match family {
@@ -167,7 +169,7 @@ pub fn hostile_level(family: TopologyFamily) -> usize {
 }
 
 /// Builds the hostile point for `family` at `scale` objects (seed 42,
-/// like every recorded lab).
+/// like every lab).
 pub fn build_hostile(family: TopologyFamily, scale: usize) -> HostileLab {
     let topo = family.generate(scale, 42);
     let relations = topo.relations.len();
@@ -199,7 +201,7 @@ pub struct MutationPoint {
     pub mutations: usize,
     /// Removals per wall-clock second.
     pub qps: f64,
-    /// Wall seconds per removal (the gate's comparison unit).
+    /// Wall seconds per removal.
     pub mean_s: f64,
     /// Reader augmentations completed during the run.
     pub reads: usize,
@@ -265,7 +267,7 @@ fn run_mutations(lab: &ScaleLab, write: impl Fn(&ShardedIndex, &GlobalKey)) -> M
     }
 }
 
-/// The recorded scenario-name stem for an object count (`1e4`, `1e5`, …).
+/// The printed label of an object count (`1e4`, `1e5`, …).
 pub fn scale_label(objects: usize) -> String {
     let exp = (objects as f64).log10().round() as u32;
     if objects == 10usize.pow(exp) {
@@ -273,12 +275,6 @@ pub fn scale_label(objects: usize) -> String {
     } else {
         format!("{objects}")
     }
-}
-
-/// Median of an unsorted sample (sorts in place).
-pub fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
 }
 
 #[cfg(test)]
@@ -290,14 +286,14 @@ mod tests {
         let lab = build(2_000);
         assert!(lab.build_s > 0.0 && lab.resident_bytes > 0 && lab.entries > 0);
         let (cold, warm) = augment_latency(&lab, 1, 3);
-        assert!(cold > 0.0 && warm > 0.0);
+        assert!(cold.median > 0.0 && warm.median > 0.0);
         let sharded = mutation_throughput_sharded(&lab);
         let swap = mutation_throughput_swap(&lab);
         assert_eq!(sharded.mutations, MUTATIONS);
         assert!(sharded.qps > 0.0 && swap.qps > 0.0);
         assert!(sharded.reads > 0, "readers must make progress during mutations");
-        // The full ≥5× claim is recorded by the sweep and enforced by
-        // bench_gate at 1e4; at this tiny scale just require a win.
+        // The full ≥5× claim is checked by bench_gate at 1e4 and by the
+        // sweep at 1e6; at this tiny scale just require a win.
         assert!(
             sharded.mean_s < swap.mean_s,
             "sharded removals ({:.6}s) must beat whole-index swaps ({:.6}s)",
@@ -316,7 +312,7 @@ mod tests {
             assert_eq!(lab.hub.is_some(), family == TopologyFamily::Supernode);
             let (cold, warm) =
                 augment_latency_on(&lab.sharded, &lab.seeds, hostile_level(family), 3);
-            assert!(cold > 0.0 && warm > 0.0, "{}", family.name());
+            assert!(cold.median > 0.0 && warm.median > 0.0, "{}", family.name());
         }
     }
 
@@ -325,6 +321,6 @@ mod tests {
         assert_eq!(scale_label(10_000), "1e4");
         assert_eq!(scale_label(1_000_000), "1e6");
         assert_eq!(scale_label(12_345), "12345");
-        assert_eq!(median(&mut [3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(sample::summarize(&mut [3.0, 1.0, 2.0]).median, 2.0);
     }
 }

@@ -23,6 +23,7 @@ use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use quepa_core::{pool_width, Quepa};
+use quepa_obs::AdmissionMetrics;
 use quepa_polystore::Deployment;
 use quepa_serve::{
     augment_payload, configure_stream, read_response, send_request, AdmissionConfig, Request,
@@ -32,19 +33,30 @@ use quepa_workload::{BuiltPolystore, WorkloadConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::sample::percentile;
 use crate::throughput::{serving_config, DATABASE, LEVEL, QUERY};
 
 /// Offered-rate sweep points, as fractions of measured capacity
 /// (sub-saturation → 2× overload).
 pub const SWEEP_FRACTIONS: [f64; 5] = [0.25, 0.5, 1.0, 1.5, 2.0];
 
-/// The sweep point the PR gate re-measures (the CI smoke rate).
+/// The sub-saturation sweep point (the reference of `overload-p50-ratio`).
 pub const SMOKE_FRACTION: f64 = 0.25;
 
-/// Connections the schedule is dealt across in the recorded runs.
+/// What the bench server sustains, requests/second: the admission width
+/// (16 — the [`pool_width`] clamp on ≤ 4 cores) over the ~50 ms of
+/// simulated round trips one level-1 query sleeps through on the
+/// distributed deployment. A constant of the latency model, not a
+/// measurement of this code: `bench_gate` and `serving_smoke` size their
+/// legs from it (the smoke at [`SMOKE_FRACTION`] of it, the flash crowd
+/// bursting to 4× it); the sweep, whose ratios need the real figure,
+/// probes it ([`probe_capacity`]).
+pub const MODEL_CAPACITY_QPS: f64 = 300.0;
+
+/// Connections every schedule is dealt across.
 pub const CONNECTIONS: usize = 4;
 
-/// The recorded scenario name of a sweep fraction.
+/// The printed name of a sweep fraction.
 pub fn scenario_name(fraction: f64) -> String {
     format!("serving/open-loop/{fraction:.2}x")
 }
@@ -52,7 +64,7 @@ pub fn scenario_name(fraction: f64) -> String {
 /// The serving-bench system: the throughput bench's polystore (200
 /// albums × 2 replica sets, distributed deployment) behind the same
 /// serving configuration, shared for the TCP server. Capacities are
-/// therefore comparable with `BENCH_throughput.json`.
+/// therefore comparable with the `throughput` bench.
 pub fn bench_quepa() -> Arc<Quepa> {
     let built = BuiltPolystore::build(WorkloadConfig {
         albums: 200,
@@ -67,7 +79,7 @@ pub fn bench_quepa() -> Arc<Quepa> {
     Arc::new(quepa)
 }
 
-/// The admission thresholds of the recorded runs: executor and estimate
+/// The admission thresholds of the bench server: executor and estimate
 /// width from the shared [`pool_width`] clamp, degrade at 2× width,
 /// shed at 8× width or a 500 ms estimated wait.
 pub fn bench_admission() -> AdmissionConfig {
@@ -136,7 +148,7 @@ pub struct Sample {
 }
 
 /// Ledger + latency digest of one arrival window of a run — the unit the
-/// flash-crowd recovery gate compares across phases.
+/// flash-crowd recovery claim compares across phases.
 #[derive(Debug, Clone)]
 pub struct PhaseStats {
     /// Requests scheduled inside the window.
@@ -224,6 +236,25 @@ impl OpenLoopReport {
         }
     }
 
+    /// Requests the two-sided ledger cannot account for, given the
+    /// server's admission counters before and after the run: zero iff
+    /// the client saw no error and exactly one terminal outcome per
+    /// offered request, the server's delta balances (`offered == served
+    /// + shed`), and the two sides agree on what was offered and shed.
+    pub fn unaccounted(&self, before: AdmissionMetrics, after: AdmissionMetrics) -> usize {
+        let delta = |a: u64, b: u64| (a - b) as usize;
+        let (offered, served, shed) = (
+            delta(after.offered, before.offered),
+            delta(after.served, before.served),
+            delta(after.shed, before.shed),
+        );
+        self.errors
+            + self.offered.abs_diff(self.served() + self.shed + self.errors)
+            + offered.abs_diff(served + shed)
+            + self.offered.abs_diff(offered)
+            + self.shed.abs_diff(shed)
+    }
+
     /// Ledger + latency digest of the requests scheduled inside
     /// `[from_s, to_s)` — how the traffic families split a run into
     /// pre-burst / burst / recovery windows.
@@ -257,15 +288,6 @@ impl OpenLoopReport {
         stats.latencies_s.sort_by(f64::total_cmp);
         stats
     }
-}
-
-/// Nearest-rank percentile over an ascending-sorted slice.
-pub fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx]
 }
 
 /// The deterministic Poisson arrival schedule: offsets (seconds from the
@@ -568,6 +590,15 @@ mod tests {
         assert_eq!(admission.offered as usize, report.offered);
         assert_eq!(admission.served as usize, report.served());
         assert_eq!(admission.shed as usize, report.shed);
+        let zero = AdmissionMetrics::default();
+        assert_eq!(report.unaccounted(zero, admission), 0);
+        // A shed the server never recorded breaks its balance and the
+        // two-sided agreement; an answer the client lost breaks its own.
+        let lost_shed = AdmissionMetrics { offered: admission.offered + 1, ..admission };
+        assert_eq!(report.unaccounted(zero, lost_shed), 2);
+        let mut lossy = report.clone();
+        lossy.served_full -= 1;
+        assert_eq!(lossy.unaccounted(zero, admission), 1);
         assert_eq!(report.latencies_s.len(), report.served());
         assert!(report.goodput_qps > 0.0);
         assert!(!histogram_lines(&report).is_empty());
@@ -581,13 +612,5 @@ mod tests {
         let (first, second) = (report.phase(0.0, 0.3), report.phase(0.3, f64::INFINITY));
         assert!(first.balances() && second.balances());
         assert_eq!(first.offered + second.offered, report.offered);
-    }
-
-    #[test]
-    fn percentile_nearest_rank() {
-        let v = [1.0, 2.0, 3.0, 4.0, 5.0];
-        assert_eq!(percentile(&v, 0.5), 3.0);
-        assert_eq!(percentile(&v, 0.999), 5.0);
-        assert_eq!(percentile(&[], 0.9), 0.0);
     }
 }

@@ -24,8 +24,9 @@ use std::time::Instant;
 
 use quepa_core::{AugmenterKind, QuepaConfig};
 use quepa_polystore::Deployment;
-use quepa_workload::zipf_query_stream;
+use quepa_workload::{zipf_query_stream, TestQuery};
 
+use crate::sample::percentile;
 use crate::Lab;
 
 /// Client counts driven by the bench, serial first.
@@ -49,7 +50,7 @@ pub struct ThroughputPoint {
     pub queries: usize,
     /// Queries per wall-clock second over the burst.
     pub qps: f64,
-    /// Wall seconds per query (`1 / qps` — the gate's comparison unit).
+    /// Wall seconds per query (`1 / qps`).
     pub mean_s: f64,
     /// Median per-query latency (seconds).
     pub p50_s: f64,
@@ -75,11 +76,6 @@ pub fn lab() -> Lab {
     Lab::new(200, 2, Deployment::Distributed)
 }
 
-/// The recorded scenario name for a client count.
-pub fn scenario_name(clients: usize) -> String {
-    format!("distributed/10stores/level{LEVEL}/c{clients}")
-}
-
 /// Queries each client issues: sized so every level answers a comparable
 /// total (≥192) without the serial level taking tens of seconds.
 pub fn default_per_client(clients: usize) -> usize {
@@ -88,56 +84,9 @@ pub fn default_per_client(clients: usize) -> usize {
 
 /// Runs one closed-loop burst: `clients` threads × `per_client` queries
 /// each, released together by a barrier.
-pub fn measure(lab: &Lab, clients: usize, per_client: usize) -> ThroughputPoint {
-    lab.quepa.set_optimizer(None);
-    lab.quepa.set_config(serving_config());
-    lab.quepa.drop_caches();
-    for _ in 0..3 {
-        let _ = lab.quepa.augmented_search(DATABASE, QUERY, LEVEL);
-    }
-    let _ = lab.quepa.take_logs();
-
-    let barrier = Barrier::new(clients + 1);
-    let mut latencies: Vec<f64> = Vec::with_capacity(clients * per_client);
-    let mut wall = 0.0f64;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..clients)
-            .map(|_| {
-                let barrier = &barrier;
-                let quepa = &lab.quepa;
-                s.spawn(move || {
-                    barrier.wait();
-                    let mut mine = Vec::with_capacity(per_client);
-                    for _ in 0..per_client {
-                        let start = Instant::now();
-                        quepa
-                            .augmented_search(DATABASE, QUERY, LEVEL)
-                            .expect("throughput query must be valid");
-                        mine.push(start.elapsed().as_secs_f64());
-                    }
-                    mine
-                })
-            })
-            .collect();
-        let start = Instant::now();
-        barrier.wait();
-        for h in handles {
-            latencies.extend(h.join().expect("client thread"));
-        }
-        wall = start.elapsed().as_secs_f64();
-    });
-    let _ = lab.quepa.take_logs();
-
-    latencies.sort_by(f64::total_cmp);
-    let queries = latencies.len();
-    ThroughputPoint {
-        clients,
-        queries,
-        qps: queries as f64 / wall,
-        mean_s: wall / queries as f64,
-        p50_s: percentile(&latencies, 0.50),
-        p99_s: percentile(&latencies, 0.99),
-    }
+pub fn closed_loop(lab: &Lab, clients: usize, per_client: usize) -> ThroughputPoint {
+    let query = TestQuery { database: DATABASE.into(), query: QUERY.into(), size: 50 };
+    burst(lab, serving_config(), 3, vec![vec![query; per_client]; clients])
 }
 
 // ---- Zipf-skewed serving -----------------------------------------------
@@ -161,45 +110,57 @@ pub fn zipf_serving_config() -> QuepaConfig {
     QuepaConfig { cache_size: 4096, ..serving_config() }
 }
 
-/// The recorded scenario name of a skewed client count.
-pub fn zipf_scenario_name(clients: usize) -> String {
-    format!("distributed/10stores/level{LEVEL}/zipf/c{clients}")
-}
-
 /// Runs one skewed closed-loop burst: `clients` threads each replaying
 /// its own seeded Zipf window-query stream of `per_client` queries.
-pub fn measure_zipf(lab: &Lab, clients: usize, per_client: usize) -> ThroughputPoint {
+pub fn closed_loop_zipf(lab: &Lab, clients: usize, per_client: usize) -> ThroughputPoint {
+    let streams = (0..clients)
+        .map(|c| {
+            zipf_query_stream(per_client, ZIPF_RANKS, ZIPF_S, ZIPF_WINDOW, zipf_client_seed(c))
+        })
+        .collect();
+    burst(lab, zipf_serving_config(), 0, streams)
+}
+
+/// One closed-loop burst under `config`: `warmups` throwaway runs of the
+/// first query, then one client thread per stream, released together by
+/// a barrier; the wall clock over the whole burst yields QPS.
+fn burst(
+    lab: &Lab,
+    config: QuepaConfig,
+    warmups: usize,
+    streams: Vec<Vec<TestQuery>>,
+) -> ThroughputPoint {
     lab.quepa.set_optimizer(None);
-    lab.quepa.set_config(zipf_serving_config());
+    lab.quepa.set_config(config);
     lab.quepa.drop_caches();
+    for _ in 0..warmups {
+        let q = &streams[0][0];
+        let _ = lab.quepa.augmented_search(&q.database, &q.query, LEVEL);
+    }
     let _ = lab.quepa.take_logs();
 
+    let clients = streams.len();
     let barrier = Barrier::new(clients + 1);
-    let mut latencies: Vec<f64> = Vec::with_capacity(clients * per_client);
+    let mut latencies: Vec<f64> = Vec::new();
     let mut wall = 0.0f64;
     std::thread::scope(|s| {
-        let handles: Vec<_> = (0..clients)
-            .map(|client| {
+        let handles: Vec<_> = streams
+            .iter()
+            .map(|stream| {
                 let barrier = &barrier;
                 let quepa = &lab.quepa;
                 s.spawn(move || {
-                    let stream = zipf_query_stream(
-                        per_client,
-                        ZIPF_RANKS,
-                        ZIPF_S,
-                        ZIPF_WINDOW,
-                        zipf_client_seed(client),
-                    );
                     barrier.wait();
-                    let mut mine = Vec::with_capacity(per_client);
-                    for q in &stream {
-                        let start = Instant::now();
-                        quepa
-                            .augmented_search(&q.database, &q.query, LEVEL)
-                            .expect("zipf query must be valid");
-                        mine.push(start.elapsed().as_secs_f64());
-                    }
-                    mine
+                    stream
+                        .iter()
+                        .map(|q| {
+                            let start = Instant::now();
+                            quepa
+                                .augmented_search(&q.database, &q.query, LEVEL)
+                                .expect("throughput query must be valid");
+                            start.elapsed().as_secs_f64()
+                        })
+                        .collect::<Vec<f64>>()
                 })
             })
             .collect();
@@ -229,14 +190,6 @@ fn zipf_client_seed(client: usize) -> u64 {
     0x5eed ^ (client as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
 }
 
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,10 +197,10 @@ mod tests {
     #[test]
     fn burst_measures_and_scales_sanely() {
         let lab = lab();
-        let serial = measure(&lab, 1, 6);
+        let serial = closed_loop(&lab, 1, 6);
         assert_eq!(serial.queries, 6);
         assert!(serial.qps > 0.0 && serial.p50_s > 0.0 && serial.p99_s >= serial.p50_s);
-        let quad = measure(&lab, 4, 4);
+        let quad = closed_loop(&lab, 4, 4);
         assert_eq!(quad.queries, 16);
         // Overlapped round trips must not make 4 clients *slower* than
         // one; the full ≥4× claim at 16 clients is the bench gate's job.
@@ -262,18 +215,10 @@ mod tests {
     #[test]
     fn zipf_burst_serves_skewed_streams() {
         let lab = lab();
-        let p = measure_zipf(&lab, 2, 4);
+        let p = closed_loop_zipf(&lab, 2, 4);
         assert_eq!(p.queries, 8);
         assert!(p.qps > 0.0 && p.p50_s > 0.0 && p.p99_s >= p.p50_s);
         // Distinct clients replay distinct streams.
         assert_ne!(zipf_client_seed(0), zipf_client_seed(1));
-    }
-
-    #[test]
-    fn percentile_picks_nearest_rank() {
-        let v = [1.0, 2.0, 3.0, 4.0, 5.0];
-        assert_eq!(percentile(&v, 0.50), 3.0);
-        assert_eq!(percentile(&v, 0.99), 5.0);
-        assert_eq!(percentile(&[], 0.5), 0.0);
     }
 }

@@ -175,8 +175,9 @@ pub fn plan(index: &IndexView, seed_keys: &[GlobalKey], level: usize) -> Augment
 
 /// The shared serving-path machinery an execution borrows from its
 /// [`Quepa`] instance: long-lived breaker state, the metrics registry,
-/// the shared worker pool, and the cross-query flight table. Standalone
-/// callers ([`run_planned`]) get fresh breakers and none of the rest.
+/// the shared worker pool, and the cross-query flight table. A
+/// standalone caller of [`run_planned_with`] passes fresh breakers and
+/// `None` for the rest.
 ///
 /// [`Quepa`]: crate::system::Quepa
 pub struct FetchRuntime<'a> {
@@ -194,27 +195,11 @@ pub struct FetchRuntime<'a> {
 
 /// Executes a previously computed [`AugmentPlan`] — callers that already
 /// traversed the index (e.g. for feature extraction) retrieve without a
-/// second traversal. Circuit-breaker state lives only for this run; use
-/// [`run_planned_with`] to share the serving-path machinery across runs
-/// (as [`Quepa`] does).
-///
-/// [`Quepa`]: crate::system::Quepa
-pub fn run_planned(
-    polystore: &Polystore,
-    cache: &Arc<ObjectCache>,
-    plan: &AugmentPlan,
-    config: &QuepaConfig,
-) -> Result<AugmentationOutcome> {
-    let breakers = Arc::new(BreakerSet::new(config.resilience.breaker));
-    let runtime = FetchRuntime { breakers: &breakers, obs: None, pool: None, flight: None };
-    run_planned_with(polystore, cache, plan, config, &runtime)
-}
-
-/// Executes a previously computed [`AugmentPlan`] on the shared serving
-/// path: breaker state (closed → open → half-open) persists across runs,
-/// workers report to the metrics registry when one is attached, tickets
-/// run on the shared pool, and fetches coalesce across queries through
-/// the flight table.
+/// second traversal — on the serving-path machinery `runtime` lends it:
+/// breaker state (closed → open → half-open) persists across runs that
+/// share a [`BreakerSet`], workers report to the metrics registry when
+/// one is attached, tickets run on the shared pool, and fetches coalesce
+/// across queries through the flight table.
 pub fn run_planned_with(
     polystore: &Polystore,
     cache: &Arc<ObjectCache>,

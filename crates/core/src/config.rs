@@ -153,9 +153,10 @@ pub struct QuepaConfig {
     /// wire traffic.
     pub pushdown: bool,
     /// Whether the observability layer records (stage-scoped spans,
-    /// per-store/per-stage latency histograms). Off by default: the
-    /// disabled path must stay within noise of the un-instrumented
-    /// hot path (pinned by the `metrics_overhead` bench).
+    /// per-store/per-stage latency histograms). Off by default, where
+    /// it costs one TLS read and a branch per event; what switching it
+    /// on costs the cold hot path is held by `bench_gate`'s
+    /// `observability-overhead` row (enabled over disabled, paired).
     pub observability: bool,
 }
 

@@ -4,11 +4,10 @@
 //! [`load`](SnapshotCell::load) the current `Arc` (a refcount bump under
 //! a briefly held lock — never held across any store round trip) and keep
 //! working on that frozen snapshot for as long as they like. Writers
-//! build the *next* snapshot copy-on-write and swap it in atomically, so
-//! a mutation — e.g. the lazy-deletion pass pruning vanished keys from
-//! the A' index — is one cold→warm transition: a concurrent query sees
-//! either the whole old index or the whole new one, never a half-pruned
-//! hybrid. This is the hand-rolled equivalent of the `arc-swap` crate
+//! build the *next* snapshot and [`store`](SnapshotCell::store) it in one
+//! swap, so a change — a new configuration, a refitted optimizer model —
+//! is one transition: a concurrent query sees either the whole old value
+//! or the whole new one, never a half-updated hybrid. This is the hand-rolled equivalent of the `arc-swap` crate
 //! (this workspace is offline-vendored), trading the lock-free fast path
 //! for `#![forbid(unsafe_code)]`.
 
@@ -41,21 +40,6 @@ impl<T> SnapshotCell<T> {
     }
 }
 
-impl<T: Clone> SnapshotCell<T> {
-    /// Copy-on-write update: clones the current snapshot, applies `f` to
-    /// the clone, and swaps it in as one atomic transition. Writers
-    /// serialize on the cell's lock (so concurrent updates compose
-    /// rather than losing each other); readers are never blocked by the
-    /// mutation itself — they keep their loaded snapshot.
-    pub fn update<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
-        let mut slot = self.current.lock();
-        let mut next = T::clone(&slot);
-        let result = f(&mut next);
-        *slot = Arc::new(next);
-        result
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -72,37 +56,8 @@ mod tests {
     fn readers_keep_their_snapshot_across_updates() {
         let cell = SnapshotCell::new(vec![1, 2, 3]);
         let before = cell.load();
-        cell.update(|v| v.push(4));
+        cell.store(vec![1, 2, 3, 4]);
         assert_eq!(*before, vec![1, 2, 3], "loaded snapshot is frozen");
         assert_eq!(*cell.load(), vec![1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn updates_compose_under_contention() {
-        let cell = Arc::new(SnapshotCell::new(0u64));
-        let handles: Vec<_> = (0..8)
-            .map(|_| {
-                let cell = Arc::clone(&cell);
-                std::thread::spawn(move || {
-                    for _ in 0..100 {
-                        cell.update(|n| *n += 1);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(*cell.load(), 800, "no update may be lost");
-    }
-
-    #[test]
-    fn update_returns_the_closure_result() {
-        let cell = SnapshotCell::new(String::from("a"));
-        let len = cell.update(|s| {
-            s.push('b');
-            s.len()
-        });
-        assert_eq!(len, 2);
     }
 }

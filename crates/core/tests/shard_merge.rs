@@ -81,10 +81,12 @@ fn run_with(
         cache_size: 1024,
         ..QuepaConfig::default()
     };
+    let breakers = Arc::new(BreakerSet::new(config.resilience.breaker));
+    let runtime = FetchRuntime { breakers: &breakers, obs: None, pool: None, flight: None };
     if warm {
-        augmenter::run_planned(polystore, &cache, plan, &config).unwrap();
+        augmenter::run_planned_with(polystore, &cache, plan, &config, &runtime).unwrap();
     }
-    augmenter::run_planned(polystore, &cache, plan, &config).unwrap()
+    augmenter::run_planned_with(polystore, &cache, plan, &config, &runtime).unwrap()
 }
 
 fn projected(outcome: &AugmentationOutcome) -> Vec<(String, Probability, usize)> {

@@ -268,7 +268,7 @@ fn entropy(data: &Dataset, rows: &[usize]) -> f64 {
 }
 
 /// Finds the split with the best gain ratio across all attributes, C4.5's
-/// criterion: `gain / split_info`, considering only splits whose raw gain
+/// splitting rule: `gain / split_info`, considering only splits whose raw gain
 /// clears `min_gain`.
 fn best_split(data: &Dataset, rows: &[usize], min_gain: f64) -> Option<Split> {
     let base_entropy = entropy(data, rows);
