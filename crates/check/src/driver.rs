@@ -46,6 +46,14 @@
 //!     returns the same objects in the same order — and again after each
 //!     of the scenario's store mutations
 //!     ([`Scenario::store_mutations`]), applied to both twins.
+//! 11. **Exploration contract** — a pick of object `o` at step k of an
+//!     exploration session shows `α¹({o})` (`α⁰` for the first pick)
+//!     minus the path so far: one session per scenario follows a
+//!     seed-derived pick sequence and every frontier is held to the
+//!     model's augmentation of the picked key, so a session's frontier
+//!     is a function of its picks — replayable from them. The concurrent
+//!     variant races one session per client on a shared instance.
+//!     Sessions are dropped, not finished: nothing is promoted.
 //!
 //! Every run builds *fresh* twin systems — lazy deletion mutates the
 //! index, so instances are never reused across runs (except where reuse
@@ -57,11 +65,12 @@ use quepa_aindex::IndexView;
 use quepa_core::{
     pool_width, AnswerNormalForm, AugmentedAnswer, AugmenterKind, MissingKey, MissingReason, Quepa,
 };
-use quepa_pdm::{GlobalKey, Value};
+use quepa_pdm::{GlobalKey, Pushdown, Value};
 use quepa_polystore::fault::call_identity;
 use quepa_polystore::FaultDecision;
 
-use crate::model::ModelAugmented;
+use crate::model::{ModelAugmented, ModelIndex};
+use crate::rng::SplitMix;
 use crate::scenario::{ConfigSpec, Scenario, MAX_ATTEMPTS};
 
 /// A scenario that diverged from the model or broke an invariant.
@@ -195,6 +204,8 @@ pub fn check_scenario(scenario: &Scenario) -> Result<CheckReport, CheckFailure> 
     check_removal_quiesce(scenario, &fail)?;
     check_pushdown_modes(scenario, &database, &query, &fail)?;
     check_access_paths(scenario, &database, &query, &fail)?;
+    let explorer = build_quepa(scenario, exploration_spec(scenario));
+    explore_against_model(&explorer, scenario, &mut scenario.build_model(), "explore", &fail)?;
     // Invariant 9: scenarios carrying a crash plan also run the
     // crash-point recovery differential (no-op without one).
     crate::crash::check_crash_scenario(scenario)?;
@@ -304,7 +315,114 @@ pub fn check_concurrent_scenario(
 
     check_concurrent_metrics(scenario, &database, &query, clients, &fail)?;
     check_removal_races(scenario, clients, &fail)?;
+    check_exploration_races(scenario, clients)?;
     Ok(report)
+}
+
+/// Picks per exploration session of invariant 11.
+const EXPLORE_STEPS: usize = 4;
+
+/// The configuration point of the exploration checks, varied by seed so a
+/// sweep walks sessions under every augmenter.
+fn exploration_spec(scenario: &Scenario) -> &ConfigSpec {
+    &scenario.configs[scenario.seed as usize % scenario.configs.len()]
+}
+
+/// Invariant 11 on one session: opens an exploration on the scenario's
+/// query and follows the pick sequence drawn from the `label` fork of the
+/// scenario seed. After every pick the frontier must be the model's
+/// augmentation of the picked key — level 0 for the first pick, level 1
+/// after — minus the path so far; the model forgets what the step lazily
+/// deleted, as the index does. Exploration takes no filter, so the
+/// prediction is the unfiltered one.
+fn explore_against_model(
+    quepa: &Quepa,
+    scenario: &Scenario,
+    model: &mut ModelIndex,
+    label: &str,
+    fail: &impl Fn(String) -> CheckFailure,
+) -> Result<(), CheckFailure> {
+    let mut rng = SplitMix::new(scenario.seed).fork(label);
+    let mut session = quepa
+        .explore(&scenario.query_database(), &scenario.query())
+        .map_err(|e| fail(format!("{label}: EXPLORE failed: {e}")))?;
+    let mut path: Vec<GlobalKey> = Vec::new();
+    for step in 0..EXPLORE_STEPS {
+        let pickable: Vec<GlobalKey> = match step {
+            0 => session.results().iter().map(|o| o.key().clone()).collect(),
+            _ => session.frontier().iter().map(|a| a.object.key().clone()).collect(),
+        };
+        if pickable.is_empty() {
+            break;
+        }
+        let i = rng.below(pickable.len());
+        let picked = if step == 0 { session.select(i) } else { session.step(i) };
+        let frontier =
+            picked.map_err(|e| fail(format!("{label}: pick {step} (#{i}) failed: {e}")))?;
+        let got = AnswerNormalForm::from_parts(
+            frontier.iter().map(|a| (a.object.key().clone(), a.probability, a.distance)),
+            Vec::new(),
+        );
+        path.push(pickable[i].clone());
+
+        let level = usize::from(step > 0);
+        let reached = model.augment(std::slice::from_ref(&pickable[i]), level);
+        let mut want = classify(scenario, &reached, None);
+        for gone in want.missing.iter().filter(|m| m.is_not_found()) {
+            model.remove_key(&gone.key);
+        }
+        want.augmented.retain(|e| !path.iter().any(|seen| seen.to_string() == e.key));
+        if got.augmented != want.augmented {
+            want.missing.clear();
+            return Err(fail(format!(
+                "{label}: the frontier after pick {step} ({}) is not the level-{level} \
+                 augmentation of the picked key minus the path\n--- real ---\n{got}--- model ---\n{want}",
+                pickable[i]
+            )));
+        }
+    }
+    if session.path() != path {
+        return Err(fail(format!("{label}: the session's path is not its picks: {path:?}")));
+    }
+    Ok(())
+}
+
+/// Concurrent half of invariant 11: every racing client explores its own
+/// session on one shared instance, each with its own pick sequence. The
+/// phantoms leave the index and the model up front, so no step lazily
+/// deletes anything, the index stands still under the race, and every
+/// session is held to the model exactly, whatever the others pick.
+fn check_exploration_races(scenario: &Scenario, clients: usize) -> Result<(), CheckFailure> {
+    // A planted bug legitimately diverges from the model; the serial
+    // sweep is its catcher.
+    if scenario.mutation.is_some() {
+        return Ok(());
+    }
+    let shared = build_quepa(scenario, exploration_spec(scenario));
+    let mut model = scenario.build_model();
+    let phantoms: Vec<GlobalKey> = scenario
+        .relations
+        .iter()
+        .flat_map(|r| [r.a, r.b])
+        .filter(|&(store, obj)| scenario.is_phantom(store, obj))
+        .map(|(store, obj)| scenario.key_of(store, obj))
+        .collect();
+    shared.update_index(|ix| phantoms.iter().for_each(|key| ix.remove_object(key)));
+    phantoms.iter().for_each(|key| model.remove_key(key));
+
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..clients)
+            .map(|client| {
+                let (shared, mut model) = (&shared, model.clone());
+                scope.spawn(move || {
+                    let label = format!("explore-client-{client}");
+                    let fail = |message| CheckFailure { seed: scenario.seed, message };
+                    explore_against_model(shared, scenario, &mut model, &label, &fail)
+                })
+            })
+            .collect();
+        handles.into_iter().try_for_each(|h| h.join().expect("explorer thread"))
+    })
 }
 
 /// The configuration point of the removal checks: cache-less (so every
@@ -691,8 +809,16 @@ fn describe(spec: &ConfigSpec) -> String {
 /// `NotFound` even for keys the predicate would drop — existence and
 /// reachability are established before the filter partitions anything.
 fn predict_normal_form(scenario: &Scenario, model_out: &[ModelAugmented]) -> AnswerNormalForm {
+    classify(scenario, model_out, scenario.pushdown_filter().as_ref())
+}
+
+/// [`predict_normal_form`] under an explicit filter (`None`: unfiltered).
+fn classify(
+    scenario: &Scenario,
+    model_out: &[ModelAugmented],
+    filter: Option<&Pushdown>,
+) -> AnswerNormalForm {
     let down: Vec<usize> = scenario.fault.as_ref().map(|f| f.outages.clone()).unwrap_or_default();
-    let filter = scenario.pushdown_filter();
     let mut augmented = Vec::new();
     let mut missing = Vec::new();
     for entry in model_out {
@@ -708,10 +834,7 @@ fn predict_normal_form(scenario: &Scenario, model_out: &[ModelAugmented]) -> Ans
             });
         } else if scenario.is_phantom(store, obj) {
             missing.push(MissingKey::not_found(entry.key.clone()));
-        } else if filter
-            .as_ref()
-            .is_some_and(|f| !f.matches(entry.key.key().as_str(), &Value::Null))
-        {
+        } else if filter.is_some_and(|f| !f.matches(entry.key.key().as_str(), &Value::Null)) {
             // Exists but fails the predicate: rejected server- or
             // client-side, and rejected keys appear in neither the
             // augmented set nor `missing`.

@@ -21,8 +21,8 @@
 //! never-crashed instance — the crash-point differential harness in
 //! `quepa-check` pins that end to end.
 //!
-//! Closure-based mutations ([`Quepa::update_index`] — e.g. promotion
-//! during exploration) are not WAL-logged: in durable mode they mark
+//! Closure-based mutations ([`Quepa::update_index`] — e.g. manual
+//! curation; [`Quepa::replace_index`]) are not WAL-logged: in durable mode they mark
 //! the state *stale*, and the next durable commit or explicit
 //! [`Quepa::checkpoint_durable`] first writes a full cut capturing
 //! them. A crash before that cut loses the un-logged mutation but never
@@ -240,8 +240,8 @@ impl Quepa {
 
     /// Forces a checkpoint cut at the current LSN and truncates the WAL
     /// behind it. Returns the covered LSN, or `None` on a volatile
-    /// instance. Also the way to persist closure mutations (promotion,
-    /// manual curation) that bypass the WAL.
+    /// instance. Also the way to persist closure mutations (manual
+    /// curation, a loaded index) that bypass the WAL.
     pub fn checkpoint_durable(&self) -> Result<Option<Lsn>> {
         let Some(dur) = &self.durability else { return Ok(None) };
         let mut st = dur.state.lock();

@@ -5,10 +5,11 @@
 
 use std::time::Instant;
 
-use quepa_pdm::{DataObject, GlobalKey};
+use quepa_pdm::{DataObject, GlobalKey, RelationKind};
 use quepa_polystore::StoreKind;
 
 use crate::augmenter::AugmentedObject;
+use crate::durability::IndexOp;
 use crate::error::{QuepaError, Result};
 use crate::system::Quepa;
 
@@ -101,14 +102,32 @@ impl<'q> ExplorationSession<'q> {
         Ok(&self.frontier)
     }
 
-    /// Ends the exploration, recording the traversed path in `D_P` and
-    /// applying any p-relation promotion it triggers. Returns whether a
-    /// promotion fired.
-    pub fn finish(self) -> bool {
+    /// Ends the exploration, recording the traversed path in `D_P`. A
+    /// promotion it triggers is committed like any other index mutation
+    /// ([`Quepa::apply_mutations`]: write-ahead-logged on a durable
+    /// instance), so it survives a crash. Returns whether a shortcut
+    /// p-relation was added.
+    pub fn finish(self) -> Result<bool> {
         if self.path.len() < 3 {
-            return false;
+            return Ok(false);
         }
-        let mut paths = self.quepa.paths();
-        self.quepa.update_index(|index| paths.record_and_promote(&self.path, index).is_some())
+        let quepa = self.quepa;
+        // Deciding only reads the ledger: an update that journals
+        // nothing republishes nothing and leaves durable state clean.
+        let mut paths = quepa.paths();
+        let promotion = quepa.index.update(|ledger| {
+            let promo = paths.record(&self.path, ledger)?;
+            // §III-D(a): the shortcut is added "if not yet present".
+            let absent = ledger.edge(&promo.from, &promo.to, RelationKind::Matching).is_none();
+            absent.then_some(promo)
+        });
+        drop(paths);
+        let Some(promo) = promotion else { return Ok(false) };
+        quepa.apply_mutations(&[IndexOp::InsertPromoted {
+            a: promo.from,
+            b: promo.to,
+            p: promo.probability,
+        }])?;
+        Ok(true)
     }
 }

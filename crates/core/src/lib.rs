@@ -21,8 +21,6 @@
 //! * [`adaptive`] — the rule-based optimizer: `T1` (C4.5) chooses the
 //!   augmenter, `T2`–`T4` (REPTrees) choose the knobs, plus the HUMAN and
 //!   RANDOM baselines of §VII-C;
-//! * [`analytics`] — probability-weighted aggregation over augmented
-//!   answers (the paper's stated future work, §VIII);
 //! * [`system`] — [`Quepa`], the facade wiring polystore + A' index +
 //!   augmenters + optimizer together;
 //! * [`durability`] — the optional durable mode: write-ahead logging of
@@ -41,7 +39,6 @@
 #![warn(missing_docs)]
 
 pub mod adaptive;
-pub mod analytics;
 pub mod augmenter;
 pub mod cache;
 pub mod config;
@@ -77,5 +74,5 @@ pub use normal::{AnswerNormalForm, NormalEntry};
 pub use pool::{pool_width, Latch, WorkerPool};
 pub use quepa_obs::{MetricsRegistry, MetricsSnapshot};
 pub use search::{AugmentedAnswer, ProbabilityBand};
-pub use system::Quepa;
+pub use system::{Quepa, RUN_LOG_RING};
 pub use validator::Validator;

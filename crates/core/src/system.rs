@@ -21,10 +21,11 @@
 //!   `THREADS_SIZE` threads;
 //! * concurrent queries wanting the same key share one round trip
 //!   through the [`FlightTable`];
-//! * run logs accumulate in shard-local buffers (drained in shard order
-//!   by [`take_logs`](Quepa::take_logs)), so loggers don't convoy on one
-//!   mutex.
+//! * run logs accumulate in shard-local bounded rings (drained in shard
+//!   order by [`take_logs`](Quepa::take_logs)), so loggers don't convoy
+//!   on one mutex and an instance nobody drains does not grow.
 
+use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::Instant;
@@ -52,6 +53,13 @@ use crate::validator::Validator;
 /// Run-log shard fan-out (drained in shard order by `take_logs`).
 const LOG_SHARDS: usize = 8;
 
+/// Run logs a shard keeps before it forgets its oldest. A server never
+/// drains them, so the bound is what a *trainer* needs between two
+/// [`take_logs`](Quepa::take_logs) calls: the largest sweep in the tree
+/// (`figures` Fig. 12: 8 queries × 6 augmenters × 2 knob pairs × 2 levels
+/// = 192 runs, all from one thread, so all in one shard) with 5× headroom.
+pub const RUN_LOG_RING: usize = 1024;
+
 /// The QUEPA system.
 pub struct Quepa {
     pub(crate) polystore: Polystore,
@@ -60,7 +68,7 @@ pub struct Quepa {
     config: SnapshotCell<QuepaConfig>,
     validator: Validator,
     paths: Mutex<PathRepository>,
-    log_shards: Vec<Mutex<Vec<RunLog>>>,
+    log_shards: Vec<Mutex<VecDeque<RunLog>>>,
     optimizer: Mutex<Option<Box<dyn Optimizer>>>,
     breakers: Arc<BreakerSet>,
     pub(crate) obs: Arc<MetricsRegistry>,
@@ -88,7 +96,7 @@ impl Quepa {
             config: SnapshotCell::new(config.sanitized()),
             validator: Validator,
             paths: Mutex::new(PathRepository::new()),
-            log_shards: (0..LOG_SHARDS).map(|_| Mutex::new(Vec::new())).collect(),
+            log_shards: (0..LOG_SHARDS).map(|_| Mutex::new(VecDeque::new())).collect(),
             optimizer: Mutex::new(None),
             breakers: Arc::new(BreakerSet::new(config.resilience.breaker)),
             obs,
@@ -247,20 +255,26 @@ impl Quepa {
     }
 
     /// The accumulated run logs (the optimizer's training set), drained
-    /// from the shard-local buffers in shard order.
+    /// from the shard-local rings in shard order — per shard, the newest
+    /// [`RUN_LOG_RING`] since the last drain, oldest first.
     pub fn take_logs(&self) -> Vec<RunLog> {
         let mut logs = Vec::new();
         for shard in &self.log_shards {
-            logs.append(&mut shard.lock());
+            logs.extend(shard.lock().drain(..));
         }
         logs
     }
 
-    /// This thread's run-log shard.
-    fn log_shard(&self) -> &Mutex<Vec<RunLog>> {
+    /// Shelves one run log in this thread's shard, forgetting the
+    /// shard's oldest once the ring is full.
+    fn shelve(&self, run: RunLog) {
         let mut hasher = std::collections::hash_map::DefaultHasher::new();
         std::thread::current().id().hash(&mut hasher);
-        &self.log_shards[hasher.finish() as usize % self.log_shards.len()]
+        let mut ring = self.log_shards[hasher.finish() as usize % self.log_shards.len()].lock();
+        if ring.len() == RUN_LOG_RING {
+            ring.pop_front();
+        }
+        ring.push_back(run);
     }
 
     /// Clears the cache (cold-cache experiment runs).
@@ -500,7 +514,7 @@ impl Quepa {
         if let Some(opt) = self.optimizer.lock().as_ref() {
             opt.observe(&run);
         }
-        self.log_shard().lock().push(run);
+        self.shelve(run);
         Ok(AugmentedAnswer {
             original: original.to_vec(),
             augmented: outcome.objects,

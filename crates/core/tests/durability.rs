@@ -9,7 +9,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use quepa_aindex::{AIndex, IndexView};
+use quepa_aindex::{AIndex, IndexView, PathRepository, PromotionConfig};
 use quepa_core::{IndexOp, Quepa, QuepaConfig, RecoveryOptions, SyncPolicy};
 use quepa_kvstore::KvStore;
 use quepa_pdm::{GlobalKey, Probability};
@@ -371,4 +371,83 @@ fn skip_wal_tail_injection_visibly_diverges() {
         lossy.index().stats().nodes < twin.index().stats().nodes,
         "skipping the WAL tail must visibly lose state"
     );
+}
+
+/// A durable instance and its volatile twin over the chain
+/// `left.k0 ≡ right.k1 ≡ left.k2`, with promotion thresholds low enough
+/// that the second walk of the chain fires.
+fn promotable_twins(tmp: &TempDir) -> (Quepa, Quepa) {
+    let durable = Quepa::create_durable(
+        small_polystore(),
+        AIndex::new(),
+        QuepaConfig::default(),
+        &tmp.0,
+        SyncPolicy::Always,
+    )
+    .unwrap();
+    let twin = Quepa::with_config(small_polystore(), AIndex::new(), QuepaConfig::default());
+    let chain = [
+        IndexOp::InsertMatching { a: k("left.c.k0"), b: k("right.c.k1"), p: Probability::of(0.9) },
+        IndexOp::InsertMatching { a: k("right.c.k1"), b: k("left.c.k2"), p: Probability::of(0.7) },
+    ];
+    for quepa in [&durable, &twin] {
+        quepa.apply_mutations(&chain).unwrap();
+        *quepa.paths() =
+            PathRepository::with_config(PromotionConfig { base_threshold: 2, min_threshold: 1 });
+    }
+    (durable, twin)
+}
+
+/// Walks `left.k0 → right.k1 → left.k2` in one exploration session and
+/// closes it; returns whether the walk promoted a shortcut.
+fn walk_the_chain(quepa: &Quepa) -> bool {
+    let mut session = quepa.explore("left", "GET k0").unwrap();
+    for next in ["right.c.k1", "left.c.k2"] {
+        let frontier =
+            if session.steps() == 0 { session.select(0).unwrap() } else { session.frontier() };
+        let i = frontier.iter().position(|a| a.object.key() == &k(next)).unwrap();
+        session.step(i).unwrap();
+    }
+    session.finish().unwrap()
+}
+
+#[test]
+fn a_promotion_survives_a_crash_without_a_checkpoint() {
+    let tmp = TempDir::new("promotion-crash");
+    let (durable, twin) = promotable_twins(&tmp);
+    for quepa in [&durable, &twin] {
+        assert!(!walk_the_chain(quepa), "the first walk is below the threshold");
+        assert!(walk_the_chain(quepa), "the second walk promotes");
+    }
+    let shortcut = |quepa: &Quepa| {
+        quepa.index().edge(&k("left.c.k0"), &k("left.c.k2"), quepa_pdm::RelationKind::Matching)
+    };
+    assert!(shortcut(&durable).is_some());
+    drop(durable); // no checkpoint: only the log can carry the promotion
+
+    let (recovered, _) = Quepa::recover_durable(
+        small_polystore(),
+        QuepaConfig::default(),
+        &tmp.0,
+        SyncPolicy::Always,
+        &RecoveryOptions::default(),
+    )
+    .unwrap();
+    assert!(shortcut(&recovered).is_some(), "the promoted shortcut was lost in the crash");
+    assert_index_equal(&recovered.index(), &twin.index(), "promotion then crash");
+}
+
+#[test]
+fn the_commit_after_a_promotion_writes_no_cut() {
+    let tmp = TempDir::new("promotion-commit");
+    let (durable, _twin) = promotable_twins(&tmp);
+    walk_the_chain(&durable);
+    assert!(walk_the_chain(&durable), "the second walk promotes");
+    let before = durable.durability_status().unwrap();
+    durable.apply_mutations(&mutation_script()[0]).unwrap();
+    let after = durable.durability_status().unwrap();
+    assert_eq!(after.records_appended, before.records_appended + 2);
+    // Nothing this small compacts a shard, so a cut here could only be
+    // the full cut a stale (un-logged) state forces in front of a commit.
+    assert_eq!(after.cuts_written, before.cuts_written, "the commit started with a checkpoint cut");
 }

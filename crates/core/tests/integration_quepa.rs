@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use quepa_aindex::AIndex;
-use quepa_core::{AugmenterKind, Quepa, QuepaConfig, QuepaError};
+use quepa_core::{AugmenterKind, Quepa, QuepaConfig, QuepaError, RUN_LOG_RING};
 use quepa_docstore::DocumentDb;
 use quepa_graphstore::GraphDb;
 use quepa_kvstore::KvStore;
@@ -261,7 +261,7 @@ fn repeated_exploration_promotes_a_shortcut() {
             .position(|a| a.object.key() == &k("transactions.inventory.a32"))
             .unwrap();
         session.step(a32).unwrap();
-        promoted |= session.finish();
+        promoted |= session.finish().unwrap();
         if promoted {
             break;
         }
@@ -319,6 +319,23 @@ fn run_logs_accumulate() {
     assert_eq!(logs[0].features.result_size, 2);
     assert_eq!(logs[1].features.level, 1);
     assert!(quepa.take_logs().is_empty(), "take drains");
+}
+
+/// A server never drains its run logs: each shard keeps its newest
+/// `RUN_LOG_RING` records and forgets the rest.
+#[test]
+fn run_logs_are_a_bounded_ring_of_the_newest() {
+    let quepa = polyphony();
+    let extra = 40;
+    for i in 0..RUN_LOG_RING + extra {
+        // The oldest `extra` searches are the only ones at level 1.
+        let level = usize::from(i < extra);
+        quepa.augmented_search("transactions", "SELECT * FROM sales", level).unwrap();
+    }
+    // One thread logs into one shard.
+    let logs = quepa.take_logs();
+    assert_eq!(logs.len(), RUN_LOG_RING, "a shard kept more than its ring");
+    assert!(logs.iter().all(|log| log.features.level == 0), "the ring dropped a newer record");
 }
 
 #[test]

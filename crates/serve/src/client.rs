@@ -12,8 +12,8 @@ use std::io::{self, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 
 use crate::protocol::{
-    augment_payload, configure_stream, decode_request, decode_response, encode_request,
-    query_payload, read_frame, write_frame, Request, Response, Verb,
+    augment_payload, configure_stream, decode_response, encode_request, query_payload, read_frame,
+    write_frame, Request, Response, Verb,
 };
 
 /// Writes one request frame to `stream`.
@@ -25,14 +25,6 @@ pub fn send_request(stream: &mut TcpStream, request: &Request) -> io::Result<()>
 pub fn read_response(reader: &mut BufReader<TcpStream>) -> io::Result<Option<Response>> {
     let Some(body) = read_frame(reader)? else { return Ok(None) };
     decode_response(&body)
-        .map(Some)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
-}
-
-/// Reads one *request* frame (server-side helper, used by tests).
-pub fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<Request>> {
-    let Some(body) = read_frame(reader)? else { return Ok(None) };
-    decode_request(&body)
         .map(Some)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
 }
@@ -76,6 +68,12 @@ impl Client {
     /// `AUGMENT`: full augmented search at `level`.
     pub fn augment(&mut self, database: &str, level: usize, query: &str) -> io::Result<Response> {
         self.call(Verb::Augment, augment_payload(database, level, query))
+    }
+
+    /// `COMMAND`: one line of the command surface, answered with the
+    /// text the shell would print for it.
+    pub fn command(&mut self, line: &str) -> io::Result<Response> {
+        self.call(Verb::Command, line.to_owned())
     }
 
     /// `METRICS`: Prometheus text (`json = false`) or JSON.

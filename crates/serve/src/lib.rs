@@ -5,9 +5,14 @@
 //! systems in PAPERS.md) are *services* with a network boundary. This
 //! crate is that boundary for the reproduction:
 //!
+//! * [`cli`] — the one command interpreter: what the `quepa-cli` REPL
+//!   reads from a terminal and what a `COMMAND` frame carries; its `HELP`
+//!   is the command list.
 //! * [`protocol`] — the length-prefixed binary frame format
-//!   (`[len][request-id][verb][payload]`) reusing the CLI verb surface:
-//!   `QUERY` / `AUGMENT` / `METRICS` / `CHECKPOINT`.
+//!   (`[len][request-id][verb][payload]`) with five verbs: `QUERY` /
+//!   `AUGMENT` (binary-framed searches, normal-form answers, pipelined),
+//!   `COMMAND` (one command line), and `METRICS` / `CHECKPOINT`, two
+//!   aliases of the `COMMAND` lines of the same name.
 //! * [`admission`] — the gate between accept and execute: a bounded
 //!   depth counter plus an EWMA wait estimate decides Admit / Degrade
 //!   (level-0 partial answer, the `DegradeMode::Partial` shape) / Shed
@@ -26,6 +31,7 @@
 #![forbid(unsafe_code)]
 
 pub mod admission;
+pub mod cli;
 pub mod client;
 pub mod protocol;
 pub mod server;

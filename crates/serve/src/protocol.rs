@@ -7,16 +7,21 @@
 //!
 //! `len` counts everything after the length word (so the minimum legal
 //! value is [`HEADER_LEN`] and the maximum [`MAX_FRAME`]). Payloads are
-//! UTF-8 text; the verbs reuse the CLI command surface:
+//! UTF-8 text. There are five verbs:
 //!
 //! * `QUERY <db> \n <query>` — the local answer only (level 0)
 //! * `AUGMENT <db> \n <level> \n <query>` — full augmented search
-//! * `METRICS [JSON]` — metrics export (Prometheus text by default)
-//! * `CHECKPOINT` — force a durable checkpoint cut
+//! * `COMMAND <line>` — one line of the command surface ([`crate::cli`]:
+//!   `SEARCH … :: <filter>`, `EXPLAIN`, `EXPLORE` / `PICK`, `STATS`, …),
+//!   answered with the text the shell would print
+//! * `METRICS [JSON]` and `CHECKPOINT` — aliases, kept byte-compatible,
+//!   of the `COMMAND` lines of the same name
 //!
-//! Answer payloads are the [`AnswerNormalForm`] rendering — deterministic
-//! and order-independent, so a response can be compared bit-for-bit
-//! against an in-process run of the same query.
+//! `QUERY` / `AUGMENT` answer payloads are the [`AnswerNormalForm`]
+//! rendering — deterministic and order-independent, so a response can be
+//! compared bit-for-bit against an in-process run of the same query —
+//! and may be pipelined; `COMMAND` frames of one connection run in
+//! arrival order.
 //!
 //! Framing errors split into two classes the server handles differently:
 //! a frame whose *length word* is out of range leaves the stream
@@ -38,7 +43,7 @@ pub const HEADER_LEN: usize = 9;
 /// response would not fit with a structured `ERROR` instead.
 pub const MAX_FRAME: usize = 1 << 20;
 
-/// Request verbs (the CLI command surface over the wire).
+/// Request verbs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum Verb {
@@ -46,10 +51,13 @@ pub enum Verb {
     Query = 1,
     /// Full augmented search at an explicit level.
     Augment = 2,
-    /// Metrics export (payload `""` → Prometheus text, `"JSON"` → JSON).
+    /// Alias of `COMMAND METRICS <payload>` (`""` → Prometheus text,
+    /// `"JSON"` → JSON).
     Metrics = 3,
-    /// Force a durable checkpoint cut.
+    /// Alias of `COMMAND CHECKPOINT`: force a durable checkpoint cut.
     Checkpoint = 4,
+    /// One command line (see [`crate::cli::HELP`]), answered as text.
+    Command = 5,
 }
 
 impl Verb {
@@ -60,6 +68,7 @@ impl Verb {
             2 => Some(Verb::Augment),
             3 => Some(Verb::Metrics),
             4 => Some(Verb::Checkpoint),
+            5 => Some(Verb::Command),
             _ => None,
         }
     }
@@ -277,7 +286,7 @@ mod tests {
 
     #[test]
     fn request_round_trips() {
-        for verb in [Verb::Query, Verb::Augment, Verb::Metrics, Verb::Checkpoint] {
+        for verb in [Verb::Query, Verb::Augment, Verb::Metrics, Verb::Checkpoint, Verb::Command] {
             let request = Request {
                 id: 0xdead_beef_cafe,
                 verb,

@@ -1,12 +1,21 @@
 //! The TCP server: accept → frame → admit → execute → respond.
 //!
 //! One accept thread hands each connection to a reader thread; reader
-//! threads decode frames and push admitted query work onto a shared
-//! [`WorkerPool`] (the PR-5 pool type), so a single connection can have
-//! many requests in flight and responses return in completion order,
-//! matched by request id. Control-plane verbs (`METRICS`, `CHECKPOINT`)
-//! execute inline on the reader thread — they are cheap, must not be
-//! shed, and keep working while the query plane is overloaded.
+//! threads decode frames and push admitted `QUERY` / `AUGMENT` work onto
+//! a shared [`WorkerPool`] (the PR-5 pool type), so a single connection
+//! can have many requests in flight and responses return in completion
+//! order, matched by request id.
+//!
+//! Every reader thread also owns one [`CommandProcessor`] — the
+//! interpreter the REPL uses — and runs `COMMAND` frames on it **inline,
+//! in arrival order**: a session (`EXPLORE`, `PICK`, `PICK`, …) is
+//! sequential by definition, and `COMMAND` arrives at human rates, from
+//! `quepa-cli --connect` and tests — the load generators and the contract
+//! benchmark send `AUGMENT` only, which is what a client that wants
+//! pipelining keeps using. Query-plane commands ([`Command::query_plane`])
+//! pass the same gate and ledger as `AUGMENT`; the rest, like the
+//! `METRICS` / `CHECKPOINT` alias verbs, is control plane: cheap, never
+//! shed, answered while the query plane is overloaded.
 //!
 //! Between a decoded frame and its response on the socket nothing waits
 //! for a timer: every accepted socket goes through
@@ -38,7 +47,8 @@ use std::time::Instant;
 
 use quepa_core::{Quepa, WorkerPool};
 
-use crate::admission::{AdmissionConfig, AdmissionController, Decision};
+use crate::admission::{AdmissionConfig, AdmissionController, Decision, Ticket};
+use crate::cli::{Command, CommandProcessor};
 use crate::protocol::{
     configure_stream, decode_request, encode_response, parse_augment_payload, parse_query_payload,
     read_frame, write_frame, Request, Response, Status, Verb, HEADER_LEN, MAX_FRAME,
@@ -217,6 +227,7 @@ fn read_loop(
     mut reader: BufReader<TcpStream>,
     writer: &Arc<Mutex<TcpStream>>,
 ) {
+    let mut processor = CommandProcessor::remote(&shared.quepa);
     loop {
         let body = match read_frame(&mut reader) {
             Ok(Some(body)) => body,
@@ -231,115 +242,125 @@ fn read_loop(
             Err(_) => return,
         };
         match decode_request(&body) {
-            Ok(request) => dispatch(shared, writer, request),
-            Err(e) => match e.answerable_id() {
-                Some(id) => {
-                    send(writer, &Response { id, status: Status::Error, payload: e.to_string() })
-                }
-                None => {
-                    send(
-                        writer,
-                        &Response { id: 0, status: Status::Error, payload: e.to_string() },
-                    );
+            Ok(request) => dispatch(shared, writer, &mut processor, request),
+            Err(e) => {
+                let id = e.answerable_id();
+                let payload = e.to_string();
+                send(writer, &Response { id: id.unwrap_or(0), status: Status::Error, payload });
+                if id.is_none() {
+                    // Not even an id decoded: the stream is unsynchronized.
                     return;
                 }
-            },
+            }
         }
     }
 }
 
-fn dispatch(shared: &Arc<Shared>, writer: &Arc<Mutex<TcpStream>>, request: Request) {
-    match request.verb {
-        Verb::Metrics => {
-            let snapshot = shared.quepa.metrics_snapshot();
-            let payload = if request.payload.trim().eq_ignore_ascii_case("json") {
-                quepa_obs::json(&snapshot)
-            } else {
-                quepa_obs::prometheus_text(&snapshot)
-            };
-            send(writer, &Response { id: request.id, status: Status::Ok, payload });
+/// The gate, for one decoded query-plane request: counts it offered,
+/// then either hands back its queue slot and whether it runs degraded, or
+/// sheds it — counted, answered `OVERLOAD` — and returns `None`.
+fn admit(shared: &Shared, writer: &Mutex<TcpStream>, id: u64) -> Option<(bool, Option<Ticket>)> {
+    let registry = shared.quepa.metrics();
+    registry.record_admission_offered();
+    match shared.gate.try_admit() {
+        (Decision::Shed { depth, est_wait }, _) => {
+            registry.record_admission_shed();
+            let payload = format!("overload: depth={depth} est_wait_us={}", est_wait.as_micros());
+            send(writer, &Response { id, status: Status::Overload, payload });
+            None
         }
-        Verb::Checkpoint => {
-            let response = match shared.quepa.checkpoint_durable() {
-                Ok(Some(lsn)) => Response {
-                    id: request.id,
-                    status: Status::Ok,
-                    payload: format!("checkpoint cut written at LSN {lsn}"),
-                },
-                Ok(None) => Response {
-                    id: request.id,
-                    status: Status::Error,
-                    payload: "no durable attachment (start the server with --data-dir)".into(),
-                },
-                Err(e) => {
-                    Response { id: request.id, status: Status::Error, payload: e.to_string() }
-                }
-            };
-            send(writer, &response);
-        }
-        Verb::Query | Verb::Augment => {
-            let parsed = match request.verb {
-                Verb::Query => parse_query_payload(&request.payload)
-                    .map(|(database, query)| (database.to_owned(), 0, query.to_owned())),
-                _ => parse_augment_payload(&request.payload)
-                    .map(|(database, level, query)| (database.to_owned(), level, query.to_owned())),
-            };
-            let (database, level, query) = match parsed {
-                Ok(parts) => parts,
-                Err(e) => {
-                    // A malformed payload is a protocol error, answered
-                    // before the admission ledger is touched.
-                    send(writer, &Response { id: request.id, status: Status::Error, payload: e });
-                    return;
-                }
-            };
-            let registry = Arc::clone(shared.quepa.metrics());
-            registry.record_admission_offered();
-            let (decision, ticket) = shared.gate.try_admit();
-            let degraded = match decision {
-                Decision::Shed { depth, est_wait } => {
-                    registry.record_admission_shed();
-                    send(
-                        writer,
-                        &Response {
-                            id: request.id,
-                            status: Status::Overload,
-                            payload: format!(
-                                "overload: depth={depth} est_wait_us={}",
-                                est_wait.as_micros()
-                            ),
-                        },
-                    );
-                    return;
-                }
-                Decision::Degrade => true,
-                Decision::Admit => false,
-            };
-            let quepa = Arc::clone(&shared.quepa);
-            let gate = Arc::clone(&shared.gate);
-            let writer = Arc::clone(writer);
-            let id = request.id;
-            shared.pool.submit(move || {
-                let start = Instant::now();
-                let result = quepa.serve_search(&database, &query, level, degraded);
-                gate.record_service(start.elapsed());
-                let response = match result {
-                    Ok(answer) => Response {
-                        id,
-                        status: if degraded { Status::Degraded } else { Status::Ok },
-                        payload: answer.normal_form().to_string(),
-                    },
-                    Err(e) => {
-                        // An admitted request that errors was still
-                        // answered: count it served so the ledger's
-                        // offered == served + shed invariant holds.
-                        registry.record_admission_served(false);
-                        Response { id, status: Status::Error, payload: e.to_string() }
-                    }
-                };
-                send(&writer, &response);
-                drop(ticket);
-            });
-        }
+        (decision, ticket) => Some((decision == Decision::Degrade, ticket)),
     }
+}
+
+fn dispatch(
+    shared: &Arc<Shared>,
+    writer: &Arc<Mutex<TcpStream>>,
+    processor: &mut CommandProcessor<'_>,
+    request: Request,
+) {
+    let id = request.id;
+    let command = match request.verb {
+        Verb::Query | Verb::Augment => return search(shared, writer, request),
+        Verb::Metrics => Command::Metrics(request.payload.trim()),
+        Verb::Checkpoint => Command::Checkpoint,
+        Verb::Command => match Command::parse(&request.payload) {
+            Some(command) if !request.payload.trim().contains('\n') => command,
+            // Like a malformed AUGMENT payload: a protocol error,
+            // answered before the admission ledger is touched.
+            _ => {
+                let payload = "a COMMAND payload is one non-empty line".to_owned();
+                return send(writer, &Response { id, status: Status::Error, payload });
+            }
+        },
+    };
+    let slot = if command.query_plane() {
+        // Shed: the command does not run and the session stays where it was.
+        let Some(slot) = admit(shared, writer, id) else { return };
+        Some(slot)
+    } else {
+        None
+    };
+    // Only SEARCH has a cheaper shape to degrade to; EXPLAIN fetches
+    // nothing and EXPLORE / PICK are single-seed steps, run as admitted.
+    let clamp = matches!(command, Command::Search(_)) && matches!(slot, Some((true, _)));
+    let start = Instant::now();
+    let (status, payload) = match processor.run(command, clamp) {
+        Ok(text) if clamp => (Status::Degraded, text),
+        Ok(text) => (Status::Ok, text),
+        Err(text) => (Status::Error, text),
+    };
+    if slot.is_some() {
+        // Answered, whatever the answer: served, so the ledger balances.
+        shared.gate.record_service(start.elapsed());
+        shared.quepa.metrics().record_admission_served(status == Status::Degraded);
+    }
+    send(writer, &Response { id, status, payload });
+}
+
+/// `QUERY` / `AUGMENT`: parse the binary payload, pass the gate, run on
+/// the pool, answer in normal form.
+fn search(shared: &Arc<Shared>, writer: &Arc<Mutex<TcpStream>>, request: Request) {
+    let parsed = match request.verb {
+        Verb::Query => parse_query_payload(&request.payload)
+            .map(|(database, query)| (database.to_owned(), 0, query.to_owned())),
+        _ => parse_augment_payload(&request.payload)
+            .map(|(database, level, query)| (database.to_owned(), level, query.to_owned())),
+    };
+    let (database, level, query) = match parsed {
+        Ok(parts) => parts,
+        Err(e) => {
+            // A malformed payload is a protocol error, answered
+            // before the admission ledger is touched.
+            send(writer, &Response { id: request.id, status: Status::Error, payload: e });
+            return;
+        }
+    };
+    let Some((degraded, ticket)) = admit(shared, writer, request.id) else { return };
+    let registry = Arc::clone(shared.quepa.metrics());
+    let quepa = Arc::clone(&shared.quepa);
+    let gate = Arc::clone(&shared.gate);
+    let writer = Arc::clone(writer);
+    let id = request.id;
+    shared.pool.submit(move || {
+        let start = Instant::now();
+        let result = quepa.serve_search(&database, &query, level, degraded);
+        gate.record_service(start.elapsed());
+        let response = match result {
+            Ok(answer) => Response {
+                id,
+                status: if degraded { Status::Degraded } else { Status::Ok },
+                payload: answer.normal_form().to_string(),
+            },
+            Err(e) => {
+                // An admitted request that errors was still
+                // answered: count it served so the ledger's
+                // offered == served + shed invariant holds.
+                registry.record_admission_served(false);
+                Response { id, status: Status::Error, payload: e.to_string() }
+            }
+        };
+        send(&writer, &response);
+        drop(ticket);
+    });
 }

@@ -2,7 +2,9 @@
 //!
 //! Random burst schedules — volleys of concurrent clients separated by
 //! random pauses, the shape of a flash crowd hitting a tight gate —
-//! against a live server with a narrow admission ladder. Properties:
+//! against a live server with a narrow admission ladder, half of them
+//! sending `AUGMENT` frames and half the same search as a `COMMAND`
+//! line. Properties:
 //!
 //! 1. **Two-sided accounting**: the server's admission ledger counts
 //!    every request exactly once (`offered == served + shed`), and the
@@ -75,10 +77,17 @@ proptest! {
         for &(burst, pause_ms) in &bursts {
             let responses: Vec<_> = std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..burst)
-                    .map(|_| {
+                    .map(|i| {
                         scope.spawn(move || {
                             let mut client = Client::connect(addr).expect("connect");
-                            client.augment(DATABASE, 1, QUERY).expect("response")
+                            // Every other client asks in text: a COMMAND
+                            // line passes the same gate and ledger.
+                            if i % 2 == 0 {
+                                client.augment(DATABASE, 1, QUERY).expect("response")
+                            } else {
+                                let line = format!("SEARCH {DATABASE} 1 {QUERY}");
+                                client.command(&line).expect("response")
+                            }
                         })
                     })
                     .collect();

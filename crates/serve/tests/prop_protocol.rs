@@ -9,7 +9,8 @@
 //!    requests and responses.
 //! 3. **Server survives garbage**: a live server fed arbitrary malformed
 //!    frames (truncated lengths, oversized lengths, garbage verbs,
-//!    non-UTF-8 payloads) answers each with a structured `ERROR` or
+//!    non-UTF-8 payloads, `COMMAND` payloads that are no command line)
+//!    answers each with a structured `ERROR` or
 //!    closes the connection cleanly — and keeps serving well-formed
 //!    clients afterwards.
 //!
@@ -31,7 +32,13 @@ use quepa_serve::{
 use quepa_workload::{BuiltPolystore, WorkloadConfig};
 
 fn arb_verb() -> impl Strategy<Value = Verb> {
-    prop_oneof![Just(Verb::Query), Just(Verb::Augment), Just(Verb::Metrics), Just(Verb::Checkpoint),]
+    prop_oneof![
+        Just(Verb::Query),
+        Just(Verb::Augment),
+        Just(Verb::Metrics),
+        Just(Verb::Checkpoint),
+        Just(Verb::Command),
+    ]
 }
 
 fn arb_status() -> impl Strategy<Value = Status> {
@@ -65,6 +72,22 @@ fn arb_wire_bytes() -> impl Strategy<Value = (Vec<u8>, bool)> {
         ((MAX_FRAME as u32 + 1)..u32::MAX).prop_map(|len| (len.to_be_bytes().to_vec(), true)),
         // Undersized length words.
         (0u32..HEADER_LEN as u32).prop_map(|len| (len.to_be_bytes().to_vec(), true)),
+        // Well-framed COMMAND requests whose payload is not a command
+        // line: an unknown verb, a blank line, a line break inside, and
+        // bytes that are not UTF-8.
+        prop_oneof![
+            "[0-9#@!?]{1,12}".prop_map(String::into_bytes),
+            "[ \\t\\n]{0,8}".prop_map(String::into_bytes),
+            ("[A-Z]{1,8}", "[!-~]{1,16}").prop_map(|(a, b)| format!("{a}\n{b}").into_bytes()),
+            prop::collection::vec(128u8..=255, 1..16),
+        ]
+        .prop_map(|payload| {
+            let request = Request { id: 7, verb: Verb::Command, payload: String::new() };
+            let mut frame = encode_request(&request);
+            frame[..4].copy_from_slice(&((HEADER_LEN + payload.len()) as u32).to_be_bytes());
+            frame.extend_from_slice(&payload);
+            (frame, true)
+        }),
     ]
 }
 

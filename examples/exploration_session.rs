@@ -55,7 +55,7 @@ fn main() {
     // a direct matching edge between the path's endpoints.
     let first = path.first().unwrap().parse().unwrap();
     let last = path.last().unwrap().parse().unwrap();
-    session.finish();
+    session.finish().unwrap();
     let mut fired = false;
     for round in 0..32 {
         let mut s = quepa.explore("transactions", query).unwrap();
@@ -63,7 +63,7 @@ fn main() {
         let f = s.step(0).unwrap();
         let item = pick_inventory(f);
         s.step(item).unwrap();
-        if s.finish() {
+        if s.finish().unwrap() {
             println!("\npromotion fired after {} walks of the same path", round + 2);
             fired = true;
             break;

@@ -19,9 +19,12 @@
 //!
 //! `--serve ADDR` skips the REPL and runs the TCP serving front end on
 //! `ADDR` (e.g. `127.0.0.1:7474`) over the built polystore, with the
-//! default admission thresholds; `--connect ADDR` is the matching remote
-//! shell, speaking the wire protocol (`SEARCH`/`METRICS`/`CHECKPOINT`)
-//! without building a polystore locally.
+//! default admission thresholds; `--connect ADDR` is the same shell over
+//! a socket, without building a polystore locally: each line travels as
+//! one `COMMAND` frame to the interpreter this REPL uses, so the commands
+//! are the same (`HELP` lists them) except the ones marked local only
+//! (`SAVE`, `LOAD`, `CONFIG <args…>`), and an exploration session lives
+//! as long as the connection.
 
 use std::io::{BufRead, Write};
 use std::path::Path;
@@ -34,52 +37,27 @@ use quepa::serve::{AdmissionConfig, Client, Server, Status};
 use quepa::workload::{BuiltPolystore, WorkloadConfig};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut albums = 1_000usize;
     let mut stores = 4usize;
     let mut metrics = false;
     let mut data_dir: Option<String> = None;
     let mut serve_addr: Option<String> = None;
     let mut connect_addr: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--albums" => {
-                albums = args.get(i + 1).and_then(|s| s.parse().ok()).unwrap_or(albums);
-                i += 2;
-            }
-            "--stores" => {
-                stores = args.get(i + 1).and_then(|s| s.parse().ok()).unwrap_or(stores);
-                i += 2;
-            }
-            "--metrics" => {
-                metrics = true;
-                i += 1;
-            }
-            "--data-dir" => {
-                data_dir = args.get(i + 1).cloned();
-                if data_dir.is_none() {
-                    eprintln!("--data-dir needs a directory argument");
-                    std::process::exit(2);
-                }
-                i += 2;
-            }
-            "--serve" => {
-                serve_addr = args.get(i + 1).cloned();
-                if serve_addr.is_none() {
-                    eprintln!("--serve needs a listen address (e.g. 127.0.0.1:7474)");
-                    std::process::exit(2);
-                }
-                i += 2;
-            }
-            "--connect" => {
-                connect_addr = args.get(i + 1).cloned();
-                if connect_addr.is_none() {
-                    eprintln!("--connect needs a server address (e.g. 127.0.0.1:7474)");
-                    std::process::exit(2);
-                }
-                i += 2;
-            }
+    let mut args = std::env::args().skip(1);
+    while let Some(flag) = args.next() {
+        let mut value = |what: &str| {
+            args.next().unwrap_or_else(|| {
+                eprintln!("{flag} needs {what}");
+                std::process::exit(2)
+            })
+        };
+        match flag.as_str() {
+            "--albums" => albums = value("a number").parse().unwrap_or(albums),
+            "--stores" => stores = value("4, 7, 10 or 13").parse().unwrap_or(stores),
+            "--metrics" => metrics = true,
+            "--data-dir" => data_dir = Some(value("a directory argument")),
+            "--serve" => serve_addr = Some(value("a listen address (e.g. 127.0.0.1:7474)")),
+            "--connect" => connect_addr = Some(value("a server address (e.g. 127.0.0.1:7474)")),
             other => {
                 eprintln!("unknown argument {other}");
                 std::process::exit(2);
@@ -101,76 +79,53 @@ fn main() {
         deployment: Deployment::Centralized,
         seed: 42,
     });
-    let quepa = match &data_dir {
+    let quepa = match data_dir.as_deref().map(Path::new) {
         None => built.into_quepa(),
+        // Existing state wins over the freshly generated index: recovery
+        // reproduces the index exactly as it was at the last committed
+        // mutation.
+        Some(dir) if dir_has_state(dir) => {
+            let (quepa, report) = Quepa::recover_durable(
+                built.polystore,
+                QuepaConfig::default(),
+                dir,
+                SyncPolicy::Always,
+                &RecoveryOptions::default(),
+            )
+            .unwrap_or_else(|e| die(format!("cannot recover {}: {e}", dir.display())));
+            eprintln!(
+                "recovered durable index from {}: checkpoint at LSN {}, {} WAL record(s) replayed{}",
+                dir.display(),
+                report.checkpoint_lsn,
+                report.replayed,
+                if report.torn_tail { " (torn final record truncated)" } else { "" }
+            );
+            quepa
+        }
         Some(dir) => {
-            let dir = Path::new(dir);
-            if dir_has_state(dir) {
-                // Existing state wins over the freshly generated index:
-                // recovery reproduces the index exactly as it was at the
-                // last committed mutation.
-                let recovered = Quepa::recover_durable(
-                    built.polystore,
-                    QuepaConfig::default(),
-                    dir,
-                    SyncPolicy::Always,
-                    &RecoveryOptions::default(),
-                );
-                match recovered {
-                    Ok((quepa, report)) => {
-                        eprintln!(
-                            "recovered durable index from {}: checkpoint at LSN {}, {} WAL record(s) replayed{}",
-                            dir.display(),
-                            report.checkpoint_lsn,
-                            report.replayed,
-                            if report.torn_tail { " (torn final record truncated)" } else { "" }
-                        );
-                        quepa
-                    }
-                    Err(e) => {
-                        eprintln!("cannot recover {}: {e}", dir.display());
-                        std::process::exit(1);
-                    }
-                }
-            } else {
-                match Quepa::create_durable(
-                    built.polystore,
-                    built.index,
-                    QuepaConfig::default(),
-                    dir,
-                    SyncPolicy::Always,
-                ) {
-                    Ok(quepa) => {
-                        eprintln!("created durable index at {}", dir.display());
-                        quepa
-                    }
-                    Err(e) => {
-                        eprintln!("cannot create durable state in {}: {e}", dir.display());
-                        std::process::exit(1);
-                    }
-                }
-            }
+            let quepa = Quepa::create_durable(
+                built.polystore,
+                built.index,
+                QuepaConfig::default(),
+                dir,
+                SyncPolicy::Always,
+            )
+            .unwrap_or_else(|e| {
+                die(format!("cannot create durable state in {}: {e}", dir.display()))
+            });
+            eprintln!("created durable index at {}", dir.display());
+            quepa
         }
     };
     if metrics {
-        let mut config = quepa.config();
-        config.observability = true;
-        quepa.set_config(config);
+        quepa.set_config(QuepaConfig { observability: true, ..quepa.config() });
     }
     if let Some(addr) = serve_addr {
         let quepa = Arc::new(quepa);
-        let server = match Server::start(quepa, addr.as_str(), AdmissionConfig::default()) {
-            Ok(server) => server,
-            Err(e) => {
-                eprintln!("cannot listen on {addr}: {e}");
-                std::process::exit(1);
-            }
-        };
-        eprintln!(
-            "serving on {} — quepa-cli --connect {} to talk to it; Ctrl-C to stop",
-            server.local_addr(),
-            server.local_addr()
-        );
+        let server = Server::start(quepa, addr.as_str(), AdmissionConfig::default())
+            .unwrap_or_else(|e| die(format!("cannot listen on {addr}: {e}")));
+        let at = server.local_addr();
+        eprintln!("serving on {at} — quepa-cli --connect {at} to talk to it; Ctrl-C to stop");
         loop {
             std::thread::park();
         }
@@ -178,100 +133,66 @@ fn main() {
     let mut processor = CommandProcessor::new(&quepa);
 
     println!("QUEPA shell — type HELP for commands, Ctrl-D to quit.");
-    let stdin = std::io::stdin();
-    let mut stdout = std::io::stdout();
-    loop {
-        print!("quepa> ");
-        stdout.flush().expect("stdout");
-        let mut line = String::new();
-        match stdin.lock().read_line(&mut line) {
-            Ok(0) => break, // EOF
-            Ok(_) => print!("{}", processor.handle(&line)),
-            Err(e) => {
-                eprintln!("input error: {e}");
-                break;
-            }
-        }
-    }
+    pump("quepa> ", |line| {
+        print!("{}", processor.handle(line));
+        true
+    });
     if metrics {
         print!("{}", quepa::obs::prometheus_text(&quepa.metrics_snapshot()));
     }
     println!("bye.");
 }
 
-/// The remote shell: the wire-protocol subset of the REPL against a
-/// running `--serve` instance. `SEARCH` maps to the AUGMENT verb, so a
-/// `DEGRADED` status (the server clamped the level to 0 under load) and
-/// `OVERLOAD` sheds are surfaced explicitly.
-fn remote_shell(addr: &str) {
-    let mut client = match Client::connect(addr) {
-        Ok(client) => client,
-        Err(e) => {
-            eprintln!("cannot connect to {addr}: {e}");
-            std::process::exit(1);
-        }
-    };
-    println!("connected to {addr} — SEARCH <db> <level> <query…>, METRICS [JSON], CHECKPOINT.");
-    let stdin = std::io::stdin();
-    let mut stdout = std::io::stdout();
+/// Reports a failure this process cannot go on from, and leaves.
+fn die(message: String) -> ! {
+    eprintln!("{message}");
+    std::process::exit(1)
+}
+
+/// Prompts and reads stdin a line at a time, handing each line to `each`
+/// until it answers `false` or the input ends.
+fn pump(prompt: &str, mut each: impl FnMut(&str) -> bool) {
+    let mut line = String::new();
     loop {
-        print!("quepa@{addr}> ");
-        stdout.flush().expect("stdout");
-        let mut line = String::new();
-        match stdin.lock().read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) => {}
-            Err(e) => {
-                eprintln!("input error: {e}");
-                break;
-            }
-        }
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let (verb, rest) = match line.split_once(char::is_whitespace) {
-            Some((v, r)) => (v, r.trim()),
-            None => (line, ""),
-        };
-        let response = match verb.to_ascii_uppercase().as_str() {
-            "SEARCH" => {
-                let mut parts = rest.splitn(3, char::is_whitespace);
-                match (
-                    parts.next(),
-                    parts.next().and_then(|l| l.parse::<usize>().ok()),
-                    parts.next(),
-                ) {
-                    (Some(db), Some(level), Some(query)) => client.augment(db, level, query),
-                    _ => {
-                        println!("usage: SEARCH <db> <level> <query…>");
-                        continue;
-                    }
-                }
-            }
-            "METRICS" => client.metrics(rest.eq_ignore_ascii_case("JSON")),
-            "CHECKPOINT" => client.checkpoint(),
-            "QUIT" | "EXIT" => break,
-            other => {
-                println!("unknown remote command {other:?}; SEARCH / METRICS / CHECKPOINT");
-                continue;
-            }
-        };
-        match response {
-            Ok(response) => {
-                match response.status {
-                    Status::Ok => {}
-                    Status::Degraded => println!("(degraded: level clamped to 0 under load)"),
-                    Status::Overload => println!("(shed by admission control)"),
-                    Status::Error => println!("(server error)"),
-                }
-                println!("{}", response.payload);
-            }
-            Err(e) => {
-                eprintln!("connection lost: {e}");
-                break;
-            }
+        print!("{prompt}");
+        std::io::stdout().flush().expect("stdout");
+        line.clear();
+        match std::io::stdin().lock().read_line(&mut line) {
+            Ok(0) => return, // EOF
+            Ok(_) if each(&line) => {}
+            Ok(_) => return,
+            Err(e) => return eprintln!("input error: {e}"),
         }
     }
+}
+
+/// The remote shell: the same line pump, the interpreter at the other end
+/// of a socket. Every line goes to a running `--serve` instance as one
+/// `COMMAND` frame and the answer is printed under a note for any status
+/// but `OK`; what the commands are is the server's business (`HELP` asks
+/// it). Only leaving is decided here.
+fn remote_shell(addr: &str) {
+    let mut client =
+        Client::connect(addr).unwrap_or_else(|e| die(format!("cannot connect to {addr}: {e}")));
+    println!("connected to {addr} — type HELP for commands, QUIT to leave.");
+    pump(&format!("quepa@{addr}> "), |line| {
+        let line = line.trim();
+        if line.eq_ignore_ascii_case("QUIT") || line.eq_ignore_ascii_case("EXIT") {
+            return false;
+        }
+        if line.is_empty() {
+            return true;
+        }
+        let response =
+            client.command(line).unwrap_or_else(|e| die(format!("connection lost: {e}")));
+        match response.status {
+            Status::Ok => {}
+            Status::Degraded => println!("(degraded: level clamped to 0 under load)"),
+            Status::Overload => println!("(shed by admission control)"),
+            Status::Error => println!("(server error)"),
+        }
+        println!("{}", response.payload.trim_end());
+        true
+    });
     println!("bye.");
 }

@@ -19,10 +19,9 @@
 //! * [`baselines`] — middleware competitor simulators (Metamodel, Talend,
 //!   ArangoDB in NAT/AUG variants);
 //! * [`workload`] — the Polyphony data generator and experiment configs;
-//! * [`serve`] — the TCP serving front end: length-prefixed wire
-//!   protocol, admission control, and the blocking client.
-
-pub mod cli;
+//! * [`serve`] — the serving front end: the one command interpreter
+//!   ([`cli`], what the REPL and the wire both speak), length-prefixed
+//!   wire protocol, admission control, and the blocking client.
 
 pub use quepa_aindex as aindex;
 pub use quepa_baselines as baselines;
@@ -37,4 +36,5 @@ pub use quepa_pdm as pdm;
 pub use quepa_polystore as polystore;
 pub use quepa_relstore as relstore;
 pub use quepa_serve as serve;
+pub use quepa_serve::cli;
 pub use quepa_workload as workload;

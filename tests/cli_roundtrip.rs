@@ -100,3 +100,105 @@ fn twin_instances_produce_identical_transcripts() {
     assert!(first.contains("quepa_stage_spans_total"));
     assert!(first.contains('⇒'));
 }
+
+// ---- one script, two transports --------------------------------------------
+
+/// The command surface end to end: a filtered and a plain search per
+/// store kind, the pushdown plan, an exploration, and every read-only
+/// inspection command. (`CONFIG <args…>` is local only, so the twins are
+/// built with observability already on.)
+const WIRE_SCRIPT: &[&str] = &[
+    r#"SEARCH transactions 1 SELECT * FROM inventory WHERE seq < 3 :: key contains "1""#,
+    "SEARCH transactions 1 SELECT * FROM inventory WHERE seq < 3",
+    r#"SEARCH catalogue 1 db.albums.find({"seq":{"$lt":3}}) :: key contains "1""#,
+    r#"SEARCH catalogue 1 db.albums.find({"seq":{"$lt":3}})"#,
+    r#"SEARCH similar 1 MATCH (n:Album) WHERE n.seq < 3 RETURN n :: key contains "1""#,
+    "SEARCH similar 1 MATCH (n:Album) WHERE n.seq < 3 RETURN n",
+    r#"SEARCH discount 1 SCAN k COUNT 3 :: key contains "1""#,
+    "SEARCH discount 1 SCAN k COUNT 3",
+    r#"EXPLAIN transactions 1 SELECT * FROM inventory WHERE seq < 3 :: key contains "1""#,
+    "EXPLORE transactions SELECT * FROM sales WHERE seq < 3",
+    "PICK 0",
+    "PICK 0",
+    "BACK",
+    "END",
+    "STORES",
+    "STATS",
+    "INDEX",
+    "METRICS",
+    "METRICS JSON",
+    "HELP",
+];
+
+fn build_observed() -> Quepa {
+    let built = BuiltPolystore::build(WorkloadConfig {
+        albums: 40,
+        replica_sets: 1,
+        deployment: Deployment::InProcess,
+        seed: 1234,
+    });
+    let config = quepa::core::QuepaConfig { observability: true, ..Default::default() };
+    Quepa::with_config(built.polystore, built.index, config)
+}
+
+fn transcript(mut answer: impl FnMut(&str) -> String) -> String {
+    WIRE_SCRIPT.iter().map(|cmd| format!(">>> {cmd}\n{}", answer(cmd))).collect()
+}
+
+/// Drops the admission ledger from both metrics exports: it counts
+/// requests that passed a server's gate, so it is the one thing a served
+/// instance legitimately reads differently from a library one.
+fn without_ledger(transcript: &str) -> String {
+    let mut out = String::new();
+    for line in transcript.lines().filter(|l| !l.starts_with("quepa_admission_")) {
+        match line.split_once("\"admission\":{") {
+            Some((head, tail)) => {
+                let (_, rest) = tail.split_once('}').expect("the ledger object closes");
+                out.push_str(head);
+                out.push_str(rest);
+            }
+            None => out.push_str(line),
+        }
+        out.push('\n');
+    }
+    out
+}
+
+/// A CLI transcript *is* a wire test: the same script through
+/// `CommandProcessor` in-process and through `Client::command` against a
+/// loopback server, on twin fixed-seed instances, reads the same — so a
+/// filtered search over a socket answers what the library call answers.
+#[test]
+fn a_transcript_reads_the_same_in_process_and_over_the_wire() {
+    use quepa::serve::{AdmissionConfig, Client, Server, Status};
+
+    let local = build_observed();
+    let mut processor = CommandProcessor::new(&local);
+    let in_process = transcript(|cmd| processor.handle(cmd));
+
+    let served = std::sync::Arc::new(build_observed());
+    let server =
+        Server::start(std::sync::Arc::clone(&served), "127.0.0.1:0", AdmissionConfig::default())
+            .unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let over_the_wire = transcript(|cmd| {
+        let response = client.command(cmd).unwrap();
+        assert_eq!(response.status, Status::Ok, "{cmd}: {}", response.payload);
+        response.payload
+    });
+
+    assert_eq!(without_ledger(&stable(&in_process)), without_ledger(&stable(&over_the_wire)));
+    // The script did what it says: filters filtered, the plan was shown,
+    // the exploration walked two steps.
+    assert!(in_process.contains("(filter: key contains \"1\")"));
+    assert!(in_process.contains("PUSHDOWN") || in_process.contains("FETCH-ALL"));
+    assert!(in_process.contains(" → "));
+    assert!(in_process.contains("exploration closed after 2 steps"));
+    assert!(in_process.contains("quepa_stage_spans_total"));
+    // And the ledger that was set aside reads as it must: the eight
+    // searches, EXPLAIN, EXPLORE and two PICKs were offered and served.
+    assert!(in_process.contains("quepa_admission_offered_total 0"));
+    assert!(over_the_wire.contains("quepa_admission_offered_total 12"));
+    assert!(over_the_wire
+        .contains("\"admission\":{\"offered\":12,\"served\":12,\"degraded\":0,\"shed\":0}"));
+}

@@ -113,7 +113,7 @@ fn exploration_and_promotion_work_on_generated_data() {
     let _ = s.step(0).unwrap();
     let _ = s.step(0).unwrap();
     assert_eq!(s.path().len(), 3);
-    s.finish();
+    s.finish().unwrap();
     // Three selected nodes = a full path (k > 1), so D_P tracks it.
     assert_eq!(quepa.paths().tracked_paths(), 1);
 }
