@@ -24,7 +24,7 @@ use std::time::Duration;
 
 use quepa_bench::claims::{Report, Tier, CLAIMS};
 use quepa_bench::traffic::TrafficFamily;
-use quepa_bench::{pushdown, recovery, sample, scale, serving, throughput, Lab};
+use quepa_bench::{fetch, pushdown, recovery, sample, scale, serving, throughput, Lab};
 use quepa_core::{QuepaConfig, ResilienceConfig};
 use quepa_polystore::Deployment;
 use quepa_serve::Server;
@@ -112,6 +112,10 @@ fn main() {
             "throughput-16v1" => throughput_scaling(),
             "pushdown-speedup" => pushdown::speedup(&pushdown::lab(), SLOW_PAIRS),
             "sharded-vs-swap-1e4" => mutation_speedup(),
+            "cold-fetch-bookkeeping" => {
+                let lab = fetch::lab();
+                fetch::bookkeeping_ratio(&lab, &fetch::plans(&lab), PAIRS)
+            }
             "wal-off-overhead" => recovery::wal_off_overhead(),
             "observability-overhead" => overhead(QuepaConfig { observability: true, ..base }),
             "resilience-overhead" => {

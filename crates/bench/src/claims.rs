@@ -66,6 +66,7 @@ pub const CLAIMS: &[Claim] = &[
     claim("resilience-overhead", "PR 2", Op::AtMost, 1.10, Tier::Quick),
     claim("smoke-ledger", "PR 8", Op::Equal, 0.0, Tier::Quick),
     claim("flash-live-ledger", "PR 9", Op::Equal, 0.0, Tier::Quick),
+    claim("cold-fetch-bookkeeping", "PR 25", Op::AtMost, 2.8, Tier::Quick),
     claim("cold-growth-1e4-1e6", "PR 6", Op::AtMost, 2.0, Tier::Sweep),
     claim("sharded-vs-swap-1e6", "PR 6", Op::AtLeast, 5.0, Tier::Sweep),
     claim("supernode-cold-s", "PR 9", Op::AtMost, 0.5, Tier::Sweep),

@@ -15,6 +15,7 @@
 #![warn(missing_docs)]
 
 pub mod claims;
+pub mod fetch;
 pub mod pushdown;
 pub mod recovery;
 pub mod sample;

@@ -49,11 +49,16 @@
 //! (`Engine::fetch_unit`): cache probe → flight join, when a
 //! [`FlightTable`] is attached (and the cache is enabled, and the run is
 //! unfiltered) → one round trip for the keys this query must fetch
-//! itself → on a degradable batch failure, the per-key ladder → settle
-//! and publish → settle the waiters. With a flight table, fetches
-//! coalesce across queries: one leader per key performs the round trip,
-//! waiters account the published object exactly like a cache hit. See
-//! [`crate::flight`] for the equality argument.
+//! itself → on a degradable batch failure, the per-key ladder → settle,
+//! and land the led group → settle the waiters. The routine pays per
+//! unit, not per key: one batched probe, one flight join and one landing
+//! lock each touched cache or flight-table shard once, one
+//! [`GroupLeader`] covers every key the
+//! query leads, and the hit/miss counters move once per unit. With a
+//! flight table, fetches coalesce across queries: one leader per key
+//! performs the round trip, waiters account the published object
+//! exactly like a cache hit. See [`crate::flight`] for the equality
+//! argument.
 
 use std::cell::{Cell, OnceCell};
 use std::collections::{HashMap, HashSet};
@@ -72,7 +77,7 @@ use quepa_polystore::{PolyError, Polystore, StoreKind};
 use crate::cache::ObjectCache;
 use crate::config::{AugmenterKind, DegradeMode, QuepaConfig, ResilienceConfig};
 use crate::error::Result;
-use crate::flight::{Flight, FlightOutcome, FlightTable, KeyRole, LeaderGuard};
+use crate::flight::{FlightOutcome, FlightSlot, FlightTable, GroupLeader, KeyRole};
 use crate::pool::{Latch, WorkerPool};
 
 /// One element of an augmented answer.
@@ -535,18 +540,31 @@ fn finish(sink: Sink, config: &QuepaConfig, runtime: &FetchRuntime<'_>) -> Augme
 /// flush afterwards sorted by target (deterministic remainder).
 fn batch_groups(owned: Vec<Vec<Task>>, batch_size: usize) -> Vec<Vec<Task>> {
     let mut units = Vec::new();
-    let mut groups: HashMap<(DatabaseName, CollectionName), Vec<Task>> = HashMap::new();
+    // One open group per (database, collection), found by comparing the
+    // names against each group's first key: a plan reaches a handful of
+    // collections, and equal names are usually one shared string.
+    let mut groups: Vec<(GlobalKey, Vec<Task>)> = Vec::new();
     for task in owned.into_iter().flatten() {
-        let slot = (task.key.database().clone(), task.key.collection().clone());
-        let group = groups.entry(slot).or_default();
+        let found = groups.iter().position(|(first, _)| {
+            first.collection() == task.key.collection() && first.database() == task.key.database()
+        });
+        let group = match found {
+            Some(i) => &mut groups[i].1,
+            None => {
+                groups.push((task.key.clone(), Vec::new()));
+                &mut groups.last_mut().expect("just pushed").1
+            }
+        };
         group.push(task);
         if group.len() >= batch_size {
             units.push(std::mem::take(group));
         }
     }
-    let mut rest: Vec<_> = groups.into_iter().filter(|(_, g)| !g.is_empty()).collect();
-    rest.sort_by(|a, b| a.0.cmp(&b.0));
-    units.extend(rest.into_iter().map(|(_, g)| g));
+    groups.retain(|(_, g)| !g.is_empty());
+    groups.sort_by(|(a, _), (b, _)| {
+        (a.database(), a.collection()).cmp(&(b.database(), b.collection()))
+    });
+    units.extend(groups.into_iter().map(|(_, g)| g));
     units
 }
 
@@ -659,9 +677,25 @@ impl Wave {
     }
 }
 
-/// A key this query must fetch itself, with the flight it leads when
-/// the run coalesces.
-type Pending<'t> = (&'t Task, Option<LeaderGuard>);
+/// A key this query must fetch itself, with its slot in the group this
+/// query leads when the run coalesces.
+type Pending<'t> = (&'t Task, Option<usize>);
+
+/// One unit's cache lookups, counted locally and added to the cache's
+/// and the registry's counters once, when the unit's fetch returns —
+/// whichever way it returns.
+struct Tally<'e> {
+    cache: &'e ObjectCache,
+    hits: u64,
+    misses: u64,
+}
+
+impl Drop for Tally<'_> {
+    fn drop(&mut self) {
+        self.cache.tally(self.hits, self.misses);
+        quepa_obs::record_cache_probes(self.hits, self.misses);
+    }
+}
 
 impl Engine {
     /// Installs the Fetch-stage observation context on the current
@@ -691,18 +725,12 @@ impl Engine {
     /// Accounts a cache (or coalesced-flight) hit. The probe is a hit
     /// whether or not the filter admits the object; a filtered-out hit
     /// just contributes nothing (and is not missing).
-    fn push_hit(&self, task: &Task, object: DataObject, sink: &mut Sink) {
-        self.cache.tally_hit();
-        quepa_obs::record_cache_probe(true);
+    fn push_hit(&self, task: &Task, object: DataObject, sink: &mut Sink, tally: &mut Tally<'_>) {
+        tally.hits += 1;
         sink.cache_hits += 1;
         if self.admits(task, &object) {
             sink.push(task, object);
         }
-    }
-
-    fn tally_miss(&self) {
-        self.cache.tally_miss();
-        quepa_obs::record_cache_probe(false);
     }
 
     /// Runs one unit into a ticket's local sink. A `Get` unit is a run of
@@ -729,10 +757,12 @@ impl Engine {
         sink: &mut Sink,
         summon: &dyn Fn(),
     ) -> Result<()> {
+        let mut tally = Tally { cache: &self.cache, hits: 0, misses: 0 };
         let mut pending: Vec<Pending<'_>> = Vec::with_capacity(tasks.len());
-        for task in tasks {
-            match self.cache.probe(&task.key) {
-                Some(object) => self.push_hit(task, object, sink),
+        let probed = self.cache.probe_many(tasks.iter().map(|t| &t.key));
+        for (task, hit) in tasks.iter().zip(probed) {
+            match hit {
+                Some(object) => self.push_hit(task, object, sink, &mut tally),
                 None => pending.push((task, None)),
             }
         }
@@ -746,39 +776,43 @@ impl Engine {
         // The misses join the flight table as one atomic unit: this
         // query leads some keys, waits on others, and finds the rest
         // cached after all (a flight landed since the probe).
-        let mut waiters: Vec<(&Task, Arc<Flight>)> = Vec::new();
+        let mut waiters: Vec<(&Task, FlightSlot)> = Vec::new();
+        let mut leader: Option<GroupLeader<'_>> = None;
         if let Some(flight) = &self.flight {
-            let keys: Vec<GlobalKey> = pending.iter().map(|(t, _)| t.key.clone()).collect();
-            let roles = flight.join_group(&keys, &self.cache);
+            let (roles, led) = flight.join_group(pending.iter().map(|(t, _)| &t.key), &self.cache);
+            leader = led;
             for ((task, _), role) in std::mem::take(&mut pending).into_iter().zip(roles) {
                 match role {
-                    KeyRole::Cached(object) => self.push_hit(task, object, sink),
-                    KeyRole::Leader(guard) => pending.push((task, Some(guard))),
+                    KeyRole::Cached(object) => self.push_hit(task, object, sink, &mut tally),
+                    KeyRole::Leader(slot) => pending.push((task, Some(slot))),
                     KeyRole::Waiter(theirs) => waiters.push((task, theirs)),
                 }
             }
         }
         // A leader tallies its miss at election; a waiter when it
         // settles, once it knows whether a serial run would have hit.
-        pending.iter().for_each(|_| self.tally_miss());
+        tally.misses += pending.len() as u64;
         if !pending.is_empty() {
-            self.round_trip(pending, wire, sink)?;
+            self.round_trip(pending, wire, sink, leader.as_mut())?;
         }
+        // The led group lands (cache fill, flights retired, waiters
+        // woken) before this query waits on anyone else's.
+        drop(leader);
         for (task, theirs) in waiters {
             match theirs.wait() {
                 // The flight table is the in-flight extension of the
                 // cache: a serial execution would have found this object
                 // cached.
-                FlightOutcome::Found(object) => self.push_hit(task, object, sink),
+                FlightOutcome::Found(object) => self.push_hit(task, object, sink, &mut tally),
                 FlightOutcome::NotFound => {
-                    self.tally_miss();
+                    tally.misses += 1;
                     sink.missing.push(MissingKey::not_found(task.key.clone()));
                 }
                 // The leader's round trip failed: fetch directly so this
                 // query's own retry/breaker accounting applies.
                 FlightOutcome::Failed => {
-                    self.tally_miss();
-                    self.round_trip(vec![(task, None)], Wire::Get, sink)?;
+                    tally.misses += 1;
+                    self.round_trip(vec![(task, None)], Wire::Get, sink, None)?;
                 }
             }
         }
@@ -787,11 +821,16 @@ impl Engine {
 
     /// One round trip over `wire` for `pending` (all in one database and
     /// collection; exactly one key under `Get`), settled into `sink`,
-    /// the cache and — through the leader guards — the flight table. A
-    /// guard dropped unpublished lands its flight as `Failed`, so on
-    /// every error path other queries' waiters fall back to their own
-    /// fetch.
-    fn round_trip(&self, pending: Vec<Pending<'_>>, wire: Wire, sink: &mut Sink) -> Result<()> {
+    /// the cache and — for the keys with a slot — `leader`. A slot left
+    /// unset lands as `Failed`, so on every error path other queries'
+    /// waiters fall back to their own fetch.
+    fn round_trip(
+        &self,
+        pending: Vec<Pending<'_>>,
+        wire: Wire,
+        sink: &mut Sink,
+        mut leader: Option<&mut GroupLeader<'_>>,
+    ) -> Result<()> {
         debug_assert!(wire != Wire::Get || pending.len() == 1);
         let first = &pending[0].0.key;
         let (database, collection) = (first.database(), first.collection());
@@ -830,27 +869,35 @@ impl Engine {
                 if wire == Wire::FetchWhere {
                     quepa_obs::record_pushdown_fallback(database.as_str());
                 }
-                return pending
-                    .into_iter()
-                    .try_for_each(|entry| self.round_trip(vec![entry], Wire::Get, sink));
+                return pending.into_iter().try_for_each(|entry| {
+                    self.round_trip(vec![entry], Wire::Get, sink, leader.as_deref_mut())
+                });
             }
         };
         // Request order throughout: the cache fills, flights land and
         // `missing` grows in the order the keys were asked for, whatever
-        // order the store answered in.
+        // order the store answered in. Stores answer in request order, so
+        // each key first tries the next object; a store that skipped a
+        // key or answered in another order is matched through a map.
         let rejected: HashSet<&LocalKey> = fetched.rejected.iter().collect();
-        let mut by_key: HashMap<GlobalKey, DataObject> =
-            fetched.matched.into_iter().map(|o| (o.key().clone(), o)).collect();
-        for (task, guard) in pending {
-            match by_key.remove(&task.key) {
+        let mut in_order = fetched.matched.into_iter().peekable();
+        let mut by_key: HashMap<GlobalKey, DataObject> = HashMap::new();
+        let mut cache_fill = Vec::new();
+        for (task, slot) in pending {
+            let object = match in_order.next_if(|o| *o.key() == task.key) {
+                Some(object) => Some(object),
+                None => {
+                    by_key.extend(in_order.by_ref().map(|o| (o.key().clone(), o)));
+                    by_key.remove(&task.key)
+                }
+            };
+            match object {
                 Some(object) if wire == Wire::FetchWhere || self.admits(task, &object) => {
-                    // Published objects enter the cache before the
-                    // flight retires (see `LeaderGuard::publish`).
-                    match guard {
-                        Some(guard) => {
-                            guard.publish(&self.cache, FlightOutcome::Found(object.clone()))
+                    match (slot, leader.as_deref_mut()) {
+                        (Some(slot), Some(leader)) => {
+                            leader.set(slot, FlightOutcome::Found(object.clone()))
                         }
-                        None => self.cache.insert(object.clone()),
+                        _ => cache_fill.push(object.clone()),
                     }
                     sink.push(task, object);
                 }
@@ -863,13 +910,14 @@ impl Engine {
                 None if rejected.contains(task.key.key()) => {}
                 // Gone from the store: the lazy-deletion signal.
                 None => {
-                    if let Some(guard) = guard {
-                        guard.publish(&self.cache, FlightOutcome::NotFound);
+                    if let (Some(slot), Some(leader)) = (slot, leader.as_deref_mut()) {
+                        leader.set(slot, FlightOutcome::NotFound);
                     }
                     sink.missing.push(MissingKey::not_found(task.key.clone()));
                 }
             }
         }
+        self.cache.insert_many(cache_fill);
         Ok(())
     }
 

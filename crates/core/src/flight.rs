@@ -9,30 +9,43 @@
 //! have seen), so per-query answers and metrics stay identical to the
 //! serial run.
 //!
+//! A query leads per *group*, not per key: [`FlightTable::join_group`]
+//! creates one flight with a slot for every key the query ends up
+//! leading, and hands back one [`GroupLeader`] for all of them. The
+//! leader records each key's outcome with [`GroupLeader::set`]; nothing
+//! is visible to other queries until the leader drops, when the whole
+//! group lands at once.
+//!
 //! Ordering contract that makes the serial-equality argument work:
 //!
-//! 1. A leader publishing `Found` inserts the object into the cache
-//!    *before* removing its flight entry (the removal takes the shard
-//!    lock). A joiner that finds no entry therefore re-checks the cache
-//!    under that same shard lock — the window between "flight gone" and
-//!    "cache filled" is closed, so no query ever performs a redundant
-//!    round trip for a key that was just coalesced.
-//! 2. [`FlightTable::join_group`] registers *all* keys of a batch group
-//!    atomically (locking the involved shards in ascending order), so
-//!    for identical concurrent queries each batch group has exactly one
-//!    leader — the round-trip count and group composition match the
-//!    serial run, which is what keeps metrics snapshots bit-identical.
-//! 3. A leader whose round trip fails publishes `Failed`; waiters fall
-//!    back to their own direct fetch, preserving per-query retry and
-//!    breaker accounting under faults. The guard publishes `Failed` on
-//!    drop, so a panicking leader can never strand its waiters.
+//! 1. A landing fills the cache with every `Found` object *before* it
+//!    removes the group's flight entries (one lock per flight-table
+//!    shard), and only then publishes the outcomes (one `notify_all`,
+//!    skipped when nobody waits). A joiner that finds no entry therefore
+//!    re-checks the cache under that same shard lock — the window
+//!    between "flight gone" and "cache filled" is closed, so no query
+//!    ever performs a redundant round trip for a key that was just
+//!    coalesced. The lock order is flight table before cache.
+//! 2. `join_group` registers *all* keys of a batch group atomically
+//!    (locking the involved shards in ascending order), so for identical
+//!    concurrent queries each batch group has exactly one leader — the
+//!    round-trip count and group composition match the serial run, which
+//!    is what keeps metrics snapshots bit-identical.
+//! 3. A leader whose round trip fails leaves its slots unset; an unset
+//!    slot lands as `Failed` and its waiters fall back to their own
+//!    direct fetch, preserving per-query retry and breaker accounting
+//!    under faults. Landing happens on drop, so a panicking leader can
+//!    never strand its waiters — and a leader lands its own group before
+//!    it waits on anyone else's, so two queries that each wait on the
+//!    other's keys cannot deadlock.
 //!
 //! Coalescing is only engaged when the cache is enabled: with
 //! `CACHE_SIZE = 0` a serial run performs every round trip itself, so
 //! sharing one would *change* observable behaviour, not preserve it.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 use quepa_pdm::{DataObject, GlobalKey};
 
@@ -41,7 +54,7 @@ use crate::cache::ObjectCache;
 /// Flight-table shard fan-out.
 const SHARD_COUNT: usize = 16;
 
-/// What a completed flight produced.
+/// What a completed flight produced for one key.
 #[derive(Debug, Clone)]
 pub enum FlightOutcome {
     /// The round trip returned the object (it is already in the cache).
@@ -53,36 +66,20 @@ pub enum FlightOutcome {
     Failed,
 }
 
-enum FlightState {
-    Pending,
-    Done(FlightOutcome),
-}
-
-/// One in-flight fetch; waiters park on `done` until the leader
-/// publishes.
-pub struct Flight {
-    state: Mutex<FlightState>,
+/// One leader's in-flight round trip: waiters park on `done` until the
+/// leader publishes every slot at once.
+struct Flight {
+    outcomes: Mutex<Option<Vec<FlightOutcome>>>,
     done: Condvar,
 }
 
 impl Flight {
     fn new() -> Self {
-        Flight { state: Mutex::new(FlightState::Pending), done: Condvar::new() }
+        Flight { outcomes: Mutex::new(None), done: Condvar::new() }
     }
 
-    /// Parks until the leader publishes, then returns the outcome.
-    pub fn wait(&self) -> FlightOutcome {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let FlightState::Done(outcome) = &*state {
-                return outcome.clone();
-            }
-            state = self.done.wait(state).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    fn publish(&self, outcome: FlightOutcome) {
-        *self.state.lock().unwrap_or_else(|e| e.into_inner()) = FlightState::Done(outcome);
+    fn publish(&self, outcomes: Vec<FlightOutcome>) {
+        *self.outcomes.lock().unwrap_or_else(PoisonError::into_inner) = Some(outcomes);
         self.done.notify_all();
     }
 }
@@ -93,25 +90,46 @@ impl std::fmt::Debug for Flight {
     }
 }
 
+/// A waiter's claim on one slot of another query's flight.
+#[derive(Debug, Clone)]
+pub struct FlightSlot {
+    flight: Arc<Flight>,
+    slot: usize,
+}
+
+impl FlightSlot {
+    /// Parks until the leader publishes, then returns this slot's outcome.
+    pub fn wait(&self) -> FlightOutcome {
+        let mut outcomes = self.flight.outcomes.lock().unwrap_or_else(PoisonError::into_inner);
+        loop {
+            if let Some(outcomes) = &*outcomes {
+                return outcomes[self.slot].clone();
+            }
+            outcomes = self.flight.done.wait(outcomes).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
 /// A joiner's role for one key.
 #[derive(Debug)]
 pub enum KeyRole {
     /// The cache answered while holding the shard lock (a flight for this
     /// key just landed) — account it as a plain cache hit.
     Cached(DataObject),
-    /// This query leads: perform the round trip and publish through the
-    /// guard.
-    Leader(LeaderGuard),
+    /// This query leads the key: it performs the round trip and records
+    /// the outcome in this slot of its [`GroupLeader`].
+    Leader(usize),
     /// Another query is already fetching this key — wait for its
     /// published outcome.
-    Waiter(Arc<Flight>),
+    Waiter(FlightSlot),
 }
 
 /// The sharded registry of in-flight fetches, shared by every query of
-/// one `Quepa` instance.
+/// one `Quepa` instance: each entry names the flight and slot that will
+/// publish the key's outcome.
 #[derive(Debug)]
 pub struct FlightTable {
-    shards: Vec<parking_lot::Mutex<HashMap<GlobalKey, Arc<Flight>>>>,
+    shards: Vec<parking_lot::Mutex<HashMap<GlobalKey, FlightSlot>>>,
 }
 
 impl Default for FlightTable {
@@ -133,55 +151,72 @@ impl FlightTable {
         (mixed >> 32) as usize % self.shards.len()
     }
 
-    /// Joins one key (a single-key group).
-    pub fn join(self: &Arc<Self>, key: &GlobalKey, cache: &ObjectCache) -> KeyRole {
-        self.join_group(std::slice::from_ref(key), cache).pop().expect("one role per key")
-    }
-
     /// Joins every key of a batch group atomically: the involved shards
     /// are locked together (in ascending order — no deadlock), so
     /// concurrent queries fetching the same group see it either wholly
-    /// unclaimed or wholly in flight, never split. Returns one
-    /// [`KeyRole`] per key, in input order.
-    pub fn join_group(self: &Arc<Self>, keys: &[GlobalKey], cache: &ObjectCache) -> Vec<KeyRole> {
-        let mut shard_ids: Vec<usize> = keys.iter().map(|k| self.shard_of(k)).collect();
-        let mut order = shard_ids.clone();
-        order.sort_unstable();
-        order.dedup();
-        let mut guards: HashMap<usize, _> =
-            order.iter().map(|&i| (i, self.shards[i].lock())).collect();
+    /// unclaimed or wholly in flight, never split. Keys no flight claims
+    /// probe `cache` under those locks, as one batch. Returns one
+    /// [`KeyRole`] per key, in input order, and the leader of the keys
+    /// this query claimed — `None` when it claimed none.
+    pub fn join_group<'a>(
+        &'a self,
+        keys: impl IntoIterator<Item = &'a GlobalKey>,
+        cache: &'a ObjectCache,
+    ) -> (Vec<KeyRole>, Option<GroupLeader<'a>>) {
+        let keys: Vec<(usize, &GlobalKey)> =
+            keys.into_iter().map(|k| (self.shard_of(k), k)).collect();
+        let mut wanted = [false; SHARD_COUNT];
+        for &(shard, _) in &keys {
+            wanted[shard] = true;
+        }
+        // `from_fn` fills in index order: the shards lock ascending.
+        let mut maps: [Option<_>; SHARD_COUNT] =
+            std::array::from_fn(|shard| wanted[shard].then(|| self.shards[shard].lock()));
+        let claimed: Vec<Option<FlightSlot>> = keys
+            .iter()
+            .map(|&(shard, key)| {
+                maps[shard].as_ref().expect("every involved shard is locked").get(key).cloned()
+            })
+            .collect();
+        // No flight: any earlier one has fully landed, and it filled the
+        // cache before dropping its entry — probe under the shard locks
+        // so a just-coalesced object is not fetched again.
+        let unclaimed = keys.iter().zip(&claimed).filter(|(_, c)| c.is_none()).map(|(k, _)| k.1);
+        let mut cached = cache.probe_many(unclaimed).into_iter();
+        let mut flight: Option<Arc<Flight>> = None;
+        let mut led = Vec::new();
         let mut roles = Vec::with_capacity(keys.len());
-        for (key, shard) in keys.iter().zip(shard_ids.drain(..)) {
-            let map = guards.get_mut(&shard).expect("shard locked");
-            if let Some(flight) = map.get(key) {
-                roles.push(KeyRole::Waiter(Arc::clone(flight)));
+        for (&(shard, key), claim) in keys.iter().zip(claimed) {
+            if let Some(theirs) = claim {
+                roles.push(KeyRole::Waiter(theirs));
                 continue;
             }
-            // No flight: any earlier one has fully landed, and it filled
-            // the cache before dropping its entry — probe under the shard
-            // lock so a just-coalesced object is not fetched again.
-            if let Some(object) = cache.probe(key) {
+            if let Some(object) = cached.next().expect("one probe per unclaimed key") {
                 roles.push(KeyRole::Cached(object));
                 continue;
             }
-            let flight = Arc::new(Flight::new());
-            map.insert(key.clone(), Arc::clone(&flight));
-            roles.push(KeyRole::Leader(LeaderGuard {
-                table: Arc::clone(self),
-                key: key.clone(),
-                flight,
-                published: false,
-            }));
+            let flight = flight.get_or_insert_with(|| Arc::new(Flight::new()));
+            let map = maps[shard].as_mut().expect("every involved shard is locked");
+            roles.push(match map.entry(key.clone()) {
+                // The same key twice in one group: the second waits on
+                // the first, which lands before anyone waits.
+                Entry::Occupied(e) => KeyRole::Waiter(e.get().clone()),
+                Entry::Vacant(e) => {
+                    e.insert(FlightSlot { flight: Arc::clone(flight), slot: led.len() });
+                    led.push((shard, key));
+                    KeyRole::Leader(led.len() - 1)
+                }
+            });
         }
-        roles
-    }
-
-    fn land(&self, key: &GlobalKey, flight: &Arc<Flight>, outcome: FlightOutcome) {
-        {
-            let mut map = self.shards[self.shard_of(key)].lock();
-            map.remove(key);
-        }
-        flight.publish(outcome);
+        drop(maps);
+        let leader = flight.map(|flight| GroupLeader {
+            table: self,
+            cache,
+            flight,
+            outcomes: vec![None; led.len()],
+            led,
+        });
+        (roles, leader)
     }
 
     /// In-flight fetches right now (diagnostics and tests).
@@ -195,35 +230,55 @@ impl FlightTable {
     }
 }
 
-/// Proof of leadership for one key. The leader performs the round trip
-/// and must [`publish`](LeaderGuard::publish) the outcome; dropping the
-/// guard unpublished lands the flight as [`FlightOutcome::Failed`], so
+/// Proof of leadership for the keys one query claimed in one
+/// [`FlightTable::join_group`]. The leader performs the round trip and
+/// [`set`](GroupLeader::set)s each slot's outcome; dropping the leader
+/// lands the whole group — cache fill, flight entries retired, waiters
+/// woken — and a slot never set lands as [`FlightOutcome::Failed`], so
 /// waiters are released (to their own fallback fetch) even if the leader
 /// panics.
 #[derive(Debug)]
-pub struct LeaderGuard {
-    table: Arc<FlightTable>,
-    key: GlobalKey,
+pub struct GroupLeader<'a> {
+    table: &'a FlightTable,
+    cache: &'a ObjectCache,
     flight: Arc<Flight>,
-    published: bool,
+    /// Each led key with its flight-table shard, in slot order.
+    led: Vec<(usize, &'a GlobalKey)>,
+    outcomes: Vec<Option<FlightOutcome>>,
 }
 
-impl LeaderGuard {
-    /// Publishes the round trip's outcome. `Found` objects enter `cache`
-    /// *before* the flight entry is removed — see the module contract.
-    pub fn publish(mut self, cache: &ObjectCache, outcome: FlightOutcome) {
-        if let FlightOutcome::Found(object) = &outcome {
-            cache.insert(object.clone());
-        }
-        self.published = true;
-        self.table.land(&self.key, &self.flight, outcome);
+impl GroupLeader<'_> {
+    /// Records the outcome of led slot `slot`. A `Found` object enters
+    /// the cache when the group lands, *before* its flight entry retires
+    /// — see the module contract.
+    pub fn set(&mut self, slot: usize, outcome: FlightOutcome) {
+        self.outcomes[slot] = Some(outcome);
     }
 }
 
-impl Drop for LeaderGuard {
+impl Drop for GroupLeader<'_> {
     fn drop(&mut self) {
-        if !self.published {
-            self.table.land(&self.key, &self.flight, FlightOutcome::Failed);
+        let outcomes: Vec<FlightOutcome> = std::mem::take(&mut self.outcomes)
+            .into_iter()
+            .map(|o| o.unwrap_or(FlightOutcome::Failed))
+            .collect();
+        self.cache.insert_many(outcomes.iter().filter_map(|o| match o {
+            FlightOutcome::Found(object) => Some(object.clone()),
+            _ => None,
+        }));
+        let mut led = std::mem::take(&mut self.led);
+        led.sort_unstable_by_key(|&(shard, _)| shard);
+        for run in led.chunk_by(|a, b| a.0 == b.0) {
+            let mut map = self.table.shards[run[0].0].lock();
+            for (_, key) in run {
+                map.remove(*key);
+            }
+        }
+        // With every entry gone no new waiter can appear, and one that
+        // joined earlier holds a count on the flight (taken under a shard
+        // lock this landing has since acquired).
+        if Arc::strong_count(&self.flight) > 1 {
+            self.flight.publish(outcomes);
         }
     }
 }
@@ -244,96 +299,145 @@ mod tests {
         format!("d.c.k{i}").parse().unwrap()
     }
 
+    /// Joins one key: its role and, when it leads, the leader.
+    fn join<'a>(
+        table: &'a FlightTable,
+        key: &'a GlobalKey,
+        cache: &'a ObjectCache,
+    ) -> (KeyRole, Option<GroupLeader<'a>>) {
+        let (mut roles, leader) = table.join_group([key], cache);
+        (roles.pop().expect("one role per key"), leader)
+    }
+
     #[test]
     fn exactly_one_leader_per_key() {
-        let table = Arc::new(FlightTable::new());
+        let table = FlightTable::new();
         let cache = ObjectCache::new(64);
-        let first = table.join(&key(1), &cache);
-        let second = table.join(&key(1), &cache);
-        assert!(matches!(first, KeyRole::Leader(_)));
+        let k = key(1);
+        let (first, leader) = join(&table, &k, &cache);
+        let (second, none) = join(&table, &k, &cache);
+        assert!(matches!(first, KeyRole::Leader(0)));
+        assert!(leader.is_some());
         assert!(matches!(second, KeyRole::Waiter(_)));
+        assert!(none.is_none(), "a waiter leads nothing");
     }
 
     #[test]
     fn waiters_receive_the_published_object() {
-        let table = Arc::new(FlightTable::new());
-        let cache = Arc::new(ObjectCache::new(64));
-        let KeyRole::Leader(guard) = table.join(&key(1), &cache) else { panic!("leads") };
-        let waiters: Vec<_> = (0..4)
-            .map(|_| {
-                let KeyRole::Waiter(f) = table.join(&key(1), &cache) else { panic!("waits") };
-                std::thread::spawn(move || f.wait())
-            })
-            .collect();
-        guard.publish(&cache, FlightOutcome::Found(obj(1)));
-        for w in waiters {
-            assert!(matches!(w.join().unwrap(), FlightOutcome::Found(_)));
-        }
+        let table = FlightTable::new();
+        let cache = ObjectCache::new(64);
+        let k = key(1);
+        let (_, leader) = join(&table, &k, &cache);
+        let mut leader = leader.expect("leads");
+        std::thread::scope(|s| {
+            let waiters: Vec<_> = (0..4)
+                .map(|_| {
+                    let (KeyRole::Waiter(f), None) = join(&table, &k, &cache) else {
+                        panic!("waits")
+                    };
+                    s.spawn(move || f.wait())
+                })
+                .collect();
+            leader.set(0, FlightOutcome::Found(obj(1)));
+            drop(leader);
+            for w in waiters {
+                assert!(matches!(w.join().unwrap(), FlightOutcome::Found(_)));
+            }
+        });
         assert!(table.is_empty(), "the flight landed");
-        assert!(cache.probe(&key(1)).is_some(), "published objects enter the cache");
+        assert!(cache.probe(&k).is_some(), "published objects enter the cache");
     }
 
     #[test]
     fn late_joiner_sees_the_cache_not_a_new_flight() {
-        let table = Arc::new(FlightTable::new());
+        let table = FlightTable::new();
         let cache = ObjectCache::new(64);
-        let KeyRole::Leader(guard) = table.join(&key(1), &cache) else { panic!("leads") };
-        guard.publish(&cache, FlightOutcome::Found(obj(1)));
-        assert!(matches!(table.join(&key(1), &cache), KeyRole::Cached(_)));
+        let k = key(1);
+        let (_, leader) = join(&table, &k, &cache);
+        let mut leader = leader.expect("leads");
+        leader.set(0, FlightOutcome::Found(obj(1)));
+        drop(leader);
+        assert!(matches!(join(&table, &k, &cache), (KeyRole::Cached(_), None)));
     }
 
     #[test]
     fn dropped_guard_releases_waiters_as_failed() {
-        let table = Arc::new(FlightTable::new());
+        let table = FlightTable::new();
         let cache = ObjectCache::new(64);
-        let KeyRole::Leader(guard) = table.join(&key(1), &cache) else { panic!("leads") };
-        let KeyRole::Waiter(f) = table.join(&key(1), &cache) else { panic!("waits") };
-        drop(guard);
+        let k = key(1);
+        let (_, leader) = join(&table, &k, &cache);
+        let (KeyRole::Waiter(f), None) = join(&table, &k, &cache) else { panic!("waits") };
+        drop(leader);
         assert!(matches!(f.wait(), FlightOutcome::Failed));
         assert!(table.is_empty());
     }
 
     #[test]
+    fn a_leader_lands_the_slots_it_never_set_as_failed() {
+        let table = FlightTable::new();
+        let cache = ObjectCache::new(64);
+        let keys = [key(1), key(2)];
+        let (roles, leader) = table.join_group(&keys, &cache);
+        assert!(matches!(roles[..], [KeyRole::Leader(0), KeyRole::Leader(1)]));
+        let (theirs, None) = table.join_group(&keys, &cache) else { panic!("waits") };
+        let mut leader = leader.expect("leads");
+        leader.set(0, FlightOutcome::Found(obj(1)));
+        drop(leader);
+        let outcomes: Vec<FlightOutcome> = theirs
+            .iter()
+            .map(|r| match r {
+                KeyRole::Waiter(f) => f.wait(),
+                other => panic!("waits, not {other:?}"),
+            })
+            .collect();
+        assert!(matches!(outcomes[..], [FlightOutcome::Found(_), FlightOutcome::Failed]));
+        assert!(cache.probe(&keys[0]).is_some() && cache.probe(&keys[1]).is_none());
+        assert!(table.is_empty());
+    }
+
+    #[test]
     fn group_join_is_atomic_per_group() {
-        let table = Arc::new(FlightTable::new());
+        let table = FlightTable::new();
         let cache = ObjectCache::new(64);
         let keys: Vec<GlobalKey> = (0..8).map(key).collect();
-        let first = table.join_group(&keys, &cache);
-        assert!(first.iter().all(|r| matches!(r, KeyRole::Leader(_))));
-        let second = table.join_group(&keys, &cache);
+        let (first, leader) = table.join_group(&keys, &cache);
+        assert!(first.iter().enumerate().all(|(i, r)| matches!(r, KeyRole::Leader(s) if *s == i)));
+        let (second, none) = table.join_group(&keys, &cache);
         assert!(second.iter().all(|r| matches!(r, KeyRole::Waiter(_))));
-        drop(first);
-        drop(second);
+        assert!(none.is_none());
+        assert_eq!(table.len(), 8);
+        drop(leader);
         assert!(table.is_empty());
     }
 
     #[test]
     fn concurrent_joins_elect_a_single_leader() {
-        let table = Arc::new(FlightTable::new());
-        let cache = Arc::new(ObjectCache::new(64));
-        let barrier = Arc::new(std::sync::Barrier::new(8));
-        let handles: Vec<_> = (0..8)
-            .map(|_| {
-                let table = Arc::clone(&table);
-                let cache = Arc::clone(&cache);
-                let barrier = Arc::clone(&barrier);
-                std::thread::spawn(move || {
-                    barrier.wait();
-                    match table.join(&key(7), &cache) {
-                        KeyRole::Leader(guard) => {
-                            guard.publish(&cache, FlightOutcome::Found(obj(7)));
-                            1usize
+        let table = FlightTable::new();
+        let cache = ObjectCache::new(64);
+        let barrier = std::sync::Barrier::new(8);
+        let k = key(7);
+        let leaders: usize = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        match join(&table, &k, &cache) {
+                            (KeyRole::Leader(slot), Some(mut leader)) => {
+                                leader.set(slot, FlightOutcome::Found(obj(7)));
+                                1usize
+                            }
+                            (KeyRole::Waiter(f), None) => {
+                                assert!(matches!(f.wait(), FlightOutcome::Found(_)));
+                                0
+                            }
+                            (KeyRole::Cached(_), None) => 0,
+                            other => panic!("a role and its leader disagree: {other:?}"),
                         }
-                        KeyRole::Waiter(f) => {
-                            assert!(matches!(f.wait(), FlightOutcome::Found(_)));
-                            0
-                        }
-                        KeyRole::Cached(_) => 0,
-                    }
+                    })
                 })
-            })
-            .collect();
-        let leaders: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).sum()
+        });
         assert_eq!(leaders, 1, "one round trip for 8 concurrent joiners");
     }
 }

@@ -180,33 +180,38 @@ impl DocumentDb {
     }
 
     /// Batched point lookup (one simulated round trip). Missing ids are
-    /// skipped.
-    pub fn multi_get(&self, collection: &str, ids: &[&str]) -> Vec<(String, Value)> {
+    /// skipped; a document comes back beside the caller's id that found
+    /// it (the `_id` map matches the id's exact string).
+    pub fn multi_get<'k, K: AsRef<str>>(
+        &self,
+        collection: &str,
+        ids: &'k [K],
+    ) -> Vec<(&'k K, Value)> {
         let Some(coll) = self.collections.get(collection) else { return Vec::new() };
-        ids.iter().filter_map(|id| coll.get(id).map(|d| ((*id).to_owned(), d.clone()))).collect()
+        ids.iter().filter_map(|id| Some((id, coll.get(id.as_ref())?.clone()))).collect()
     }
 
     /// Batched point lookup with a store-side filter: one simulated round
     /// trip that returns only the documents matching `filter`, plus the
     /// ids whose document exists but fails the filter (so callers can tell
     /// filtered-out apart from missing).
-    pub fn multi_get_where(
+    pub fn multi_get_where<'k, K: AsRef<str>>(
         &self,
         collection: &str,
-        ids: &[&str],
+        ids: &'k [K],
         filter: &Filter,
-    ) -> (Vec<(String, Value)>, Vec<String>) {
+    ) -> (Vec<(&'k K, Value)>, Vec<&'k K>) {
         let Some(coll) = self.collections.get(collection) else {
             return (Vec::new(), Vec::new());
         };
         let mut matched = Vec::new();
         let mut rejected = Vec::new();
         for id in ids {
-            let Some(doc) = coll.get(id) else { continue };
+            let Some(doc) = coll.get(id.as_ref()) else { continue };
             if filter.matches(doc) {
-                matched.push(((*id).to_owned(), doc.clone()));
+                matched.push((id, doc.clone()));
             } else {
-                rejected.push((*id).to_owned());
+                rejected.push(id);
             }
         }
         (matched, rejected)
@@ -394,7 +399,7 @@ mod tests {
         assert!(db.get("albums", "zzz").is_none());
         let got = db.multi_get("albums", &["d3", "nope", "d1"]);
         assert_eq!(got.len(), 2);
-        assert_eq!(got[0].0, "d3");
+        assert_eq!(*got[0].0, "d3");
     }
 
     #[test]

@@ -192,9 +192,10 @@ impl GraphDb {
         true
     }
 
-    /// Batched point lookup; missing ids are skipped.
-    pub fn multi_get(&self, ids: &[&str]) -> Vec<&Node> {
-        ids.iter().filter_map(|id| self.get(id)).collect()
+    /// Batched point lookup; missing ids are skipped, and a node comes
+    /// back beside the caller's id that found it.
+    pub fn multi_get<'k, K: AsRef<str>>(&self, ids: &'k [K]) -> Vec<(&'k K, &Node)> {
+        ids.iter().filter_map(|id| Some((id, self.get(id.as_ref())?))).collect()
     }
 
     /// Batched point lookup with a store-side node predicate: one
@@ -202,19 +203,19 @@ impl GraphDb {
     /// plus the ids whose node exists but fails it (so callers can tell
     /// filtered-out apart from missing). This is the traversal-filter
     /// form the graph query language applies to `MATCH … WHERE`.
-    pub fn multi_get_where<'a>(
+    pub fn multi_get_where<'a, 'k, K: AsRef<str>>(
         &'a self,
-        ids: &[&str],
+        ids: &'k [K],
         pred: &dyn Fn(&Node) -> bool,
-    ) -> (Vec<&'a Node>, Vec<String>) {
+    ) -> (Vec<(&'k K, &'a Node)>, Vec<&'k K>) {
         let mut matched = Vec::new();
         let mut rejected = Vec::new();
         for id in ids {
-            let Some(node) = self.get(id) else { continue };
+            let Some(node) = self.get(id.as_ref()) else { continue };
             if pred(node) {
-                matched.push(node);
+                matched.push((id, node));
             } else {
-                rejected.push((*id).to_owned());
+                rejected.push(id);
             }
         }
         (matched, rejected)

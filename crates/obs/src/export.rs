@@ -352,7 +352,7 @@ mod tests {
         r.record_link_event("kv", Stage::Fetch, Duration::from_nanos(3));
         r.record_link_event("kv", Stage::Fetch, Duration::from_nanos(5));
         r.record_backoff("kv", Duration::from_nanos(2));
-        r.record_cache_probe(true);
+        r.record_cache_probes(1, 0);
         let mut s = r.snapshot();
         s.fold_resilience("kv", 1, 0, 0);
         s

@@ -35,7 +35,7 @@ pub use registry::{
     StageMetrics, StoreMetrics, TRACE_CAPACITY,
 };
 pub use span::{
-    enter_stage, observe, record_backoff, record_breaker_rejection, record_cache_probe,
+    enter_stage, observe, record_backoff, record_breaker_rejection, record_cache_probes,
     record_fault, record_link_event, record_pushdown_chosen, record_pushdown_declined,
     record_pushdown_fallback, record_pushdown_latency, span_on, ContextGuard, SpanGuard, Stage,
     StageGuard, TraceEvent,

@@ -174,12 +174,13 @@ impl MetricsRegistry {
         self.store(store).pushdown_latency.record(sim_cost);
     }
 
-    /// Counts one LRU cache probe.
-    pub fn record_cache_probe(&self, hit: bool) {
-        if hit {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.cache_misses.fetch_add(1, Ordering::Relaxed);
+    /// Counts LRU cache probes: `hits` that hit, `misses` that missed.
+    pub fn record_cache_probes(&self, hits: u64, misses: u64) {
+        if hits > 0 {
+            self.cache_hits.fetch_add(hits, Ordering::Relaxed);
+        }
+        if misses > 0 {
+            self.cache_misses.fetch_add(misses, Ordering::Relaxed);
         }
     }
 
@@ -526,8 +527,7 @@ mod tests {
         r.set_enabled(true);
         r.record_link_event(name, Stage::Fetch, Duration::from_nanos(nanos));
         r.record_backoff(name, Duration::from_nanos(nanos / 2));
-        r.record_cache_probe(true);
-        r.record_cache_probe(false);
+        r.record_cache_probes(1, 1);
         r.record_fault(name);
         r.snapshot()
     }

@@ -167,9 +167,10 @@ pub fn record_fault(store: &str) {
     with_context(|ctx| ctx.registry.record_fault(store));
 }
 
-/// Reports one LRU cache probe (attributed to [`Stage::Cache`]).
-pub fn record_cache_probe(hit: bool) {
-    with_context(|ctx| ctx.registry.record_cache_probe(hit));
+/// Reports LRU cache probes, `hits` of them hits and `misses` misses
+/// (attributed to [`Stage::Cache`]).
+pub fn record_cache_probes(hits: u64, misses: u64) {
+    with_context(|ctx| ctx.registry.record_cache_probes(hits, misses));
 }
 
 /// Reports that the planner chose the pushdown strategy for one store
@@ -287,7 +288,7 @@ mod tests {
     #[test]
     fn no_context_means_no_records() {
         record_link_event("x", Duration::from_micros(1));
-        record_cache_probe(true);
+        record_cache_probes(1, 0);
         // Nothing to assert against — the point is that this never panics
         // and costs one thread-local read.
     }

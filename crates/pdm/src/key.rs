@@ -85,11 +85,13 @@ interned_name!(
 
 /// A polystore-wide object identifier: `database.collection.key`.
 ///
-/// `GlobalKey` is the currency of the A' index and of every augmenter; it is
-/// cheap to clone (three `Arc<str>`s) and hashes in constant time: a content
-/// hash of the segments is computed once at construction, so the hash-map
-/// operations on the hot path (index interning, cache shards, round-trip
-/// grouping) never re-walk the strings.
+/// `GlobalKey` is the currency of the A' index and of every augmenter, so
+/// it is one pointer: an `Arc` of its three names and a content hash of
+/// them computed once at construction. A clone is one reference-count
+/// increment on the key's own header (never on the name strings other
+/// keys share), equal handles compare by pointer before they compare by
+/// content, and the hash-map operations on the hot path (index interning,
+/// cache shards, round-trip grouping) never re-walk the strings.
 ///
 /// ```
 /// use quepa_pdm::GlobalKey;
@@ -99,8 +101,10 @@ interned_name!(
 /// assert_eq!(k.key().as_str(), "s8");
 /// assert_eq!(k.to_string(), "transactions.sales.s8");
 /// ```
-#[derive(Debug, Clone)]
-pub struct GlobalKey {
+#[derive(Clone)]
+pub struct GlobalKey(Arc<Segments>);
+
+struct Segments {
     database: DatabaseName,
     collection: CollectionName,
     key: LocalKey,
@@ -129,14 +133,14 @@ impl GlobalKey {
     /// Assembles a global key from its three segments.
     pub fn new(database: DatabaseName, collection: CollectionName, key: LocalKey) -> Self {
         let hash = fnv1a_segments([database.as_str(), collection.as_str(), key.as_str()]);
-        GlobalKey { database, collection, key, hash }
+        GlobalKey(Arc::new(Segments { database, collection, key, hash }))
     }
 
     /// The content hash computed at construction. Stable across clones and
     /// across independently constructed equal keys (but not across
     /// processes or versions — do not persist it).
     pub fn precomputed_hash(&self) -> u64 {
-        self.hash
+        self.0.hash
     }
 
     /// Convenience constructor from raw strings.
@@ -154,27 +158,41 @@ impl GlobalKey {
 
     /// The database segment.
     pub fn database(&self) -> &DatabaseName {
-        &self.database
+        &self.0.database
     }
 
     /// The collection segment.
     pub fn collection(&self) -> &CollectionName {
-        &self.collection
+        &self.0.collection
     }
 
     /// The local-key segment.
     pub fn key(&self) -> &LocalKey {
-        &self.key
+        &self.0.key
+    }
+}
+
+impl fmt::Debug for GlobalKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("GlobalKey")
+            .field("database", &self.0.database)
+            .field("collection", &self.0.collection)
+            .field("key", &self.0.key)
+            .field("hash", &self.0.hash)
+            .finish()
     }
 }
 
 impl PartialEq for GlobalKey {
     fn eq(&self, other: &Self) -> bool {
-        // The cached hash rejects almost all unequal keys in one compare.
-        self.hash == other.hash
-            && self.key == other.key
-            && self.collection == other.collection
-            && self.database == other.database
+        // One handle compares by pointer; the cached hash rejects almost
+        // all unequal keys in one compare.
+        let (a, b) = (&*self.0, &*other.0);
+        Arc::ptr_eq(&self.0, &other.0)
+            || (a.hash == b.hash
+                && a.key == b.key
+                && a.collection == b.collection
+                && a.database == b.database)
     }
 }
 
@@ -182,7 +200,7 @@ impl Eq for GlobalKey {}
 
 impl std::hash::Hash for GlobalKey {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        state.write_u64(self.hash);
+        state.write_u64(self.0.hash);
     }
 }
 
@@ -196,16 +214,21 @@ impl Ord for GlobalKey {
     /// Lexicographic by segment (database, collection, key) — the cached
     /// hash plays no role in ordering.
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.database
-            .cmp(&other.database)
-            .then_with(|| self.collection.cmp(&other.collection))
-            .then_with(|| self.key.cmp(&other.key))
+        if Arc::ptr_eq(&self.0, &other.0) {
+            return std::cmp::Ordering::Equal;
+        }
+        let (a, b) = (&*self.0, &*other.0);
+        a.database
+            .cmp(&b.database)
+            .then_with(|| a.collection.cmp(&b.collection))
+            .then_with(|| a.key.cmp(&b.key))
     }
 }
 
 impl fmt::Display for GlobalKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}{SEPARATOR}{}{SEPARATOR}{}", self.database, self.collection, self.key)
+        let s = &*self.0;
+        write!(f, "{}{SEPARATOR}{}{SEPARATOR}{}", s.database, s.collection, s.key)
     }
 }
 
@@ -295,5 +318,11 @@ mod tests {
         a.hash(&mut h1);
         b.hash(&mut h2);
         assert_eq!(h1.finish(), h2.finish());
+    }
+
+    #[test]
+    fn key_is_one_pointer() {
+        assert_eq!(std::mem::size_of::<GlobalKey>(), std::mem::size_of::<usize>());
+        assert_eq!(std::mem::size_of::<Option<GlobalKey>>(), std::mem::size_of::<usize>());
     }
 }

@@ -35,8 +35,15 @@ impl DocumentConnector {
             _ => return Err(self.link.store_error("document lacks a usable _id")),
         };
         let local = LocalKey::new(&id).map_err(|e| self.link.store_error(e))?;
+        Ok(self.object_keyed(collection, local, doc))
+    }
+
+    /// Builds an object from a document found by its `_id` `local`: the
+    /// engine's id map matched that exact string, so the caller's key is
+    /// the document's own and nothing is re-derived or allocated for it.
+    fn object_keyed(&self, collection: &CollectionName, local: LocalKey, doc: Value) -> DataObject {
         let key = GlobalKey::new(self.database().clone(), collection.clone(), local);
-        Ok(DataObject::new(key, doc))
+        DataObject::new(key, doc)
     }
 }
 
@@ -105,19 +112,16 @@ impl Connector for DocumentConnector {
         // decimal rendering) are evaluated on what the engine returns,
         // before anything is charged to the wire.
         let (native, residual) = filter.map(split_for_doc_filter).unzip();
-        let key_strs: Vec<&str> = keys.iter().map(LocalKey::as_str).collect();
         let db = self.db.read();
         let (pairs, rejected) = match &native {
-            Some(native) => db.multi_get_where(collection.as_str(), &key_strs, native),
-            None => (db.multi_get(collection.as_str(), &key_strs), Vec::new()),
+            Some(native) => db.multi_get_where(collection.as_str(), keys, native),
+            None => (db.multi_get(collection.as_str(), keys), Vec::new()),
         };
         drop(db);
         let mut out = FilteredFetch::default();
-        for id in rejected {
-            out.rejected.push(LocalKey::new(&id).map_err(|e| self.link.store_error(e))?);
-        }
-        for (_, doc) in pairs {
-            let object = self.object_from_doc(collection, doc)?;
+        out.rejected.extend(rejected.into_iter().cloned());
+        for (id, doc) in pairs {
+            let object = self.object_keyed(collection, id.clone(), doc);
             let key = object.key().key();
             if residual.as_ref().is_none_or(|r: &Pushdown| r.matches(key.as_str(), object.value()))
             {

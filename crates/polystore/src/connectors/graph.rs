@@ -28,15 +28,32 @@ impl GraphConnector {
     fn object_from_node(&self, node: &Node) -> Result<DataObject> {
         let collection = node.label.to_lowercase();
         let coll = CollectionName::new(&collection).map_err(|e| self.link.store_error(e))?;
-        self.object_from_node_in(&coll, node)
+        let local = LocalKey::new(&node.id).map_err(|e| self.link.store_error(e))?;
+        Ok(self.object_keyed(&coll, local, node))
     }
 
-    /// Builds an object from a node whose collection (lowercased label) is
-    /// already interned — the per-object cost is just the local key.
-    fn object_from_node_in(&self, collection: &CollectionName, node: &Node) -> Result<DataObject> {
-        let local = LocalKey::new(&node.id).map_err(|e| self.link.store_error(e))?;
+    /// Builds an object from a node found by its id `local`: the id map
+    /// matched that exact string, so the caller's key is the node's own.
+    fn object_keyed(
+        &self,
+        collection: &CollectionName,
+        local: LocalKey,
+        node: &Node,
+    ) -> DataObject {
         let key = GlobalKey::new(self.database().clone(), collection.clone(), local);
-        Ok(DataObject::new(key, node.to_value()))
+        DataObject::new(key, node.to_value())
+    }
+}
+
+/// `label.to_lowercase() == lower`, without allocating for an ASCII
+/// label: its lowercase is its bytes lowercased one by one. Other labels
+/// take `to_lowercase` itself (context rules such as the final sigma).
+fn lowercases_to(label: &str, lower: &str) -> bool {
+    if label.is_ascii() {
+        label.len() == lower.len()
+            && label.bytes().zip(lower.bytes()).all(|(a, b)| a.to_ascii_lowercase() == b)
+    } else {
+        label.to_lowercase() == lower
     }
 }
 
@@ -98,26 +115,25 @@ impl Connector for GraphConnector {
         filter: Option<&Pushdown>,
     ) -> Result<FilteredFetch> {
         let db = self.db.read();
-        let key_strs: Vec<&str> = keys.iter().map(LocalKey::as_str).collect();
-        let visible = |n: &Node| n.label.to_lowercase() == collection.as_str();
+        let visible = |n: &Node| lowercases_to(&n.label, collection.as_str());
         // The traversal filter: label *and* predicate are applied at the
         // node before it leaves the store.
         let (nodes, rejected) = match filter {
-            None => (db.multi_get(&key_strs).into_iter().filter(|n| visible(n)).collect(), vec![]),
-            Some(filter) => db.multi_get_where(&key_strs, &|n: &Node| {
+            None => (db.multi_get(keys).into_iter().filter(|(_, n)| visible(n)).collect(), vec![]),
+            Some(filter) => db.multi_get_where(keys, &|n: &Node| {
                 visible(n) && filter.matches(&n.id, &n.to_value())
             }),
         };
         let mut out = FilteredFetch::default();
-        for node in nodes {
-            out.matched.push(self.object_from_node_in(collection, node)?);
+        for (id, node) in nodes {
+            out.matched.push(self.object_keyed(collection, id.clone(), node));
         }
         // A node under a different label is invisible to this collection,
         // so it is dropped from the rejected list too — to the caller it
         // is simply not here, not filtered-out.
         for id in rejected {
-            if db.get(&id).is_some_and(visible) {
-                out.rejected.push(LocalKey::new(&id).map_err(|e| self.link.store_error(e))?);
+            if db.get(id.as_str()).is_some_and(visible) {
+                out.rejected.push(id.clone());
             }
         }
         drop(db);
@@ -129,7 +145,7 @@ impl Connector for GraphConnector {
         let db = self.db.read();
         let objects: Result<Vec<DataObject>> = db
             .all_nodes()
-            .filter(|n| n.label.to_lowercase() == collection.as_str())
+            .filter(|n| lowercases_to(&n.label, collection.as_str()))
             .map(|n| self.object_from_node(n))
             .collect();
         drop(db);
@@ -191,6 +207,22 @@ mod tests {
             )
             .unwrap();
         assert_eq!(got.len(), 1);
+    }
+
+    #[test]
+    fn label_comparison_agrees_with_to_lowercase() {
+        let labels =
+            ["Song", "song", "SONG", "Album", "ΑΣ", "Σ", "ΟΔΟΣ Α", "İstanbul", "Straße", ""];
+        for label in labels {
+            for other in labels {
+                let want = label.to_lowercase() == other.to_lowercase();
+                assert_eq!(lowercases_to(label, &other.to_lowercase()), want, "{label} vs {other}");
+            }
+            assert!(lowercases_to(label, &label.to_lowercase()), "{label}");
+            assert!(!lowercases_to(label, "x"), "{label}");
+        }
+        // An ASCII label never lowercases to a non-ASCII name.
+        assert!(!lowercases_to("K", "\u{212a}"));
     }
 
     #[test]

@@ -44,8 +44,15 @@ impl RelationalConnector {
             }
         };
         let local = LocalKey::new(&pk).map_err(|e| self.link.store_error(e))?;
+        Ok(self.object_keyed(table, local, row))
+    }
+
+    /// Builds an object from a row found by its primary key `local`: the
+    /// engine's key index matched that exact string, so the caller's key
+    /// is the row's own and nothing is re-derived or allocated for it.
+    fn object_keyed(&self, table: &CollectionName, local: LocalKey, row: ResultRow) -> DataObject {
         let key = GlobalKey::new(self.database().clone(), table.clone(), local);
-        Ok(DataObject::new(key, Value::Object(row)))
+        DataObject::new(key, Value::Object(row))
     }
 }
 
@@ -117,26 +124,17 @@ impl Connector for RelationalConnector {
         // The engine's `WHERE pk IN (…) [AND <pred>]` access path:
         // rejected rows never leave the store, so only matches are charged.
         let db = self.db.read();
-        let key_strs: Vec<&str> = keys.iter().map(LocalKey::as_str).collect();
         let (rows, rejected) = match filter {
-            Some(filter) => db.multi_get_where(collection.as_str(), &key_strs, filter),
-            None => db.multi_get(collection.as_str(), &key_strs).map(|rows| (rows, Vec::new())),
+            Some(filter) => db.multi_get_where(collection.as_str(), keys, filter),
+            None => db.multi_get(collection.as_str(), keys).map(|rows| (rows, Vec::new())),
         }
         .map_err(|e| self.link.store_error(e))?;
-        let pk_col = db
-            .table(collection.as_str())
-            .map_err(|e| self.link.store_error(e))?
-            .pk_column()
-            .to_owned();
         drop(db);
         let matched: Vec<DataObject> = rows
             .into_iter()
-            .map(|(_, row)| self.object_from_row(collection, &pk_col, row))
-            .collect::<Result<_>>()?;
-        let rejected: Vec<LocalKey> = rejected
-            .into_iter()
-            .map(|k| LocalKey::new(&k).map_err(|e| self.link.store_error(e)))
-            .collect::<Result<_>>()?;
+            .map(|(key, row)| self.object_keyed(collection, key.clone(), row))
+            .collect();
+        let rejected: Vec<LocalKey> = rejected.into_iter().cloned().collect();
         self.link.charge_fetch(&matched, filter.is_some());
         Ok(FilteredFetch { matched, rejected })
     }

@@ -16,8 +16,9 @@ use crate::sql::parser::parse_statement;
 pub type ResultRow = BTreeMap<String, Value>;
 
 /// The result of a predicated keyed lookup: matching `(pk, row)` pairs
-/// plus the keys whose row exists but fails the predicate.
-pub type FilteredRows = (Vec<(String, ResultRow)>, Vec<String>);
+/// plus the keys whose row exists but fails the predicate — each key the
+/// caller's own.
+pub type FilteredRows<'k, K> = (Vec<(&'k K, ResultRow)>, Vec<&'k K>);
 
 /// One table: schema + row storage + indexes.
 ///
@@ -458,16 +459,15 @@ impl Database {
     }
 
     /// Batched point lookup: one "round trip" for many keys. Missing keys
-    /// are skipped.
-    pub fn multi_get(&self, table: &str, pks: &[&str]) -> Result<Vec<(String, ResultRow)>> {
+    /// are skipped; a row comes back beside the caller's key that found
+    /// it (the primary-key index matches the key's exact string).
+    pub fn multi_get<'k, K: AsRef<str>>(
+        &self,
+        table: &str,
+        pks: &'k [K],
+    ) -> Result<Vec<(&'k K, ResultRow)>> {
         let t = self.table(table)?;
-        let mut out = Vec::with_capacity(pks.len());
-        for pk in pks {
-            if let Some(row) = t.get(pk) {
-                out.push(((*pk).to_owned(), row));
-            }
-        }
-        Ok(out)
+        Ok(pks.iter().filter_map(|pk| Some((pk, t.get(pk.as_ref())?))).collect())
     }
 
     /// Keyed lookup with a store-side predicate — the `SELECT … WHERE pk
@@ -475,23 +475,23 @@ impl Database {
     /// predicate applied before the row leaves the engine. Returns the
     /// matching rows plus the keys whose row exists but fails the
     /// predicate, so callers can tell filtered-out apart from missing.
-    pub fn multi_get_where(
+    pub fn multi_get_where<'k, K: AsRef<str>>(
         &self,
         table: &str,
-        pks: &[&str],
+        pks: &'k [K],
         pred: &Pushdown,
-    ) -> Result<FilteredRows> {
+    ) -> Result<FilteredRows<'k, K>> {
         let t = self.table(table)?;
         let mut matched = Vec::new();
         let mut rejected = Vec::new();
         for pk in pks {
-            let Some(row) = t.get(pk) else { continue };
+            let Some(row) = t.get(pk.as_ref()) else { continue };
             let value = Value::Object(row);
-            if pred.matches(pk, &value) {
+            if pred.matches(pk.as_ref(), &value) {
                 let Value::Object(row) = value else { unreachable!() };
-                matched.push(((*pk).to_owned(), row));
+                matched.push((pk, row));
             } else {
-                rejected.push((*pk).to_owned());
+                rejected.push(pk);
             }
         }
         Ok((matched, rejected))
@@ -633,7 +633,7 @@ mod tests {
         assert!(db.get("inventory", "zzz").unwrap().is_none());
         let batch = db.multi_get("inventory", &["a34", "missing", "a32"]).unwrap();
         assert_eq!(batch.len(), 2);
-        assert_eq!(batch[0].0, "a34");
+        assert_eq!(*batch[0].0, "a34");
     }
 
     #[test]

@@ -7,7 +7,7 @@ use quepa_core::Quepa;
 use quepa_docstore::DocumentDb;
 use quepa_graphstore::GraphDb;
 use quepa_kvstore::KvStore;
-use quepa_pdm::{GlobalKey, Probability, Value};
+use quepa_pdm::{CollectionName, DatabaseName, GlobalKey, LocalKey, Probability, Value};
 use quepa_polystore::{
     Deployment, DocumentConnector, GraphConnector, KvConnector, Polystore, RelationalConnector,
 };
@@ -212,27 +212,27 @@ impl BuiltPolystore {
         // matchings to the sale lines that reference it. The graph is
         // uniformly dense by construction (§VII-A: "queries of the same
         // size return answers with a comparable number of data objects").
+        // Every key of one collection shares that collection's two names.
+        let copies_of: Vec<[Collection; 3]> = suffixes
+            .iter()
+            .map(|suffix| {
+                [
+                    Collection::new(&format!("transactions{suffix}"), "inventory"),
+                    Collection::new(&format!("catalogue{suffix}"), "albums"),
+                    Collection::new(&format!("similar{suffix}"), "album"),
+                ]
+            })
+            .collect();
+        let discounts = Collection::new("discount", "drop");
         for album in &data.albums {
             let mut copies: Vec<GlobalKey> = Vec::with_capacity(2 + 3 * suffixes.len());
-            for suffix in &suffixes {
-                copies.push(key(
-                    &format!("transactions{suffix}"),
-                    "inventory",
-                    &format!("a{}", album.seq),
-                ));
-                copies.push(key(
-                    &format!("catalogue{suffix}"),
-                    "albums",
-                    &format!("d{}", album.seq),
-                ));
-                copies.push(key(&format!("similar{suffix}"), "album", &format!("g{}", album.seq)));
+            for [inventory, albums, similar] in &copies_of {
+                copies.push(inventory.key(format!("a{}", album.seq)));
+                copies.push(albums.key(format!("d{}", album.seq)));
+                copies.push(similar.key(format!("g{}", album.seq)));
             }
             if album.discounted {
-                copies.push(key(
-                    "discount",
-                    "drop",
-                    &discount_key(album.seq, &album.artist, &album.title),
-                ));
+                copies.push(discounts.key(discount_key(album.seq, &album.artist, &album.title)));
             }
             // Chain inserts; transitivity materializes the clique.
             let p = Probability::of(0.90 + 0.0005 * (album.seq % 100) as f64 / 10.0);
@@ -242,13 +242,17 @@ impl BuiltPolystore {
         }
         // Sale ↔ line ↔ item matchings (base store only: replicas share the
         // identity cliques, so the consistency condition spreads these).
+        let [inventory, ..] = &copies_of[0];
+        let sales = Collection::new("transactions", "sales");
+        let customers = Collection::new("catalogue", "customers");
+        let lines = Collection::new("transactions", "sales_details");
         for sale in &data.sales {
-            let sale_key = key("transactions", "sales", &format!("s{}", sale.seq));
-            let customer_key = key("catalogue", "customers", &format!("c{}", sale.customer));
+            let sale_key = sales.key(format!("s{}", sale.seq));
+            let customer_key = customers.key(format!("c{}", sale.customer));
             index.insert_matching(&sale_key, &customer_key, Probability::of(0.75));
             for (j, item) in sale.items.iter().enumerate() {
-                let line_key = key("transactions", "sales_details", &format!("i{}_{j}", sale.seq));
-                let item_key = key("transactions", "inventory", &format!("a{item}"));
+                let line_key = lines.key(format!("i{}_{j}", sale.seq));
+                let item_key = inventory.key(format!("a{item}"));
                 index.insert_matching(&sale_key, &line_key, Probability::of(0.99));
                 index.insert_matching(&line_key, &item_key, Probability::of(0.7));
             }
@@ -263,8 +267,21 @@ impl BuiltPolystore {
     }
 }
 
-fn key(db: &str, coll: &str, local: &str) -> GlobalKey {
-    GlobalKey::parse_parts(db, coll, local).expect("generated keys are valid")
+/// The names of one generated collection, shared by all of its keys.
+struct Collection(DatabaseName, CollectionName);
+
+impl Collection {
+    fn new(database: &str, collection: &str) -> Self {
+        Collection(
+            DatabaseName::new(database).expect("generated names are valid"),
+            CollectionName::new(collection).expect("generated names are valid"),
+        )
+    }
+
+    fn key(&self, local: String) -> GlobalKey {
+        let local = LocalKey::new(local).expect("generated keys are valid");
+        GlobalKey::new(self.0.clone(), self.1.clone(), local)
+    }
 }
 
 /// The Redis key of an album's discount, e.g. `k7:the-lovemi:broken-wish-7`.
@@ -288,6 +305,10 @@ fn slug(s: &str) -> String {
 mod tests {
     use super::*;
     use quepa_aindex::IndexView;
+
+    fn key(db: &str, coll: &str, local: &str) -> GlobalKey {
+        GlobalKey::parse_parts(db, coll, local).unwrap()
+    }
 
     fn small(replica_sets: usize) -> BuiltPolystore {
         BuiltPolystore::build(WorkloadConfig {
