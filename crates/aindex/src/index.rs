@@ -1,58 +1,49 @@
 //! The A' index ledger: the write side of the index.
 //!
 //! [`AIndex`] owns everything a mutation has to decide — key interning,
-//! liveness, the edge list with its pair index and lineage, transitivity
-//! materialization, the Consistency Condition — plus the point lookups
-//! those rules and the serializers read. It does not traverse: the
-//! augmentation primitive lives once, in [`crate::shard::IndexView`].
+//! liveness and incarnations, the edge list with its pair index,
+//! transitivity materialization, the Consistency Condition — plus the
+//! point lookups those rules and the serializers read. It does not
+//! traverse: the augmentation primitive lives once, in
+//! [`crate::shard::IndexView`].
 //!
-//! Layout: `GlobalKey`s are interned to dense `u32` node ids on
-//! insertion and adjacency lives in an incrementally compacted CSR
-//! (compressed sparse row) structure of edge ids.
+//! Layout: the ledger shares its projection's id space. A new key takes
+//! the next slot of its home shard, so a ledger node id *is* the packed
+//! `(slot << 4) | shard` reference the read side addresses it by. Each
+//! shard's slots hold key, liveness, incarnation and an incrementally
+//! compacted CSR (compressed sparse row) list of edge ids.
 
 use std::collections::HashMap;
 
 use quepa_pdm::{GlobalKey, Probability, RelationKind};
 
-/// Node handle inside the index.
-type NodeId = u32;
+use crate::shard::{make_ref, route, shard_of, slot_of, NodeRef, SHARD_COUNT};
+
+/// Node handle inside the index: the node's shard reference.
+type NodeId = NodeRef;
 /// Edge handle inside the index.
 type EdgeId = u32;
 
-/// Where an edge came from — the lineage system.
+/// Where an edge came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EdgeOrigin {
     /// Inserted by the Collector (or by hand).
     Direct,
-    /// Materialized by transitivity / the Consistency Condition from two
-    /// parent edges.
-    Inferred(EdgeId, EdgeId),
+    /// Materialized by transitivity / the Consistency Condition. Deleting
+    /// a relation keeps the edges inferred from it (§III-C(b)).
+    Inferred,
     /// Added by p-relation promotion from a frequently traversed path.
     Promoted,
 }
 
-/// What to do with inferred edges when one of their parents is deleted.
-///
-/// The paper (§III-C(b)) opts to *keep* inferred p-relations when the
-/// relation they were inferred from is deleted, and mentions a lineage
-/// system for "use cases that require data oblivion" as future work — both
-/// behaviours are available here.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DeletionPolicy {
-    /// Keep edges inferred through the deleted one (the paper's default).
-    #[default]
-    Keep,
-    /// Cascade: delete everything whose lineage passes through the deleted
-    /// edge (data oblivion).
-    Cascade,
-}
-
+/// One p-relation. The endpoints keep the orientation of the insertion
+/// that created the edge, which is the order serialization writes them in.
 #[derive(Debug, Clone)]
 struct Edge {
     a: NodeId,
     b: NodeId,
-    kind: RelationKind,
     prob: Probability,
+    kind: RelationKind,
     origin: EdgeOrigin,
     alive: bool,
 }
@@ -102,7 +93,7 @@ impl IndexStats {
             RelationKind::Matching => self.matching_edges += 1,
         }
         match origin {
-            EdgeOrigin::Inferred(..) => self.inferred_edges += 1,
+            EdgeOrigin::Inferred => self.inferred_edges += 1,
             EdgeOrigin::Promoted => self.promoted_edges += 1,
             EdgeOrigin::Direct => {}
         }
@@ -138,7 +129,7 @@ impl CsrAdjacency {
         self.offsets.len().saturating_sub(1)
     }
 
-    fn push_edge(&mut self, n: NodeId, eid: EdgeId) {
+    fn push_edge(&mut self, n: u32, eid: EdgeId) {
         self.overflow[n as usize].push(eid);
         self.overflow_len += 1;
         if self.overflow_len > 64 && self.overflow_len * 4 > self.packed.len() {
@@ -172,25 +163,31 @@ impl CsrAdjacency {
     }
 
     /// All edge ids of `n`, in insertion order.
-    fn edges_of(&self, n: NodeId) -> impl Iterator<Item = EdgeId> + '_ {
+    fn edges_of(&self, n: u32) -> impl Iterator<Item = EdgeId> + '_ {
         let i = n as usize;
         self.segment(i).iter().copied().chain(self.overflow[i].iter().copied())
     }
 }
 
+/// One shard's nodes, indexed by slot.
+#[derive(Debug, Clone, Default)]
+struct Slots {
+    keys: Vec<GlobalKey>,
+    alive: Vec<bool>,
+    /// Times each node was resurrected after a lazy deletion. A half-edge
+    /// recorded under an older incarnation stays invisible.
+    incs: Vec<u32>,
+    adjacency: CsrAdjacency,
+}
+
 /// One entry of the mutation journal (see [`AIndex::set_journaling`]).
-/// `Revived` implies `Touched`; a consumer rebuilds the projected state
-/// of every touched node from the ledger, so the ops only need to
-/// distinguish the transitions that are not derivable from the end state
-/// alone (a revived node needs its incarnation counter bumped, an
-/// unlinked node needs no rebuild at all).
+/// A consumer rebuilds the projected state of every touched node from
+/// the ledger, so the ops only need to tell a rebuild from a change that
+/// needs none.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum JournalOp {
-    /// A lazily deleted node was resurrected by re-insertion.
-    Revived(NodeId),
-    /// A node's liveness or incident-edge set changed, or it was interned
-    /// for the first time (its id is past the consumer's last-seen
-    /// [`interned_len`](AIndex::interned_len)).
+    /// A node's liveness, incarnation or incident-edge set changed, or it
+    /// was interned for the first time.
     Touched(NodeId),
     /// A live node lost an edge to a node `remove_object` just killed. Its
     /// projected state needs no rebuild (the dead endpoint hides the edge
@@ -203,16 +200,11 @@ pub(crate) enum JournalOp {
 /// [`IndexView`](crate::shard::IndexView).
 #[derive(Debug, Clone, Default)]
 pub struct AIndex {
-    keys: Vec<GlobalKey>,
-    alive_node: Vec<bool>,
+    shards: [Slots; SHARD_COUNT],
     ids: HashMap<GlobalKey, NodeId>,
-    adjacency: CsrAdjacency,
     edges: Vec<Edge>,
     /// (min(a,b), max(a,b), kind) → edge id, for dedup.
     pair_index: HashMap<(NodeId, NodeId, RelationKind), EdgeId>,
-    /// parent edge → edges inferred from it (lineage children).
-    children: HashMap<EdgeId, Vec<EdgeId>>,
-    policy: DeletionPolicy,
     /// Mutation journal for the sharded projection layer; empty and
     /// unmaintained unless journaling is on (a bare ledger pays nothing).
     journal: Vec<JournalOp>,
@@ -220,35 +212,34 @@ pub struct AIndex {
 }
 
 impl AIndex {
-    /// Creates an empty index with the default (Keep) deletion policy.
+    /// Creates an empty index.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Creates an empty index with an explicit deletion policy.
-    pub fn with_policy(policy: DeletionPolicy) -> Self {
-        AIndex { policy, ..Self::default() }
-    }
-
+    /// The node of `key`, creating it in the next slot of its home shard
+    /// if the key is new and resurrecting it (next incarnation) if it was
+    /// lazily deleted.
     fn intern(&mut self, key: &GlobalKey) -> NodeId {
         if let Some(&id) = self.ids.get(key) {
-            // Re-inserting a lazily deleted key resurrects the node.
-            if !self.alive_node[id as usize] {
-                self.alive_node[id as usize] = true;
-                if self.journaling {
-                    self.journal.push(JournalOp::Revived(id));
-                }
+            let slots = &mut self.shards[shard_of(id)];
+            let slot = slot_of(id) as usize;
+            if !slots.alive[slot] {
+                slots.alive[slot] = true;
+                slots.incs[slot] += 1;
+                self.journal_touched(id);
             }
             return id;
         }
-        let id = self.keys.len() as NodeId;
-        self.keys.push(key.clone());
-        self.alive_node.push(true);
-        self.adjacency.add_node();
+        let shard = route(key);
+        let slots = &mut self.shards[shard];
+        let id = make_ref(shard, slots.keys.len() as u32);
+        slots.keys.push(key.clone());
+        slots.alive.push(true);
+        slots.incs.push(0);
+        slots.adjacency.add_node();
         self.ids.insert(key.clone(), id);
-        if self.journaling {
-            self.journal.push(JournalOp::Touched(id));
-        }
+        self.journal_touched(id);
         id
     }
 
@@ -269,33 +260,46 @@ impl AIndex {
         std::mem::take(&mut self.journal)
     }
 
-    /// Total interned nodes (live and dead) — the dense id space.
-    pub(crate) fn interned_len(&self) -> usize {
-        self.keys.len()
+    fn journal_touched(&mut self, n: NodeId) {
+        if self.journaling {
+            self.journal.push(JournalOp::Touched(n));
+        }
+    }
+
+    // -- the shard slots the projection reads -------------------------------
+
+    /// Slots interned in `shard` (live and dead).
+    pub(crate) fn shard_len(&self, shard: usize) -> u32 {
+        self.shards[shard].keys.len() as u32
     }
 
     /// The key of an interned node.
     pub(crate) fn key_at(&self, n: NodeId) -> &GlobalKey {
-        &self.keys[n as usize]
+        &self.shards[shard_of(n)].keys[slot_of(n) as usize]
     }
 
     /// Whether an interned node is live.
     pub(crate) fn node_alive(&self, n: NodeId) -> bool {
-        self.alive_node[n as usize]
+        self.shards[shard_of(n)].alive[slot_of(n) as usize]
+    }
+
+    /// The current incarnation of an interned node.
+    pub(crate) fn inc_of(&self, n: NodeId) -> u32 {
+        self.shards[shard_of(n)].incs[slot_of(n) as usize]
     }
 
     /// Live incident edges of `n` whose other endpoint is also live, as
-    /// `(other, kind, probability, origin)`, in adjacency order.
+    /// `(other, kind, probability, origin)`, in insertion order.
     pub(crate) fn live_incident_of(
         &self,
         n: NodeId,
     ) -> impl Iterator<Item = (NodeId, RelationKind, Probability, EdgeOrigin)> + '_ {
-        self.incident(n).map(move |(_, e)| (e.other(n), e.kind, e.prob, e.origin))
+        self.incident(n).map(move |e| (e.other(n), e.kind, e.prob, e.origin))
     }
 
     fn node(&self, key: &GlobalKey) -> Option<NodeId> {
         let id = *self.ids.get(key)?;
-        self.alive_node[id as usize].then_some(id)
+        self.node_alive(id).then_some(id)
     }
 
     /// True if the key has a live node.
@@ -305,7 +309,7 @@ impl AIndex {
 
     /// Live-node count.
     pub fn node_count(&self) -> usize {
-        self.alive_node.iter().filter(|a| **a).count()
+        self.live_nodes().count()
     }
 
     /// Live-edge count (both kinds).
@@ -322,9 +326,16 @@ impl AIndex {
         s
     }
 
-    /// Iterates over the live keys.
+    /// Iterates over the live keys, shard by shard in slot order.
     pub fn keys(&self) -> impl Iterator<Item = &GlobalKey> {
-        self.keys.iter().enumerate().filter(|(i, _)| self.alive_node[*i]).map(|(_, k)| k)
+        self.live_nodes().map(|n| self.key_at(n))
+    }
+
+    /// The live nodes, shard by shard in slot order.
+    fn live_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
+        (0..SHARD_COUNT)
+            .flat_map(move |s| (0..self.shard_len(s)).map(move |i| make_ref(s, i)))
+            .filter(|&n| self.node_alive(n))
     }
 
     // -- edge plumbing -----------------------------------------------------
@@ -365,16 +376,15 @@ impl AIndex {
             e.prob = prob;
             e.origin = origin;
             e.alive = true;
-            self.register_lineage(eid, origin);
             self.journal_edge(a, b);
             return Some(eid);
         }
         let eid = self.edges.len() as EdgeId;
-        self.edges.push(Edge { a: key.0, b: key.1, kind, prob, origin, alive: true });
-        self.adjacency.push_edge(key.0, eid);
-        self.adjacency.push_edge(key.1, eid);
+        self.edges.push(Edge { a, b, prob, kind, origin, alive: true });
+        for n in [a, b] {
+            self.shards[shard_of(n)].adjacency.push_edge(slot_of(n), eid);
+        }
         self.pair_index.insert(key, eid);
-        self.register_lineage(eid, origin);
         self.journal_edge(a, b);
         Some(eid)
     }
@@ -388,7 +398,7 @@ impl AIndex {
         if !self.journaling {
             return;
         }
-        match (self.alive_node[a as usize], self.alive_node[b as usize]) {
+        match (self.node_alive(a), self.node_alive(b)) {
             (true, true) => {
                 self.journal.push(JournalOp::Touched(a));
                 self.journal.push(JournalOp::Touched(b));
@@ -399,27 +409,20 @@ impl AIndex {
         }
     }
 
-    fn register_lineage(&mut self, eid: EdgeId, origin: EdgeOrigin) {
-        if let EdgeOrigin::Inferred(p1, p2) = origin {
-            self.children.entry(p1).or_default().push(eid);
-            self.children.entry(p2).or_default().push(eid);
-        }
-    }
-
     fn edge_between(&self, a: NodeId, b: NodeId, kind: RelationKind) -> Option<EdgeId> {
         let eid = *self.pair_index.get(&Self::pair(a, b, kind))?;
         self.edges[eid as usize].alive.then_some(eid)
     }
 
     /// Live incident edges of a node.
-    fn incident(&self, n: NodeId) -> impl Iterator<Item = (EdgeId, &Edge)> {
-        self.adjacency.edges_of(n).filter_map(move |eid| {
+    fn incident(&self, n: NodeId) -> impl Iterator<Item = &Edge> {
+        self.shards[shard_of(n)].adjacency.edges_of(slot_of(n)).filter_map(move |eid| {
             let e = &self.edges[eid as usize];
-            (e.alive && self.alive_node[e.other(n) as usize]).then_some((eid, e))
+            (e.alive && self.node_alive(e.other(n))).then_some(e)
         })
     }
 
-    /// The live `kind` neighbours of `n` with edge ids and probabilities
+    /// The live `kind` neighbours of `n` with their edges' probabilities
     /// (for identity: the rest of its clique, by the closure invariant).
     ///
     /// Sorted by the neighbour's key, **not** adjacency order:
@@ -431,21 +434,18 @@ impl AIndex {
     /// checkpoint, whose adjacency order differs from the original
     /// insertion order, then replay the WAL tail) answer bit-identically
     /// to the never-crashed instance.
-    fn related(&self, n: NodeId, kind: RelationKind) -> Vec<(NodeId, EdgeId, Probability)> {
-        let mut out: Vec<_> = self
-            .incident(n)
-            .filter(|(_, e)| e.kind == kind)
-            .map(|(eid, e)| (e.other(n), eid, e.prob))
-            .collect();
-        out.sort_unstable_by(|x, y| self.keys[x.0 as usize].cmp(&self.keys[y.0 as usize]));
+    fn related(&self, n: NodeId, kind: RelationKind) -> Vec<(NodeId, Probability)> {
+        let mut out: Vec<_> =
+            self.incident(n).filter(|e| e.kind == kind).map(|e| (e.other(n), e.prob)).collect();
+        out.sort_unstable_by(|x, y| self.key_at(x.0).cmp(self.key_at(y.0)));
         out
     }
 
-    fn identity_clique(&self, n: NodeId) -> Vec<(NodeId, EdgeId, Probability)> {
+    fn identity_clique(&self, n: NodeId) -> Vec<(NodeId, Probability)> {
         self.related(n, RelationKind::Identity)
     }
 
-    fn matching_edges_of(&self, n: NodeId) -> Vec<(NodeId, EdgeId, Probability)> {
+    fn matching_edges_of(&self, n: NodeId) -> Vec<(NodeId, Probability)> {
         self.related(n, RelationKind::Matching)
     }
 
@@ -470,43 +470,25 @@ impl AIndex {
         };
 
         // Cross-materialize identities: x∈A×{b}, {a}×y∈B, and x∈A×y∈B.
-        // Each inferred edge records the two edges it composes, so cascade
-        // deletion can walk the lineage.
+        let inferred = EdgeOrigin::Inferred;
         let mut new_identity_edges: Vec<(NodeId, NodeId, EdgeId)> = vec![(na, nb, direct)];
-        for &(x, e_xa, p_xa) in &clique_a {
-            if let Some(eid) = self.add_edge(
-                x,
-                nb,
-                RelationKind::Identity,
-                p_xa.and(p),
-                EdgeOrigin::Inferred(e_xa, direct),
-            ) {
+        for &(x, p_xa) in &clique_a {
+            if let Some(eid) = self.add_edge(x, nb, RelationKind::Identity, p_xa.and(p), inferred) {
                 new_identity_edges.push((x, nb, eid));
             }
         }
-        for &(y, e_by, p_by) in &clique_b {
-            if let Some(eid) = self.add_edge(
-                na,
-                y,
-                RelationKind::Identity,
-                p.and(p_by),
-                EdgeOrigin::Inferred(direct, e_by),
-            ) {
+        for &(y, p_by) in &clique_b {
+            if let Some(eid) = self.add_edge(na, y, RelationKind::Identity, p.and(p_by), inferred) {
                 new_identity_edges.push((na, y, eid));
             }
         }
-        for &(x, e_xa, p_xa) in &clique_a {
-            for &(y, e_by, p_by) in &clique_b {
+        for &(x, p_xa) in &clique_a {
+            for &(y, p_by) in &clique_b {
                 if x == y {
                     continue;
                 }
-                if let Some(eid) = self.add_edge(
-                    x,
-                    y,
-                    RelationKind::Identity,
-                    p_xa.and(p).and(p_by),
-                    EdgeOrigin::Inferred(e_xa, e_by),
-                ) {
+                let prob = p_xa.and(p).and(p_by);
+                if let Some(eid) = self.add_edge(x, y, RelationKind::Identity, prob, inferred) {
                     new_identity_edges.push((x, y, eid));
                 }
             }
@@ -516,26 +498,14 @@ impl AIndex {
         // every matching of x to y and vice versa.
         for (x, y, id_edge) in new_identity_edges {
             let p_xy = self.edges[id_edge as usize].prob;
-            for (m, e_mx, q) in self.matching_edges_of(x) {
+            for (m, q) in self.matching_edges_of(x) {
                 if m != y {
-                    self.add_edge(
-                        m,
-                        y,
-                        RelationKind::Matching,
-                        q.and(p_xy),
-                        EdgeOrigin::Inferred(e_mx, id_edge),
-                    );
+                    self.add_edge(m, y, RelationKind::Matching, q.and(p_xy), inferred);
                 }
             }
-            for (m, e_my, q) in self.matching_edges_of(y) {
+            for (m, q) in self.matching_edges_of(y) {
                 if m != x {
-                    self.add_edge(
-                        m,
-                        x,
-                        RelationKind::Matching,
-                        q.and(p_xy),
-                        EdgeOrigin::Inferred(e_my, id_edge),
-                    );
+                    self.add_edge(m, x, RelationKind::Matching, q.and(p_xy), inferred);
                 }
             }
         }
@@ -556,47 +526,31 @@ impl AIndex {
     ) {
         let na = self.intern(a);
         let nb = self.intern(b);
-        if na == nb {
+        if na == nb || self.add_edge(na, nb, RelationKind::Matching, p, origin).is_none() {
             return;
         }
-        let Some(direct) = self.add_edge(na, nb, RelationKind::Matching, p, origin) else {
-            return;
-        };
         // The Consistency Condition must connect every member of a's
         // identity clique to every member of b's: a ≡ b ∧ b ~ y ⇒ a ≡ y,
-        // and then x ~ a ∧ a ≡ y ⇒ x ≡ y. Lineage chains through `direct`
-        // (and the a≡y intermediates) so Cascade deletion of the direct
-        // matching tears all of them down.
+        // and then x ~ a ∧ a ≡ y ⇒ x ≡ y.
+        let inferred = EdgeOrigin::Inferred;
         let clique_a = self.identity_clique(na);
         let clique_b = self.identity_clique(nb);
-        // a ≡ y for y in clique(b), remembering the created edge ids.
-        let mut a_to: Vec<(NodeId, EdgeId, Probability)> = vec![(nb, direct, p)];
-        for &(y, e_by, p_by) in &clique_b {
+        // a ≡ y for y in clique(b), remembering the probabilities offered.
+        let mut a_to: Vec<(NodeId, Probability)> = vec![(nb, p)];
+        for &(y, p_by) in &clique_b {
             if y == na {
                 continue;
             }
             let prob = p.and(p_by);
-            if let Some(eid) = self.add_edge(
-                na,
-                y,
-                RelationKind::Matching,
-                prob,
-                EdgeOrigin::Inferred(direct, e_by),
-            ) {
-                a_to.push((y, eid, prob));
+            if self.add_edge(na, y, RelationKind::Matching, prob, inferred).is_some() {
+                a_to.push((y, prob));
             }
         }
         // x ≡ y for x in clique(a) and every y the previous step covered.
-        for &(x, e_xa, p_xa) in &clique_a {
-            for &(y, e_ay, p_ay) in &a_to {
+        for &(x, p_xa) in &clique_a {
+            for &(y, p_ay) in &a_to {
                 if x != y {
-                    self.add_edge(
-                        x,
-                        y,
-                        RelationKind::Matching,
-                        p_xa.and(p_ay),
-                        EdgeOrigin::Inferred(e_xa, e_ay),
-                    );
+                    self.add_edge(x, y, RelationKind::Matching, p_xa.and(p_ay), inferred);
                 }
             }
         }
@@ -643,15 +597,15 @@ impl AIndex {
         self.add_edge(na, nb, kind, prob, origin);
     }
 
-    /// Every live edge as `(a, b, kind, probability, origin)` — the
-    /// serialization surface.
+    /// Every live edge as `(a, b, kind, probability, origin)`, in creation
+    /// order and oriented as first inserted — the serialization surface.
     pub fn live_edges(
         &self,
     ) -> Vec<(&GlobalKey, &GlobalKey, RelationKind, Probability, EdgeOrigin)> {
         self.edges
             .iter()
-            .filter(|e| e.alive && self.alive_node[e.a as usize] && self.alive_node[e.b as usize])
-            .map(|e| (&self.keys[e.a as usize], &self.keys[e.b as usize], e.kind, e.prob, e.origin))
+            .filter(|e| e.alive && self.node_alive(e.a) && self.node_alive(e.b))
+            .map(|e| (self.key_at(e.a), self.key_at(e.b), e.kind, e.prob, e.origin))
             .collect()
     }
 
@@ -660,26 +614,20 @@ impl AIndex {
     /// exists in the polystore (§III-C(b)).
     pub fn remove_object(&mut self, key: &GlobalKey) {
         let Some(n) = self.node(key) else { return };
-        self.alive_node[n as usize] = false;
-        if self.journaling {
-            self.journal.push(JournalOp::Touched(n));
-        }
+        self.shards[shard_of(n)].alive[slot_of(n) as usize] = false;
         // The node's own Touched entry makes it dead in its home shard;
         // its incident edges journal their far endpoints as Unlinked, so
-        // a removal republishes exactly one shard. Cascade kills between
-        // surviving nodes are still journaled as Touched by `kill_edge`.
-        let incident: Vec<EdgeId> = self.adjacency.edges_of(n).collect();
+        // a removal republishes exactly one shard.
+        self.journal_touched(n);
+        let incident: Vec<EdgeId> =
+            self.shards[shard_of(n)].adjacency.edges_of(slot_of(n)).collect();
         for eid in incident {
-            if self.edges[eid as usize].alive {
-                self.kill_edge(eid);
-            }
+            self.kill_edge(eid);
         }
     }
 
-    /// Deletes a p-relation. Under [`DeletionPolicy::Cascade`] every edge
-    /// inferred (transitively) through it dies too; under
-    /// [`DeletionPolicy::Keep`] inferred edges survive, as the paper
-    /// prescribes.
+    /// Deletes one p-relation. Edges inferred from it survive, as the
+    /// paper prescribes (§III-C(b)).
     ///
     /// Returns whether a live edge was found and deleted.
     pub fn delete_prelation(&mut self, a: &GlobalKey, b: &GlobalKey, kind: RelationKind) -> bool {
@@ -690,20 +638,11 @@ impl AIndex {
     }
 
     fn kill_edge(&mut self, eid: EdgeId) {
-        let mut stack = vec![eid];
-        while let Some(eid) = stack.pop() {
-            let e = &mut self.edges[eid as usize];
-            if !e.alive {
-                continue;
-            }
+        let e = &mut self.edges[eid as usize];
+        if e.alive {
             e.alive = false;
             let (a, b) = (e.a, e.b);
             self.journal_edge(a, b);
-            if self.policy == DeletionPolicy::Cascade {
-                if let Some(kids) = self.children.get(&eid) {
-                    stack.extend(kids.iter().copied());
-                }
-            }
         }
     }
 
@@ -712,10 +651,8 @@ impl AIndex {
     /// The direct p-relations of `key`: `(other key, kind, probability)`.
     pub fn neighbors(&self, key: &GlobalKey) -> Vec<(GlobalKey, RelationKind, Probability)> {
         let Some(n) = self.node(key) else { return Vec::new() };
-        let mut out: Vec<_> = self
-            .incident(n)
-            .map(|(_, e)| (self.keys[e.other(n) as usize].clone(), e.kind, e.prob))
-            .collect();
+        let mut out: Vec<_> =
+            self.incident(n).map(|e| (self.key_at(e.other(n)).clone(), e.kind, e.prob)).collect();
         out.sort_by(|x, y| y.2.cmp(&x.2).then_with(|| x.0.cmp(&y.0)));
         out
     }
@@ -733,33 +670,24 @@ impl AIndex {
     ///
     /// Returns the first violating triple, if any.
     pub fn check_consistency(&self) -> Option<(GlobalKey, GlobalKey, GlobalKey)> {
-        for (n2, alive) in self.alive_node.iter().enumerate() {
-            if !alive {
-                continue;
-            }
-            let n2 = n2 as NodeId;
+        let triple = |x, y, z| {
+            Some((self.key_at(x).clone(), self.key_at(y).clone(), self.key_at(z).clone()))
+        };
+        for n2 in self.live_nodes() {
             let matchings = self.matching_edges_of(n2);
             let identities = self.identity_clique(n2);
-            for &(n1, _, _) in &matchings {
-                for &(n3, _, _) in &identities {
+            for &(n1, _) in &matchings {
+                for &(n3, _) in &identities {
                     if n1 != n3 && self.edge_between(n1, n3, RelationKind::Matching).is_none() {
-                        return Some((
-                            self.keys[n1 as usize].clone(),
-                            self.keys[n2 as usize].clone(),
-                            self.keys[n3 as usize].clone(),
-                        ));
+                        return triple(n1, n2, n3);
                     }
                 }
             }
             // Identity transitivity closure: the clique must be complete.
-            for &(x, _, _) in &identities {
-                for &(y, _, _) in &identities {
+            for &(x, _) in &identities {
+                for &(y, _) in &identities {
                     if x != y && self.edge_between(x, y, RelationKind::Identity).is_none() {
-                        return Some((
-                            self.keys[x as usize].clone(),
-                            self.keys[n2 as usize].clone(),
-                            self.keys[y as usize].clone(),
-                        ));
+                        return triple(x, n2, y);
                     }
                 }
             }
@@ -773,7 +701,7 @@ impl AIndex {
 pub struct EdgeInfo {
     /// The edge's probability.
     pub probability: Probability,
-    /// The edge's lineage origin.
+    /// Where the edge came from.
     pub origin: EdgeOrigin,
 }
 
@@ -808,6 +736,11 @@ mod tests {
     }
 
     #[test]
+    fn ledger_edge_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<Edge>(), 24);
+    }
+
+    #[test]
     fn example7_transitivity_materialization() {
         // Fig. 4: inserting d1 ~0.8 k1:cure:wish when d1 ~0.85 a32 exists
         // materializes k1:cure:wish ~0.68 a32.
@@ -822,10 +755,9 @@ mod tests {
             )
             .expect("inferred identity must be materialized");
         assert!((e.probability.get() - 0.68).abs() < 1e-12);
-        assert!(matches!(e.origin, EdgeOrigin::Inferred(..)));
+        assert_eq!(e.origin, EdgeOrigin::Inferred);
         assert!(ix.check_consistency().is_none());
     }
-
     #[test]
     fn consistency_condition_on_identity_insert() {
         // m ≡ a, then a ~ b ⇒ m ≡ b must be materialized.
@@ -1065,24 +997,6 @@ mod tests {
         // a~c was inferred. Deleting a~b keeps it (paper's strategy).
         assert!(ix.delete_prelation(&k("d.c.a"), &k("d.c.b"), RelationKind::Identity));
         assert!(ix.edge(&k("d.c.a"), &k("d.c.c"), RelationKind::Identity).is_some());
-    }
-
-    #[test]
-    fn cascade_policy_deletes_lineage() {
-        let mut ix = AIndex::with_policy(DeletionPolicy::Cascade);
-        ix.insert_identity(&k("d.c.a"), &k("d.c.b"), p(0.9));
-        ix.insert_identity(&k("d.c.b"), &k("d.c.c"), p(0.8));
-        ix.insert_matching(&k("d.c.m"), &k("d.c.a"), p(0.7));
-        // m≡a propagates to b and c. Deleting a~b must kill a~c (inferred
-        // through it) and m≡b / m≡c (whose lineage passes through a~b or
-        // a~c).
-        assert!(ix.delete_prelation(&k("d.c.a"), &k("d.c.b"), RelationKind::Identity));
-        assert!(ix.edge(&k("d.c.a"), &k("d.c.c"), RelationKind::Identity).is_none());
-        assert!(ix.edge(&k("d.c.m"), &k("d.c.b"), RelationKind::Matching).is_none());
-        assert!(ix.edge(&k("d.c.m"), &k("d.c.c"), RelationKind::Matching).is_none());
-        // The direct edges survive.
-        assert!(ix.edge(&k("d.c.m"), &k("d.c.a"), RelationKind::Matching).is_some());
-        assert!(ix.edge(&k("d.c.b"), &k("d.c.c"), RelationKind::Identity).is_some());
     }
 
     #[test]

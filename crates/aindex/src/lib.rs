@@ -17,10 +17,9 @@
 //!   path-product probabilities (best path wins), implemented once, over
 //!   the read side ([`IndexView`]) that a [`ShardedIndex`] keeps current
 //!   under concurrent mutation;
-//! * **lazy deletion** of vanished objects (§III-C(b)) and a **lineage
-//!   system** for cascading deletion of inferred p-relations — the paper
-//!   lists this as planned work; it is implemented here behind
-//!   [`DeletionPolicy`];
+//! * **lazy deletion** of vanished objects and deletion of single
+//!   p-relations (§III-C(b)); as in the paper, the relations inferred from
+//!   a deleted one are kept (there is no lineage);
 //! * **promotion of p-relations** (§III-D(a)): the `D_P` repository of
 //!   traversed exploration paths and the threshold rule that turns a
 //!   frequently walked path into a shortcut matching edge whose probability
@@ -34,7 +33,7 @@ pub mod promote;
 pub mod serial;
 pub mod shard;
 
-pub use index::{AIndex, AugmentedKey, DeletionPolicy, EdgeInfo, EdgeOrigin, IndexStats};
+pub use index::{AIndex, AugmentedKey, EdgeInfo, EdgeOrigin, IndexStats};
 pub use promote::{PathRepository, PromotionConfig};
 pub use serial::SerialError;
 pub use shard::{IndexView, ShardIndexStats, ShardedIndex, UpdateReport, SHARD_COUNT};

@@ -128,17 +128,6 @@ impl PathRepository {
         self.promotions_fired += 1;
         Some(Promotion { from: path[0].clone(), to: path[path.len() - 1].clone(), probability })
     }
-
-    /// Records a path and immediately applies any promotion to the index.
-    /// Returns the promotion if one fired and actually added an edge.
-    pub fn record_and_promote(
-        &mut self,
-        path: &[GlobalKey],
-        index: &mut AIndex,
-    ) -> Option<Promotion> {
-        let promo = self.record(path, index)?;
-        index.insert_promoted(&promo.from, &promo.to, promo.probability).then_some(promo)
-    }
 }
 
 #[cfg(test)]
@@ -180,28 +169,29 @@ mod tests {
         let mut dp =
             PathRepository::with_config(PromotionConfig { base_threshold: 3, min_threshold: 1 });
         let path = [k("d.c.a"), k("d.c.b"), k("d.c.c")];
-        assert!(dp.record_and_promote(&path, &mut ix).is_none());
-        assert!(dp.record_and_promote(&path, &mut ix).is_none());
-        let promo = dp.record_and_promote(&path, &mut ix).expect("third visit fires");
+        assert!(dp.record(&path, &ix).is_none());
+        assert!(dp.record(&path, &ix).is_none());
+        let promo = dp.record(&path, &ix).expect("third visit fires");
         assert_eq!(promo.from, k("d.c.a"));
         assert_eq!(promo.to, k("d.c.c"));
         // Average of 0.9 and 0.7.
         assert!((promo.probability.get() - 0.8).abs() < 1e-12);
+        assert!(ix.insert_promoted(&promo.from, &promo.to, promo.probability));
         let e = ix.edge(&k("d.c.a"), &k("d.c.c"), RelationKind::Matching).unwrap();
         assert_eq!(e.probability, p(0.8));
         // Fires exactly once.
-        assert!(dp.record_and_promote(&path, &mut ix).is_none());
+        assert!(dp.record(&path, &ix).is_none());
         assert_eq!(dp.promotions_fired(), 1);
         assert_eq!(dp.visits(&path), 4);
     }
 
     #[test]
     fn short_paths_never_promote() {
-        let mut ix = chain();
+        let ix = chain();
         let mut dp =
             PathRepository::with_config(PromotionConfig { base_threshold: 1, min_threshold: 1 });
         for _ in 0..10 {
-            assert!(dp.record_and_promote(&[k("d.c.a"), k("d.c.b")], &mut ix).is_none());
+            assert!(dp.record(&[k("d.c.a"), k("d.c.b")], &ix).is_none());
         }
         assert_eq!(dp.tracked_paths(), 0);
     }
@@ -213,10 +203,11 @@ mod tests {
             PathRepository::with_config(PromotionConfig { base_threshold: 4, min_threshold: 1 });
         let long = [k("d.c.a"), k("d.c.b"), k("d.c.c"), k("d.c.d")];
         // threshold(3 edges) = 2.
-        assert!(dp.record_and_promote(&long, &mut ix).is_none());
-        let promo = dp.record_and_promote(&long, &mut ix).expect("second visit fires");
+        assert!(dp.record(&long, &ix).is_none());
+        let promo = dp.record(&long, &ix).expect("second visit fires");
         // Average of 0.9, 0.7, 0.8.
         assert!((promo.probability.get() - 0.8).abs() < 1e-12);
+        assert!(ix.insert_promoted(&promo.from, &promo.to, promo.probability));
     }
 
     #[test]
@@ -228,7 +219,8 @@ mod tests {
             PathRepository::with_config(PromotionConfig { base_threshold: 1, min_threshold: 1 });
         let path = [k("d.c.a"), k("d.c.b"), k("d.c.c")];
         // The promotion computes but adds nothing ("if not yet present").
-        assert!(dp.record_and_promote(&path, &mut ix).is_none());
+        let promo = dp.record(&path, &ix).expect("the promotion fires");
+        assert!(!ix.insert_promoted(&promo.from, &promo.to, promo.probability));
         let e = ix.edge(&k("d.c.a"), &k("d.c.c"), RelationKind::Matching).unwrap();
         assert_eq!(e.probability, p(0.5), "existing edge untouched");
     }
@@ -242,7 +234,8 @@ mod tests {
         let path = [k("d.c.a"), k("d.c.b"), k("d.c.c")];
         // The a—b hop is gone; the average is over the surviving hops only
         // (b—c also involves the dead node, so nothing survives → skip).
-        assert!(dp.record_and_promote(&path, &mut ix).is_none());
+        assert!(dp.record(&path, &ix).is_none());
+        assert_eq!(dp.promotions_fired(), 0);
     }
 
     #[test]
@@ -252,11 +245,13 @@ mod tests {
             PathRepository::with_config(PromotionConfig { base_threshold: 2, min_threshold: 2 });
         let p1 = [k("d.c.a"), k("d.c.b"), k("d.c.c")];
         let p2 = [k("d.c.b"), k("d.c.c"), k("d.c.d")];
-        dp.record_and_promote(&p1, &mut ix);
-        dp.record_and_promote(&p2, &mut ix);
+        assert!(dp.record(&p1, &ix).is_none());
+        assert!(dp.record(&p2, &ix).is_none());
         assert_eq!(dp.tracked_paths(), 2);
         assert_eq!(dp.visits(&p1), 1);
-        assert!(dp.record_and_promote(&p1, &mut ix).is_some());
-        assert!(dp.record_and_promote(&p2, &mut ix).is_some());
+        for path in [&p1, &p2] {
+            let promo = dp.record(path, &ix).expect("second visit fires");
+            assert!(ix.insert_promoted(&promo.from, &promo.to, promo.probability));
+        }
     }
 }

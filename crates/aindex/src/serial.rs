@@ -10,10 +10,10 @@
 //! ```
 //!
 //! Keys are percent-escaped (`%`, whitespace, newline) so arbitrary local
-//! keys survive. **Lineage is flattened**: inferred edges are written and
-//! reload as direct edges (their parent links are not persisted; the
-//! origin `inferred` that earlier versions wrote still loads), so cascade
-//! deletion only reaches relations inserted after the load. The
+//! keys survive. Inferred edges are written `direct`: the index keeps no
+//! lineage, so an edge's origin only feeds [`IndexStats`](crate::IndexStats)
+//! and a reloaded index counts inferred edges as direct. The origin
+//! `inferred` that earlier versions wrote still loads, as `direct`. The
 //! graph itself round-trips exactly (same nodes, edges, kinds,
 //! probabilities), which is what augmentation semantics depend on.
 //!
@@ -108,8 +108,8 @@ pub fn write_node(out: &mut String, key: &GlobalKey) {
     let _ = writeln!(out, "node {}", escape(&key.to_string()));
 }
 
-/// Appends one `edge <kind> <origin> <p> <a> <b>` line. Lineage is
-/// flattened here: an inferred edge is written as `direct`.
+/// Appends one `edge <kind> <origin> <p> <a> <b>` line; an inferred edge
+/// is written as `direct`.
 pub fn write_edge(
     out: &mut String,
     kind: RelationKind,
@@ -123,7 +123,7 @@ pub fn write_edge(
         RelationKind::Matching => "match",
     };
     let origin = match origin {
-        EdgeOrigin::Direct | EdgeOrigin::Inferred(..) => "direct",
+        EdgeOrigin::Direct | EdgeOrigin::Inferred => "direct",
         EdgeOrigin::Promoted => "promoted",
     };
     let _ = writeln!(

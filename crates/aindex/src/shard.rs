@@ -6,7 +6,10 @@
 //! the whole thing. [`ShardedIndex`] keeps the ledger as the single
 //! writer-side source of truth and *projects* it into [`SHARD_COUNT`]
 //! read-only shard snapshots, each holding the nodes whose global key
-//! hashes into it plus their half-edges. Mutations run against the
+//! hashes into it plus their half-edges. The two share one id space: the
+//! ledger interns a key into the next slot of its home shard, so a shard
+//! is built by reading the ledger's slots for it in order, and every
+//! incarnation counter lives in the ledger. Mutations run against the
 //! ledger under the writer lock; a journal of touched nodes is then
 //! drained into small per-shard **delta overlays**, so a lazy deletion
 //! republishes exactly one shard while every other shard's snapshot (and
@@ -60,22 +63,23 @@ const SHARD_BITS: u32 = 4;
 const SHARD_MASK: u32 = (SHARD_COUNT as u32) - 1;
 
 /// Packed node reference: local slot in the high bits, shard in the low
-/// [`SHARD_BITS`] bits. Slots are dense per shard and never reused, so
-/// the reference space stays compact enough for epoch-stamped scratch.
-type NodeRef = u32;
+/// [`SHARD_BITS`] bits — the ledger's node id and the projection's
+/// address at once. Slots are dense per shard and never reused, so the
+/// reference space stays compact enough for epoch-stamped scratch.
+pub(crate) type NodeRef = u32;
 
 #[inline]
-fn shard_of(r: NodeRef) -> usize {
+pub(crate) fn shard_of(r: NodeRef) -> usize {
     (r & SHARD_MASK) as usize
 }
 
 #[inline]
-fn slot_of(r: NodeRef) -> u32 {
+pub(crate) fn slot_of(r: NodeRef) -> u32 {
     r >> SHARD_BITS
 }
 
 #[inline]
-fn make_ref(shard: usize, slot: u32) -> NodeRef {
+pub(crate) fn make_ref(shard: usize, slot: u32) -> NodeRef {
     (slot << SHARD_BITS) | shard as u32
 }
 
@@ -355,7 +359,7 @@ impl IndexView {
     /// it many times (baselines, tools, tests). A served index keeps its
     /// view current incrementally instead: see [`ShardedIndex`].
     pub fn of(ledger: &AIndex) -> IndexView {
-        IndexView { dir: Arc::new(project_ledger(ledger).1), scratch: Arc::default() }
+        IndexView { dir: Arc::new(project_ledger(ledger)), scratch: Arc::default() }
     }
 
     #[inline]
@@ -618,111 +622,69 @@ impl IndexView {
 // Writer side
 // ---------------------------------------------------------------------------
 
-/// Where each ledger node lives in shard space, and how often it has
-/// been resurrected — the projection's own bookkeeping.
-#[derive(Debug)]
-struct Placement {
-    /// ledger node id → packed shard reference.
-    refs: Vec<NodeRef>,
-    /// ledger node id → incarnation counter.
-    incs: Vec<u32>,
-    /// Per shard, member ledger ids in slot order.
-    members: Vec<Vec<u32>>,
+/// The traversable half-edges of ledger node `n`, stamped with each far
+/// endpoint's current incarnation.
+fn half_edges(ledger: &AIndex, n: NodeRef) -> impl Iterator<Item = HalfEdge> + '_ {
+    ledger.live_incident_of(n).map(|(other, kind, prob, origin)| HalfEdge {
+        other,
+        other_inc: ledger.inc_of(other),
+        kind,
+        prob,
+        origin,
+    })
 }
 
-impl Placement {
-    /// Places the ledger nodes interned since the last call.
-    fn register_nodes(&mut self, ledger: &AIndex) {
-        for n in self.refs.len()..ledger.interned_len() {
-            let shard = route(ledger.key_at(n as u32));
-            let slot = self.members[shard].len() as u32;
-            self.members[shard].push(n as u32);
-            self.refs.push(make_ref(shard, slot));
-            self.incs.push(0);
-        }
-    }
+/// Builds the projected state of one ledger node.
+fn project(ledger: &AIndex, n: NodeRef) -> OverlayNode {
+    let alive = ledger.node_alive(n);
+    let edges = if alive { half_edges(ledger, n).collect() } else { Vec::new() };
+    OverlayNode { key: ledger.key_at(n).clone(), alive, inc: ledger.inc_of(n), edges }
+}
 
-    /// The traversable half-edges of ledger node `n`, stamped with each
-    /// far endpoint's current incarnation.
-    fn half_edges<'a>(&'a self, ledger: &'a AIndex, n: u32) -> impl Iterator<Item = HalfEdge> + 'a {
-        ledger.live_incident_of(n).map(|(o, kind, prob, origin)| HalfEdge {
-            other: self.refs[o as usize],
-            other_inc: self.incs[o as usize],
-            kind,
-            prob,
-            origin,
-        })
-    }
-
-    /// Builds the projected state of one ledger node.
-    fn project(&self, ledger: &AIndex, n: u32) -> OverlayNode {
+/// Packs one shard's base from the ledger's slots (build and compaction).
+fn compact_shard(ledger: &AIndex, shard: usize) -> ShardSnap {
+    let slots = ledger.shard_len(shard);
+    let len = slots as usize;
+    let mut base = ShardBase {
+        names: HashMap::with_capacity(len),
+        keys: Vec::with_capacity(len),
+        alive: Vec::with_capacity(len),
+        incs: Vec::with_capacity(len),
+        offsets: Vec::with_capacity(len + 1),
+        edges: Vec::new(),
+        live_nodes: 0,
+    };
+    for slot in 0..slots {
+        let n = make_ref(shard, slot);
+        let key = ledger.key_at(n);
+        base.names.insert(key.clone(), slot);
+        base.keys.push(key.clone());
         let alive = ledger.node_alive(n);
-        let edges = if alive { self.half_edges(ledger, n).collect() } else { Vec::new() };
-        OverlayNode { key: ledger.key_at(n).clone(), alive, inc: self.incs[n as usize], edges }
-    }
-
-    /// Packs one shard's base from the ledger (build and compaction).
-    fn compact_shard(&self, ledger: &AIndex, shard: usize) -> ShardSnap {
-        let members = &self.members[shard];
-        let mut base = ShardBase {
-            names: HashMap::with_capacity(members.len()),
-            keys: Vec::with_capacity(members.len()),
-            alive: Vec::with_capacity(members.len()),
-            incs: Vec::with_capacity(members.len()),
-            offsets: Vec::with_capacity(members.len() + 1),
-            edges: Vec::new(),
-            live_nodes: 0,
-        };
-        for (slot, &n) in members.iter().enumerate() {
-            let key = ledger.key_at(n);
-            base.names.insert(key.clone(), slot as u32);
-            base.keys.push(key.clone());
-            let alive = ledger.node_alive(n);
-            base.alive.push(alive);
-            base.incs.push(self.incs[n as usize]);
-            base.offsets.push(base.edges.len() as u32);
-            if alive {
-                base.live_nodes += 1;
-                base.edges.extend(self.half_edges(ledger, n));
-            }
-        }
+        base.alive.push(alive);
+        base.incs.push(ledger.inc_of(n));
         base.offsets.push(base.edges.len() as u32);
-        let resident_bytes = base.resident_bytes();
-        ShardSnap {
-            base: Arc::new(base),
-            overlay: Overlay::default(),
-            slots: members.len() as u32,
-            resident_bytes,
+        if alive {
+            base.live_nodes += 1;
+            base.edges.extend(half_edges(ledger, n));
         }
     }
+    base.offsets.push(base.edges.len() as u32);
+    let resident_bytes = base.resident_bytes();
+    ShardSnap { base: Arc::new(base), overlay: Overlay::default(), slots, resident_bytes }
 }
 
-/// Projects a whole ledger: places every interned node and packs all
-/// [`SHARD_COUNT`] shard bases.
-fn project_ledger(ledger: &AIndex) -> (Placement, Directory) {
-    let mut place =
-        Placement { refs: Vec::new(), incs: Vec::new(), members: vec![Vec::new(); SHARD_COUNT] };
-    place.register_nodes(ledger);
-    let shards = std::array::from_fn(|shard| Arc::new(place.compact_shard(ledger, shard)));
-    (place, Directory::new(shards))
+/// Projects a whole ledger: packs all [`SHARD_COUNT`] shard bases.
+fn project_ledger(ledger: &AIndex) -> Directory {
+    Directory::new(std::array::from_fn(|shard| Arc::new(compact_shard(ledger, shard))))
 }
 
-/// Writer-side state: the ledger plus where the projection put its nodes.
-#[derive(Debug)]
-struct Writer {
-    ledger: AIndex,
-    place: Placement,
-}
-
-impl Writer {
-    /// Takes ownership of `ledger` (journaling from here on) and projects
-    /// it in full.
-    fn project(mut ledger: AIndex) -> (Writer, Directory) {
-        ledger.set_journaling(true);
-        ledger.take_journal();
-        let (place, dir) = project_ledger(&ledger);
-        (Writer { ledger, place }, dir)
-    }
+/// Takes ownership of `ledger`, journaling from here on, and projects it
+/// in full.
+fn journaled(mut ledger: AIndex) -> (AIndex, Directory) {
+    ledger.set_journaling(true);
+    ledger.take_journal();
+    let dir = project_ledger(&ledger);
+    (ledger, dir)
 }
 
 /// Compaction trigger: fold the overlay into a fresh base once it
@@ -754,7 +716,7 @@ pub struct UpdateReport {
 /// hash shards with delta-overlay mutation. See the module docs.
 #[derive(Debug)]
 pub struct ShardedIndex {
-    writer: Mutex<Writer>,
+    ledger: Mutex<AIndex>,
     published: Mutex<Arc<Directory>>,
     swaps: [AtomicU64; SHARD_COUNT],
     compactions: [AtomicU64; SHARD_COUNT],
@@ -766,9 +728,9 @@ impl ShardedIndex {
     /// every shard). Construction does not count toward the swap or
     /// compaction counters — they measure post-build mutation traffic.
     pub fn new(index: AIndex) -> Self {
-        let (writer, dir) = Writer::project(index);
+        let (ledger, dir) = journaled(index);
         ShardedIndex {
-            writer: Mutex::new(writer),
+            ledger: Mutex::new(ledger),
             published: Mutex::new(Arc::new(dir)),
             swaps: std::array::from_fn(|_| AtomicU64::new(0)),
             compactions: std::array::from_fn(|_| AtomicU64::new(0)),
@@ -783,8 +745,7 @@ impl ShardedIndex {
 
     /// A standalone clone of the ledger (persistence surface).
     pub fn snapshot(&self) -> AIndex {
-        let writer = self.writer.lock();
-        let mut index = writer.ledger.clone();
+        let mut index = self.ledger.lock().clone();
         index.set_journaling(false);
         index
     }
@@ -800,9 +761,9 @@ impl ShardedIndex {
     /// shards the drain republished, compacted and dirtied — the
     /// checkpoint boundary.
     pub fn update_reporting<R>(&self, f: impl FnOnce(&mut AIndex) -> R) -> (R, UpdateReport) {
-        let mut writer = self.writer.lock();
-        let out = f(&mut writer.ledger);
-        let report = self.drain(&mut writer);
+        let mut ledger = self.ledger.lock();
+        let out = f(&mut ledger);
+        let report = self.drain(&mut ledger);
         (out, report)
     }
 
@@ -811,10 +772,10 @@ impl ShardedIndex {
     /// Cross-shard edges appear once per endpoint shard; loading
     /// re-applies them idempotently.
     pub fn serialize_shard(&self, shard: usize) -> String {
-        let writer = self.writer.lock();
-        let ledger = &writer.ledger;
+        let ledger = self.ledger.lock();
         let mut out = String::new();
-        for &n in &writer.place.members[shard] {
+        for slot in 0..ledger.shard_len(shard) {
+            let n = make_ref(shard, slot);
             if !ledger.node_alive(n) {
                 continue;
             }
@@ -829,9 +790,9 @@ impl ShardedIndex {
 
     /// Replaces the whole index (full rebuild of every shard).
     pub fn replace(&self, index: AIndex) {
-        let mut writer = self.writer.lock();
-        let (fresh, dir) = Writer::project(index);
-        *writer = fresh;
+        let mut ledger = self.ledger.lock();
+        let (fresh, dir) = journaled(index);
+        *ledger = fresh;
         for shard in 0..SHARD_COUNT {
             self.swaps[shard].fetch_add(1, Ordering::Relaxed);
             self.compactions[shard].fetch_add(1, Ordering::Relaxed);
@@ -841,29 +802,22 @@ impl ShardedIndex {
 
     /// Applies the journal accumulated in the ledger to the projection.
     /// Reports the shards that were republished, compacted and dirtied.
-    fn drain(&self, writer: &mut Writer) -> UpdateReport {
-        let ops = writer.ledger.take_journal();
+    fn drain(&self, ledger: &mut AIndex) -> UpdateReport {
+        let ops = ledger.take_journal();
         if ops.is_empty() {
             return UpdateReport::default();
         }
-        let Writer { ledger, place } = writer;
-        let first_new = place.refs.len() as u32;
-        place.register_nodes(ledger);
-        // Ledger ids to re-project, deduped, grouped by shard; `dirty`
-        // also covers the shards of merely unlinked nodes.
-        let mut stale: Vec<Vec<u32>> = vec![Vec::new(); SHARD_COUNT];
+        // Nodes to re-project, deduped, grouped by shard; `dirty` also
+        // covers the shards of merely unlinked nodes.
+        let mut stale: Vec<Vec<NodeRef>> = vec![Vec::new(); SHARD_COUNT];
         let mut dirty = [false; SHARD_COUNT];
-        let mut seen: HashSet<u32> = HashSet::new();
-        for &op in &ops {
+        let mut seen: HashSet<NodeRef> = HashSet::new();
+        for op in ops {
             let (n, reproject) = match op {
-                JournalOp::Revived(n) => {
-                    place.incs[n as usize] += 1;
-                    (n, true)
-                }
                 JournalOp::Touched(n) => (n, true),
                 JournalOp::Unlinked(n) => (n, false),
             };
-            let shard = shard_of(place.refs[n as usize]);
+            let shard = shard_of(n);
             dirty[shard] = true;
             if reproject && seen.insert(n) {
                 stale[shard].push(n);
@@ -884,14 +838,16 @@ impl ShardedIndex {
                 if wants_compaction(old.overlay.nodes.len() + nodes.len(), old.base.keys.len()) {
                     self.compactions[shard].fetch_add(1, Ordering::Relaxed);
                     compacted.push(shard);
-                    place.compact_shard(ledger, shard)
+                    compact_shard(ledger, shard)
                 } else {
                     let mut overlay = old.overlay.clone();
                     let mut resident = old.resident_bytes;
                     for &n in nodes {
-                        let slot = slot_of(place.refs[n as usize]);
-                        let node = place.project(ledger, n);
-                        if n >= first_new {
+                        let slot = slot_of(n);
+                        let node = project(ledger, n);
+                        // Slots past the published count were interned
+                        // by this update: readers need their names.
+                        if slot >= old.slots {
                             overlay.names.insert(node.key.clone(), slot);
                             resident += key_heap_bytes(&node.key) + 32;
                         }
@@ -903,7 +859,7 @@ impl ShardedIndex {
                     ShardSnap {
                         base: Arc::clone(&old.base),
                         overlay,
-                        slots: place.members[shard].len() as u32,
+                        slots: ledger.shard_len(shard),
                         resident_bytes: resident,
                     }
                 };
@@ -938,7 +894,6 @@ impl ShardedIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::DeletionPolicy;
 
     fn k(s: &str) -> GlobalKey {
         s.parse().unwrap()
@@ -1135,29 +1090,43 @@ mod tests {
     }
 
     #[test]
-    fn cascade_deletion_is_projected() {
-        let mut ix = AIndex::with_policy(DeletionPolicy::Cascade);
-        ix.insert_identity(&k("db0.c.a"), &k("db1.c.b"), p(0.9));
-        ix.insert_identity(&k("db1.c.b"), &k("db2.c.c"), p(0.8));
-        ix.insert_matching(&k("db0.c.a"), &k("db3.c.m"), p(0.7));
+    fn deleting_a_relation_between_survivors_republishes_both_shards() {
+        let (a, c, m) = (k("db0.c.a"), k("db2.c.c"), k("db3.c.m"));
+        // The deleted relation's endpoints live in different shards.
+        let b = (0..).map(|i| k(&format!("db1.c.b{i}"))).find(|b| route(b) != route(&a)).unwrap();
+        let mut ix = AIndex::new();
+        ix.insert_identity(&a, &b, p(0.9));
+        ix.insert_identity(&b, &c, p(0.8));
+        ix.insert_matching(&a, &m, p(0.7));
         let sharded = ShardedIndex::new(ix);
-        // Removing b cascades to edges inferred through b's relations,
-        // including ones between surviving nodes — those must republish
-        // their shards too.
-        sharded.update(|ix| ix.remove_object(&k("db1.c.b")));
+        // Deleting a ~ b keeps a ~ c, which was inferred through it.
+        let (deleted, report) =
+            sharded.update_reporting(|ix| ix.delete_prelation(&a, &b, RelationKind::Identity));
+        assert!(deleted);
+        let mut endpoints = vec![route(&a), route(&b)];
+        endpoints.sort_unstable();
+        assert_eq!(report.touched, endpoints, "both endpoint shards republish");
         let ledger = sharded.snapshot();
         let fresh = IndexView::of(&ledger);
         let view = sharded.view();
+        assert!(view.edge(&a, &b, RelationKind::Identity).is_none());
+        let sibling = view.edge(&a, &c, RelationKind::Identity).expect("inferred sibling survives");
+        assert_eq!(sibling.origin, EdgeOrigin::Inferred);
         assert_eq!(ledger.stats(), view.stats());
-        assert_eq!(
-            ledger.edge(&k("db0.c.a"), &k("db2.c.c"), RelationKind::Identity),
-            view.edge(&k("db0.c.a"), &k("db2.c.c"), RelationKind::Identity),
-        );
-        for seeds in [vec![k("db0.c.a")], vec![k("db2.c.c"), k("db3.c.m")]] {
+        assert_eq!(fresh.stats(), view.stats());
+        for key in [&a, &b, &c, &m] {
+            assert_eq!(fresh.neighbors(key), view.neighbors(key));
+        }
+        for seeds in [vec![a.clone()], vec![c.clone(), m.clone()]] {
             for level in 0..3 {
                 assert_eq!(fresh.augment_multi(&seeds, level), view.augment_multi(&seeds, level));
             }
         }
+    }
+
+    #[test]
+    fn half_edge_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<HalfEdge>(), 24);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use quepa_aindex::shard::route;
-use quepa_aindex::{AIndex, DeletionPolicy, IndexView, ShardedIndex};
+use quepa_aindex::{AIndex, IndexView, ShardedIndex};
 use quepa_pdm::{GlobalKey, Probability, RelationKind};
 
 #[derive(Debug, Clone)]
@@ -114,31 +114,6 @@ proptest! {
         let out = IndexView::of(&ix).augment(&[key(seed)], 3);
         prop_assert!(out.iter().all(|a| a.key != key(victim)));
         prop_assert!(ix.neighbors(&key(victim)).is_empty());
-    }
-
-    /// Cascade deletion never leaves an inferred edge whose direct ancestor
-    /// chain was destroyed... approximated here as: deleting every direct
-    /// edge empties the graph of edges.
-    #[test]
-    fn cascade_full_teardown(ops in prop::collection::vec(arb_op().prop_filter("insert", is_insert), 1..30)) {
-        let mut ix = AIndex::with_policy(DeletionPolicy::Cascade);
-        let mut direct: Vec<(GlobalKey, GlobalKey, RelationKind)> = Vec::new();
-        for op in &ops {
-            apply(&mut ix, op);
-            match op {
-                Op::Identity(a, b, _) if a != b => {
-                    direct.push((key(*a), key(*b), RelationKind::Identity));
-                }
-                Op::Matching(a, b, _) if a != b => {
-                    direct.push((key(*a), key(*b), RelationKind::Matching));
-                }
-                _ => {}
-            }
-        }
-        for (a, b, kind) in &direct {
-            ix.delete_prelation(a, b, *kind);
-        }
-        prop_assert_eq!(ix.edge_count(), 0, "stats: {:?}", ix.stats());
     }
 
     /// Keep policy: deleting one edge never deletes any *other* edge.

@@ -47,7 +47,7 @@ pub enum IndexOp {
         /// The vanished object's global key.
         key: GlobalKey,
     },
-    /// Delete one p-relation (policy-dependent cascade).
+    /// Delete one p-relation; the relations inferred from it stay.
     DeleteRelation {
         /// First endpoint.
         a: GlobalKey,
@@ -67,7 +67,7 @@ fn kind_tag(kind: RelationKind) -> &'static str {
 
 impl IndexOp {
     /// Applies the operation to an index, running the full insertion /
-    /// deletion semantics (materialization, consistency, lineage).
+    /// deletion semantics (materialization, consistency).
     pub fn apply(&self, index: &mut AIndex) {
         match self {
             IndexOp::InsertIdentity { a, b, p } => index.insert_identity(a, b, *p),
