@@ -17,6 +17,11 @@
 //!   path-product probabilities (best path wins), implemented once, over
 //!   the read side ([`IndexView`]) that a [`ShardedIndex`] keeps current
 //!   under concurrent mutation;
+//! * the **logical mutations** ([`IndexOp`]): insertions, lazy deletion,
+//!   relation deletion and promotion, each with its `apply` and one-line
+//!   text codec. A batch of them ([`ShardedIndex::apply`]) is the only
+//!   way to change a live index, and the same ops are the write-ahead
+//!   log's records (`quepa-wal`);
 //! * **lazy deletion** of vanished objects and deletion of single
 //!   p-relations (§III-C(b)); as in the paper, the relations inferred from
 //!   a deleted one are kept (there is no lineage);
@@ -29,11 +34,13 @@
 #![warn(missing_docs)]
 
 pub mod index;
+pub mod op;
 pub mod promote;
 pub mod serial;
 pub mod shard;
 
 pub use index::{AIndex, AugmentedKey, EdgeInfo, EdgeOrigin, IndexStats};
+pub use op::IndexOp;
 pub use promote::{PathRepository, PromotionConfig};
 pub use serial::SerialError;
 pub use shard::{IndexView, ShardIndexStats, ShardedIndex, UpdateReport, SHARD_COUNT};

@@ -12,7 +12,7 @@ use std::collections::HashMap;
 
 use quepa_pdm::{GlobalKey, Probability};
 
-use crate::index::AIndex;
+use crate::shard::IndexView;
 
 /// Promotion thresholds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,14 +92,14 @@ impl PathRepository {
 
     /// Records one full exploration path `v₀ … v_k` and, if its visit count
     /// reaches the threshold for its length, returns the promotion to apply
-    /// (adding the edge is the caller's job, via
-    /// [`AIndex::insert_promoted`]). Paths with fewer than two edges are
-    /// ignored (`k > 1` in the paper).
+    /// (adding the edge is the caller's job, as an
+    /// [`IndexOp::InsertPromoted`](crate::IndexOp::InsertPromoted)). Paths
+    /// with fewer than two edges are ignored (`k > 1` in the paper).
     ///
     /// `index` supplies the edge probabilities along the path: hops that no
     /// longer exist in the index contribute nothing; if *no* hop resolves,
     /// the promotion is skipped.
-    pub fn record(&mut self, path: &[GlobalKey], index: &AIndex) -> Option<Promotion> {
+    pub fn record(&mut self, path: &[GlobalKey], index: &IndexView) -> Option<Promotion> {
         if path.len() < 3 {
             return None;
         }
@@ -133,6 +133,7 @@ impl PathRepository {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::AIndex;
     use quepa_pdm::RelationKind;
 
     fn k(s: &str) -> GlobalKey {
@@ -169,9 +170,9 @@ mod tests {
         let mut dp =
             PathRepository::with_config(PromotionConfig { base_threshold: 3, min_threshold: 1 });
         let path = [k("d.c.a"), k("d.c.b"), k("d.c.c")];
-        assert!(dp.record(&path, &ix).is_none());
-        assert!(dp.record(&path, &ix).is_none());
-        let promo = dp.record(&path, &ix).expect("third visit fires");
+        assert!(dp.record(&path, &IndexView::of(&ix)).is_none());
+        assert!(dp.record(&path, &IndexView::of(&ix)).is_none());
+        let promo = dp.record(&path, &IndexView::of(&ix)).expect("third visit fires");
         assert_eq!(promo.from, k("d.c.a"));
         assert_eq!(promo.to, k("d.c.c"));
         // Average of 0.9 and 0.7.
@@ -180,7 +181,7 @@ mod tests {
         let e = ix.edge(&k("d.c.a"), &k("d.c.c"), RelationKind::Matching).unwrap();
         assert_eq!(e.probability, p(0.8));
         // Fires exactly once.
-        assert!(dp.record(&path, &ix).is_none());
+        assert!(dp.record(&path, &IndexView::of(&ix)).is_none());
         assert_eq!(dp.promotions_fired(), 1);
         assert_eq!(dp.visits(&path), 4);
     }
@@ -191,7 +192,7 @@ mod tests {
         let mut dp =
             PathRepository::with_config(PromotionConfig { base_threshold: 1, min_threshold: 1 });
         for _ in 0..10 {
-            assert!(dp.record(&[k("d.c.a"), k("d.c.b")], &ix).is_none());
+            assert!(dp.record(&[k("d.c.a"), k("d.c.b")], &IndexView::of(&ix)).is_none());
         }
         assert_eq!(dp.tracked_paths(), 0);
     }
@@ -203,8 +204,8 @@ mod tests {
             PathRepository::with_config(PromotionConfig { base_threshold: 4, min_threshold: 1 });
         let long = [k("d.c.a"), k("d.c.b"), k("d.c.c"), k("d.c.d")];
         // threshold(3 edges) = 2.
-        assert!(dp.record(&long, &ix).is_none());
-        let promo = dp.record(&long, &ix).expect("second visit fires");
+        assert!(dp.record(&long, &IndexView::of(&ix)).is_none());
+        let promo = dp.record(&long, &IndexView::of(&ix)).expect("second visit fires");
         // Average of 0.9, 0.7, 0.8.
         assert!((promo.probability.get() - 0.8).abs() < 1e-12);
         assert!(ix.insert_promoted(&promo.from, &promo.to, promo.probability));
@@ -219,7 +220,7 @@ mod tests {
             PathRepository::with_config(PromotionConfig { base_threshold: 1, min_threshold: 1 });
         let path = [k("d.c.a"), k("d.c.b"), k("d.c.c")];
         // The promotion computes but adds nothing ("if not yet present").
-        let promo = dp.record(&path, &ix).expect("the promotion fires");
+        let promo = dp.record(&path, &IndexView::of(&ix)).expect("the promotion fires");
         assert!(!ix.insert_promoted(&promo.from, &promo.to, promo.probability));
         let e = ix.edge(&k("d.c.a"), &k("d.c.c"), RelationKind::Matching).unwrap();
         assert_eq!(e.probability, p(0.5), "existing edge untouched");
@@ -234,7 +235,7 @@ mod tests {
         let path = [k("d.c.a"), k("d.c.b"), k("d.c.c")];
         // The a—b hop is gone; the average is over the surviving hops only
         // (b—c also involves the dead node, so nothing survives → skip).
-        assert!(dp.record(&path, &ix).is_none());
+        assert!(dp.record(&path, &IndexView::of(&ix)).is_none());
         assert_eq!(dp.promotions_fired(), 0);
     }
 
@@ -245,12 +246,12 @@ mod tests {
             PathRepository::with_config(PromotionConfig { base_threshold: 2, min_threshold: 2 });
         let p1 = [k("d.c.a"), k("d.c.b"), k("d.c.c")];
         let p2 = [k("d.c.b"), k("d.c.c"), k("d.c.d")];
-        assert!(dp.record(&p1, &ix).is_none());
-        assert!(dp.record(&p2, &ix).is_none());
+        assert!(dp.record(&p1, &IndexView::of(&ix)).is_none());
+        assert!(dp.record(&p2, &IndexView::of(&ix)).is_none());
         assert_eq!(dp.tracked_paths(), 2);
         assert_eq!(dp.visits(&p1), 1);
         for path in [&p1, &p2] {
-            let promo = dp.record(path, &ix).expect("second visit fires");
+            let promo = dp.record(path, &IndexView::of(&ix)).expect("second visit fires");
             assert!(ix.insert_promoted(&promo.from, &promo.to, promo.probability));
         }
     }

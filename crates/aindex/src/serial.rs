@@ -66,9 +66,9 @@ impl From<PdmError> for SerialError {
 const HEADER: &str = "quepa-aindex v1";
 
 /// Percent-escapes `%` and whitespace so an arbitrary key fits in one
-/// space-separated token. Shared with the durability layer's WAL and
-/// checkpoint formats.
-pub fn escape(s: &str) -> String {
+/// space-separated token. Shared with the [`IndexOp`](crate::IndexOp)
+/// text form (the WAL's record payload).
+pub(crate) fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -84,7 +84,7 @@ pub fn escape(s: &str) -> String {
 }
 
 /// Inverse of [`escape`].
-pub fn unescape(s: &str) -> Result<String, String> {
+pub(crate) fn unescape(s: &str) -> Result<String, String> {
     let mut out = String::with_capacity(s.len());
     let bytes = s.as_bytes();
     let mut i = 0;

@@ -9,8 +9,9 @@
 //! hashes into it plus their half-edges. The two share one id space: the
 //! ledger interns a key into the next slot of its home shard, so a shard
 //! is built by reading the ledger's slots for it in order, and every
-//! incarnation counter lives in the ledger. Mutations run against the
-//! ledger under the writer lock; a journal of touched nodes is then
+//! incarnation counter lives in the ledger. A mutation is a batch of
+//! [`IndexOp`]s ([`ShardedIndex::apply`]) run against the ledger under
+//! the writer lock; a journal of touched nodes is then
 //! drained into small per-shard **delta overlays**, so a lazy deletion
 //! republishes exactly one shard while every other shard's snapshot (and
 //! any in-flight [`IndexView`]) is untouched. An amortized compactor
@@ -55,6 +56,7 @@ use parking_lot::Mutex;
 use quepa_pdm::{GlobalKey, Probability, RelationKind};
 
 use crate::index::{AIndex, AugmentedKey, EdgeInfo, EdgeOrigin, IndexStats, JournalOp};
+use crate::op::IndexOp;
 use crate::serial;
 
 /// Number of shards the key space is hashed over.
@@ -694,7 +696,7 @@ fn wants_compaction(overlay_len: usize, base_len: usize) -> bool {
     overlay_len > 64.max(base_len / 8)
 }
 
-/// What one [`ShardedIndex::update_reporting`] call did to the
+/// What one [`ShardedIndex::apply`] call did to the
 /// projection. The durability layer uses `dirty` to track which shards
 /// to re-serialize at the next checkpoint cut and `compacted` as the cut
 /// trigger (a compaction has just rebuilt exactly the state a checkpoint
@@ -750,21 +752,15 @@ impl ShardedIndex {
         index
     }
 
-    /// Runs a mutation against the ledger, then drains the journal into
-    /// the affected shards' overlays and publishes them — one new
-    /// snapshot per *touched* shard, every other shard untouched.
-    pub fn update<R>(&self, f: impl FnOnce(&mut AIndex) -> R) -> R {
-        self.update_reporting(f).0
-    }
-
-    /// Like [`update`](ShardedIndex::update), but also reports which
-    /// shards the drain republished, compacted and dirtied — the
-    /// checkpoint boundary.
-    pub fn update_reporting<R>(&self, f: impl FnOnce(&mut AIndex) -> R) -> (R, UpdateReport) {
+    /// Applies a batch of logical mutations to the ledger, then drains
+    /// the journal into the affected shards' overlays and publishes them
+    /// as one atomic transition — one new snapshot per *touched* shard,
+    /// every other shard untouched. Reports which shards the drain
+    /// republished, compacted and dirtied — the checkpoint boundary.
+    pub fn apply(&self, ops: &[IndexOp]) -> UpdateReport {
         let mut ledger = self.ledger.lock();
-        let out = f(&mut ledger);
-        let report = self.drain(&mut ledger);
-        (out, report)
+        ops.iter().for_each(|op| op.apply(&mut ledger));
+        self.drain(&mut ledger)
     }
 
     /// Serializes one shard's live members and their incident edges as
@@ -788,16 +784,18 @@ impl ShardedIndex {
         out
     }
 
-    /// Replaces the whole index (full rebuild of every shard).
-    pub fn replace(&self, index: AIndex) {
+    /// Replaces the whole index with `staged`'s ledger and projection,
+    /// built by [`ShardedIndex::new`] off the writer path (every shard
+    /// counts one swap and one compaction). A caller that must persist
+    /// the new index first serializes `staged` before publishing it.
+    pub fn replace(&self, staged: ShardedIndex) {
         let mut ledger = self.ledger.lock();
-        let (fresh, dir) = journaled(index);
-        *ledger = fresh;
+        *ledger = staged.ledger.into_inner();
         for shard in 0..SHARD_COUNT {
             self.swaps[shard].fetch_add(1, Ordering::Relaxed);
             self.compactions[shard].fetch_add(1, Ordering::Relaxed);
         }
-        *self.published.lock() = Arc::new(dir);
+        *self.published.lock() = staged.published.into_inner();
     }
 
     /// Applies the journal accumulated in the ledger to the projection.
@@ -903,6 +901,10 @@ mod tests {
         Probability::of(f)
     }
 
+    fn remove(key: &str) -> IndexOp {
+        IndexOp::RemoveObject { key: k(key) }
+    }
+
     /// A deterministic, structurally varied index: identity chains with
     /// cross-store cliques plus matchings, like the workload builder's
     /// shape but self-contained.
@@ -973,14 +975,18 @@ mod tests {
         let sharded = ShardedIndex::new(sample_index(20));
         // Interleave removals, inserts and re-inserts.
         for g in [3usize, 7, 11] {
-            sharded.update(|ix| ix.remove_object(&k(&format!("db1.c.b{g}"))));
+            sharded.apply(&[remove(&format!("db1.c.b{g}"))]);
         }
-        sharded.update(|ix| {
-            ix.insert_identity(&k("db0.c.a3"), &k("db4.c.fresh"), p(0.8));
-            ix.insert_matching(&k("db4.c.fresh"), &k("db3.c.m1"), p(0.55));
-        });
+        sharded.apply(&[
+            IndexOp::InsertIdentity { a: k("db0.c.a3"), b: k("db4.c.fresh"), p: p(0.8) },
+            IndexOp::InsertMatching { a: k("db4.c.fresh"), b: k("db3.c.m1"), p: p(0.55) },
+        ]);
         // Resurrect a removed key with a new relation.
-        sharded.update(|ix| ix.insert_identity(&k("db1.c.b7"), &k("db2.c.c7"), p(0.95)));
+        sharded.apply(&[IndexOp::InsertIdentity {
+            a: k("db1.c.b7"),
+            b: k("db2.c.c7"),
+            p: p(0.95),
+        }]);
         assert_equivalent(&sharded, 20);
     }
 
@@ -990,7 +996,7 @@ mod tests {
         let before: Vec<u64> = sharded.shard_stats().iter().map(|s| s.swaps).collect();
         assert!(before.iter().all(|&s| s == 0), "construction must not count as swaps");
         let victim = k("db0.c.a5");
-        sharded.update(|ix| ix.remove_object(&victim));
+        sharded.apply(&[IndexOp::RemoveObject { key: victim.clone() }]);
         let after: Vec<u64> = sharded.shard_stats().iter().map(|s| s.swaps).collect();
         let home = route(&victim);
         for (shard, (&b, &a)) in before.iter().zip(after.iter()).enumerate() {
@@ -1009,7 +1015,7 @@ mod tests {
         let victim = k("db1.c.b4");
         let neighbor = k("db0.c.a4");
         assert!(sharded.view().edge(&neighbor, &victim, RelationKind::Identity).is_some());
-        sharded.update(|ix| ix.remove_object(&victim));
+        sharded.apply(&[IndexOp::RemoveObject { key: victim.clone() }]);
         let view = sharded.view();
         assert!(view.edge(&neighbor, &victim, RelationKind::Identity).is_none());
         assert!(view.contains(&neighbor));
@@ -1026,7 +1032,7 @@ mod tests {
         expected.sort_unstable();
         expected.dedup();
         assert!(expected.len() > 1, "the sample must spread the victim's neighbours");
-        let (_, report) = sharded.update_reporting(|ix| ix.remove_object(&victim));
+        let report = sharded.apply(&[IndexOp::RemoveObject { key: victim.clone() }]);
         assert_eq!(report.touched, vec![route(&victim)]);
         assert_eq!(report.dirty, expected, "every shard that lost a serialized line is dirty");
     }
@@ -1035,11 +1041,15 @@ mod tests {
     fn resurrection_does_not_revive_stale_edges() {
         let sharded = ShardedIndex::new(sample_index(8));
         let victim = k("db2.c.c3");
-        sharded.update(|ix| ix.remove_object(&victim));
+        sharded.apply(&[IndexOp::RemoveObject { key: victim.clone() }]);
         // Re-insert the key with a single fresh relation; the old edges
         // stay dead even though neighbouring shards still hold stale
         // half-edges (their incarnation check must fail).
-        sharded.update(|ix| ix.insert_matching(&victim, &k("db5.c.new"), p(0.5)));
+        sharded.apply(&[IndexOp::InsertMatching {
+            a: victim.clone(),
+            b: k("db5.c.new"),
+            p: p(0.5),
+        }]);
         assert_equivalent(&sharded, 8);
         let view = sharded.view();
         assert!(view.contains(&victim));
@@ -1054,7 +1064,7 @@ mod tests {
         let before = sharded.view();
         assert!(before.contains(&victim));
         let reached_before = before.augment(std::slice::from_ref(&victim), 1);
-        sharded.update(|ix| ix.remove_object(&victim));
+        sharded.apply(&[IndexOp::RemoveObject { key: victim.clone() }]);
         // The old view still sees the pre-mutation world…
         assert!(before.contains(&victim));
         assert_eq!(before.augment(std::slice::from_ref(&victim), 1), reached_before);
@@ -1071,14 +1081,11 @@ mod tests {
         // fresh nodes that stay in their shard's overlay until folded.
         for round in 0..30 {
             for g in 0..groups {
-                let key = k(&format!("db3.c.m{}", g / 2));
-                sharded.update(|ix| {
-                    ix.insert_matching(
-                        &key,
-                        &k(&format!("db6.c.x{round}_{g}")),
-                        p(0.4 + 0.01 * (g % 10) as f64),
-                    );
-                });
+                sharded.apply(&[IndexOp::InsertMatching {
+                    a: k(&format!("db3.c.m{}", g / 2)),
+                    b: k(&format!("db6.c.x{round}_{g}")),
+                    p: p(0.4 + 0.01 * (g % 10) as f64),
+                }]);
             }
         }
         let stats = sharded.shard_stats();
@@ -1099,10 +1106,13 @@ mod tests {
         ix.insert_identity(&b, &c, p(0.8));
         ix.insert_matching(&a, &m, p(0.7));
         let sharded = ShardedIndex::new(ix);
+        assert!(sharded.view().edge(&a, &b, RelationKind::Identity).is_some());
         // Deleting a ~ b keeps a ~ c, which was inferred through it.
-        let (deleted, report) =
-            sharded.update_reporting(|ix| ix.delete_prelation(&a, &b, RelationKind::Identity));
-        assert!(deleted);
+        let report = sharded.apply(&[IndexOp::DeleteRelation {
+            a: a.clone(),
+            b: b.clone(),
+            kind: RelationKind::Identity,
+        }]);
         let mut endpoints = vec![route(&a), route(&b)];
         endpoints.sort_unstable();
         assert_eq!(report.touched, endpoints, "both endpoint shards republish");
@@ -1130,16 +1140,17 @@ mod tests {
     }
 
     #[test]
-    fn update_reporting_surfaces_compactions() {
+    fn apply_reports_compactions() {
         let groups = 40;
         let sharded = ShardedIndex::new(sample_index(groups));
         let mut reported: Vec<usize> = Vec::new();
         for round in 0..30 {
             for g in 0..groups {
-                let key = k(&format!("db3.c.m{}", g / 2));
-                let (_, report) = sharded.update_reporting(|ix| {
-                    ix.insert_matching(&key, &k(&format!("db6.c.y{round}_{g}")), p(0.5));
-                });
+                let report = sharded.apply(&[IndexOp::InsertMatching {
+                    a: k(&format!("db3.c.m{}", g / 2)),
+                    b: k(&format!("db6.c.y{round}_{g}")),
+                    p: p(0.5),
+                }]);
                 reported.extend(report.compacted);
             }
         }
@@ -1154,7 +1165,7 @@ mod tests {
     #[test]
     fn serialize_shard_covers_every_live_node_once() {
         let sharded = ShardedIndex::new(sample_index(15));
-        sharded.update(|ix| ix.remove_object(&k("db1.c.b4")));
+        sharded.apply(&[remove("db1.c.b4")]);
         let mut node_lines = 0;
         for shard in 0..SHARD_COUNT {
             let body = sharded.serialize_shard(shard);
@@ -1182,9 +1193,11 @@ mod tests {
             let sharded = ShardedIndex::new(sample_index(12));
             for i in 0..touches {
                 // Each strengthening re-projects the same endpoints.
-                sharded.update(|ix| {
-                    ix.insert_matching(&k("db0.c.a1"), &k("db3.c.m5"), p(0.5 + 0.01 * i as f64))
-                });
+                sharded.apply(&[IndexOp::InsertMatching {
+                    a: k("db0.c.a1"),
+                    b: k("db3.c.m5"),
+                    p: p(0.5 + 0.01 * i as f64),
+                }]);
             }
             let stats = sharded.shard_stats();
             assert!(stats.iter().all(|s| s.compactions == 0), "must stay in the overlay");
@@ -1196,7 +1209,7 @@ mod tests {
     #[test]
     fn replace_rebuilds_every_shard() {
         let sharded = ShardedIndex::new(sample_index(5));
-        sharded.replace(sample_index(9));
+        sharded.replace(ShardedIndex::new(sample_index(9)));
         assert_equivalent(&sharded, 9);
         assert!(sharded.shard_stats().iter().all(|s| s.swaps == 1 && s.compactions == 1));
     }

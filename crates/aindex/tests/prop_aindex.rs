@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use quepa_aindex::shard::route;
-use quepa_aindex::{AIndex, IndexView, ShardedIndex};
+use quepa_aindex::{AIndex, IndexOp, IndexView, ShardedIndex};
 use quepa_pdm::{GlobalKey, Probability, RelationKind};
 
 #[derive(Debug, Clone)]
@@ -229,15 +229,19 @@ proptest! {
         let sharded = ShardedIndex::new(AIndex::new());
         let seeds: Vec<GlobalKey> = raw_seeds.iter().map(|&s| pool[s].clone()).collect();
         for (i, op) in script.iter().enumerate() {
-            sharded.update(|ix| match *op {
-                ScriptOp::Identity(a, b, p) => {
-                    ix.insert_identity(&pool[a], &pool[b], Probability::of(p))
-                }
-                ScriptOp::Matching(a, b, p) => {
-                    ix.insert_matching(&pool[a], &pool[b], Probability::of(p))
-                }
-                ScriptOp::Remove(a) => ix.remove_object(&pool[a]),
-            });
+            sharded.apply(&[match *op {
+                ScriptOp::Identity(a, b, p) => IndexOp::InsertIdentity {
+                    a: pool[a].clone(),
+                    b: pool[b].clone(),
+                    p: Probability::of(p),
+                },
+                ScriptOp::Matching(a, b, p) => IndexOp::InsertMatching {
+                    a: pool[a].clone(),
+                    b: pool[b].clone(),
+                    p: Probability::of(p),
+                },
+                ScriptOp::Remove(a) => IndexOp::RemoveObject { key: pool[a].clone() },
+            }]);
             if i % 16 != 15 && i + 1 != script.len() {
                 continue;
             }

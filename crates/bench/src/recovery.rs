@@ -96,17 +96,13 @@ pub fn ops(count: usize) -> Vec<IndexOp> {
 }
 
 /// The raw sharded update the durable mutation path wraps: one
-/// `ShardedIndex::update` per batch, no Quepa, no WAL — the
+/// `ShardedIndex::apply` per batch, no Quepa, no WAL — the
 /// pre-durability mutation cost.
 pub fn mutation_baseline(stream: &[IndexOp]) -> f64 {
     let sharded = ShardedIndex::new(AIndex::new());
     let t0 = Instant::now();
     for batch in stream.chunks(BATCH) {
-        sharded.update(|ix| {
-            for op in batch {
-                op.apply(ix);
-            }
-        });
+        sharded.apply(batch);
     }
     t0.elapsed().as_secs_f64() / stream.len() as f64
 }
@@ -181,11 +177,7 @@ pub fn build_durable_dir(dir: &Path, stream: &[IndexOp]) {
         wal.append(std::slice::from_ref(op)).expect("append");
     }
     let sharded = ShardedIndex::new(AIndex::new());
-    sharded.update(|ix| {
-        for op in &stream[..mid] {
-            op.apply(ix);
-        }
-    });
+    sharded.apply(&stream[..mid]);
     quepa_wal::write_cut(dir, mid as u64, |shard| Some(sharded.serialize_shard(shard)))
         .expect("write cut");
     for op in &stream[mid..] {
@@ -214,11 +206,7 @@ mod tests {
     fn mutation_paths_agree_on_the_final_index() {
         let stream = ops(640);
         let sharded = ShardedIndex::new(AIndex::new());
-        sharded.update(|ix| {
-            for op in &stream {
-                op.apply(ix);
-            }
-        });
+        sharded.apply(&stream);
         let quepa = Quepa::new(bench_polystore().polystore, AIndex::new());
         for batch in stream.chunks(BATCH) {
             quepa.apply_mutations(batch).unwrap();

@@ -18,7 +18,7 @@
 //! * **mutation throughput under concurrent readers** — a writer applies
 //!   `remove_object` calls while [`READERS`] closed-loop reader threads
 //!   augment continuously, once against the sharded delta-overlay path
-//!   (`ShardedIndex::update`: one shard republished per removal) and once
+//!   (`ShardedIndex::apply`: one shard republished per removal) and once
 //!   against the whole-index-swap baseline (clone the ledger, mutate
 //!   the clone, `ShardedIndex::replace`: every shard rebuilt and
 //!   republished per removal). The sharded path must win by ≥5×.
@@ -27,7 +27,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
 use std::time::Instant;
 
-use quepa_aindex::{AIndex, ShardedIndex};
+use quepa_aindex::{AIndex, IndexOp, ShardedIndex};
 use quepa_pdm::GlobalKey;
 use quepa_polystore::Deployment;
 use quepa_workload::{BuiltPolystore, TopologyFamily, WorkloadConfig};
@@ -212,7 +212,9 @@ pub struct MutationPoint {
 /// publishes one directory swap, while [`READERS`] threads keep
 /// augmenting on their own views.
 pub fn mutation_throughput_sharded(lab: &ScaleLab) -> MutationPoint {
-    run_mutations(lab, |sharded, key| sharded.update(|ix| ix.remove_object(key)))
+    run_mutations(lab, |sharded, key| {
+        sharded.apply(&[IndexOp::RemoveObject { key: key.clone() }]);
+    })
 }
 
 /// Mutation throughput through the whole-index-swap baseline the
@@ -222,7 +224,7 @@ pub fn mutation_throughput_swap(lab: &ScaleLab) -> MutationPoint {
     run_mutations(lab, |sharded, key| {
         let mut ledger = sharded.snapshot();
         ledger.remove_object(key);
-        sharded.replace(ledger);
+        sharded.replace(ShardedIndex::new(ledger));
     })
 }
 

@@ -63,7 +63,8 @@ use std::collections::BTreeMap;
 
 use quepa_aindex::IndexView;
 use quepa_core::{
-    pool_width, AnswerNormalForm, AugmentedAnswer, AugmenterKind, MissingKey, MissingReason, Quepa,
+    pool_width, AnswerNormalForm, AugmentedAnswer, AugmenterKind, IndexOp, MissingKey,
+    MissingReason, Quepa,
 };
 use quepa_pdm::{GlobalKey, Pushdown, Value};
 use quepa_polystore::fault::call_identity;
@@ -407,7 +408,13 @@ fn check_exploration_races(scenario: &Scenario, clients: usize) -> Result<(), Ch
         .filter(|&(store, obj)| scenario.is_phantom(store, obj))
         .map(|(store, obj)| scenario.key_of(store, obj))
         .collect();
-    shared.update_index(|ix| phantoms.iter().for_each(|key| ix.remove_object(key)));
+    // One batch: the phantoms leave in one atomic transition.
+    let removals: Vec<IndexOp> =
+        phantoms.iter().map(|key| IndexOp::RemoveObject { key: key.clone() }).collect();
+    shared.apply_mutations(&removals).map_err(|e| CheckFailure {
+        seed: scenario.seed,
+        message: format!("removing the phantoms failed: {e}"),
+    })?;
     phantoms.iter().for_each(|key| model.remove_key(key));
 
     std::thread::scope(|scope| {
@@ -475,7 +482,9 @@ fn check_removal_quiesce(
 
     for (k, &(s, o)) in scenario.removals.iter().enumerate() {
         let key = scenario.key_of(s, o);
-        quepa.update_index(|ix| ix.remove_object(&key));
+        quepa
+            .apply_mutations(&[IndexOp::RemoveObject { key: key.clone() }])
+            .map_err(|e| fail(format!("removal quiesce point {k}: removing {key} failed: {e}")))?;
         model.remove_key(&key);
         let want = predict_normal_form(scenario, &model.augment(&original, scenario.level));
         let got = search_answer(&quepa, scenario, &database, &query)
@@ -558,7 +567,9 @@ fn check_removal_races(
         start.wait();
         for &(s, o) in &scenario.removals {
             let key = scenario.key_of(s, o);
-            shared.update_index(|ix| ix.remove_object(&key));
+            shared
+                .apply_mutations(&[IndexOp::RemoveObject { key }])
+                .expect("a volatile commit cannot fail");
             std::thread::yield_now();
         }
         stop.store(true, std::sync::atomic::Ordering::Relaxed);

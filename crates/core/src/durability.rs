@@ -21,13 +21,11 @@
 //! never-crashed instance — the crash-point differential harness in
 //! `quepa-check` pins that end to end.
 //!
-//! Closure-based mutations ([`Quepa::update_index`] — e.g. manual
-//! curation; [`Quepa::replace_index`]) are not WAL-logged: in durable mode they mark
-//! the state *stale*, and the next durable commit or explicit
-//! [`Quepa::checkpoint_durable`] first writes a full cut capturing
-//! them. A crash before that cut loses the un-logged mutation but never
-//! corrupts recovery — the WAL tail always replays against the state
-//! its records were computed on.
+//! [`Quepa::apply_mutations`] is the only way to change a live index,
+//! so the log misses no mutation. The one wholesale write,
+//! [`Quepa::replace_index`] (`LOAD`), commits a full cut of the new
+//! index under the same lock before publishing it, so a loaded index is
+//! durable when the call answers and a failed load changes nothing.
 
 use std::path::{Path, PathBuf};
 
@@ -50,13 +48,9 @@ pub struct Durability {
 
 struct DurableState {
     wal: Wal,
-    /// Shards whose serialized form may differ from the last cut.
+    /// Shards whose serialized form may differ from the last cut; all
+    /// of them at create and after recovery.
     dirty: [bool; SHARD_COUNT],
-    /// Whether any cut exists to carry clean shards over from.
-    have_cut: bool,
-    /// A closure mutation bypassed the WAL since the last cut; the next
-    /// commit or checkpoint must start with a full cut.
-    stale: bool,
     cuts_written: u64,
     records_appended: u64,
 }
@@ -81,27 +75,21 @@ impl Durability {
         st: &mut DurableState,
         lsn: Lsn,
     ) -> Result<()> {
-        let full = !st.have_cut || st.stale;
         quepa_wal::write_cut(&self.dir, lsn, |shard| {
-            (full || st.dirty[shard]).then(|| index.serialize_shard(shard))
+            st.dirty[shard].then(|| index.serialize_shard(shard))
         })?;
-        st.wal.truncate_upto(lsn).map_err(wal_err)?;
-        st.dirty = [false; SHARD_COUNT];
-        st.have_cut = true;
-        st.stale = false;
-        st.cuts_written += 1;
-        Ok(())
+        st.cut_committed(lsn)
     }
+}
 
-    /// Runs a WAL-bypassing mutation under the durability lock and marks
-    /// the state stale, so no concurrent commit can cut a half-observed
-    /// state and the next commit starts with a full cut.
-    pub(crate) fn bypass<R>(&self, f: impl FnOnce() -> R) -> R {
-        let mut st = self.state.lock();
-        let out = f();
-        st.stale = true;
-        st.dirty = [true; SHARD_COUNT];
-        out
+impl DurableState {
+    /// Bookkeeping after a cut at `lsn` committed: truncate the WAL
+    /// behind it and mark every shard clean.
+    fn cut_committed(&mut self, lsn: Lsn) -> Result<()> {
+        self.wal.truncate_upto(lsn).map_err(wal_err)?;
+        self.dirty = [false; SHARD_COUNT];
+        self.cuts_written += 1;
+        Ok(())
     }
 }
 
@@ -137,9 +125,7 @@ impl Quepa {
             sync,
             state: Mutex::new(DurableState {
                 wal,
-                dirty: [false; SHARD_COUNT],
-                have_cut: false,
-                stale: false,
+                dirty: [true; SHARD_COUNT],
                 cuts_written: 0,
                 records_appended: 0,
             }),
@@ -177,8 +163,6 @@ impl Quepa {
                 // The replayed tail dirtied unknown shards; the first
                 // cut after recovery serializes everything fresh.
                 dirty: [true; SHARD_COUNT],
-                have_cut: report.checkpoints_loaded > 0,
-                stale: false,
                 cuts_written: 0,
                 records_appended: 0,
             }),
@@ -206,29 +190,24 @@ impl Quepa {
 
     /// Applies a batch of logical index mutations through the commit
     /// path: WAL append → store flush → apply → checkpoint cut if the
-    /// drain compacted a shard. On a volatile instance the same code
+    /// drain compacted a shard. This is the only way to change a live
+    /// index (lazy deletion, promotion and scripted removals all commit
+    /// [`IndexOp`]s). On a volatile instance the same code
     /// applies the batch directly (one atomic update) and returns LSN 0,
     /// so durable and volatile mutation share one code path — which is
     /// what makes the WAL-off/WAL-on benchmark comparison fair.
     pub fn apply_mutations(&self, ops: &[IndexOp]) -> Result<Lsn> {
         let mut span = quepa_obs::span_on(&self.obs, quepa_obs::Stage::Commit, "apply");
         span.add_items(ops.len() as u64);
-        let apply = |ix: &mut AIndex| ops.iter().for_each(|op| op.apply(ix));
         let Some(dur) = &self.durability else {
-            self.index.update(apply);
+            self.index.apply(ops);
             return Ok(0);
         };
         let mut st = dur.state.lock();
-        if st.stale {
-            // A closure mutation bypassed the WAL; capture it in a full
-            // cut before logging records computed on top of it.
-            let lsn = st.wal.last_lsn();
-            dur.write_cut_locked(&self.index, &mut st, lsn)?;
-        }
         let lsn = st.wal.append(ops).map_err(wal_err)?;
         st.records_appended += ops.len() as u64;
         self.polystore.commit_durable_all()?;
-        let ((), report) = self.index.update_reporting(apply);
+        let report = self.index.apply(ops);
         for shard in report.dirty {
             st.dirty[shard] = true;
         }
@@ -240,14 +219,33 @@ impl Quepa {
 
     /// Forces a checkpoint cut at the current LSN and truncates the WAL
     /// behind it. Returns the covered LSN, or `None` on a volatile
-    /// instance. Also the way to persist closure mutations (manual
-    /// curation, a loaded index) that bypass the WAL.
+    /// instance.
     pub fn checkpoint_durable(&self) -> Result<Option<Lsn>> {
         let Some(dur) = &self.durability else { return Ok(None) };
         let mut st = dur.state.lock();
         let lsn = st.wal.last_lsn();
         dur.write_cut_locked(&self.index, &mut st, lsn)?;
         Ok(Some(lsn))
+    }
+
+    /// Replaces the A' index wholesale (`LOAD`). On a durable instance a
+    /// full checkpoint cut of the new index at the current LSN commits
+    /// under the durability lock *before* the index is published, so it
+    /// is durable when the call returns; if the cut fails, the error is
+    /// returned and the old index stays in place.
+    pub fn replace_index(&self, index: AIndex) -> Result<()> {
+        let staged = ShardedIndex::new(index);
+        let Some(dur) = &self.durability else {
+            self.index.replace(staged);
+            return Ok(());
+        };
+        let mut st = dur.state.lock();
+        let lsn = st.wal.last_lsn();
+        quepa_wal::write_cut(&dur.dir, lsn, |shard| Some(staged.serialize_shard(shard)))?;
+        // The committed cut holds the new index: publish it whatever the
+        // truncation below does.
+        self.index.replace(staged);
+        st.cut_committed(lsn)
     }
 
     /// The WAL sync policy of the durable attachment, if any.

@@ -112,17 +112,16 @@ impl<'q> ExplorationSession<'q> {
             return Ok(false);
         }
         let quepa = self.quepa;
-        // Deciding only reads the ledger: an update that journals
-        // nothing republishes nothing and leaves durable state clean.
-        let mut paths = quepa.paths();
-        let promotion = quepa.index.update(|ledger| {
-            let promo = paths.record(&self.path, ledger)?;
-            // §III-D(a): the shortcut is added "if not yet present".
-            let absent = ledger.edge(&promo.from, &promo.to, RelationKind::Matching).is_none();
-            absent.then_some(promo)
-        });
-        drop(paths);
-        let Some(promo) = promotion else { return Ok(false) };
+        // Deciding only reads: the published view is enough. §III-D(a):
+        // the shortcut is added "if not yet present".
+        let view = quepa.index();
+        let Some(promo) = quepa
+            .paths()
+            .record(&self.path, &view)
+            .filter(|promo| view.edge(&promo.from, &promo.to, RelationKind::Matching).is_none())
+        else {
+            return Ok(false);
+        };
         quepa.apply_mutations(&[IndexOp::InsertPromoted {
             a: promo.from,
             b: promo.to,

@@ -129,35 +129,6 @@ impl Quepa {
         self.index.shard_stats()
     }
 
-    /// Mutates the A' index (Collector updates, manual curation): `f`
-    /// runs on the index ledger under the writer lock, then the touched
-    /// shards' snapshots are republished as one atomic transition.
-    /// Concurrent readers keep the views they hold; concurrent updates
-    /// serialize and compose.
-    ///
-    /// On a durable instance this path bypasses the WAL (a closure is
-    /// not a loggable record): it marks the durable state stale, and the
-    /// next [`apply_mutations`](Quepa::apply_mutations) or
-    /// [`checkpoint_durable`](Quepa::checkpoint_durable) persists the
-    /// result in a full checkpoint cut. Prefer `apply_mutations` for
-    /// anything expressible as [`crate::durability::IndexOp`]s.
-    pub fn update_index<R>(&self, f: impl FnOnce(&mut AIndex) -> R) -> R {
-        match &self.durability {
-            None => self.index.update(f),
-            Some(dur) => dur.bypass(|| self.index.update(f)),
-        }
-    }
-
-    /// Replaces the A' index wholesale (e.g. loading a saved index). On
-    /// a durable instance the replacement is persisted at the next cut,
-    /// like [`update_index`](Quepa::update_index).
-    pub fn replace_index(&self, index: AIndex) {
-        match &self.durability {
-            None => self.index.replace(index),
-            Some(dur) => dur.bypass(|| self.index.replace(index)),
-        }
-    }
-
     /// The object cache.
     pub fn cache(&self) -> &ObjectCache {
         &self.cache

@@ -2,14 +2,14 @@
 //! recover loop at the `Quepa` level, differentially compared against a
 //! volatile twin that never crashed. The crate-level recovery property
 //! test (`quepa-wal`) pins the index math; these tests pin the *system*
-//! wiring — config plumbing, store flush ordering, stale-closure
-//! semantics, status accounting.
+//! wiring — config plumbing, store flush ordering, forced and
+//! load-time cuts, status accounting.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use quepa_aindex::{AIndex, IndexView, PathRepository, PromotionConfig};
+use quepa_aindex::{serial, AIndex, IndexView, PathRepository, PromotionConfig};
 use quepa_core::{IndexOp, Quepa, QuepaConfig, RecoveryOptions, SyncPolicy};
 use quepa_kvstore::KvStore;
 use quepa_pdm::{GlobalKey, Probability};
@@ -216,8 +216,8 @@ fn recovery_continues_accepting_mutations() {
 }
 
 #[test]
-fn closure_mutations_survive_via_the_next_checkpoint() {
-    let tmp = TempDir::new("stale");
+fn records_after_a_forced_cut_replay_on_top_of_it() {
+    let tmp = TempDir::new("forced-cut");
     let durable = Quepa::create_durable(
         small_polystore(),
         AIndex::new(),
@@ -228,20 +228,17 @@ fn closure_mutations_survive_via_the_next_checkpoint() {
     .unwrap();
     let twin = Quepa::with_config(small_polystore(), AIndex::new(), QuepaConfig::default());
     let script = mutation_script();
-    durable.apply_mutations(&script[0]).unwrap();
-    twin.apply_mutations(&script[0]).unwrap();
-
-    // A closure mutation bypasses the WAL (promotion-style path) ...
-    let promote = |ix: &mut AIndex| {
-        ix.insert_promoted(&k("left.c.5"), &k("right.c.5"), Probability::of(0.5));
-    };
-    durable.update_index(promote);
-    twin.update_index(promote);
-    // ... and the explicit checkpoint captures it in a full cut.
+    let promote =
+        [IndexOp::InsertPromoted { a: k("left.c.5"), b: k("right.c.5"), p: Probability::of(0.5) }];
+    for quepa in [&durable, &twin] {
+        quepa.apply_mutations(&script[0]).unwrap();
+        quepa.apply_mutations(&promote).unwrap();
+    }
+    // The explicit checkpoint captures both commits in a cut ...
     let covered = durable.checkpoint_durable().unwrap();
     assert!(covered.is_some());
 
-    // Records computed on top of it land in the WAL as usual.
+    // ... and records computed on top of it land in the WAL as usual.
     durable.apply_mutations(&script[1]).unwrap();
     twin.apply_mutations(&script[1]).unwrap();
     drop(durable);
@@ -255,12 +252,13 @@ fn closure_mutations_survive_via_the_next_checkpoint() {
     )
     .unwrap();
     assert!(report.checkpoints_loaded > 0, "the forced cut must be loaded");
-    assert_index_equal(&recovered.index(), &twin.index(), "stale checkpoint");
+    assert!(report.replayed > 0, "the records after the cut must replay");
+    assert_index_equal(&recovered.index(), &twin.index(), "forced cut then tail");
 }
 
 #[test]
-fn unlogged_closure_mutation_is_lost_but_recovery_stays_sound() {
-    let tmp = TempDir::new("lost-closure");
+fn replace_index_is_durable_when_it_returns() {
+    let tmp = TempDir::new("load");
     let durable = Quepa::create_durable(
         small_polystore(),
         AIndex::new(),
@@ -273,13 +271,17 @@ fn unlogged_closure_mutation_is_lost_but_recovery_stays_sound() {
     let script = mutation_script();
     durable.apply_mutations(&script[0]).unwrap();
     twin.apply_mutations(&script[0]).unwrap();
-    // Closure mutation, then crash before any checkpoint: the mutation
-    // is expected to vanish — the WAL tail replays against the state
-    // its records were computed on, so the twin *without* it matches.
-    durable.update_index(|ix| {
-        ix.insert_promoted(&k("left.c.5"), &k("right.c.5"), Probability::of(0.5));
-    });
-    drop(durable);
+
+    // The index a `LOAD` reads: built elsewhere, saved, parsed back.
+    let mut ix = AIndex::new();
+    for op in script[1].iter().chain(&script[3]) {
+        op.apply(&mut ix);
+    }
+    let saved = serial::to_string(&ix);
+    for quepa in [&durable, &twin] {
+        quepa.replace_index(serial::from_str(&saved).unwrap()).unwrap();
+    }
+    drop(durable); // no checkpoint: the load itself must have cut
 
     let (recovered, _) = Quepa::recover_durable(
         small_polystore(),
@@ -289,7 +291,51 @@ fn unlogged_closure_mutation_is_lost_but_recovery_stays_sound() {
         &RecoveryOptions::default(),
     )
     .unwrap();
-    assert_index_equal(&recovered.index(), &twin.index(), "lost closure");
+    assert_index_equal(&recovered.index(), &twin.index(), "load then crash");
+}
+
+#[test]
+fn a_failed_load_leaves_the_old_index_in_place() {
+    let tmp = TempDir::new("failed-load");
+    let durable = Quepa::create_durable(
+        small_polystore(),
+        AIndex::new(),
+        QuepaConfig::default(),
+        &tmp.0,
+        SyncPolicy::Always,
+    )
+    .unwrap();
+    let twin = Quepa::with_config(small_polystore(), AIndex::new(), QuepaConfig::default());
+    let script = mutation_script();
+    durable.apply_mutations(&script[0]).unwrap();
+    twin.apply_mutations(&script[0]).unwrap();
+
+    // A regular file where the load's cut would be assembled makes the
+    // cut fail.
+    let lsn = durable.durability_status().unwrap().last_lsn;
+    std::fs::write(tmp.0.join(format!("ckpt-{lsn:020}.tmp")), "").unwrap();
+    let mut ix = AIndex::new();
+    for op in &script[3] {
+        op.apply(&mut ix);
+    }
+    assert!(durable.replace_index(ix).is_err(), "the load's cut must fail");
+    assert_index_equal(&durable.index(), &twin.index(), "after a failed load");
+
+    // Commits after the failed load build on the old index, as recovery
+    // will: the live and the recovered index agree.
+    durable.apply_mutations(&script[1]).unwrap();
+    twin.apply_mutations(&script[1]).unwrap();
+    assert_index_equal(&durable.index(), &twin.index(), "commit after a failed load");
+    drop(durable);
+    let (recovered, _) = Quepa::recover_durable(
+        small_polystore(),
+        QuepaConfig::default(),
+        &tmp.0,
+        SyncPolicy::Always,
+        &RecoveryOptions::default(),
+    )
+    .unwrap();
+    assert_index_equal(&recovered.index(), &twin.index(), "failed load, commit, crash");
 }
 
 #[test]

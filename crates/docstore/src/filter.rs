@@ -1,6 +1,9 @@
 //! Filter documents: a compiled form of Mongo-style query filters and the
 //! matcher that evaluates them against documents.
 
+use std::cmp::Ordering;
+
+use quepa_pdm::compare::{like_match, range_match, value_eq};
 use quepa_pdm::ordered::{Cmp, Sarg};
 use quepa_pdm::Value;
 
@@ -175,13 +178,13 @@ impl Filter {
                     FieldOp::Exists(want) => field.is_some() == *want,
                     FieldOp::Eq(v) => field.is_some_and(|f| value_eq(f, v)),
                     FieldOp::Ne(v) => field.is_some_and(|f| !value_eq(f, v)),
-                    FieldOp::Gt(v) => cmp_ok(field, v, |o| o.is_gt()),
-                    FieldOp::Gte(v) => cmp_ok(field, v, |o| o.is_ge()),
-                    FieldOp::Lt(v) => cmp_ok(field, v, |o| o.is_lt()),
-                    FieldOp::Lte(v) => cmp_ok(field, v, |o| o.is_le()),
+                    FieldOp::Gt(v) => range_match(field, v, Ordering::is_gt),
+                    FieldOp::Gte(v) => range_match(field, v, Ordering::is_ge),
+                    FieldOp::Lt(v) => range_match(field, v, Ordering::is_lt),
+                    FieldOp::Lte(v) => range_match(field, v, Ordering::is_le),
                     FieldOp::In(vs) => field.is_some_and(|f| vs.iter().any(|v| value_eq(f, v))),
                     FieldOp::Like(p) => {
-                        field.and_then(Value::as_str).is_some_and(|s| quepa_relstore_like(p, s))
+                        field.and_then(Value::as_str).is_some_and(|s| like_match(p, s))
                     }
                     FieldOp::Contains(needle) => field
                         .and_then(Value::as_str)
@@ -252,55 +255,6 @@ fn str_operand(op: &str, operand: &Value) -> Result<String> {
         .as_str()
         .map(str::to_owned)
         .ok_or_else(|| DocError::BadFilter(format!("{op} requires a string")))
-}
-
-fn value_eq(a: &Value, b: &Value) -> bool {
-    if let (Some(x), Some(y)) = (a.as_f64(), b.as_f64()) {
-        return x == y;
-    }
-    a == b
-}
-
-fn cmp_ok(field: Option<&Value>, v: &Value, pred: impl Fn(std::cmp::Ordering) -> bool) -> bool {
-    // Range comparisons only apply between two numerics or two strings;
-    // mismatched types never match (Mongo's BSON type-bracketing, simplified).
-    match field {
-        None => false,
-        Some(f) => {
-            let comparable = (f.as_f64().is_some() && v.as_f64().is_some())
-                || (f.as_str().is_some() && v.as_str().is_some());
-            comparable && pred(f.total_cmp(v))
-        }
-    }
-}
-
-/// SQL-LIKE matching, duplicated from the relational engine's semantics so
-/// the two stores agree on the pattern dialect without a cross-store
-/// dependency. Case-insensitive; `%` any run, `_` one char.
-fn quepa_relstore_like(pattern: &str, text: &str) -> bool {
-    let p: Vec<char> = pattern.chars().flat_map(|c| c.to_lowercase()).collect();
-    let t: Vec<char> = text.chars().flat_map(|c| c.to_lowercase()).collect();
-    let (mut pi, mut ti) = (0usize, 0usize);
-    let mut star: Option<(usize, usize)> = None;
-    while ti < t.len() {
-        if pi < p.len() && (p[pi] == '_' || p[pi] == t[ti]) {
-            pi += 1;
-            ti += 1;
-        } else if pi < p.len() && p[pi] == '%' {
-            star = Some((pi, ti));
-            pi += 1;
-        } else if let Some((sp, st)) = star {
-            pi = sp + 1;
-            ti = st + 1;
-            star = Some((sp, st + 1));
-        } else {
-            return false;
-        }
-    }
-    while pi < p.len() && p[pi] == '%' {
-        pi += 1;
-    }
-    pi == p.len()
 }
 
 #[cfg(test)]

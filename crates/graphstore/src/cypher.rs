@@ -10,6 +10,9 @@
 //!
 //! `op` is one of `= <> < <= > >= CONTAINS STARTS WITH`.
 
+use std::cmp::Ordering;
+
+use quepa_pdm::compare::{range_match, value_eq};
 use quepa_pdm::ordered::{Cmp, Sarg};
 use quepa_pdm::Value;
 
@@ -209,21 +212,10 @@ fn predicates_hold(preds: &[Predicate], var: &str, node: &Node) -> bool {
         match p.op {
             CmpOp::Eq => value_eq(have, &p.value),
             CmpOp::Ne => !value_eq(have, &p.value),
-            CmpOp::Lt | CmpOp::Le | CmpOp::Gt | CmpOp::Ge => {
-                let comparable = (have.as_f64().is_some() && p.value.as_f64().is_some())
-                    || (have.as_str().is_some() && p.value.as_str().is_some());
-                if !comparable {
-                    return false;
-                }
-                let ord = have.total_cmp(&p.value);
-                match p.op {
-                    CmpOp::Lt => ord.is_lt(),
-                    CmpOp::Le => ord.is_le(),
-                    CmpOp::Gt => ord.is_gt(),
-                    CmpOp::Ge => ord.is_ge(),
-                    _ => unreachable!(),
-                }
-            }
+            CmpOp::Lt => range_match(Some(have), &p.value, Ordering::is_lt),
+            CmpOp::Le => range_match(Some(have), &p.value, Ordering::is_le),
+            CmpOp::Gt => range_match(Some(have), &p.value, Ordering::is_gt),
+            CmpOp::Ge => range_match(Some(have), &p.value, Ordering::is_ge),
             CmpOp::Contains => match (have.as_str(), p.value.as_str()) {
                 (Some(h), Some(n)) => h.to_lowercase().contains(&n.to_lowercase()),
                 _ => false,
@@ -234,13 +226,6 @@ fn predicates_hold(preds: &[Predicate], var: &str, node: &Node) -> bool {
             },
         }
     })
-}
-
-fn value_eq(a: &Value, b: &Value) -> bool {
-    if let (Some(x), Some(y)) = (a.as_f64(), b.as_f64()) {
-        return x == y;
-    }
-    a == b
 }
 
 // ---------------------------------------------------------------------------

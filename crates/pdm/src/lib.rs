@@ -25,6 +25,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod compare;
 pub mod error;
 pub mod key;
 pub mod object;

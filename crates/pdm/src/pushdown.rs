@@ -7,8 +7,8 @@
 //! document filter, secondary index, traversal filter), but the *meaning*
 //! is fixed here, by [`Pushdown::matches`] — the single evaluator the
 //! client-side fallback uses and the store-side implementations must agree
-//! with. The semantics deliberately mirror the document store's filter
-//! matcher (the strictest dialect among the four engines):
+//! with. The comparisons are the [`compare`](crate::compare) kernel the
+//! store engines' own evaluators call too:
 //!
 //! * equality is numeric across `Int`/`Float`, structural otherwise;
 //! * `ne` requires the field to be *present* (missing fields match nothing);
@@ -21,8 +21,10 @@
 //! joined by `" AND "`) used by scenario files and the CLI; `parse` and
 //! `Display` round-trip.
 
+use std::cmp::Ordering;
 use std::fmt;
 
+use crate::compare::{range_match, value_eq};
 use crate::error::PdmError;
 use crate::value::Value;
 
@@ -113,10 +115,10 @@ impl PushClause {
         match self.op {
             PushOp::Eq => field.is_some_and(|f| value_eq(f, &self.literal)),
             PushOp::Ne => field.is_some_and(|f| !value_eq(f, &self.literal)),
-            PushOp::Gt => cmp_ok(field, &self.literal, |o| o.is_gt()),
-            PushOp::Gte => cmp_ok(field, &self.literal, |o| o.is_ge()),
-            PushOp::Lt => cmp_ok(field, &self.literal, |o| o.is_lt()),
-            PushOp::Lte => cmp_ok(field, &self.literal, |o| o.is_le()),
+            PushOp::Gt => range_match(field, &self.literal, Ordering::is_gt),
+            PushOp::Gte => range_match(field, &self.literal, Ordering::is_ge),
+            PushOp::Lt => range_match(field, &self.literal, Ordering::is_lt),
+            PushOp::Lte => range_match(field, &self.literal, Ordering::is_le),
             PushOp::Contains => {
                 let needle = self.literal.as_str().map(str::to_lowercase);
                 field
@@ -128,27 +130,6 @@ impl PushClause {
                 .and_then(Value::as_str)
                 .zip(self.literal.as_str())
                 .is_some_and(|(s, p)| s.starts_with(p)),
-        }
-    }
-}
-
-/// Numeric-aware equality: ints equal floats with the same magnitude,
-/// everything else compares structurally. (Identical to the document
-/// store's matcher.)
-pub fn value_eq(a: &Value, b: &Value) -> bool {
-    if let (Some(x), Some(y)) = (a.as_f64(), b.as_f64()) {
-        return x == y;
-    }
-    a == b
-}
-
-fn cmp_ok(field: Option<&Value>, v: &Value, pred: impl Fn(std::cmp::Ordering) -> bool) -> bool {
-    match field {
-        None => false,
-        Some(f) => {
-            let comparable = (f.as_f64().is_some() && v.as_f64().is_some())
-                || (f.as_str().is_some() && v.as_str().is_some());
-            comparable && pred(f.total_cmp(v))
         }
     }
 }

@@ -2,6 +2,7 @@
 //! two values (NULL comparisons evaluate to false, as in most engines'
 //! final WHERE semantics) and SQL `LIKE` pattern matching.
 
+use quepa_pdm::compare::{like_match, value_eq};
 use quepa_pdm::Value;
 
 use crate::error::{RelError, Result};
@@ -45,14 +46,7 @@ pub fn eval<S: ColumnSource>(expr: &Expr, src: &S) -> Result<Value> {
             if v.is_null() {
                 return Ok(Value::Bool(false));
             }
-            let found = list.iter().any(|l| {
-                let lv = l.to_value();
-                if let (Some(a), Some(b)) = (v.as_f64(), lv.as_f64()) {
-                    a == b
-                } else {
-                    v == lv
-                }
-            });
+            let found = list.iter().any(|l| value_eq(&v, &l.to_value()));
             Ok(Value::Bool(found != *negated))
         }
         Expr::Between { expr, low, high, negated } => {
@@ -95,8 +89,8 @@ fn eval_comparison(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
         return Ok(Value::Bool(false));
     }
     let b = match op {
-        BinOp::Eq => compare_eq(l, r),
-        BinOp::Ne => !compare_eq(l, r),
+        BinOp::Eq => value_eq(l, r),
+        BinOp::Ne => !value_eq(l, r),
         BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
             let ord = l.total_cmp(r);
             match op {
@@ -122,14 +116,6 @@ fn eval_comparison(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
     Ok(Value::Bool(b))
 }
 
-fn compare_eq(l: &Value, r: &Value) -> bool {
-    // Numeric equality crosses Int/Float; everything else is structural.
-    if let (Some(a), Some(b)) = (l.as_f64(), r.as_f64()) {
-        return a == b;
-    }
-    l == r
-}
-
 fn truthy(v: &Value) -> bool {
     match v {
         Value::Bool(b) => *b,
@@ -138,43 +124,6 @@ fn truthy(v: &Value) -> bool {
         Value::Float(f) => *f != 0.0,
         _ => true,
     }
-}
-
-/// SQL `LIKE`: `%` matches any sequence (including empty), `_` matches one
-/// character. Matching is case-insensitive, mirroring MySQL's default
-/// collation — which is what makes the paper's `'%wish%'` query find
-/// `"Wish"`.
-pub fn like_match(pattern: &str, text: &str) -> bool {
-    let p: Vec<char> = pattern.chars().flat_map(|c| c.to_lowercase()).collect();
-    let t: Vec<char> = text.chars().flat_map(|c| c.to_lowercase()).collect();
-    like_rec(&p, &t)
-}
-
-fn like_rec(p: &[char], t: &[char]) -> bool {
-    // Iterative two-pointer algorithm with backtracking on the last `%`,
-    // O(|p|·|t|) worst case and O(1) space.
-    let (mut pi, mut ti) = (0usize, 0usize);
-    let mut star: Option<(usize, usize)> = None;
-    while ti < t.len() {
-        if pi < p.len() && (p[pi] == '_' || p[pi] == t[ti]) {
-            pi += 1;
-            ti += 1;
-        } else if pi < p.len() && p[pi] == '%' {
-            star = Some((pi, ti));
-            pi += 1;
-        } else if let Some((sp, st)) = star {
-            // Backtrack: let the last % absorb one more character.
-            pi = sp + 1;
-            ti = st + 1;
-            star = Some((sp, st + 1));
-        } else {
-            return false;
-        }
-    }
-    while pi < p.len() && p[pi] == '%' {
-        pi += 1;
-    }
-    pi == p.len()
 }
 
 #[cfg(test)]

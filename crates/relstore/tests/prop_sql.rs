@@ -1,9 +1,9 @@
 //! Property-based tests for the SQL engine.
 
 use proptest::prelude::*;
+use quepa_pdm::compare::like_match;
 use quepa_pdm::Value;
 use quepa_relstore::engine::Database;
-use quepa_relstore::eval::like_match;
 
 /// Reference implementation of LIKE by naive recursion, to cross-check the
 /// iterative backtracking matcher.

@@ -400,7 +400,7 @@ impl<'q> CommandProcessor<'q> {
             return Err("usage: LOAD <path>".into());
         }
         let text = std::fs::read_to_string(path).map_err(failed)?;
-        self.quepa.replace_index(serial::from_str(&text).map_err(failed)?);
+        self.quepa.replace_index(serial::from_str(&text).map_err(failed)?).map_err(failed)?;
         Ok(format!("A' index loaded from {path}: {:?}\n", self.quepa.index().stats()))
     }
 }

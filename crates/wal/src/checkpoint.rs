@@ -17,7 +17,9 @@
 //! the compacted shard. The cut is assembled in a `.tmp` directory and
 //! committed with an atomic rename; older cuts are removed only after
 //! the commit, so a crash mid-checkpoint always leaves a complete
-//! previous cut behind.
+//! previous cut behind. A cut rewritten at its own LSN (a `LOAD` with
+//! no record since the last cut) is first moved aside to `ckpt-<lsn>.old`,
+//! which recovery still loads until the new one is in place.
 //!
 //! Each shard file:
 //!
@@ -33,8 +35,8 @@
 //! A copied file keeps its original `lsn` stamp (when the shard content
 //! was last serialized); the cut's own LSN lives in the directory name
 //! and is what recovery replays from. The body is the `node`/`edge`
-//! line format of `quepa_aindex::serial` (lineage flattened: inferred
-//! edges reload as direct).
+//! line format of `quepa_aindex::serial` (an inferred edge is written,
+//! and reloads, as `direct`: the index keeps no lineage).
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -47,6 +49,7 @@ use crate::log::{Lsn, WalError};
 
 const HEADER: &str = "quepa-ckpt v1";
 const CUT_PREFIX: &str = "ckpt-";
+const ASIDE: &str = ".old";
 
 /// A loaded shard checkpoint file.
 #[derive(Debug, Clone)]
@@ -80,7 +83,9 @@ pub fn latest_cut(dir: &Path) -> Result<Option<(Lsn, PathBuf)>, WalError> {
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(io_err(dir, e)),
     };
-    let mut best: Option<(Lsn, PathBuf)> = None;
+    // Ranked by (lsn, not aside): a committed cut moved aside by a
+    // same-LSN rewrite still counts until its replacement is in place.
+    let mut best: Option<((Lsn, bool), PathBuf)> = None;
     for entry in entries {
         let entry = entry.map_err(|e| io_err(dir, e))?;
         let name = entry.file_name();
@@ -89,12 +94,14 @@ pub fn latest_cut(dir: &Path) -> Result<Option<(Lsn, PathBuf)>, WalError> {
         if raw.ends_with(".tmp") {
             continue; // an uncommitted cut a crash left behind
         }
+        let (raw, aside) = raw.strip_suffix(ASIDE).map_or((raw, false), |r| (r, true));
         let Ok(lsn) = raw.parse::<Lsn>() else { continue };
-        if best.as_ref().map(|(b, _)| lsn > *b).unwrap_or(true) {
-            best = Some((lsn, entry.path()));
+        let rank = (lsn, !aside);
+        if best.as_ref().map(|(b, _)| rank > *b).unwrap_or(true) {
+            best = Some((rank, entry.path()));
         }
     }
-    Ok(best)
+    Ok(best.map(|((lsn, _), path)| (lsn, path)))
 }
 
 /// Writes one shard file into a cut directory under assembly.
@@ -146,7 +153,14 @@ where
         }
     }
     let committed = dir.join(cut_dir_name(lsn));
-    let _ = std::fs::remove_dir_all(&committed);
+    if committed.exists() {
+        // A cut at the same LSN (a rewrite with no record in between):
+        // move it aside rather than delete it, so a crash before the
+        // rename below still finds it.
+        let aside = dir.join(format!("{}{ASIDE}", cut_dir_name(lsn)));
+        let _ = std::fs::remove_dir_all(&aside);
+        std::fs::rename(&committed, &aside).map_err(|e| io_err(&aside, e))?;
+    }
     std::fs::rename(&tmp, &committed).map_err(|e| io_err(&committed, e))?;
     // GC: older cuts and stale assemblies are now superseded.
     if let Ok(entries) = std::fs::read_dir(dir) {
@@ -290,6 +304,32 @@ mod tests {
         std::fs::create_dir_all(tmp.0.join("ckpt-00000000000000000099.tmp")).unwrap();
         let (lsn, _) = latest_cut(&tmp.0).unwrap().unwrap();
         assert_eq!(lsn, 4);
+    }
+
+    #[test]
+    fn same_lsn_rewrite_replaces_the_cut() {
+        let tmp = TempDir::new("same-lsn");
+        trivial_cut(&tmp.0, 4, "a");
+        let cut = trivial_cut(&tmp.0, 4, "b");
+        assert!(load_checkpoint(&cut, 0).unwrap().body.contains("b.c.1"));
+        let names: Vec<_> = std::fs::read_dir(&tmp.0).unwrap().flatten().collect();
+        assert_eq!(names.len(), 1, "the moved-aside cut must be collected");
+    }
+
+    #[test]
+    fn cut_moved_aside_still_loads_until_replaced() {
+        let tmp = TempDir::new("aside");
+        let cut = trivial_cut(&tmp.0, 4, "a");
+        // Simulate a crash between moving the cut aside and committing
+        // its same-LSN replacement.
+        let aside = tmp.0.join("ckpt-00000000000000000004.old");
+        std::fs::rename(&cut, &aside).unwrap();
+        std::fs::create_dir_all(tmp.0.join("ckpt-00000000000000000004.tmp")).unwrap();
+        assert_eq!(latest_cut(&tmp.0).unwrap(), Some((4, aside.clone())));
+        // The next rewrite commits over it and collects it.
+        let cut = trivial_cut(&tmp.0, 4, "b");
+        assert_eq!(latest_cut(&tmp.0).unwrap(), Some((4, cut)));
+        assert!(!aside.exists());
     }
 
     #[test]

@@ -5,8 +5,10 @@
 //! crate adds the persistence layer:
 //!
 //! * a **write-ahead log** ([`Wal`]) of logical index mutations
-//!   ([`IndexOp`]) with CRC-framed records and monotonic LSNs — append,
-//!   fsync (per [`SyncPolicy`]), then apply;
+//!   ([`IndexOp`], defined in `quepa-aindex` and re-exported here: every
+//!   change to a live index is one, so the log misses none) with
+//!   CRC-framed records and monotonic LSNs — append, fsync (per
+//!   [`SyncPolicy`]), then apply;
 //! * **checkpoint cuts** ([`checkpoint`]): consistent per-shard
 //!   snapshots of the sharded CSR projection, all stamped with one
 //!   covered LSN. Cuts are incremental — only shards dirtied since the
@@ -37,10 +39,9 @@
 pub mod checkpoint;
 pub mod crc;
 pub mod log;
-pub mod op;
 pub mod recover;
 
 pub use checkpoint::{checkpoint_path, latest_cut, load_checkpoint, write_cut, Checkpoint};
 pub use log::{Lsn, ScanOutcome, SyncPolicy, TailStatus, Wal, WalError, WalRecord};
-pub use op::IndexOp;
+pub use quepa_aindex::IndexOp;
 pub use recover::{dir_has_state, recover, wal_path, RecoveryOptions, RecoveryReport};

@@ -17,8 +17,9 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
+use quepa_aindex::IndexOp;
+
 use crate::crc::crc32_concat;
-use crate::op::IndexOp;
 
 /// Log sequence number. `0` means "nothing logged yet"; real records
 /// start at 1.

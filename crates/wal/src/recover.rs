@@ -112,8 +112,7 @@ pub fn recover(
 mod tests {
     use super::*;
     use crate::checkpoint::write_cut;
-    use crate::op::IndexOp;
-    use quepa_aindex::ShardedIndex;
+    use quepa_aindex::{IndexOp, ShardedIndex};
     use quepa_pdm::{GlobalKey, Probability};
 
     fn k(s: &str) -> GlobalKey {
@@ -200,7 +199,7 @@ mod tests {
         // way a durable instance would serialize it.
         let sharded = ShardedIndex::new(AIndex::new());
         for op in &all[..2] {
-            sharded.update(|ix| op.apply(ix));
+            sharded.apply(std::slice::from_ref(op));
         }
         write_cut(&tmp.0, 2, |shard| Some(sharded.serialize_shard(shard))).unwrap();
         wal.append(&all[2..]).unwrap();
@@ -229,7 +228,7 @@ mod tests {
         wal.append(&all[..2]).unwrap();
         let sharded = ShardedIndex::new(AIndex::new());
         for op in &all[..2] {
-            sharded.update(|ix| op.apply(ix));
+            sharded.apply(std::slice::from_ref(op));
         }
         write_cut(&tmp.0, 2, |shard| Some(sharded.serialize_shard(shard))).unwrap();
         wal.truncate_upto(2).unwrap();

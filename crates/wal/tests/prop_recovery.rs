@@ -124,13 +124,12 @@ fn run_seed(seed: u64) {
     let mut ops: Vec<IndexOp> = Vec::new();
     // Shards dirty since the last cut; before any cut exists every
     // shard must be serialized fresh.
-    let mut dirty = [false; SHARD_COUNT];
-    let mut have_cut = false;
+    let mut dirty = [true; SHARD_COUNT];
 
     for _ in 0..total_ops {
         let op = random_op(&mut rng, &keys);
         let lsn = wal.append(std::slice::from_ref(&op)).unwrap();
-        let ((), report) = sharded.update_reporting(|ix| op.apply(ix));
+        let report = sharded.apply(std::slice::from_ref(&op));
         for shard in report.dirty {
             dirty[shard] = true;
         }
@@ -139,11 +138,8 @@ fn run_seed(seed: u64) {
         // Random cut schedule: serialize dirty shards, carry the rest
         // over from the previous cut, occasionally compact the WAL.
         if rng.chance(18) {
-            write_cut(&tmp.0, lsn, |shard| {
-                (dirty[shard] || !have_cut).then(|| sharded.serialize_shard(shard))
-            })
-            .unwrap();
-            have_cut = true;
+            write_cut(&tmp.0, lsn, |shard| dirty[shard].then(|| sharded.serialize_shard(shard)))
+                .unwrap();
             dirty = [false; SHARD_COUNT];
             if rng.chance(50) {
                 wal.truncate_upto(lsn).unwrap();

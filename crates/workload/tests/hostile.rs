@@ -5,7 +5,7 @@
 //! never a torn half-removal.
 
 use quepa_aindex::shard::route;
-use quepa_aindex::{AIndex, AugmentedKey, IndexView, ShardedIndex};
+use quepa_aindex::{AIndex, AugmentedKey, IndexOp, IndexView, ShardedIndex};
 use quepa_pdm::GlobalKey;
 use quepa_workload::TopologyFamily;
 
@@ -24,7 +24,7 @@ fn hub_removal_republishes_exactly_its_home_shard() {
     let before: Vec<u64> = sharded.shard_stats().iter().map(|s| s.swaps).collect();
     assert!(before.iter().all(|&s| s == 0), "construction must not count as swaps");
 
-    sharded.update(|ix| ix.remove_object(&hub));
+    sharded.apply(&[IndexOp::RemoveObject { key: hub.clone() }]);
     let after: Vec<u64> = sharded.shard_stats().iter().map(|s| s.swaps).collect();
     let home = route(&hub);
     for (shard, (&b, &a)) in before.iter().zip(after.iter()).enumerate() {
@@ -39,7 +39,7 @@ fn hub_removal_republishes_exactly_its_home_shard() {
     // the hub's thousands of dead half-edges don't leak republishes.
     let satellite = topo.key(1);
     let before = after;
-    sharded.update(|ix| ix.remove_object(&satellite));
+    sharded.apply(&[IndexOp::RemoveObject { key: satellite.clone() }]);
     let after: Vec<u64> = sharded.shard_stats().iter().map(|s| s.swaps).collect();
     let home = route(&satellite);
     for (shard, (&b, &a)) in before.iter().zip(after.iter()).enumerate() {
@@ -114,7 +114,7 @@ fn racing_readers_observe_only_predicted_prefix_states() {
             })
             .collect();
         for victim in &victims {
-            sharded.update(|ix| ix.remove_object(victim));
+            sharded.apply(&[IndexOp::RemoveObject { key: victim.clone() }]);
         }
         stop.store(true, std::sync::atomic::Ordering::Release);
         for handle in readers {
