@@ -7,10 +7,11 @@
 //! projection (see `quepa-wal`). The commit path for one mutation
 //! batch is:
 //!
-//! 1. append the batch to the WAL (fsync per [`SyncPolicy`]);
-//! 2. ask every store to flush its own pending writes
+//! 1. ask every store to flush its own pending writes
 //!    ([`Polystore::commit_durable_all`]) — QUEPA's durable state never
-//!    runs ahead of the stores it indexes;
+//!    runs ahead of the stores it indexes, and a failed flush returns
+//!    before anything is logged or applied;
+//! 2. append the batch to the WAL (fsync per [`SyncPolicy`]);
 //! 3. apply the batch to the sharded index;
 //! 4. if the drain compacted a shard, write a checkpoint cut at this
 //!    LSN (re-serializing only dirty shards) and truncate the WAL.
@@ -189,7 +190,7 @@ impl Quepa {
     }
 
     /// Applies a batch of logical index mutations through the commit
-    /// path: WAL append → store flush → apply → checkpoint cut if the
+    /// path: store flush → WAL append → apply → checkpoint cut if the
     /// drain compacted a shard. This is the only way to change a live
     /// index (lazy deletion, promotion and scripted removals all commit
     /// [`IndexOp`]s). On a volatile instance the same code
@@ -204,9 +205,9 @@ impl Quepa {
             return Ok(0);
         };
         let mut st = dur.state.lock();
+        self.polystore.commit_durable_all()?;
         let lsn = st.wal.append(ops).map_err(wal_err)?;
         st.records_appended += ops.len() as u64;
-        self.polystore.commit_durable_all()?;
         let report = self.index.apply(ops);
         for shard in report.dirty {
             st.dirty[shard] = true;

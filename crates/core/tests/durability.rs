@@ -6,14 +6,16 @@
 //! load-time cuts, status accounting.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use quepa_aindex::{serial, AIndex, IndexView, PathRepository, PromotionConfig};
 use quepa_core::{IndexOp, Quepa, QuepaConfig, RecoveryOptions, SyncPolicy};
 use quepa_kvstore::KvStore;
-use quepa_pdm::{GlobalKey, Probability};
-use quepa_polystore::{KvConnector, LatencyModel, Polystore};
+use quepa_pdm::{CollectionName, DataObject, GlobalKey, LocalKey, Probability, Pushdown};
+use quepa_polystore::{
+    Connector, FilteredFetch, KvConnector, LatencyModel, Link, PolyError, Polystore, StoreKind,
+};
 
 fn k(s: &str) -> GlobalKey {
     s.parse().unwrap()
@@ -39,18 +41,71 @@ impl Drop for TempDir {
     }
 }
 
+fn kv_store(name: &str) -> KvConnector {
+    let mut kv = KvStore::new(name);
+    for j in 0..6 {
+        kv.set(format!("k{j}"), format!("{name}-value-{j}"));
+    }
+    KvConnector::new(kv, "c", LatencyModel::FREE)
+}
+
 /// Two stores of a handful of objects each — enough for cross-store
 /// p-relations without the weight of the full workload builder.
 fn small_polystore() -> Polystore {
     let mut p = Polystore::new();
     for name in ["left", "right"] {
-        let mut kv = KvStore::new(name);
-        for j in 0..6 {
-            kv.set(format!("k{j}"), format!("{name}-value-{j}"));
-        }
-        p.register(Arc::new(KvConnector::new(kv, "c", LatencyModel::FREE)));
+        p.register(Arc::new(kv_store(name)));
     }
     p
+}
+
+/// A store whose first flush fails; every other call is the wrapped
+/// store's.
+struct FailsFirstFlush {
+    inner: KvConnector,
+    failed: AtomicBool,
+}
+
+impl Connector for FailsFirstFlush {
+    fn link(&self) -> &Link {
+        self.inner.link()
+    }
+    fn kind(&self) -> StoreKind {
+        self.inner.kind()
+    }
+    fn collections(&self) -> Vec<CollectionName> {
+        self.inner.collections()
+    }
+    fn object_count(&self) -> usize {
+        self.inner.object_count()
+    }
+    fn execute(&self, query: &str) -> quepa_polystore::Result<Vec<DataObject>> {
+        self.inner.execute(query)
+    }
+    fn execute_update(&self, statement: &str) -> quepa_polystore::Result<usize> {
+        self.inner.execute_update(statement)
+    }
+    fn scan_collection(
+        &self,
+        collection: &CollectionName,
+    ) -> quepa_polystore::Result<Vec<DataObject>> {
+        self.inner.scan_collection(collection)
+    }
+    fn fetch(
+        &self,
+        collection: &CollectionName,
+        keys: &[LocalKey],
+        filter: Option<&Pushdown>,
+    ) -> quepa_polystore::Result<FilteredFetch> {
+        self.inner.fetch(collection, keys, filter)
+    }
+    fn commit_durable(&self) -> quepa_polystore::Result<bool> {
+        if self.failed.swap(true, Ordering::Relaxed) {
+            self.inner.commit_durable()
+        } else {
+            Err(PolyError::Unavailable { database: self.database().to_string() })
+        }
+    }
 }
 
 /// A seeded batch of logical mutations spanning both stores, including
@@ -496,4 +551,38 @@ fn the_commit_after_a_promotion_writes_no_cut() {
     // Nothing this small compacts a shard, so a cut here could only be
     // the full cut a stale (un-logged) state forces in front of a commit.
     assert_eq!(after.cuts_written, before.cuts_written, "the commit started with a checkpoint cut");
+}
+
+/// A batch whose store flush fails is neither applied nor logged, so
+/// recovery does not replay what the live instance never answered.
+#[test]
+fn a_failed_store_flush_logs_nothing() {
+    let tmp = TempDir::new("failed-flush");
+    let mut flaky = Polystore::new();
+    flaky.register(Arc::new(FailsFirstFlush { inner: kv_store("left"), failed: false.into() }));
+    flaky.register(Arc::new(kv_store("right")));
+    let durable = Quepa::create_durable(
+        flaky,
+        AIndex::new(),
+        QuepaConfig::default(),
+        &tmp.0,
+        SyncPolicy::Always,
+    )
+    .unwrap();
+    let twin = Quepa::with_config(small_polystore(), AIndex::new(), QuepaConfig::default());
+    let script = mutation_script();
+    assert!(durable.apply_mutations(&script[0]).is_err(), "the first flush fails");
+    assert_index_equal(&durable.index(), &twin.index(), "after a failed flush");
+    durable.apply_mutations(&script[1]).unwrap();
+    twin.apply_mutations(&script[1]).unwrap();
+    drop(durable);
+    let (recovered, _) = Quepa::recover_durable(
+        small_polystore(),
+        QuepaConfig::default(),
+        &tmp.0,
+        SyncPolicy::Always,
+        &RecoveryOptions::default(),
+    )
+    .unwrap();
+    assert_index_equal(&recovered.index(), &twin.index(), "recovered after a failed flush");
 }
