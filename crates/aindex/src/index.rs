@@ -1,28 +1,23 @@
-//! The A' index ledger: the write side of the index.
+//! The A' index writer: [`AIndex`] decides what a mutation does — key
+//! interning, liveness and incarnations, edge dedup, transitivity
+//! materialization, the Consistency Condition — and does it by editing
+//! the shard states of [`crate::shard`], the one store of the graph. It
+//! does not traverse: the augmentation primitive lives once, in
+//! [`crate::shard::IndexView`], which reads the same states.
 //!
-//! [`AIndex`] owns everything a mutation has to decide — key interning,
-//! liveness and incarnations, the edge list with its pair index,
-//! transitivity materialization, the Consistency Condition — plus the
-//! point lookups those rules and the serializers read. It does not
-//! traverse: the augmentation primitive lives once, in
-//! [`crate::shard::IndexView`].
-//!
-//! Layout: the ledger shares its projection's id space. A new key takes
-//! the next slot of its home shard, so a ledger node id *is* the packed
-//! `(slot << 4) | shard` reference the read side addresses it by. Each
-//! shard's slots hold key, liveness, incarnation and an incrementally
-//! compacted CSR (compressed sparse row) list of edge ids.
+//! Beside the shard states the writer keeps only the pair index: one id
+//! per endpoint pair and kind, issued in creation order and kept by a
+//! deleted edge so that its revival takes its old place, plus which
+//! endpoint the edge was first inserted from.
 
-use std::collections::HashMap;
+use std::sync::Arc;
 
 use quepa_pdm::{GlobalKey, Probability, RelationKind};
 
-use crate::shard::{make_ref, route, shard_of, slot_of, NodeRef, SHARD_COUNT};
-
-/// Node handle inside the index: the node's shard reference.
-type NodeId = NodeRef;
-/// Edge handle inside the index.
-type EdgeId = u32;
+use crate::shard::{
+    make_ref, route, shard_of, slot_of, Graph, HalfEdge, Map, NodeRef, OverlayNode, Shard,
+    ShardBase, SHARD_COUNT,
+};
 
 /// Where an edge came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,28 +29,6 @@ pub enum EdgeOrigin {
     Inferred,
     /// Added by p-relation promotion from a frequently traversed path.
     Promoted,
-}
-
-/// One p-relation. The endpoints keep the orientation of the insertion
-/// that created the edge, which is the order serialization writes them in.
-#[derive(Debug, Clone)]
-struct Edge {
-    a: NodeId,
-    b: NodeId,
-    prob: Probability,
-    kind: RelationKind,
-    origin: EdgeOrigin,
-    alive: bool,
-}
-
-impl Edge {
-    fn other(&self, n: NodeId) -> NodeId {
-        if n == self.a {
-            self.b
-        } else {
-            self.a
-        }
-    }
 }
 
 /// One element of an augmented answer: a related global key, the
@@ -100,115 +73,17 @@ impl IndexStats {
     }
 }
 
-/// Incrementally built CSR adjacency: most edge ids live in one packed
-/// array (`offsets`/`packed`), edges added since the last compaction sit
-/// in small per-node overflow vectors, and compaction re-packs once the
-/// overflow exceeds a fraction of the packed size (amortized O(1) per
-/// insertion). Per-node edge order — packed segment first, then overflow
-/// in insertion order — is insertion order.
-#[derive(Debug, Clone, Default)]
-struct CsrAdjacency {
-    /// Per compacted node, start of its segment in `packed`; one extra
-    /// trailing entry holds the total. Nodes created after the last
-    /// compaction have no segment yet.
-    offsets: Vec<u32>,
-    /// Edge ids of all compacted nodes, segment by segment.
-    packed: Vec<EdgeId>,
-    /// Per node, edge ids added since the last compaction.
-    overflow: Vec<Vec<EdgeId>>,
-    /// Total entries across all overflow vectors.
-    overflow_len: usize,
-}
-
-impl CsrAdjacency {
-    fn add_node(&mut self) {
-        self.overflow.push(Vec::new());
-    }
-
-    fn compacted_nodes(&self) -> usize {
-        self.offsets.len().saturating_sub(1)
-    }
-
-    fn push_edge(&mut self, n: u32, eid: EdgeId) {
-        self.overflow[n as usize].push(eid);
-        self.overflow_len += 1;
-        if self.overflow_len > 64 && self.overflow_len * 4 > self.packed.len() {
-            self.compact();
-        }
-    }
-
-    fn compact(&mut self) {
-        let nodes = self.overflow.len();
-        let mut packed = Vec::with_capacity(self.packed.len() + self.overflow_len);
-        let mut offsets = Vec::with_capacity(nodes + 1);
-        for n in 0..nodes {
-            offsets.push(packed.len() as u32);
-            packed.extend_from_slice(self.segment(n));
-            packed.extend_from_slice(&self.overflow[n]);
-            self.overflow[n] = Vec::new();
-        }
-        offsets.push(packed.len() as u32);
-        self.packed = packed;
-        self.offsets = offsets;
-        self.overflow_len = 0;
-    }
-
-    /// The packed (pre-compaction) segment of node `n`.
-    fn segment(&self, n: usize) -> &[EdgeId] {
-        if n < self.compacted_nodes() {
-            &self.packed[self.offsets[n] as usize..self.offsets[n + 1] as usize]
-        } else {
-            &[]
-        }
-    }
-
-    /// All edge ids of `n`, in insertion order.
-    fn edges_of(&self, n: u32) -> impl Iterator<Item = EdgeId> + '_ {
-        let i = n as usize;
-        self.segment(i).iter().copied().chain(self.overflow[i].iter().copied())
-    }
-}
-
-/// One shard's nodes, indexed by slot.
-#[derive(Debug, Clone, Default)]
-struct Slots {
-    keys: Vec<GlobalKey>,
-    alive: Vec<bool>,
-    /// Times each node was resurrected after a lazy deletion. A half-edge
-    /// recorded under an older incarnation stays invisible.
-    incs: Vec<u32>,
-    adjacency: CsrAdjacency,
-}
-
-/// One entry of the mutation journal (see [`AIndex::set_journaling`]).
-/// A consumer rebuilds the projected state of every touched node from
-/// the ledger, so the ops only need to tell a rebuild from a change that
-/// needs none.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum JournalOp {
-    /// A node's liveness, incarnation or incident-edge set changed, or it
-    /// was interned for the first time.
-    Touched(NodeId),
-    /// A live node lost an edge to a node `remove_object` just killed. Its
-    /// projected state needs no rebuild (the dead endpoint hides the edge
-    /// from readers), but its serialized form no longer lists that edge.
-    Unlinked(NodeId),
-}
-
 /// The A' index ledger: one node per global key, identity/matching
 /// edges with probabilities. Read it through an
 /// [`IndexView`](crate::shard::IndexView).
 #[derive(Debug, Clone, Default)]
 pub struct AIndex {
-    shards: [Slots; SHARD_COUNT],
-    ids: HashMap<GlobalKey, NodeId>,
-    edges: Vec<Edge>,
-    /// (min(a,b), max(a,b), kind) → edge id, for dedup.
-    pair_index: HashMap<(NodeId, NodeId, RelationKind), EdgeId>,
-    /// Mutation journal for the sharded projection layer; empty and
-    /// unmaintained unless journaling is on (a bare ledger pays nothing).
-    journal: Vec<JournalOp>,
-    journaling: bool,
+    /// The graph, one state per shard.
+    pub(crate) graph: Graph,
+    /// `(min(a, b), max(a, b), kind)` → the edge's id shifted left by
+    /// one, with the low bit set if `min` is the end it was first
+    /// inserted from.
+    pair_index: Map<(NodeRef, NodeRef, RelationKind), u32>,
 }
 
 impl AIndex {
@@ -218,129 +93,124 @@ impl AIndex {
     }
 
     /// The node of `key`, creating it in the next slot of its home shard
-    /// if the key is new and resurrecting it (next incarnation) if it was
-    /// lazily deleted.
-    fn intern(&mut self, key: &GlobalKey) -> NodeId {
-        if let Some(&id) = self.ids.get(key) {
-            let slots = &mut self.shards[shard_of(id)];
-            let slot = slot_of(id) as usize;
-            if !slots.alive[slot] {
-                slots.alive[slot] = true;
-                slots.incs[slot] += 1;
-                self.journal_touched(id);
+    /// if the key is new and resurrecting it (next incarnation, empty
+    /// entry) if it was lazily deleted.
+    fn intern(&mut self, key: &GlobalKey) -> NodeRef {
+        if let Some(n) = self.graph.name(key) {
+            if !self.graph.alive(n) {
+                let node = self.node_mut(n);
+                node.alive = true;
+                node.inc += 1;
             }
-            return id;
+            return n;
         }
         let shard = route(key);
-        let slots = &mut self.shards[shard];
-        let id = make_ref(shard, slots.keys.len() as u32);
-        slots.keys.push(key.clone());
-        slots.alive.push(true);
-        slots.incs.push(0);
-        slots.adjacency.add_node();
-        self.ids.insert(key.clone(), id);
-        self.journal_touched(id);
-        id
+        let state = self.shard_mut(shard);
+        let slot = state.slots();
+        state.overlay.keys.push(key.clone());
+        state.overlay.names.insert(key.clone(), slot);
+        state.overlay.nodes.insert(slot, OverlayNode { alive: true, inc: 0, edges: Vec::new() });
+        make_ref(shard, slot)
     }
 
-    // -- mutation journal --------------------------------------------------
+    // -- editing the shard states ------------------------------------------
 
-    /// Turns the mutation journal on or off. Maintained by the sharded
-    /// projection layer ([`crate::shard::ShardedIndex`]); a bare ledger
-    /// leaves it off and pays a single branch per mutation.
-    pub(crate) fn set_journaling(&mut self, on: bool) {
-        self.journaling = on;
-        if !on {
-            self.journal.clear();
+    /// Shard `s`'s state for editing, copied first if a view shares it.
+    /// Edits land in the overlay, which [`ShardedIndex`] folds at
+    /// publication.
+    ///
+    /// [`ShardedIndex`]: crate::ShardedIndex
+    fn shard_mut(&mut self, s: usize) -> &mut Shard {
+        Arc::make_mut(&mut self.graph.shards[s])
+    }
+
+    /// Node `n`'s entry for editing, copied from the base on first edit.
+    fn node_mut(&mut self, n: NodeRef) -> &mut OverlayNode {
+        let Shard { base, overlay } = self.shard_mut(shard_of(n));
+        overlay.nodes.entry(slot_of(n)).or_insert_with(|| base.node(slot_of(n)))
+    }
+
+    /// Folds every non-empty overlay into its base.
+    pub(crate) fn fold_all(&mut self) {
+        for s in 0..SHARD_COUNT {
+            if !self.graph.shards[s].overlay.nodes.is_empty() {
+                self.fold(s);
+            }
         }
     }
 
-    /// Drains the accumulated journal.
-    pub(crate) fn take_journal(&mut self) -> Vec<JournalOp> {
-        std::mem::take(&mut self.journal)
-    }
-
-    fn journal_touched(&mut self, n: NodeId) {
-        if self.journaling {
-            self.journal.push(JournalOp::Touched(n));
+    /// Folds shard `s`'s overlay into a fresh packed base, dropping the
+    /// half-edges that can never be traversed again. A base no view
+    /// shares hands its keys over instead of having them copied.
+    pub(crate) fn fold(&mut self, s: usize) {
+        let graph = &self.graph;
+        let state = &graph.shards[s];
+        let len = state.slots() as usize;
+        let (mut alive, mut incs) = (Vec::with_capacity(len), Vec::with_capacity(len));
+        let mut offsets = Vec::with_capacity(len + 1);
+        let overlaid: usize = state.overlay.nodes.values().map(|n| n.edges.len()).sum();
+        let mut edges = Vec::with_capacity(state.base.edges.len() + overlaid);
+        let mut live_nodes = 0;
+        for slot in 0..state.slots() {
+            let (live, inc) = state.state(slot);
+            alive.push(live);
+            incs.push(inc);
+            offsets.push(edges.len() as u32);
+            if live {
+                live_nodes += 1;
+                edges.extend(graph.live_edges_of(make_ref(s, slot)).copied());
+            }
         }
+        offsets.push(edges.len() as u32);
+        let state = self.shard_mut(s);
+        let overlay = std::mem::take(&mut state.overlay);
+        let (mut keys, mut names) = match Arc::get_mut(&mut state.base) {
+            Some(base) => (std::mem::take(&mut base.keys), std::mem::take(&mut base.names)),
+            None => (state.base.keys.clone(), state.base.names.clone()),
+        };
+        keys.extend(overlay.keys);
+        if names.is_empty() {
+            names = overlay.names;
+        } else {
+            names.extend(overlay.names);
+        }
+        let mut base =
+            ShardBase { names, keys, alive, incs, offsets, edges, live_nodes, resident_bytes: 0 };
+        base.resident_bytes = base.measure();
+        state.base = Arc::new(base);
     }
 
-    // -- the shard slots the projection reads -------------------------------
-
-    /// Slots interned in `shard` (live and dead).
-    pub(crate) fn shard_len(&self, shard: usize) -> u32 {
-        self.shards[shard].keys.len() as u32
-    }
-
-    /// The key of an interned node.
-    pub(crate) fn key_at(&self, n: NodeId) -> &GlobalKey {
-        &self.shards[shard_of(n)].keys[slot_of(n) as usize]
-    }
-
-    /// Whether an interned node is live.
-    pub(crate) fn node_alive(&self, n: NodeId) -> bool {
-        self.shards[shard_of(n)].alive[slot_of(n) as usize]
-    }
-
-    /// The current incarnation of an interned node.
-    pub(crate) fn inc_of(&self, n: NodeId) -> u32 {
-        self.shards[shard_of(n)].incs[slot_of(n) as usize]
-    }
-
-    /// Live incident edges of `n` whose other endpoint is also live, as
-    /// `(other, kind, probability, origin)`, in insertion order.
-    pub(crate) fn live_incident_of(
-        &self,
-        n: NodeId,
-    ) -> impl Iterator<Item = (NodeId, RelationKind, Probability, EdgeOrigin)> + '_ {
-        self.incident(n).map(move |e| (e.other(n), e.kind, e.prob, e.origin))
-    }
-
-    fn node(&self, key: &GlobalKey) -> Option<NodeId> {
-        let id = *self.ids.get(key)?;
-        self.node_alive(id).then_some(id)
-    }
+    // -- reads --------------------------------------------------------------
 
     /// True if the key has a live node.
     pub fn contains(&self, key: &GlobalKey) -> bool {
-        self.node(key).is_some()
+        self.graph.resolve(key).is_some()
     }
 
     /// Live-node count.
     pub fn node_count(&self) -> usize {
-        self.live_nodes().count()
+        self.graph.live_nodes().count()
     }
 
     /// Live-edge count (both kinds).
     pub fn edge_count(&self) -> usize {
-        self.edges.iter().filter(|e| e.alive).count()
+        let s = self.stats();
+        s.identity_edges + s.matching_edges
     }
 
     /// Detailed size statistics.
     pub fn stats(&self) -> IndexStats {
-        let mut s = IndexStats { nodes: self.node_count(), ..Default::default() };
-        for e in self.edges.iter().filter(|e| e.alive) {
-            s.count_edge(e.kind, e.origin);
-        }
-        s
+        self.graph.stats()
     }
 
     /// Iterates over the live keys, shard by shard in slot order.
     pub fn keys(&self) -> impl Iterator<Item = &GlobalKey> {
-        self.live_nodes().map(|n| self.key_at(n))
-    }
-
-    /// The live nodes, shard by shard in slot order.
-    fn live_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..SHARD_COUNT)
-            .flat_map(move |s| (0..self.shard_len(s)).map(move |i| make_ref(s, i)))
-            .filter(|&n| self.node_alive(n))
+        self.graph.live_nodes().map(|n| self.graph.key_of(n))
     }
 
     // -- edge plumbing -----------------------------------------------------
 
-    fn pair(a: NodeId, b: NodeId, kind: RelationKind) -> (NodeId, NodeId, RelationKind) {
+    fn pair(a: NodeRef, b: NodeRef, kind: RelationKind) -> (NodeRef, NodeRef, RelationKind) {
         if a <= b {
             (a, b, kind)
         } else {
@@ -348,104 +218,90 @@ impl AIndex {
         }
     }
 
-    /// Adds (or strengthens) an edge; returns its id, or `None` for a
-    /// reflexive pair. Existing edges keep the *higher* probability (a
-    /// second evidence source never weakens a relation).
+    /// Adds (or strengthens) an edge; false for a reflexive pair.
+    /// Existing edges keep the *higher* probability (a second evidence
+    /// source never weakens a relation); a deleted edge is revived with
+    /// its old id and orientation.
     fn add_edge(
         &mut self,
-        a: NodeId,
-        b: NodeId,
+        a: NodeRef,
+        b: NodeRef,
         kind: RelationKind,
         prob: Probability,
         origin: EdgeOrigin,
-    ) -> Option<EdgeId> {
+    ) -> bool {
         if a == b {
-            return None; // reflexivity is implicit
+            return false; // reflexivity is implicit
         }
-        let key = Self::pair(a, b, kind);
-        if let Some(&eid) = self.pair_index.get(&key) {
-            let e = &mut self.edges[eid as usize];
-            if e.alive {
-                if prob > e.prob {
-                    e.prob = prob;
-                    self.journal_edge(a, b);
-                }
-                return Some(eid);
+        let fresh = (self.pair_index.len() as u32) << 1 | (a < b) as u32;
+        let tag = *self.pair_index.entry(Self::pair(a, b, kind)).or_insert(fresh);
+        let id = tag >> 1;
+        match self.live_half(a, id) {
+            Some(e) if prob > e.prob => self.link(a, HalfEdge { prob, ..e }),
+            Some(_) => {}
+            None => {
+                let (other_inc, first) = (self.graph.inc(b), (tag & 1 == 1) == (a < b));
+                self.link(a, HalfEdge { other: b, other_inc, prob, id, kind, origin, first });
             }
-            // Revive a deleted slot in place.
-            e.prob = prob;
-            e.origin = origin;
-            e.alive = true;
-            self.journal_edge(a, b);
-            return Some(eid);
         }
-        let eid = self.edges.len() as EdgeId;
-        self.edges.push(Edge { a, b, prob, kind, origin, alive: true });
-        for n in [a, b] {
-            self.shards[shard_of(n)].adjacency.push_edge(slot_of(n), eid);
-        }
-        self.pair_index.insert(key, eid);
-        self.journal_edge(a, b);
-        Some(eid)
+        true
     }
 
-    /// Journals the endpoints of a changed edge. A live edge has two live
-    /// endpoints except while `remove_object` kills the edges of the node
-    /// it just marked dead: those journal only the surviving endpoint, as
-    /// `Unlinked` — the dead endpoint alone hides them from shard
-    /// readers, which is what keeps a removal confined to one shard.
-    fn journal_edge(&mut self, a: NodeId, b: NodeId) {
-        if !self.journaling {
-            return;
-        }
-        match (self.node_alive(a), self.node_alive(b)) {
-            (true, true) => {
-                self.journal.push(JournalOp::Touched(a));
-                self.journal.push(JournalOp::Touched(b));
+    /// Writes `e` into `a`'s entry and its mirror into the far end's,
+    /// each at its id's place (replacing a stale half with that id).
+    fn link(&mut self, a: NodeRef, e: HalfEdge) {
+        let mirror = HalfEdge { other: a, other_inc: self.graph.inc(a), first: !e.first, ..e };
+        for (n, half) in [(a, e), (e.other, mirror)] {
+            let entry = &mut self.node_mut(n).edges;
+            match entry.binary_search_by_key(&half.id, |h| h.id) {
+                Ok(i) => entry[i] = half,
+                Err(i) => entry.insert(i, half),
             }
-            (true, false) => self.journal.push(JournalOp::Unlinked(a)),
-            (false, true) => self.journal.push(JournalOp::Unlinked(b)),
-            (false, false) => {}
         }
     }
 
-    fn edge_between(&self, a: NodeId, b: NodeId, kind: RelationKind) -> Option<EdgeId> {
-        let eid = *self.pair_index.get(&Self::pair(a, b, kind))?;
-        self.edges[eid as usize].alive.then_some(eid)
+    /// The live half-edge of edge `id` in `n`'s entry.
+    fn live_half(&self, n: NodeRef, id: u32) -> Option<HalfEdge> {
+        let entry = self.graph.edges(n);
+        let e = entry[entry.binary_search_by_key(&id, |h| h.id).ok()?];
+        self.graph.target(&e).map(|_| e)
     }
 
-    /// Live incident edges of a node.
-    fn incident(&self, n: NodeId) -> impl Iterator<Item = &Edge> {
-        self.shards[shard_of(n)].adjacency.edges_of(slot_of(n)).filter_map(move |eid| {
-            let e = &self.edges[eid as usize];
-            (e.alive && self.node_alive(e.other(n))).then_some(e)
-        })
+    /// The live `kind` edge between two nodes, as `a`'s half.
+    fn edge_between(&self, a: NodeRef, b: NodeRef, kind: RelationKind) -> Option<HalfEdge> {
+        self.live_half(a, self.pair_index.get(&Self::pair(a, b, kind))? >> 1)
     }
 
     /// The live `kind` neighbours of `n` with their edges' probabilities
     /// (for identity: the rest of its clique, by the closure invariant).
     ///
-    /// Sorted by the neighbour's key, **not** adjacency order:
+    /// Sorted by the neighbour's key, **not** entry order:
     /// materialization composes floating-point products while iterating
     /// these lists and feeds stored values back into later offers, so
     /// the bits it produces depend on iteration order. Canonical order
     /// makes every insert a pure function of the live edge-value map —
     /// which is what lets durable recovery (rebuild the graph from a
-    /// checkpoint, whose adjacency order differs from the original
+    /// checkpoint, whose edge order differs from the original
     /// insertion order, then replay the WAL tail) answer bit-identically
     /// to the never-crashed instance.
-    fn related(&self, n: NodeId, kind: RelationKind) -> Vec<(NodeId, Probability)> {
-        let mut out: Vec<_> =
-            self.incident(n).filter(|e| e.kind == kind).map(|e| (e.other(n), e.prob)).collect();
-        out.sort_unstable_by(|x, y| self.key_at(x.0).cmp(self.key_at(y.0)));
+    ///
+    /// The kind is tested before liveness: a hub's clique lookup skips
+    /// its many matchings without visiting their far ends.
+    fn related(&self, n: NodeRef, kind: RelationKind) -> Vec<(NodeRef, Probability)> {
+        let graph = &self.graph;
+        let mut out: Vec<_> = (graph.edges(n).iter())
+            .filter(|e| e.kind == kind && graph.target(e).is_some())
+            .map(|e| (e.other, e.prob))
+            .collect();
+        out.sort_unstable_by(|x, y| self.graph.key_of(x.0).cmp(self.graph.key_of(y.0)));
         out
     }
 
-    fn identity_clique(&self, n: NodeId) -> Vec<(NodeId, Probability)> {
+    fn identity_clique(&self, n: NodeRef) -> Vec<(NodeRef, Probability)> {
         self.related(n, RelationKind::Identity)
     }
 
-    fn matching_edges_of(&self, n: NodeId) -> Vec<(NodeId, Probability)> {
+    fn matching_edges_of(&self, n: NodeRef) -> Vec<(NodeRef, Probability)> {
         self.related(n, RelationKind::Matching)
     }
 
@@ -463,23 +319,19 @@ impl AIndex {
         // Snapshot the two cliques *before* linking them.
         let clique_a = self.identity_clique(na);
         let clique_b = self.identity_clique(nb);
-
-        let Some(direct) = self.add_edge(na, nb, RelationKind::Identity, p, EdgeOrigin::Direct)
-        else {
-            return;
-        };
+        self.add_edge(na, nb, RelationKind::Identity, p, EdgeOrigin::Direct);
 
         // Cross-materialize identities: x∈A×{b}, {a}×y∈B, and x∈A×y∈B.
         let inferred = EdgeOrigin::Inferred;
-        let mut new_identity_edges: Vec<(NodeId, NodeId, EdgeId)> = vec![(na, nb, direct)];
+        let mut new_identity_edges: Vec<(NodeRef, NodeRef)> = vec![(na, nb)];
         for &(x, p_xa) in &clique_a {
-            if let Some(eid) = self.add_edge(x, nb, RelationKind::Identity, p_xa.and(p), inferred) {
-                new_identity_edges.push((x, nb, eid));
+            if self.add_edge(x, nb, RelationKind::Identity, p_xa.and(p), inferred) {
+                new_identity_edges.push((x, nb));
             }
         }
         for &(y, p_by) in &clique_b {
-            if let Some(eid) = self.add_edge(na, y, RelationKind::Identity, p.and(p_by), inferred) {
-                new_identity_edges.push((na, y, eid));
+            if self.add_edge(na, y, RelationKind::Identity, p.and(p_by), inferred) {
+                new_identity_edges.push((na, y));
             }
         }
         for &(x, p_xa) in &clique_a {
@@ -488,16 +340,16 @@ impl AIndex {
                     continue;
                 }
                 let prob = p_xa.and(p).and(p_by);
-                if let Some(eid) = self.add_edge(x, y, RelationKind::Identity, prob, inferred) {
-                    new_identity_edges.push((x, y, eid));
+                if self.add_edge(x, y, RelationKind::Identity, prob, inferred) {
+                    new_identity_edges.push((x, y));
                 }
             }
         }
 
         // Consistency Condition: each new identity edge (x ~ y) propagates
         // every matching of x to y and vice versa.
-        for (x, y, id_edge) in new_identity_edges {
-            let p_xy = self.edges[id_edge as usize].prob;
+        for (x, y) in new_identity_edges {
+            let p_xy = self.edge_between(x, y, RelationKind::Identity).expect("just linked").prob;
             for (m, q) in self.matching_edges_of(x) {
                 if m != y {
                     self.add_edge(m, y, RelationKind::Matching, q.and(p_xy), inferred);
@@ -526,7 +378,7 @@ impl AIndex {
     ) {
         let na = self.intern(a);
         let nb = self.intern(b);
-        if na == nb || self.add_edge(na, nb, RelationKind::Matching, p, origin).is_none() {
+        if !self.add_edge(na, nb, RelationKind::Matching, p, origin) {
             return;
         }
         // The Consistency Condition must connect every member of a's
@@ -536,13 +388,13 @@ impl AIndex {
         let clique_a = self.identity_clique(na);
         let clique_b = self.identity_clique(nb);
         // a ≡ y for y in clique(b), remembering the probabilities offered.
-        let mut a_to: Vec<(NodeId, Probability)> = vec![(nb, p)];
+        let mut a_to: Vec<(NodeRef, Probability)> = vec![(nb, p)];
         for &(y, p_by) in &clique_b {
             if y == na {
                 continue;
             }
             let prob = p.and(p_by);
-            if self.add_edge(na, y, RelationKind::Matching, prob, inferred).is_some() {
+            if self.add_edge(na, y, RelationKind::Matching, prob, inferred) {
                 a_to.push((y, prob));
             }
         }
@@ -602,10 +454,15 @@ impl AIndex {
     pub fn live_edges(
         &self,
     ) -> Vec<(&GlobalKey, &GlobalKey, RelationKind, Probability, EdgeOrigin)> {
-        self.edges
-            .iter()
-            .filter(|e| e.alive && self.node_alive(e.a) && self.node_alive(e.b))
-            .map(|e| (self.key_at(e.a), self.key_at(e.b), e.kind, e.prob, e.origin))
+        let graph = &self.graph;
+        let mut edges: Vec<(NodeRef, &HalfEdge)> = graph
+            .live_nodes()
+            .flat_map(|n| graph.live_edges_of(n).filter(|e| e.first).map(move |e| (n, e)))
+            .collect();
+        edges.sort_unstable_by_key(|(_, e)| e.id);
+        edges
+            .into_iter()
+            .map(|(n, e)| (graph.key_of(n), graph.key_of(e.other), e.kind, e.prob, e.origin))
             .collect()
     }
 
@@ -613,17 +470,13 @@ impl AIndex {
     /// path, invoked when augmentation discovers the object no longer
     /// exists in the polystore (§III-C(b)).
     pub fn remove_object(&mut self, key: &GlobalKey) {
-        let Some(n) = self.node(key) else { return };
-        self.shards[shard_of(n)].alive[slot_of(n) as usize] = false;
-        // The node's own Touched entry makes it dead in its home shard;
-        // its incident edges journal their far endpoints as Unlinked, so
-        // a removal republishes exactly one shard.
-        self.journal_touched(n);
-        let incident: Vec<EdgeId> =
-            self.shards[shard_of(n)].adjacency.edges_of(slot_of(n)).collect();
-        for eid in incident {
-            self.kill_edge(eid);
-        }
+        let Some(n) = self.graph.resolve(key) else { return };
+        // Only the node's own entry changes, so a removal edits one
+        // shard: the far halves of its edges point at a dead node now,
+        // and at an older incarnation once it is resurrected.
+        let node = self.node_mut(n);
+        node.alive = false;
+        node.edges = Vec::new();
     }
 
     /// Deletes one p-relation. Edges inferred from it survive, as the
@@ -631,37 +484,27 @@ impl AIndex {
     ///
     /// Returns whether a live edge was found and deleted.
     pub fn delete_prelation(&mut self, a: &GlobalKey, b: &GlobalKey, kind: RelationKind) -> bool {
-        let (Some(na), Some(nb)) = (self.node(a), self.node(b)) else { return false };
-        let Some(eid) = self.edge_between(na, nb, kind) else { return false };
-        self.kill_edge(eid);
-        true
-    }
-
-    fn kill_edge(&mut self, eid: EdgeId) {
-        let e = &mut self.edges[eid as usize];
-        if e.alive {
-            e.alive = false;
-            let (a, b) = (e.a, e.b);
-            self.journal_edge(a, b);
+        let (Some(na), Some(nb)) = (self.graph.resolve(a), self.graph.resolve(b)) else {
+            return false;
+        };
+        let Some(e) = self.edge_between(na, nb, kind) else { return false };
+        for n in [na, nb] {
+            let entry = &mut self.node_mut(n).edges;
+            entry.retain(|h| h.id != e.id);
         }
+        true
     }
 
     // -- point lookups ------------------------------------------------------
 
     /// The direct p-relations of `key`: `(other key, kind, probability)`.
     pub fn neighbors(&self, key: &GlobalKey) -> Vec<(GlobalKey, RelationKind, Probability)> {
-        let Some(n) = self.node(key) else { return Vec::new() };
-        let mut out: Vec<_> =
-            self.incident(n).map(|e| (self.key_at(e.other(n)).clone(), e.kind, e.prob)).collect();
-        out.sort_by(|x, y| y.2.cmp(&x.2).then_with(|| x.0.cmp(&y.0)));
-        out
+        self.graph.neighbors(key)
     }
 
     /// Details of a specific edge, if it is live.
     pub fn edge(&self, a: &GlobalKey, b: &GlobalKey, kind: RelationKind) -> Option<EdgeInfo> {
-        let (na, nb) = (self.node(a)?, self.node(b)?);
-        let eid = self.edge_between(na, nb, kind)?;
-        let e = &self.edges[eid as usize];
+        let e = self.edge_between(self.graph.resolve(a)?, self.graph.resolve(b)?, kind)?;
         Some(EdgeInfo { probability: e.prob, origin: e.origin })
     }
 
@@ -670,10 +513,9 @@ impl AIndex {
     ///
     /// Returns the first violating triple, if any.
     pub fn check_consistency(&self) -> Option<(GlobalKey, GlobalKey, GlobalKey)> {
-        let triple = |x, y, z| {
-            Some((self.key_at(x).clone(), self.key_at(y).clone(), self.key_at(z).clone()))
-        };
-        for n2 in self.live_nodes() {
+        let key = |n| self.graph.key_of(n).clone();
+        let triple = |x, y, z| Some((key(x), key(y), key(z)));
+        for n2 in self.graph.live_nodes() {
             let matchings = self.matching_edges_of(n2);
             let identities = self.identity_clique(n2);
             for &(n1, _) in &matchings {
@@ -733,11 +575,6 @@ mod tests {
             p(0.7),
         );
         ix
-    }
-
-    #[test]
-    fn ledger_edge_is_24_bytes() {
-        assert_eq!(std::mem::size_of::<Edge>(), 24);
     }
 
     #[test]

@@ -7,7 +7,10 @@
 //!
 //! This crate implements:
 //!
-//! * the graph's write side ([`AIndex`], the ledger) with insertion that
+//! * the graph, held once: [`SHARD_COUNT`] hash shards, each a shared
+//!   packed base plus a small overlay of recent edits ([`shard`]);
+//! * the graph's write side ([`AIndex`], the ledger), which edits those
+//!   shard states, with insertion that
 //!   **materializes identity transitivity** (Example 7: inserting
 //!   `a ~0.8 b` when `b ~0.85 c` exists also materializes `a ~0.68 c`) and
 //!   **enforces the Consistency Condition**
@@ -15,8 +18,8 @@
 //! * the **augmentation primitive**: the level-*n* neighbourhood of
 //!   [`Definition 2/3`](crate::shard::IndexView::augment) with
 //!   path-product probabilities (best path wins), implemented once, over
-//!   the read side ([`IndexView`]) that a [`ShardedIndex`] keeps current
-//!   under concurrent mutation;
+//!   the read side ([`IndexView`]): the shard states a [`ShardedIndex`]
+//!   publishes per batch under concurrent mutation;
 //! * the **logical mutations** ([`IndexOp`]): insertions, lazy deletion,
 //!   relation deletion and promotion, each with its `apply` and one-line
 //!   text codec. A batch of them ([`ShardedIndex::apply`]) is the only

@@ -20,8 +20,9 @@
 //!   augment continuously, once against the sharded delta-overlay path
 //!   (`ShardedIndex::apply`: one shard republished per removal) and once
 //!   against the whole-index-swap baseline (clone the ledger, mutate
-//!   the clone, `ShardedIndex::replace`: every shard rebuilt and
-//!   republished per removal). The sharded path must win by ≥5×.
+//!   the clone, `ShardedIndex::replace`: the whole ledger copied and
+//!   every shard republished per removal). The sharded path must win by
+//!   ≥5×.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
@@ -208,7 +209,7 @@ pub struct MutationPoint {
 }
 
 /// Mutation throughput through the sharded delta-overlay path: each
-/// removal locks the writer, projects the dirty shard's overlay and
+/// removal locks the writer, edits the home shard's overlay and
 /// publishes one directory swap, while [`READERS`] threads keep
 /// augmenting on their own views.
 pub fn mutation_throughput_sharded(lab: &ScaleLab) -> MutationPoint {
@@ -219,7 +220,9 @@ pub fn mutation_throughput_sharded(lab: &ScaleLab) -> MutationPoint {
 
 /// Mutation throughput through the whole-index-swap baseline the
 /// delta-overlay path replaced: every removal is published by cloning
-/// the entire ledger, mutating the clone and republishing every shard.
+/// the entire ledger (its pair index; the shard states are shared until
+/// the clone edits one), mutating the clone and republishing every
+/// shard.
 pub fn mutation_throughput_swap(lab: &ScaleLab) -> MutationPoint {
     run_mutations(lab, |sharded, key| {
         let mut ledger = sharded.snapshot();
