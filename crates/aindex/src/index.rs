@@ -146,15 +146,14 @@ impl AIndex {
         let graph = &self.graph;
         let state = &graph.shards[s];
         let len = state.slots() as usize;
-        let (mut alive, mut incs) = (Vec::with_capacity(len), Vec::with_capacity(len));
+        let mut states = Vec::with_capacity(len);
         let mut offsets = Vec::with_capacity(len + 1);
         let overlaid: usize = state.overlay.nodes.values().map(|n| n.edges.len()).sum();
         let mut edges = Vec::with_capacity(state.base.edges.len() + overlaid);
         let mut live_nodes = 0;
         for slot in 0..state.slots() {
             let (live, inc) = state.state(slot);
-            alive.push(live);
-            incs.push(inc);
+            states.push(inc << 1 | live as u32);
             offsets.push(edges.len() as u32);
             if live {
                 live_nodes += 1;
@@ -175,7 +174,7 @@ impl AIndex {
             names.extend(overlay.names);
         }
         let mut base =
-            ShardBase { names, keys, alive, incs, offsets, edges, live_nodes, resident_bytes: 0 };
+            ShardBase { names, keys, states, offsets, edges, live_nodes, resident_bytes: 0 };
         base.resident_bytes = base.measure();
         state.base = Arc::new(base);
     }

@@ -149,8 +149,8 @@ pub(crate) struct ShardBase {
     pub(crate) names: Map<GlobalKey, u32>,
     /// slot → key.
     pub(crate) keys: Vec<GlobalKey>,
-    pub(crate) alive: Vec<bool>,
-    pub(crate) incs: Vec<u32>,
+    /// Per slot `inc << 1 | alive`: one load answers a visibility check.
+    pub(crate) states: Vec<u32>,
     /// CSR offsets over `edges`; `len == keys.len() + 1`.
     pub(crate) offsets: Vec<u32>,
     pub(crate) edges: Vec<HalfEdge>,
@@ -170,8 +170,13 @@ impl ShardBase {
 
     /// The entry of a base slot, as an overlay node to edit.
     pub(crate) fn node(&self, slot: u32) -> OverlayNode {
-        let i = slot as usize;
-        OverlayNode { alive: self.alive[i], inc: self.incs[i], edges: self.edges_of(slot).to_vec() }
+        let (alive, inc) = self.state(slot);
+        OverlayNode { alive, inc, edges: self.edges_of(slot).to_vec() }
+    }
+
+    fn state(&self, slot: u32) -> (bool, u32) {
+        let word = self.states[slot as usize];
+        (word & 1 == 1, word >> 1)
     }
 
     /// Approximate heap bytes. `names` and `keys` hold handles to the
@@ -180,7 +185,7 @@ impl ShardBase {
         let key_bytes: usize = self.keys.iter().map(key_heap_bytes).sum();
         key_bytes
             + self.names.len() * (std::mem::size_of::<GlobalKey>() + 16)
-            + self.keys.len() * (std::mem::size_of::<GlobalKey>() + 1 + 4 + 4)
+            + self.keys.len() * (std::mem::size_of::<GlobalKey>() + 4 + 4)
             + self.edges.len() * std::mem::size_of::<HalfEdge>()
     }
 }
@@ -234,7 +239,7 @@ impl Shard {
     pub(crate) fn state(&self, slot: u32) -> (bool, u32) {
         match self.overlay.nodes.get(&slot) {
             Some(o) => (o.alive, o.inc),
-            None => (self.base.alive[slot as usize], self.base.incs[slot as usize]),
+            None => self.base.state(slot),
         }
     }
 
@@ -256,7 +261,7 @@ impl Shard {
     fn live_count(&self) -> usize {
         let mut live = self.base.live_nodes as isize;
         for (&slot, node) in &self.overlay.nodes {
-            let was = self.base.alive.get(slot as usize).copied().unwrap_or(false);
+            let was = self.base.states.get(slot as usize).is_some_and(|w| w & 1 == 1);
             live += node.alive as isize - was as isize;
         }
         live.max(0) as usize
