@@ -92,11 +92,11 @@ pub fn route(key: &GlobalKey) -> usize {
     ((h ^ (h >> 32)) & SHARD_MASK as u64) as usize
 }
 
-/// A one-multiply hasher for the index's maps, whose keys are slot
-/// numbers, node pairs and global keys that carry a precomputed hash:
-/// their lookups sit on every traversal step and every edit, where
-/// SipHash's cost shows and its flood resistance buys nothing (equal
-/// key hashes collide under any hasher).
+/// A one-multiply hasher for the maps keyed by slot numbers and node
+/// pairs — ids this program issues, so there is no crafted key to
+/// resist. Their lookups sit on every traversal step and every edit,
+/// where SipHash's cost shows. Maps keyed by global keys, which come
+/// from the stores, keep the default hasher.
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct MixHasher(u64);
 
@@ -146,7 +146,7 @@ pub(crate) struct HalfEdge {
 #[derive(Debug, Default)]
 pub(crate) struct ShardBase {
     /// key → slot, for every node named in this shard at compaction time.
-    pub(crate) names: Map<GlobalKey, u32>,
+    pub(crate) names: HashMap<GlobalKey, u32>,
     /// slot → key.
     pub(crate) keys: Vec<GlobalKey>,
     /// Per slot `inc << 1 | alive`: one load answers a visibility check.
@@ -213,7 +213,7 @@ pub(crate) struct Overlay {
     /// Keys of the slots created since the base was built, in slot order.
     pub(crate) keys: Vec<GlobalKey>,
     /// key → slot for those.
-    pub(crate) names: Map<GlobalKey, u32>,
+    pub(crate) names: HashMap<GlobalKey, u32>,
 }
 
 /// One shard's state: a shared packed base plus a small overlay readers
