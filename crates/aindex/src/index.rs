@@ -15,7 +15,7 @@ use std::sync::Arc;
 use quepa_pdm::{GlobalKey, Probability, RelationKind};
 
 use crate::shard::{
-    make_ref, route, shard_of, slot_of, Graph, HalfEdge, Map, NodeRef, OverlayNode, Shard,
+    make_ref, route, shard_of, slot_of, word, Graph, HalfEdge, Map, NodeRef, OverlayNode, Shard,
     ShardBase, SHARD_COUNT,
 };
 
@@ -71,6 +71,27 @@ impl IndexStats {
             EdgeOrigin::Direct => {}
         }
     }
+}
+
+/// A shard's entries packed as CSR offsets and half-edges: the live
+/// nodes' half-edges that `live` accepts, dropping those that can never
+/// be traversed again.
+fn pack(
+    state: &Shard,
+    words: &[u32],
+    live: impl Fn(&HalfEdge) -> bool,
+) -> (Vec<u32>, Vec<HalfEdge>) {
+    let overlaid: usize = state.overlay.nodes.values().map(|n| n.edges.len()).sum();
+    let mut edges = Vec::with_capacity(state.base.edges.len() + overlaid);
+    let mut offsets = Vec::with_capacity(words.len() + 1);
+    for (slot, &w) in words.iter().enumerate() {
+        offsets.push(edges.len() as u32);
+        if w & 1 == 1 {
+            edges.extend(state.edges(slot as u32).iter().filter(|e| live(e)).copied());
+        }
+    }
+    offsets.push(edges.len() as u32);
+    (offsets, edges)
 }
 
 /// The A' index ledger: one node per global key, identity/matching
@@ -130,37 +151,33 @@ impl AIndex {
         overlay.nodes.entry(slot_of(n)).or_insert_with(|| base.node(slot_of(n)))
     }
 
-    /// Folds every non-empty overlay into its base.
+    /// Folds every non-empty overlay into its base. The state words of
+    /// all shards are worked out first, so checking a half-edge's far end
+    /// is an array lookup rather than an overlay probe.
     pub(crate) fn fold_all(&mut self) {
+        let words: Vec<Vec<u32>> = self.graph.shards.iter().map(|s| s.state_words()).collect();
+        let live = |e: &HalfEdge| {
+            words[shard_of(e.other)][slot_of(e.other) as usize] == word(true, e.other_inc)
+        };
         for s in 0..SHARD_COUNT {
             if !self.graph.shards[s].overlay.nodes.is_empty() {
-                self.fold(s);
+                let packed = pack(&self.graph.shards[s], &words[s], live);
+                self.install(s, words[s].clone(), packed);
             }
         }
     }
 
-    /// Folds shard `s`'s overlay into a fresh packed base, dropping the
-    /// half-edges that can never be traversed again. A base no view
-    /// shares hands its keys over instead of having them copied.
+    /// Folds shard `s`'s overlay into a fresh packed base.
     pub(crate) fn fold(&mut self, s: usize) {
-        let graph = &self.graph;
-        let state = &graph.shards[s];
-        let len = state.slots() as usize;
-        let mut states = Vec::with_capacity(len);
-        let mut offsets = Vec::with_capacity(len + 1);
-        let overlaid: usize = state.overlay.nodes.values().map(|n| n.edges.len()).sum();
-        let mut edges = Vec::with_capacity(state.base.edges.len() + overlaid);
-        let mut live_nodes = 0;
-        for slot in 0..state.slots() {
-            let (live, inc) = state.state(slot);
-            states.push(inc << 1 | live as u32);
-            offsets.push(edges.len() as u32);
-            if live {
-                live_nodes += 1;
-                edges.extend(graph.live_edges_of(make_ref(s, slot)).copied());
-            }
-        }
-        offsets.push(edges.len() as u32);
+        let words = self.graph.shards[s].state_words();
+        let packed = pack(&self.graph.shards[s], &words, |e| self.graph.target(e).is_some());
+        self.install(s, words, packed);
+    }
+
+    /// Makes shard `s`'s base the packed entries and state words, with
+    /// its overlay's keys. A base no view shares hands its keys over
+    /// instead of having them copied.
+    fn install(&mut self, s: usize, states: Vec<u32>, (offsets, edges): (Vec<u32>, Vec<HalfEdge>)) {
         let state = self.shard_mut(s);
         let overlay = std::mem::take(&mut state.overlay);
         let (mut keys, mut names) = match Arc::get_mut(&mut state.base) {
@@ -173,6 +190,7 @@ impl AIndex {
         } else {
             names.extend(overlay.names);
         }
+        let live_nodes = states.iter().filter(|&&w| w & 1 == 1).count();
         let mut base =
             ShardBase { names, keys, states, offsets, edges, live_nodes, resident_bytes: 0 };
         base.resident_bytes = base.measure();
@@ -232,7 +250,8 @@ impl AIndex {
         if a == b {
             return false; // reflexivity is implicit
         }
-        let fresh = (self.pair_index.len() as u32) << 1 | (a < b) as u32;
+        let next = u32::try_from(self.pair_index.len()).ok().filter(|&id| id < 1 << 31);
+        let fresh = next.expect("edge ids fit in 31 bits") << 1 | (a < b) as u32;
         let tag = *self.pair_index.entry(Self::pair(a, b, kind)).or_insert(fresh);
         let id = tag >> 1;
         match self.live_half(a, id) {
@@ -288,11 +307,13 @@ impl AIndex {
     /// its many matchings without visiting their far ends.
     fn related(&self, n: NodeRef, kind: RelationKind) -> Vec<(NodeRef, Probability)> {
         let graph = &self.graph;
-        let mut out: Vec<_> = (graph.edges(n).iter())
+        let mut out: Vec<_> = graph
+            .edges(n)
+            .iter()
             .filter(|e| e.kind == kind && graph.target(e).is_some())
             .map(|e| (e.other, e.prob))
             .collect();
-        out.sort_unstable_by(|x, y| self.graph.key_of(x.0).cmp(self.graph.key_of(y.0)));
+        out.sort_unstable_by(|x, y| graph.key_of(x.0).cmp(graph.key_of(y.0)));
         out
     }
 

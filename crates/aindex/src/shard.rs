@@ -141,6 +141,11 @@ pub(crate) struct HalfEdge {
     pub(crate) first: bool,
 }
 
+/// A slot's liveness and incarnation as one state word.
+pub(crate) fn word(alive: bool, inc: u32) -> u32 {
+    inc << 1 | alive as u32
+}
+
 /// The packed, immutable part of a shard: produced by compaction, shared
 /// (via `Arc`) across successive overlay publications.
 #[derive(Debug, Default)]
@@ -149,7 +154,7 @@ pub(crate) struct ShardBase {
     pub(crate) names: HashMap<GlobalKey, u32>,
     /// slot → key.
     pub(crate) keys: Vec<GlobalKey>,
-    /// Per slot `inc << 1 | alive`: one load answers a visibility check.
+    /// Per slot [`word`]: one load answers a visibility check.
     pub(crate) states: Vec<u32>,
     /// CSR offsets over `edges`; `len == keys.len() + 1`.
     pub(crate) offsets: Vec<u32>,
@@ -175,8 +180,8 @@ impl ShardBase {
     }
 
     fn state(&self, slot: u32) -> (bool, u32) {
-        let word = self.states[slot as usize];
-        (word & 1 == 1, word >> 1)
+        let w = self.states[slot as usize];
+        (w & 1 == 1, w >> 1)
     }
 
     /// Approximate heap bytes. `names` and `keys` hold handles to the
@@ -251,7 +256,15 @@ impl Shard {
         }
     }
 
-    fn edges(&self, slot: u32) -> &[HalfEdge] {
+    /// Every slot's state [`word`].
+    pub(crate) fn state_words(&self) -> Vec<u32> {
+        (0..self.slots())
+            .map(|slot| self.state(slot))
+            .map(|(alive, inc)| word(alive, inc))
+            .collect()
+    }
+
+    pub(crate) fn edges(&self, slot: u32) -> &[HalfEdge] {
         match self.overlay.nodes.get(&slot) {
             Some(o) => &o.edges,
             None => self.base.edges_of(slot),
@@ -709,7 +722,7 @@ impl IndexView {
 
 /// Compaction trigger: fold an overlay into a fresh base once it
 /// exceeds an eighth of the base (with a floor so small shards do not
-/// recompact on every drain).
+/// recompact on every batch).
 fn wants_compaction(overlay_len: usize, base_len: usize) -> bool {
     overlay_len > 64.max(base_len / 8)
 }
@@ -1186,7 +1199,7 @@ mod tests {
         let resident_after = |touches: usize| {
             let sharded = ShardedIndex::new(sample_index(12));
             for i in 0..touches {
-                // Each strengthening re-projects the same endpoints.
+                // Each strengthening rewrites the same endpoints.
                 sharded.apply(&[IndexOp::InsertMatching {
                     a: k("db0.c.a1"),
                     b: k("db3.c.m5"),
