@@ -16,7 +16,7 @@ use quepa_pdm::{GlobalKey, Probability, RelationKind};
 
 use crate::shard::{
     make_ref, route, shard_of, slot_of, word, Graph, HalfEdge, Map, NodeRef, OverlayNode, Shard,
-    ShardBase, SHARD_COUNT,
+    ShardBase,
 };
 
 /// Where an edge came from.
@@ -71,27 +71,6 @@ impl IndexStats {
             EdgeOrigin::Direct => {}
         }
     }
-}
-
-/// A shard's entries packed as CSR offsets and half-edges: the live
-/// nodes' half-edges that `live` accepts, dropping those that can never
-/// be traversed again.
-fn pack(
-    state: &Shard,
-    words: &[u32],
-    live: impl Fn(&HalfEdge) -> bool,
-) -> (Vec<u32>, Vec<HalfEdge>) {
-    let overlaid: usize = state.overlay.nodes.values().map(|n| n.edges.len()).sum();
-    let mut edges = Vec::with_capacity(state.base.edges.len() + overlaid);
-    let mut offsets = Vec::with_capacity(words.len() + 1);
-    for (slot, &w) in words.iter().enumerate() {
-        offsets.push(edges.len() as u32);
-        if w & 1 == 1 {
-            edges.extend(state.edges(slot as u32).iter().filter(|e| live(e)).copied());
-        }
-    }
-    offsets.push(edges.len() as u32);
-    (offsets, edges)
 }
 
 /// The A' index ledger: one node per global key, identity/matching
@@ -159,10 +138,10 @@ impl AIndex {
         let live = |e: &HalfEdge| {
             words[shard_of(e.other)][slot_of(e.other) as usize] == word(true, e.other_inc)
         };
-        for s in 0..SHARD_COUNT {
+        for (s, shard_words) in words.iter().enumerate() {
             if !self.graph.shards[s].overlay.nodes.is_empty() {
-                let packed = pack(&self.graph.shards[s], &words[s], live);
-                self.install(s, words[s].clone(), packed);
+                let packed = self.graph.shards[s].pack(shard_words, live);
+                self.install(s, shard_words.clone(), packed);
             }
         }
     }
@@ -170,7 +149,7 @@ impl AIndex {
     /// Folds shard `s`'s overlay into a fresh packed base.
     pub(crate) fn fold(&mut self, s: usize) {
         let words = self.graph.shards[s].state_words();
-        let packed = pack(&self.graph.shards[s], &words, |e| self.graph.target(e).is_some());
+        let packed = self.graph.shards[s].pack(&words, |e| self.graph.target(e).is_some());
         self.install(s, words, packed);
     }
 
@@ -190,11 +169,7 @@ impl AIndex {
         } else {
             names.extend(overlay.names);
         }
-        let live_nodes = states.iter().filter(|&&w| w & 1 == 1).count();
-        let mut base =
-            ShardBase { names, keys, states, offsets, edges, live_nodes, resident_bytes: 0 };
-        base.resident_bytes = base.measure();
-        state.base = Arc::new(base);
+        state.base = Arc::new(ShardBase::new(names, keys, states, offsets, edges));
     }
 
     // -- reads --------------------------------------------------------------

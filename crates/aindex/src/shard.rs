@@ -155,12 +155,12 @@ pub(crate) struct ShardBase {
     /// slot → key.
     pub(crate) keys: Vec<GlobalKey>,
     /// Per slot [`word`]: one load answers a visibility check.
-    pub(crate) states: Vec<u32>,
+    states: Vec<u32>,
     /// CSR offsets over `edges`; `len == keys.len() + 1`.
-    pub(crate) offsets: Vec<u32>,
-    pub(crate) edges: Vec<HalfEdge>,
-    pub(crate) live_nodes: usize,
-    pub(crate) resident_bytes: usize,
+    offsets: Vec<u32>,
+    edges: Vec<HalfEdge>,
+    live_nodes: usize,
+    resident_bytes: usize,
 }
 
 impl ShardBase {
@@ -184,9 +184,24 @@ impl ShardBase {
         (w & 1 == 1, w >> 1)
     }
 
+    /// A packed base over slots' keys, state words and CSR entries.
+    pub(crate) fn new(
+        names: HashMap<GlobalKey, u32>,
+        keys: Vec<GlobalKey>,
+        states: Vec<u32>,
+        offsets: Vec<u32>,
+        edges: Vec<HalfEdge>,
+    ) -> Self {
+        let live_nodes = states.iter().filter(|&&w| w & 1 == 1).count();
+        let mut base =
+            ShardBase { names, keys, states, offsets, edges, live_nodes, resident_bytes: 0 };
+        base.resident_bytes = base.measure();
+        base
+    }
+
     /// Approximate heap bytes. `names` and `keys` hold handles to the
     /// same key allocations, so each key's heap is counted once.
-    pub(crate) fn measure(&self) -> usize {
+    fn measure(&self) -> usize {
         let key_bytes: usize = self.keys.iter().map(key_heap_bytes).sum();
         key_bytes
             + self.names.len() * (std::mem::size_of::<GlobalKey>() + 16)
@@ -264,7 +279,28 @@ impl Shard {
             .collect()
     }
 
-    pub(crate) fn edges(&self, slot: u32) -> &[HalfEdge] {
+    /// The entries packed as CSR offsets and half-edges: the live slots'
+    /// half-edges that `live` accepts, dropping those that can never be
+    /// traversed again. `words` are [`Shard::state_words`].
+    pub(crate) fn pack(
+        &self,
+        words: &[u32],
+        live: impl Fn(&HalfEdge) -> bool,
+    ) -> (Vec<u32>, Vec<HalfEdge>) {
+        let overlaid: usize = self.overlay.nodes.values().map(|n| n.edges.len()).sum();
+        let mut edges = Vec::with_capacity(self.base.edges.len() + overlaid);
+        let mut offsets = Vec::with_capacity(words.len() + 1);
+        for (slot, &w) in words.iter().enumerate() {
+            offsets.push(edges.len() as u32);
+            if w & 1 == 1 {
+                edges.extend(self.edges(slot as u32).iter().filter(|e| live(e)).copied());
+            }
+        }
+        offsets.push(edges.len() as u32);
+        (offsets, edges)
+    }
+
+    fn edges(&self, slot: u32) -> &[HalfEdge] {
         match self.overlay.nodes.get(&slot) {
             Some(o) => &o.edges,
             None => self.base.edges_of(slot),
