@@ -19,7 +19,7 @@
 //! 4. **Warm cache** — with a cache, a second identical search returns
 //!    the same answer from cache (`cache_hits` covers the augmented set).
 //! 5. **`augment_multi` == per-seed union** — the served kernel's
-//!    one-pass multi-seed BFS ([`IndexView`] over a projection of the
+//!    one-pass multi-seed BFS (an [`IndexView`] of the
 //!    scenario's index) equals its plain `augment`, and its ownership
 //!    partition equals the model's lowest-seed-within-budget rule.
 //! 6. **Metrics determinism** — twin instances produce bit-identical

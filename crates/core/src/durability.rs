@@ -4,7 +4,7 @@
 //! the whole linkage pipeline. A *durable* instance attaches a
 //! directory holding a write-ahead log of logical index mutations
 //! ([`IndexOp`]) and incremental checkpoint cuts of the sharded
-//! projection (see `quepa-wal`). The commit path for one mutation
+//! index (see `quepa-wal`). The commit path for one mutation
 //! batch is:
 //!
 //! 1. ask every store to flush its own pending writes
@@ -13,7 +13,7 @@
 //!    before anything is logged or applied;
 //! 2. append the batch to the WAL (fsync per [`SyncPolicy`]);
 //! 3. apply the batch to the sharded index;
-//! 4. if the drain compacted a shard, write a checkpoint cut at this
+//! 4. if the apply compacted a shard, write a checkpoint cut at this
 //!    LSN (re-serializing only dirty shards) and truncate the WAL.
 //!
 //! The whole sequence holds the durability lock, so WAL order is apply
@@ -191,7 +191,7 @@ impl Quepa {
 
     /// Applies a batch of logical index mutations through the commit
     /// path: store flush → WAL append → apply → checkpoint cut if the
-    /// drain compacted a shard. This is the only way to change a live
+    /// apply compacted a shard. This is the only way to change a live
     /// index (lazy deletion, promotion and scripted removals all commit
     /// [`IndexOp`]s). On a volatile instance the same code
     /// applies the batch directly (one atomic update) and returns LSN 0,

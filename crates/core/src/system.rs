@@ -111,7 +111,7 @@ impl Quepa {
         &self.polystore
     }
 
-    /// An immutable view of the current A' index projection. The view is
+    /// An immutable view of the published A' index. The view is
     /// frozen: it stays valid across concurrent mutations, which publish
     /// fresh per-shard snapshots atomically without disturbing it.
     pub fn index(&self) -> IndexView {
@@ -124,7 +124,7 @@ impl Quepa {
         self.index.snapshot()
     }
 
-    /// Per-shard statistics of the published index projection.
+    /// Per-shard statistics of the published index.
     pub fn index_shard_stats(&self) -> Vec<ShardIndexStats> {
         self.index.shard_stats()
     }
@@ -194,7 +194,7 @@ impl Quepa {
         // Per-shard index gauges fold in only once something was recorded
         // — a never-observed instance keeps its empty snapshot. The
         // gauges themselves are deterministic (same scenario ⇒ same
-        // projection), so twin-equality checks hold.
+        // shard states), so twin-equality checks hold.
         if !snapshot.is_empty() {
             snapshot.index_shards = self
                 .index
@@ -455,7 +455,7 @@ impl Quepa {
         // answer's `missing` list. The sharded update makes the whole
         // pass one atomic transition — one directory swap republishing
         // just the touched shards — so a concurrent query plans against
-        // the old projection or the fully pruned one, never a
+        // the old index or the fully pruned one, never a
         // half-pruned hybrid.
         let lazily_deleted = outcome.missing.iter().filter(|m| m.is_not_found()).count();
         if lazily_deleted > 0 {

@@ -1,4 +1,4 @@
-//! Consistent-cut checkpoints of the sharded A' projection.
+//! Consistent-cut checkpoints of the sharded A' index.
 //!
 //! A checkpoint is a **cut**: a directory `ckpt-<lsn>` holding one file
 //! per shard, all describing the index state at the *same* LSN. Cuts

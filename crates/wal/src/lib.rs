@@ -10,7 +10,7 @@
 //!   CRC-framed records and monotonic LSNs — append, fsync (per
 //!   [`SyncPolicy`]), then apply;
 //! * **checkpoint cuts** ([`checkpoint`]): consistent per-shard
-//!   snapshots of the sharded CSR projection, all stamped with one
+//!   snapshots of the sharded A' index, all stamped with one
 //!   covered LSN. Cuts are incremental — only shards dirtied since the
 //!   previous cut are re-serialized, the rest are carried over — so a
 //!   shard compaction, which already rewrites exactly one shard,

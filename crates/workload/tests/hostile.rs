@@ -49,7 +49,7 @@ fn hub_removal_republishes_exactly_its_home_shard() {
 }
 
 /// The predicted answer after removing `victims[..prefix]`: a fresh
-/// projection of the ledger at each prefix.
+/// view of the ledger at each prefix.
 fn predicted(
     mut ledger: AIndex,
     victims: &[GlobalKey],
