@@ -7,14 +7,16 @@
 //! (`insert-identity`, `remove`, …), not the edges it ends up touching,
 //! so replay re-runs transitivity materialization and the Consistency
 //! Condition exactly as the original execution did. The text form is
-//! one line: keys are percent-escaped (the escaping of [`crate::serial`])
-//! and probabilities use Rust's shortest round-trip `f64` display, which
-//! reproduces the exact bits.
+//! one line: keys are percent-escaped by the key writer of
+//! [`crate::serial`] and probabilities use Rust's shortest round-trip
+//! `f64` display, which reproduces the exact bits.
+
+use std::fmt::Write as _;
 
 use quepa_pdm::{GlobalKey, Probability, RelationKind};
 
 use crate::index::AIndex;
-use crate::serial::{escape, unescape};
+use crate::serial::{kind_tag, unescape, write_key};
 
 /// One logical mutation of the A' index.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,13 +64,6 @@ pub enum IndexOp {
     },
 }
 
-fn kind_tag(kind: RelationKind) -> &'static str {
-    match kind {
-        RelationKind::Identity => "id",
-        RelationKind::Matching => "match",
-    }
-}
-
 impl IndexOp {
     /// Applies the operation to an index, running the full insertion /
     /// deletion semantics (materialization, consistency).
@@ -88,21 +83,35 @@ impl IndexOp {
 
     /// Encodes the operation as a single line (no trailing newline).
     pub fn encode(&self) -> String {
-        match self {
+        let mut out = String::new();
+        let (a, b) = match self {
             IndexOp::InsertIdentity { a, b, p } => {
-                format!("insert-identity {} {} {}", p.get(), key_token(a), key_token(b))
+                let _ = write!(out, "insert-identity {}", p.get());
+                (a, b)
             }
             IndexOp::InsertMatching { a, b, p } => {
-                format!("insert-matching {} {} {}", p.get(), key_token(a), key_token(b))
+                let _ = write!(out, "insert-matching {}", p.get());
+                (a, b)
             }
             IndexOp::InsertPromoted { a, b, p } => {
-                format!("insert-promoted {} {} {}", p.get(), key_token(a), key_token(b))
+                let _ = write!(out, "insert-promoted {}", p.get());
+                (a, b)
             }
-            IndexOp::RemoveObject { key } => format!("remove {}", key_token(key)),
             IndexOp::DeleteRelation { a, b, kind } => {
-                format!("delete-relation {} {} {}", kind_tag(*kind), key_token(a), key_token(b))
+                let _ = write!(out, "delete-relation {}", kind_tag(*kind));
+                (a, b)
             }
-        }
+            IndexOp::RemoveObject { key } => {
+                out.push_str("remove ");
+                write_key(&mut out, key);
+                return out;
+            }
+        };
+        out.push(' ');
+        write_key(&mut out, a);
+        out.push(' ');
+        write_key(&mut out, b);
+        out
     }
 
     /// Decodes a line produced by [`encode`](IndexOp::encode).
@@ -146,10 +155,6 @@ impl IndexOp {
             other => Err(format!("unknown op verb {other:?}")),
         }
     }
-}
-
-fn key_token(key: &GlobalKey) -> String {
-    escape(&key.to_string())
 }
 
 fn one_key(parts: &mut std::str::Split<'_, char>) -> Result<GlobalKey, String> {

@@ -9,20 +9,26 @@
 //! edge <kind> <origin> <p> <a> <b>   # kind: id|match, origin: direct|promoted
 //! ```
 //!
-//! Keys are percent-escaped (`%`, whitespace, newline) so arbitrary local
-//! keys survive. Inferred edges are written `direct`: the index keeps no
-//! lineage, so an edge's origin only feeds [`IndexStats`](crate::IndexStats)
-//! and a reloaded index counts inferred edges as direct. The origin
+//! Keys are percent-escaped so arbitrary local keys survive: `%`, space,
+//! tab, CR and LF become `%25`, `%20`, `%09`, `%0d` and `%0a`; every
+//! other character, Unicode whitespace included, is written as it is.
+//! Inferred edges are written `direct`: the index keeps no lineage, so
+//! an edge's origin only feeds [`IndexStats`](crate::IndexStats) and a
+//! reloaded index counts inferred edges as direct. The origin
 //! `inferred` that earlier versions wrote still loads, as `direct`. The
 //! graph itself round-trips exactly (same nodes, edges, kinds,
 //! probabilities), which is what augmentation semantics depend on.
 //!
 //! The `node`/`edge` lines are also the body of a checkpoint shard file
 //! (`quepa-wal`): [`write_node`], [`write_edge`] and [`apply_lines`] are
-//! the one writer and the one parser of that line format.
+//! the one writer and the one parser of that line format. Both writers
+//! render keys in place, through the key writer the
+//! [`IndexOp`](crate::IndexOp) text form (the WAL's record payload)
+//! shares.
 
 use std::fmt::Write as _;
 
+use quepa_pdm::key::SEPARATOR;
 use quepa_pdm::{GlobalKey, PdmError, Probability, RelationKind};
 
 use crate::index::{AIndex, EdgeOrigin};
@@ -65,25 +71,46 @@ impl From<PdmError> for SerialError {
 
 const HEADER: &str = "quepa-aindex v1";
 
-/// Percent-escapes `%` and whitespace so an arbitrary key fits in one
-/// space-separated token. Shared with the [`IndexOp`](crate::IndexOp)
-/// text form (the WAL's record payload).
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '%' => out.push_str("%25"),
-            ' ' => out.push_str("%20"),
-            '\t' => out.push_str("%09"),
-            '\n' => out.push_str("%0a"),
-            '\r' => out.push_str("%0d"),
-            c => out.push(c),
-        }
+/// Appends `s` percent-escaped, so it holds no `%`, space, tab, CR or LF
+/// of its own; a string with none of them is one `push_str`.
+fn write_escaped(out: &mut String, s: &str) {
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escaped = match b {
+            b'%' => "%25",
+            b' ' => "%20",
+            b'\t' => "%09",
+            b'\n' => "%0a",
+            b'\r' => "%0d",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        out.push_str(escaped);
+        run = i + 1;
     }
-    out
+    out.push_str(&s[run..]);
 }
 
-/// Inverse of [`escape`].
+/// Appends `key` as one space-separated token, `database.collection.key`
+/// with each segment percent-escaped as it is written. Shared with the
+/// [`IndexOp`](crate::IndexOp) text form (the WAL's record payload).
+pub(crate) fn write_key(out: &mut String, key: &GlobalKey) {
+    write_escaped(out, key.database().as_str());
+    out.push(SEPARATOR);
+    write_escaped(out, key.collection().as_str());
+    out.push(SEPARATOR);
+    write_escaped(out, key.key().as_str());
+}
+
+/// The text tag of a relation kind.
+pub(crate) fn kind_tag(kind: RelationKind) -> &'static str {
+    match kind {
+        RelationKind::Identity => "id",
+        RelationKind::Matching => "match",
+    }
+}
+
+/// Inverse of the escaping of [`write_key`].
 pub(crate) fn unescape(s: &str) -> Result<String, String> {
     let mut out = String::with_capacity(s.len());
     let bytes = s.as_bytes();
@@ -105,11 +132,14 @@ pub(crate) fn unescape(s: &str) -> Result<String, String> {
 
 /// Appends one `node <key>` line.
 pub fn write_node(out: &mut String, key: &GlobalKey) {
-    let _ = writeln!(out, "node {}", escape(&key.to_string()));
+    out.push_str("node ");
+    write_key(out, key);
+    out.push('\n');
 }
 
 /// Appends one `edge <kind> <origin> <p> <a> <b>` line; an inferred edge
-/// is written as `direct`.
+/// is written as `direct`. The probability uses the shortest round-trip
+/// `f64` display, which reloads to the same bits.
 pub fn write_edge(
     out: &mut String,
     kind: RelationKind,
@@ -118,21 +148,15 @@ pub fn write_edge(
     a: &GlobalKey,
     b: &GlobalKey,
 ) {
-    let kind = match kind {
-        RelationKind::Identity => "id",
-        RelationKind::Matching => "match",
-    };
     let origin = match origin {
         EdgeOrigin::Direct | EdgeOrigin::Inferred => "direct",
         EdgeOrigin::Promoted => "promoted",
     };
-    let _ = writeln!(
-        out,
-        "edge {kind} {origin} {} {} {}",
-        prob.get(),
-        escape(&a.to_string()),
-        escape(&b.to_string()),
-    );
+    let _ = write!(out, "edge {} {origin} {} ", kind_tag(kind), prob.get());
+    write_key(out, a);
+    out.push(' ');
+    write_key(out, b);
+    out.push('\n');
 }
 
 /// Serializes the live part of an index.
@@ -307,10 +331,39 @@ mod tests {
 
     #[test]
     fn escape_roundtrip() {
-        for s in ["plain", "with space", "pct%sign", "tab\there", "multi\nline", "ключ"] {
-            assert_eq!(unescape(&escape(s)).unwrap(), s);
+        for local in
+            ["plain", "with space", "pct%sign", "tab\there", "multi\nline", "cr\rlf", "ключ"]
+        {
+            let key = GlobalKey::parse_parts("d b", "c%", local).unwrap();
+            let mut token = String::new();
+            write_key(&mut token, &key);
+            assert!(!token.contains([' ', '\t', '\n', '\r']), "token {token:?}");
+            assert_eq!(unescape(&token).unwrap().parse::<GlobalKey>().unwrap(), key);
         }
         assert!(unescape("%2").is_err());
         assert!(unescape("%zz").is_err());
+    }
+
+    /// The golden fixtures cover only space, `%`, tab and newline; this
+    /// pins the exact text of the other escapes and of a non-ASCII letter.
+    #[test]
+    fn escaped_lines_have_exact_text() {
+        let a = GlobalKey::parse_parts("db", "c", "a\rb%c d\u{e9}").unwrap();
+        let b = k("x.y.z");
+        let mut out = String::new();
+        write_node(&mut out, &a);
+        write_edge(
+            &mut out,
+            RelationKind::Matching,
+            EdgeOrigin::Promoted,
+            Probability::of(0.25),
+            &a,
+            &b,
+        );
+        assert_eq!(
+            out,
+            "node db.c.a%0db%25c%20d\u{e9}\n\
+             edge match promoted 0.25 db.c.a%0db%25c%20d\u{e9} x.y.z\n"
+        );
     }
 }
