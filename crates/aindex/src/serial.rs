@@ -198,7 +198,9 @@ pub fn apply_lines(
             line: first_line + i,
             message: message.to_owned(),
         };
-        let line = line.trim();
+        // Only ASCII space and tab: a key is the last token of its line,
+        // and any other whitespace it ends in is written unescaped.
+        let line = line.trim_matches([' ', '\t']);
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
@@ -365,5 +367,24 @@ mod tests {
             "node db.c.a%0db%25c%20d\u{e9}\n\
              edge match promoted 0.25 db.c.a%0db%25c%20d\u{e9} x.y.z\n"
         );
+    }
+
+    /// Regression: loading trimmed every Unicode whitespace character off
+    /// a line, and so off the key at its end, which is written unescaped.
+    #[test]
+    fn keys_ending_in_unicode_whitespace_survive() {
+        for c in
+            ['\u{0b}', '\u{0c}', '\u{85}', '\u{a0}', '\u{1680}', '\u{2028}', '\u{2029}', '\u{3000}']
+        {
+            let lonely = k(&format!("a.c.x{c}"));
+            let linked = k(&format!("b.c.y{c}"));
+            let mut ix = AIndex::new();
+            ix.ensure_node(&lonely);
+            ix.insert_identity(&k("b.c.1"), &linked, Probability::of(0.5));
+            let back = from_str(&to_string(&ix)).unwrap();
+            assert!(back.contains(&lonely), "node key ending in {c:?} lost");
+            assert!(back.contains(&linked), "edge key ending in {c:?} lost");
+            assert_eq!(back.node_count(), ix.node_count(), "{c:?}");
+        }
     }
 }

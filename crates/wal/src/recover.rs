@@ -217,6 +217,32 @@ mod tests {
         assert_eq!(index.edge_count(), want.edge_count());
     }
 
+    /// Regression: keys that end in Unicode whitespace (written
+    /// unescaped, last on their line) lost it when a cut was loaded.
+    #[test]
+    fn keys_ending_in_unicode_whitespace_survive_a_cut() {
+        let tmp = TempDir::new("unicode-ws");
+        let sharded = ShardedIndex::new(AIndex::new());
+        for (i, c) in
+            ['\u{0b}', '\u{0c}', '\u{85}', '\u{a0}', '\u{2028}', '\u{3000}'].iter().enumerate()
+        {
+            sharded.apply(&[IndexOp::InsertMatching {
+                a: k(&format!("db0.c.a{i}")),
+                b: k(&format!("db1.c.b{c}")),
+                p: Probability::of(0.6),
+            }]);
+        }
+        write_cut(&tmp.0, 0, |shard| Some(sharded.serialize_shard(shard))).unwrap();
+        let (index, _, _) =
+            recover(&tmp.0, SyncPolicy::Buffered, &RecoveryOptions::default()).unwrap();
+        let keys = |ix: &AIndex| {
+            let mut keys: Vec<GlobalKey> = ix.keys().cloned().collect();
+            keys.sort();
+            keys
+        };
+        assert_eq!(keys(&index), keys(&sharded.snapshot()));
+    }
+
     /// Regression: a cut that truncated the WAL to empty must not make
     /// the reopened log re-issue covered LSNs — records appended after
     /// such a restart must survive the *next* recovery.
