@@ -37,6 +37,13 @@
 //! and is what recovery replays from. The body is the `node`/`edge`
 //! line format of `quepa_aindex::serial` (an inferred edge is written,
 //! and reloads, as `direct`: the index keeps no lineage).
+//!
+//! A fresh shard file costs its bytes: the body is serialized once, its
+//! CRC taken once, and the header and then the body are written straight
+//! from their buffers — the body is never copied into a second one — and
+//! the file gets one `sync_data`. The cut is written serially; measured
+//! on 2 vCPUs, fanning the shards out over threads did not shorten it and
+//! slowed the readers that ran beside it.
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -112,10 +119,12 @@ pub fn write_shard_file(
     body: &str,
 ) -> Result<(), WalError> {
     let path = checkpoint_path(cut_dir, shard);
-    let content =
-        format!("{HEADER}\nshard {shard}\nlsn {lsn}\ncrc {:08x}\n{body}", crc32(body.as_bytes()));
+    let header =
+        format!("{HEADER}\nshard {shard}\nlsn {lsn}\ncrc {:08x}\n", crc32(body.as_bytes()));
     let mut file = std::fs::File::create(&path).map_err(|e| io_err(&path, e))?;
-    file.write_all(content.as_bytes()).map_err(|e| io_err(&path, e))?;
+    // The body goes to the file from the caller's buffer, never copied.
+    file.write_all(header.as_bytes()).map_err(|e| io_err(&path, e))?;
+    file.write_all(body.as_bytes()).map_err(|e| io_err(&path, e))?;
     file.sync_data().map_err(|e| io_err(&path, e))?;
     Ok(())
 }
