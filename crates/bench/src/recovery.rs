@@ -8,8 +8,9 @@
 //!   `baseline` (the raw sharded update the mutation path wraps —
 //!   pre-durability code), `wal-off` (a volatile
 //!   [`Quepa::apply_mutations`] — the shared entry point with durability
-//!   compiled in but not attached), `wal-buffered` (durable,
-//!   fsync-at-checkpoint) and `wal-fsync` (durable, fsync-per-commit).
+//!   compiled in but not attached), `wal-buffered` (durable, records
+//!   never fsynced; the cuts are) and `wal-fsync` (durable,
+//!   fsync-per-commit).
 //!   The claim (`wal-off-overhead`) is that `wal-off` costs at most
 //!   1.10× `baseline`, taken as the median of alternating pairs:
 //!   durability must be free when unused.

@@ -14,7 +14,8 @@
 //! 2. append the batch to the WAL (fsync per [`SyncPolicy`]);
 //! 3. apply the batch to the sharded index;
 //! 4. if the apply compacted a shard, write a checkpoint cut at this
-//!    LSN (re-serializing only dirty shards) and truncate the WAL.
+//!    LSN (re-serializing only dirty shards) and empty the WAL in place
+//!    ([`Wal::clear`]): the cut covers every record in it.
 //!
 //! The whole sequence holds the durability lock, so WAL order is apply
 //! order. Recovery ([`Quepa::recover_durable`]) loads the newest cut,
@@ -43,7 +44,6 @@ use crate::system::Quepa;
 /// The durability attachment of a [`Quepa`] instance.
 pub struct Durability {
     dir: PathBuf,
-    sync: SyncPolicy,
     state: Mutex<DurableState>,
 }
 
@@ -70,24 +70,37 @@ pub struct DurabilityStatus {
 }
 
 impl Durability {
-    fn write_cut_locked(
-        &self,
-        index: &ShardedIndex,
-        st: &mut DurableState,
-        lsn: Lsn,
-    ) -> Result<()> {
+    /// An attachment over `dir` whose every shard is dirty, so its
+    /// first cut serializes the whole index.
+    fn new(dir: &Path, wal: Wal) -> Durability {
+        Durability {
+            dir: dir.to_path_buf(),
+            state: Mutex::new(DurableState {
+                wal,
+                dirty: [true; SHARD_COUNT],
+                cuts_written: 0,
+                records_appended: 0,
+            }),
+        }
+    }
+
+    /// Cuts `index` at the WAL's last LSN, serializing the dirty
+    /// shards, and returns that LSN.
+    fn write_cut_locked(&self, index: &ShardedIndex, st: &mut DurableState) -> Result<Lsn> {
+        let lsn = st.wal.last_lsn();
         quepa_wal::write_cut(&self.dir, lsn, |shard| {
             st.dirty[shard].then(|| index.serialize_shard(shard))
         })?;
-        st.cut_committed(lsn)
+        st.cut_committed()?;
+        Ok(lsn)
     }
 }
 
 impl DurableState {
-    /// Bookkeeping after a cut at `lsn` committed: truncate the WAL
-    /// behind it and mark every shard clean.
-    fn cut_committed(&mut self, lsn: Lsn) -> Result<()> {
-        self.wal.truncate_upto(lsn).map_err(wal_err)?;
+    /// Bookkeeping after a cut at the WAL's last LSN committed: empty
+    /// the WAL it covers and mark every shard clean.
+    fn cut_committed(&mut self) -> Result<()> {
+        self.wal.clear().map_err(wal_err)?;
         self.dirty = [false; SHARD_COUNT];
         self.cuts_written += 1;
         Ok(())
@@ -121,19 +134,10 @@ impl Quepa {
         std::fs::create_dir_all(dir)
             .map_err(|e| QuepaError::Durability(format!("creating {}: {e}", dir.display())))?;
         let (wal, _) = Wal::open(&quepa_wal::wal_path(dir), sync).map_err(wal_err)?;
-        let durability = Durability {
-            dir: dir.to_path_buf(),
-            sync,
-            state: Mutex::new(DurableState {
-                wal,
-                dirty: [true; SHARD_COUNT],
-                cuts_written: 0,
-                records_appended: 0,
-            }),
-        };
+        let durability = Durability::new(dir, wal);
         {
             let mut st = durability.state.lock();
-            durability.write_cut_locked(&quepa.index, &mut st, 0)?;
+            durability.write_cut_locked(&quepa.index, &mut st)?;
             // The initial cut is bookkeeping, not mutation traffic.
             st.cuts_written = 0;
         }
@@ -156,18 +160,9 @@ impl Quepa {
     ) -> Result<(Quepa, RecoveryReport)> {
         let (index, wal, report) = quepa_wal::recover(dir, sync, options).map_err(wal_err)?;
         let mut quepa = Quepa::with_config(polystore, index, config);
-        quepa.durability = Some(Durability {
-            dir: dir.to_path_buf(),
-            sync,
-            state: Mutex::new(DurableState {
-                wal,
-                // The replayed tail dirtied unknown shards; the first
-                // cut after recovery serializes everything fresh.
-                dirty: [true; SHARD_COUNT],
-                cuts_written: 0,
-                records_appended: 0,
-            }),
-        });
+        // The replayed tail dirtied unknown shards; the first cut after
+        // recovery serializes everything fresh.
+        quepa.durability = Some(Durability::new(dir, wal));
         Ok((quepa, report))
     }
 
@@ -213,20 +208,18 @@ impl Quepa {
             st.dirty[shard] = true;
         }
         if !report.compacted.is_empty() {
-            dur.write_cut_locked(&self.index, &mut st, lsn)?;
+            dur.write_cut_locked(&self.index, &mut st)?;
         }
         Ok(lsn)
     }
 
-    /// Forces a checkpoint cut at the current LSN and truncates the WAL
-    /// behind it. Returns the covered LSN, or `None` on a volatile
+    /// Forces a checkpoint cut at the current LSN and empties the WAL it
+    /// covers. Returns the covered LSN, or `None` on a volatile
     /// instance.
     pub fn checkpoint_durable(&self) -> Result<Option<Lsn>> {
         let Some(dur) = &self.durability else { return Ok(None) };
         let mut st = dur.state.lock();
-        let lsn = st.wal.last_lsn();
-        dur.write_cut_locked(&self.index, &mut st, lsn)?;
-        Ok(Some(lsn))
+        Ok(Some(dur.write_cut_locked(&self.index, &mut st)?))
     }
 
     /// Replaces the A' index wholesale (`LOAD`). On a durable instance a
@@ -243,14 +236,9 @@ impl Quepa {
         let mut st = dur.state.lock();
         let lsn = st.wal.last_lsn();
         quepa_wal::write_cut(&dur.dir, lsn, |shard| Some(staged.serialize_shard(shard)))?;
-        // The committed cut holds the new index: publish it whatever the
-        // truncation below does.
+        // The committed cut holds the new index: publish it whatever
+        // emptying the WAL below does.
         self.index.replace(staged);
-        st.cut_committed(lsn)
-    }
-
-    /// The WAL sync policy of the durable attachment, if any.
-    pub fn durable_sync(&self) -> Option<SyncPolicy> {
-        self.durability.as_ref().map(|d| d.sync)
+        st.cut_committed()
     }
 }

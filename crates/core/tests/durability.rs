@@ -311,6 +311,56 @@ fn records_after_a_forced_cut_replay_on_top_of_it() {
     assert_index_equal(&recovered.index(), &twin.index(), "forced cut then tail");
 }
 
+/// Regression: a cut used to re-read the log it covered, so one damaged
+/// frame behind a committed cut failed every later checkpoint and made
+/// recovery refuse the directory.
+#[test]
+fn a_cut_drops_a_damaged_covered_log() {
+    use std::io::{Read, Seek, SeekFrom, Write};
+
+    let tmp = TempDir::new("damaged-covered");
+    let durable = Quepa::create_durable(
+        small_polystore(),
+        AIndex::new(),
+        QuepaConfig::default(),
+        &tmp.0,
+        SyncPolicy::Always,
+    )
+    .unwrap();
+    let twin = Quepa::with_config(small_polystore(), AIndex::new(), QuepaConfig::default());
+    let script = mutation_script();
+    for batch in &script[..3] {
+        durable.apply_mutations(batch).unwrap();
+        twin.apply_mutations(batch).unwrap();
+    }
+    // Flip a payload byte of the first record behind the instance's back.
+    let mut log =
+        std::fs::OpenOptions::new().read(true).write(true).open(tmp.0.join("quepa.wal")).unwrap();
+    let mut byte = [0u8];
+    log.seek(SeekFrom::Start(20)).unwrap();
+    log.read_exact(&mut byte).unwrap();
+    log.seek(SeekFrom::Start(20)).unwrap();
+    log.write_all(&[byte[0] ^ 0x01]).unwrap();
+    drop(log);
+
+    // The cut covers every damaged record, so it commits and drops them.
+    durable.checkpoint_durable().expect("a cut over a damaged log it covers");
+    durable.apply_mutations(&script[3]).unwrap();
+    twin.apply_mutations(&script[3]).unwrap();
+    drop(durable);
+
+    let (recovered, report) = Quepa::recover_durable(
+        small_polystore(),
+        QuepaConfig::default(),
+        &tmp.0,
+        SyncPolicy::Always,
+        &RecoveryOptions::default(),
+    )
+    .unwrap();
+    assert_eq!(report.replayed, script[3].len(), "only the commit after the cut replays");
+    assert_index_equal(&recovered.index(), &twin.index(), "cut over a damaged log");
+}
+
 #[test]
 fn replace_index_is_durable_when_it_returns() {
     let tmp = TempDir::new("load");

@@ -12,14 +12,17 @@
 //! and replays strictly past its LSN.
 //!
 //! Cuts are still **incremental**: a new cut re-serializes only the
-//! shards dirtied since the previous cut and copies the untouched
+//! shards dirtied since the previous cut and hard-links the untouched
 //! shards' files from it — a compaction-triggered cut rewrites exactly
-//! the compacted shard. The cut is assembled in a `.tmp` directory and
-//! committed with an atomic rename; older cuts are removed only after
-//! the commit, so a crash mid-checkpoint always leaves a complete
-//! previous cut behind. A cut rewritten at its own LSN (a `LOAD` with
-//! no record since the last cut) is first moved aside to `ckpt-<lsn>.old`,
-//! which recovery still loads until the new one is in place.
+//! the compacted shard. A shard file is never modified after its
+//! `sync_data`, so a link shares bytes that are already on disk. The cut
+//! is assembled in a `.tmp` directory, synced, and committed with an
+//! atomic rename; the durable directory is synced after the rename, and
+//! older cuts are removed only after that, so a crash mid-checkpoint
+//! always leaves a complete previous cut behind. A cut rewritten at its
+//! own LSN (a `LOAD` with no record since the last cut) is first moved
+//! aside to `ckpt-<lsn>.old`, which recovery still loads until the new
+//! one is in place.
 //!
 //! Each shard file:
 //!
@@ -32,7 +35,7 @@
 //! edge <kind> <origin> <p> <a> <b>
 //! ```
 //!
-//! A copied file keeps its original `lsn` stamp (when the shard content
+//! A linked file keeps its original `lsn` stamp (when the shard content
 //! was last serialized); the cut's own LSN lives in the directory name
 //! and is what recovery replays from. The body is the `node`/`edge`
 //! line format of `quepa_aindex::serial` (an inferred edge is written,
@@ -157,10 +160,16 @@ where
                 })?;
                 let from = checkpoint_path(prev_dir, shard);
                 let to = checkpoint_path(&tmp, shard);
-                std::fs::copy(&from, &to).map_err(|e| io_err(&from, e))?;
+                std::fs::hard_link(&from, &to).map_err(|e| io_err(&from, e))?;
             }
         }
     }
+    // Per fsync(2), syncing a file does not persist its directory entry:
+    // the assembled cut's entries, then the renames below, are made
+    // durable by syncing the directories that hold them. Otherwise a
+    // power loss could keep the WAL emptied after this cut and lose the
+    // cut itself.
+    sync_dir(&tmp)?;
     let committed = dir.join(cut_dir_name(lsn));
     if committed.exists() {
         // A cut at the same LSN (a rewrite with no record in between):
@@ -171,6 +180,7 @@ where
         std::fs::rename(&committed, &aside).map_err(|e| io_err(&aside, e))?;
     }
     std::fs::rename(&tmp, &committed).map_err(|e| io_err(&committed, e))?;
+    sync_dir(dir)?;
     // GC: older cuts and stale assemblies are now superseded.
     if let Ok(entries) = std::fs::read_dir(dir) {
         for entry in entries.flatten() {
@@ -182,6 +192,11 @@ where
         }
     }
     Ok(committed)
+}
+
+/// Flushes a directory's entries to stable storage.
+fn sync_dir(dir: &Path) -> Result<(), WalError> {
+    std::fs::File::open(dir).and_then(|d| d.sync_all()).map_err(|e| io_err(dir, e))
 }
 
 /// Loads one shard file from a cut directory. A missing or damaged
@@ -289,11 +304,15 @@ mod tests {
 
     #[test]
     fn reused_shard_is_copied_from_previous_cut() {
+        use std::os::unix::fs::MetadataExt;
         let tmp = TempDir::new("reuse");
-        trivial_cut(&tmp.0, 3, "a");
+        let previous = trivial_cut(&tmp.0, 3, "a");
+        let ino = std::fs::metadata(checkpoint_path(&previous, 0)).unwrap().ino();
         let cut = write_cut(&tmp.0, 8, |shard| (shard != 0).then(String::new)).unwrap();
+        // Carried as a link to the previous cut's synced file, not a copy.
+        assert_eq!(std::fs::metadata(checkpoint_path(&cut, 0)).unwrap().ino(), ino);
         let ckpt = load_checkpoint(&cut, 0).unwrap();
-        // The copied file keeps its original serialization stamp.
+        // The carried file keeps its original serialization stamp.
         assert_eq!(ckpt.lsn, 3);
         assert!(ckpt.body.contains("a.c.1"));
         assert_eq!(load_checkpoint(&cut, 1).unwrap().lsn, 8);

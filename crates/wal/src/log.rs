@@ -14,7 +14,7 @@
 
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use quepa_aindex::IndexOp;
@@ -233,9 +233,9 @@ impl Wal {
             Err(e) => return Err(io_err(path, e)),
         };
         let outcome = scan_bytes(&bytes, path)?;
+        // Write-only: the read above is the one read of the log.
         let mut file = OpenOptions::new()
             .create(true)
-            .read(true)
             .write(true)
             .truncate(false)
             .open(path)
@@ -252,11 +252,6 @@ impl Wal {
     /// The LSN of the last appended record (`0` if none yet).
     pub fn last_lsn(&self) -> Lsn {
         self.next_lsn - 1
-    }
-
-    /// The log's file path.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Appends `ops` as consecutive records in one write (one fsync
@@ -289,36 +284,21 @@ impl Wal {
         self.next_lsn = self.next_lsn.max(lsn + 1);
     }
 
-    /// Forces buffered writes to stable storage regardless of policy.
-    pub fn sync(&mut self) -> Result<(), WalError> {
-        self.file.sync_data().map_err(|e| io_err(&self.path, e))
-    }
-
-    /// Drops every record with `lsn <= upto` (they are covered by
-    /// checkpoints) by atomically rewriting the file with the tail
-    /// only. LSN assignment continues where it left off.
-    pub fn truncate_upto(&mut self, upto: Lsn) -> Result<(), WalError> {
+    /// Empties the log in place: the file is cut to zero bytes, synced
+    /// once, and the cursor goes back to its start. The LSN clock is
+    /// untouched, so the next append continues the sequence.
+    ///
+    /// Precondition: the caller has just committed a checkpoint cut at
+    /// [`last_lsn`](Wal::last_lsn), so every record in the log is
+    /// covered and nothing in it is read again — a damaged frame the
+    /// cut covers goes with the rest. A crash before this call leaves
+    /// covered records behind, which recovery filters by the cut's LSN.
+    pub fn clear(&mut self) -> Result<(), WalError> {
+        self.file.set_len(0).map_err(|e| io_err(&self.path, e))?;
         self.file.sync_data().map_err(|e| io_err(&self.path, e))?;
-        let mut bytes = Vec::new();
+        // Without the seek the next frame would land at the old cursor,
+        // behind a zero-filled hole.
         self.file.seek(SeekFrom::Start(0)).map_err(|e| io_err(&self.path, e))?;
-        self.file.read_to_end(&mut bytes).map_err(|e| io_err(&self.path, e))?;
-        let outcome = scan_bytes(&bytes, &self.path)?;
-        let mut buf = Vec::new();
-        for record in outcome.records.iter().filter(|r| r.lsn > upto) {
-            encode_frame(record.lsn, &record.op, &mut buf);
-        }
-        let tmp = self.path.with_extension("wal.tmp");
-        std::fs::write(&tmp, &buf).map_err(|e| io_err(&tmp, e))?;
-        let tmp_file = File::open(&tmp).map_err(|e| io_err(&tmp, e))?;
-        tmp_file.sync_data().map_err(|e| io_err(&tmp, e))?;
-        std::fs::rename(&tmp, &self.path).map_err(|e| io_err(&self.path, e))?;
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(&self.path)
-            .map_err(|e| io_err(&self.path, e))?;
-        file.seek(SeekFrom::End(0)).map_err(|e| io_err(&self.path, e))?;
-        self.file = file;
         Ok(())
     }
 }
@@ -487,18 +467,22 @@ mod tests {
     }
 
     #[test]
-    fn truncate_upto_keeps_tail_and_lsn_sequence() {
-        let tmp = TempDir::new("truncate");
+    fn clear_empties_the_log_and_keeps_the_lsn_sequence() {
+        let tmp = TempDir::new("clear");
         let path = tmp.path("quepa.wal");
-        let ops = sample_ops(6);
         let (mut wal, _) = Wal::open(&path, SyncPolicy::Buffered).unwrap();
-        wal.append(&ops).unwrap();
-        wal.truncate_upto(4).unwrap();
+        wal.append(&sample_ops(6)).unwrap();
+        wal.clear().unwrap();
         assert_eq!(wal.last_lsn(), 6);
-        wal.append(&sample_ops(1)).unwrap();
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
+        assert_eq!(wal.append(&sample_ops(2)).unwrap(), 8);
         drop(wal);
         let (_, scan) = Wal::open(&path, SyncPolicy::Buffered).unwrap();
-        assert_eq!(scan.records.iter().map(|r| r.lsn).collect::<Vec<_>>(), vec![5, 6, 7]);
+        assert_eq!(scan.tail, TailStatus::Clean);
+        assert_eq!(scan.records.iter().map(|r| r.lsn).collect::<Vec<_>>(), vec![7, 8]);
+        let names: Vec<_> =
+            std::fs::read_dir(&tmp.0).unwrap().map(|e| e.unwrap().file_name()).collect();
+        assert_eq!(names, ["quepa.wal"], "no other file appears beside the log");
     }
 
     #[test]

@@ -88,8 +88,8 @@ pub fn recover(
         None => 0,
     };
     let (mut wal, scan) = Wal::open(&wal_path(dir), sync)?;
-    // The log may have been truncated behind the cut (possibly to
-    // empty); never re-issue LSNs the cut covers.
+    // A committed cut empties the log, so it may hold nothing past the
+    // cut; never re-issue LSNs the cut covers.
     wal.advance_past(cut_lsn);
     let torn = matches!(scan.tail, TailStatus::TornTruncated { .. });
     let mut tail: Vec<_> = scan.records.into_iter().filter(|r| r.lsn > cut_lsn).collect();
@@ -243,7 +243,7 @@ mod tests {
         assert_eq!(keys(&index), keys(&sharded.snapshot()));
     }
 
-    /// Regression: a cut that truncated the WAL to empty must not make
+    /// Regression: a cut that emptied the WAL must not make
     /// the reopened log re-issue covered LSNs — records appended after
     /// such a restart must survive the *next* recovery.
     #[test]
@@ -257,7 +257,7 @@ mod tests {
             sharded.apply(std::slice::from_ref(op));
         }
         write_cut(&tmp.0, 2, |shard| Some(sharded.serialize_shard(shard))).unwrap();
-        wal.truncate_upto(2).unwrap();
+        wal.clear().unwrap();
         drop(wal);
 
         // Restart: the log is empty, the cut covers LSNs 1..=2.

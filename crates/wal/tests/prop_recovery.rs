@@ -142,7 +142,7 @@ fn run_seed(seed: u64) {
                 .unwrap();
             dirty = [false; SHARD_COUNT];
             if rng.chance(50) {
-                wal.truncate_upto(lsn).unwrap();
+                wal.clear().unwrap();
             }
         }
     }
