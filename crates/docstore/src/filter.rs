@@ -109,7 +109,7 @@ impl Filter {
         };
         let mut clauses = Vec::with_capacity(ops.len());
         for (opname, operand) in ops {
-            let op = match opname.as_str() {
+            let op = match opname {
                 "$eq" => FieldOp::Eq(operand.clone()),
                 "$ne" => FieldOp::Ne(operand.clone()),
                 "$gt" => FieldOp::Gt(operand.clone()),

@@ -89,7 +89,7 @@ impl DocQuery {
                         Some(-1) => false,
                         _ => return Err(DocError::Syntax("sort direction must be 1 or -1".into())),
                     };
-                    sort = Some((field.clone(), asc));
+                    sort = Some((field.to_owned(), asc));
                 }
                 "limit" => {
                     let n: usize = arg

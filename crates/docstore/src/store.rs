@@ -1,6 +1,7 @@
 //! The document store engine.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::sync::Arc;
 
 use quepa_pdm::ordered::{self, OrderedIndex};
 use quepa_pdm::Value;
@@ -12,12 +13,15 @@ use crate::query::{DocQuery, QueryVerb};
 /// One collection: a slab of documents in insertion order — the scan
 /// order, and the tie order of sorts — beside an `_id` → slot map and the
 /// declared field indexes. Deleting leaves `None` in the slot so slots stay
-/// stable; a re-inserted `_id` takes a fresh slot at the end.
+/// stable; a re-inserted `_id` takes a fresh slot at the end. The
+/// documents' top-level field names are shared: one allocation per
+/// distinct name in the collection.
 #[derive(Debug, Clone, Default)]
 struct Collection {
     slots: Vec<Option<Value>>,
     by_id: HashMap<String, usize>,
     indexes: Vec<FieldIndex>,
+    names: HashSet<Arc<str>>,
 }
 
 /// A declared secondary index over one dotted field path. Documents
@@ -33,7 +37,10 @@ impl Collection {
         self.slots[*self.by_id.get(id)?].as_ref()
     }
 
-    fn insert(&mut self, id: String, doc: Value) {
+    fn insert(&mut self, id: String, mut doc: Value) {
+        if let Value::Object(fields) = &mut doc {
+            fields.share_names(&mut self.names);
+        }
         let slot = self.slots.len();
         for FieldIndex { path, index } in &mut self.indexes {
             if let Some(v) = doc.get_path(path) {

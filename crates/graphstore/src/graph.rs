@@ -1,10 +1,12 @@
 //! Property-graph storage: nodes, labelled edges, adjacency.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
+use quepa_pdm::fields::intern;
 use quepa_pdm::ordered::{self, OrderedIndex, Sarg};
-use quepa_pdm::Value;
+use quepa_pdm::{Fields, Value};
 
 /// Convenience alias.
 pub type Result<T> = std::result::Result<T, GraphError>;
@@ -32,8 +34,9 @@ impl fmt::Display for GraphError {
 
 impl std::error::Error for GraphError {}
 
-/// Node properties.
-pub type PropertyMap = BTreeMap<String, Value>;
+/// Node properties, sorted by name. The nodes of one graph share their
+/// property-name allocations.
+pub type PropertyMap = Fields;
 
 /// A node of the property graph.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,12 +51,24 @@ pub struct Node {
 
 impl Node {
     /// Renders the node (id, label, properties) as a single PDM value, the
-    /// form the polystore connector hands to the augmenter.
+    /// form the polystore connector hands to the augmenter. `_id` and
+    /// `_label` replace properties of the same name.
     pub fn to_value(&self) -> Value {
-        let mut v = Value::Object(self.properties.clone());
-        v.insert("_id", Value::str(self.id.clone()));
-        v.insert("_label", Value::str(self.label.clone()));
-        v
+        static RESERVED: OnceLock<[Arc<str>; 2]> = OnceLock::new();
+        let [id, label] = RESERVED.get_or_init(|| [Arc::from("_id"), Arc::from("_label")]);
+        // Both lists are sorted: merge them in one pass.
+        let mut reserved = [(id, &self.id), (label, &self.label)].into_iter().peekable();
+        let mut pairs = Vec::with_capacity(self.properties.len() + 2);
+        for (name, value) in self.properties.pairs() {
+            while let Some((r, text)) = reserved.next_if(|(r, _)| r.as_ref() <= name.as_ref()) {
+                pairs.push((Arc::clone(r), Value::str(text.clone())));
+            }
+            if name != id && name != label {
+                pairs.push((Arc::clone(name), value.clone()));
+            }
+        }
+        pairs.extend(reserved.map(|(r, text)| (Arc::clone(r), Value::str(text.clone()))));
+        Value::Object(Fields::from_sorted(pairs))
     }
 }
 
@@ -74,6 +89,8 @@ pub struct GraphDb {
     by_id: HashMap<String, usize>,
     by_label: HashMap<String, Vec<usize>>,
     prop_indexes: Vec<PropertyIndex>,
+    /// The property names of every node, one allocation each.
+    names: HashSet<Arc<str>>,
     edge_count: usize,
     tombstones: usize,
 }
@@ -98,6 +115,7 @@ impl GraphDb {
             by_id: HashMap::new(),
             by_label: HashMap::new(),
             prop_indexes: Vec::new(),
+            names: HashSet::new(),
             edge_count: 0,
             tombstones: 0,
         }
@@ -122,13 +140,15 @@ impl GraphDb {
     pub fn add_node<I, K>(&mut self, id: &str, label: &str, properties: I) -> Result<()>
     where
         I: IntoIterator<Item = (K, Value)>,
-        K: Into<String>,
+        K: AsRef<str>,
     {
         if self.by_id.contains_key(id) {
             return Err(GraphError::DuplicateNode(id.to_owned()));
         }
         let slot = self.nodes.len();
-        let properties: PropertyMap = properties.into_iter().map(|(k, v)| (k.into(), v)).collect();
+        let names = &mut self.names;
+        let properties: PropertyMap =
+            properties.into_iter().map(|(k, v)| (intern(names, k.as_ref()), v)).collect();
         for idx in self.prop_indexes.iter_mut().filter(|i| i.label == label) {
             if let Some(v) = properties.get(&idx.property) {
                 idx.index.insert(v, slot);
@@ -187,7 +207,7 @@ impl GraphDb {
         self.edge_count -= out_edges.len() + in_edges.len();
         // Tombstone: blank the node so label/property scans skip it.
         self.nodes[slot].id.clear();
-        self.nodes[slot].properties.clear();
+        self.nodes[slot].properties = Fields::new();
         self.tombstones += 1;
         true
     }

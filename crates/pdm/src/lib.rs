@@ -27,6 +27,7 @@
 
 pub mod compare;
 pub mod error;
+pub mod fields;
 pub mod key;
 pub mod object;
 pub mod ordered;
@@ -37,6 +38,7 @@ pub mod text;
 pub mod value;
 
 pub use error::{PdmError, Result};
+pub use fields::Fields;
 pub use key::{CollectionName, DatabaseName, GlobalKey, LocalKey};
 pub use object::DataObject;
 pub use ordered::OrdValue;

@@ -12,9 +12,8 @@
 //!   canonical by construction);
 //! * duplicate fields keep the *last* occurrence, like most JSON parsers.
 
-use std::collections::BTreeMap;
-
 use crate::error::{PdmError, Result};
+use crate::fields::Fields;
 use crate::value::Value;
 
 /// Parses a value from its text representation.
@@ -226,11 +225,11 @@ impl<'a> Parser<'a> {
 
     fn parse_object(&mut self) -> Result<Value> {
         self.expect(b'{')?;
-        let mut fields = BTreeMap::new();
+        let mut fields = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Value::Object(fields));
+            return Ok(Value::Object(Fields::new()));
         }
         loop {
             self.skip_ws();
@@ -239,11 +238,11 @@ impl<'a> Parser<'a> {
             self.expect(b':')?;
             self.skip_ws();
             let value = self.parse_value()?;
-            fields.insert(key, value);
+            fields.push((key, value));
             self.skip_ws();
             match self.bump() {
                 Some(b',') => continue,
-                Some(b'}') => return Ok(Value::Object(fields)),
+                Some(b'}') => return Ok(Value::Object(fields.into_iter().collect())),
                 _ => return Err(self.err("expected `,` or `}` in object")),
             }
         }

@@ -7,15 +7,17 @@
 //! keep their own formats, per the paper's design goal (ii) in §I).
 
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::error::PdmError;
+use crate::fields::Fields;
 
 /// A dynamically-typed value: the common in-memory currency of the polystore.
 ///
-/// Objects use a `BTreeMap` so that field order — and therefore the text
-/// rendering, hashing and equality — is deterministic.
+/// Object fields are kept sorted by name ([`Fields`]) so that field order —
+/// and therefore the text rendering, hashing and equality — is
+/// deterministic.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub enum Value {
     /// The null value.
@@ -32,7 +34,7 @@ pub enum Value {
     /// An ordered sequence of values.
     Array(Vec<Value>),
     /// A field-name → value mapping with deterministic (sorted) field order.
-    Object(BTreeMap<String, Value>),
+    Object(Fields),
 }
 
 impl Value {
@@ -45,9 +47,9 @@ impl Value {
     pub fn object<I, K>(fields: I) -> Self
     where
         I: IntoIterator<Item = (K, Value)>,
-        K: Into<String>,
+        K: Into<Arc<str>>,
     {
-        Value::Object(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+        Value::Object(fields.into_iter().collect())
     }
 
     /// Creates an array value.
@@ -116,7 +118,7 @@ impl Value {
     }
 
     /// Borrows the fields, if this is an object.
-    pub fn as_object(&self) -> Option<&BTreeMap<String, Value>> {
+    pub fn as_object(&self) -> Option<&Fields> {
         match self {
             Value::Object(m) => Some(m),
             _ => None,
@@ -149,12 +151,12 @@ impl Value {
     /// Inserts a field, turning `self` into an object if it was null.
     ///
     /// Returns the previous value of the field, if any.
-    pub fn insert(&mut self, field: impl Into<String>, value: Value) -> Option<Value> {
+    pub fn insert(&mut self, field: impl Into<Arc<str>>, value: Value) -> Option<Value> {
         if self.is_null() {
-            *self = Value::Object(BTreeMap::new());
+            *self = Value::Object(Fields::new());
         }
         match self {
-            Value::Object(m) => m.insert(field.into(), value),
+            Value::Object(m) => m.insert(field, value),
             _ => None,
         }
     }

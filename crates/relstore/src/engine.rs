@@ -1,9 +1,10 @@
 //! The storage engine: tables, indexes and statement execution.
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 use quepa_pdm::ordered::{self, OrderedIndex};
-use quepa_pdm::{Pushdown, Value};
+use quepa_pdm::{Fields, Pushdown, Value};
 
 use crate::error::{RelError, Result};
 use crate::eval::{eval_predicate, ColumnSource};
@@ -11,9 +12,10 @@ use crate::row::Row;
 use crate::sql::ast::{AggFunc, Expr, OrderDir, SelectItem, SelectStmt, Statement};
 use crate::sql::parser::parse_statement;
 
-/// A query result row: column name → value. Using the map form keeps result
-/// handling uniform with the other stores' connectors.
-pub type ResultRow = BTreeMap<String, Value>;
+/// A query result row: column name → value. Using the object form keeps
+/// result handling uniform with the other stores' connectors; a table's
+/// rows share its column-name allocations.
+pub type ResultRow = Fields;
 
 /// The result of a predicated keyed lookup: matching `(pk, row)` pairs
 /// plus the keys whose row exists but fails the predicate — each key the
@@ -29,6 +31,9 @@ pub type FilteredRows<'k, K> = (Vec<(&'k K, ResultRow)>, Vec<&'k K>);
 pub struct Table {
     name: String,
     columns: Vec<String>,
+    /// The column names in name order, each with its row position: what a
+    /// result row is built from.
+    by_name: Vec<(Arc<str>, usize)>,
     pk_column: usize,
     rows: Vec<Option<Row>>,
     live_rows: usize,
@@ -66,9 +71,14 @@ impl Table {
             .iter()
             .position(|c| *c == pk)
             .ok_or_else(|| RelError::UnknownColumn(pk.to_owned()))?;
+        // Of a repeated column name the last position wins, as in a row
+        // collected into a map.
+        let positions: BTreeMap<&str, usize> =
+            columns.iter().enumerate().map(|(pos, c)| (*c, pos)).collect();
         Ok(Table {
             name: name.to_owned(),
             columns: columns.iter().map(|s| s.to_string()).collect(),
+            by_name: positions.into_iter().map(|(c, pos)| (Arc::from(c), pos)).collect(),
             pk_column,
             rows: Vec::new(),
             live_rows: 0,
@@ -148,7 +158,18 @@ impl Table {
     }
 
     fn to_result_row(&self, row: &Row) -> ResultRow {
-        self.columns.iter().cloned().zip(row.iter().cloned()).collect()
+        Fields::from_sorted(
+            self.by_name.iter().map(|(name, pos)| (Arc::clone(name), row[*pos].clone())).collect(),
+        )
+    }
+
+    /// The shared allocation of a column's name.
+    fn shared_name(&self, name: &str) -> Result<Arc<str>> {
+        self.by_name
+            .iter()
+            .find(|(c, _)| **c == *name)
+            .map(|(c, _)| Arc::clone(c))
+            .ok_or_else(|| RelError::UnknownColumn(name.to_owned()))
     }
 
     /// Iterates over live rows.
@@ -375,7 +396,7 @@ impl Database {
             let mut positions = Vec::with_capacity(stmt.items.len());
             for item in &stmt.items {
                 match item {
-                    SelectItem::Column(c) => positions.push((c.clone(), t.column_pos(c)?)),
+                    SelectItem::Column(c) => positions.push((t.shared_name(c)?, t.column_pos(c)?)),
                     SelectItem::Wildcard => {
                         return Err(RelError::Unsupported(
                             "mixing * with other select items".into(),
@@ -467,7 +488,9 @@ impl Database {
         pks: &'k [K],
     ) -> Result<Vec<(&'k K, ResultRow)>> {
         let t = self.table(table)?;
-        Ok(pks.iter().filter_map(|pk| Some((pk, t.get(pk.as_ref())?))).collect())
+        let mut rows = Vec::with_capacity(pks.len());
+        rows.extend(pks.iter().filter_map(|pk| Some((pk, t.get(pk.as_ref())?))));
+        Ok(rows)
     }
 
     /// Keyed lookup with a store-side predicate — the `SELECT … WHERE pk
@@ -546,9 +569,7 @@ fn agg_name(f: AggFunc) -> &'static str {
 }
 
 fn affected(n: usize) -> ResultRow {
-    let mut r = ResultRow::new();
-    r.insert("affected".into(), Value::Int(n as i64));
-    r
+    Fields::from_iter([("affected", Value::Int(n as i64))])
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@ pub trait ColumnSource {
     fn column(&self, name: &str) -> Option<&Value>;
 }
 
-impl ColumnSource for std::collections::BTreeMap<String, Value> {
+impl ColumnSource for quepa_pdm::Fields {
     fn column(&self, name: &str) -> Option<&Value> {
         self.get(name)
     }
@@ -131,9 +131,9 @@ mod tests {
     use super::*;
     use crate::sql::ast::Statement;
     use crate::sql::parser::parse_statement;
-    use std::collections::BTreeMap;
+    use quepa_pdm::Fields;
 
-    fn row(pairs: &[(&str, Value)]) -> BTreeMap<String, Value> {
+    fn row(pairs: &[(&str, Value)]) -> Fields {
         pairs.iter().map(|(k, v)| (k.to_string(), v.clone())).collect()
     }
 
