@@ -109,7 +109,7 @@ impl AIndex {
         let slot = state.slots();
         state.overlay.keys.push(key.clone());
         state.overlay.names.insert(key.clone(), slot);
-        state.overlay.nodes.insert(slot, OverlayNode { alive: true, inc: 0, edges: Vec::new() });
+        state.overlay.fresh.push(OverlayNode { alive: true, inc: 0, edges: Vec::new() });
         make_ref(shard, slot)
     }
 
@@ -126,8 +126,7 @@ impl AIndex {
 
     /// Node `n`'s entry for editing, copied from the base on first edit.
     fn node_mut(&mut self, n: NodeRef) -> &mut OverlayNode {
-        let Shard { base, overlay } = self.shard_mut(shard_of(n));
-        overlay.nodes.entry(slot_of(n)).or_insert_with(|| base.node(slot_of(n)))
+        self.shard_mut(shard_of(n)).node_mut(slot_of(n))
     }
 
     /// Folds every non-empty overlay into its base. The state words of
@@ -139,7 +138,7 @@ impl AIndex {
             words[shard_of(e.other)][slot_of(e.other) as usize] == word(true, e.other_inc)
         };
         for (s, shard_words) in words.iter().enumerate() {
-            if !self.graph.shards[s].overlay.nodes.is_empty() {
+            if !self.graph.shards[s].overlay.is_empty() {
                 let packed = self.graph.shards[s].pack(shard_words, live);
                 self.install(s, shard_words.clone(), packed);
             }

@@ -228,12 +228,29 @@ pub(crate) struct OverlayNode {
 /// away at publication.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Overlay {
-    /// slot → node state.
+    /// Base slot → its edited node state.
     pub(crate) nodes: Map<u32, OverlayNode>,
     /// Keys of the slots created since the base was built, in slot order.
     pub(crate) keys: Vec<GlobalKey>,
+    /// The node states of those slots, aligned with `keys`.
+    pub(crate) fresh: Vec<OverlayNode>,
     /// key → slot for those.
     pub(crate) names: HashMap<GlobalKey, u32>,
+}
+
+impl Overlay {
+    /// Node entries the overlay holds: edited base slots plus fresh ones.
+    pub(crate) fn len(&self) -> usize {
+        self.nodes.len() + self.fresh.len()
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    fn entries(&self) -> impl Iterator<Item = &OverlayNode> {
+        self.nodes.values().chain(&self.fresh)
+    }
 }
 
 /// One shard's state: a shared packed base plus a small overlay readers
@@ -254,10 +271,29 @@ impl Shard {
         self.overlay.names.get(key).or_else(|| self.base.names.get(key)).copied()
     }
 
+    /// The overlay's entry for a slot: always there for a fresh slot, for
+    /// a base slot only once edited.
+    #[inline]
+    fn overlay_node(&self, slot: u32) -> Option<&OverlayNode> {
+        match (slot as usize).checked_sub(self.base.keys.len()) {
+            Some(i) => Some(&self.overlay.fresh[i]),
+            None => self.overlay.nodes.get(&slot),
+        }
+    }
+
+    /// Slot `slot`'s entry for editing, copied from the base on first edit.
+    pub(crate) fn node_mut(&mut self, slot: u32) -> &mut OverlayNode {
+        let Shard { base, overlay } = self;
+        match (slot as usize).checked_sub(base.keys.len()) {
+            Some(i) => &mut overlay.fresh[i],
+            None => overlay.nodes.entry(slot).or_insert_with(|| base.node(slot)),
+        }
+    }
+
     /// A slot's liveness and incarnation.
     #[inline]
     pub(crate) fn state(&self, slot: u32) -> (bool, u32) {
-        match self.overlay.nodes.get(&slot) {
+        match self.overlay_node(slot) {
             Some(o) => (o.alive, o.inc),
             None => self.base.state(slot),
         }
@@ -287,7 +323,7 @@ impl Shard {
         words: &[u32],
         live: impl Fn(&HalfEdge) -> bool,
     ) -> (Vec<u32>, Vec<HalfEdge>) {
-        let overlaid: usize = self.overlay.nodes.values().map(|n| n.edges.len()).sum();
+        let overlaid: usize = self.overlay.entries().map(|n| n.edges.len()).sum();
         let mut edges = Vec::with_capacity(self.base.edges.len() + overlaid);
         let mut offsets = Vec::with_capacity(words.len() + 1);
         for (slot, &w) in words.iter().enumerate() {
@@ -301,7 +337,7 @@ impl Shard {
     }
 
     fn edges(&self, slot: u32) -> &[HalfEdge] {
-        match self.overlay.nodes.get(&slot) {
+        match self.overlay_node(slot) {
             Some(o) => &o.edges,
             None => self.base.edges_of(slot),
         }
@@ -310,17 +346,17 @@ impl Shard {
     fn live_count(&self) -> usize {
         let mut live = self.base.live_nodes as isize;
         for (&slot, node) in &self.overlay.nodes {
-            let was = self.base.states.get(slot as usize).is_some_and(|w| w & 1 == 1);
+            let was = self.base.states[slot as usize] & 1 == 1;
             live += node.alive as isize - was as isize;
         }
+        live += self.overlay.fresh.iter().filter(|n| n.alive).count() as isize;
         live.max(0) as usize
     }
 
     fn resident_bytes(&self) -> usize {
         let nodes: usize = self
             .overlay
-            .nodes
-            .values()
+            .entries()
             .map(|n| n.edges.len() * std::mem::size_of::<HalfEdge>() + 48)
             .sum();
         let names: usize = self.overlay.keys.iter().map(|k| key_heap_bytes(k) + 32).sum();
@@ -845,7 +881,7 @@ impl ShardedIndex {
             if touched {
                 self.swaps[shard].fetch_add(1, Ordering::Relaxed);
                 report.touched.push(shard);
-                if wants_compaction(state.overlay.nodes.len(), state.base.keys.len()) {
+                if wants_compaction(state.overlay.len(), state.base.keys.len()) {
                     ledger.fold(shard);
                     self.compactions[shard].fetch_add(1, Ordering::Relaxed);
                     report.compacted.push(shard);
@@ -908,7 +944,7 @@ impl ShardedIndex {
             .map(|(shard, state)| ShardIndexStats {
                 shard,
                 entries: state.live_count(),
-                overlay_depth: state.overlay.nodes.len(),
+                overlay_depth: state.overlay.len(),
                 resident_bytes: state.resident_bytes(),
                 compactions: self.compactions[shard].load(Ordering::Relaxed),
                 swaps: self.swaps[shard].load(Ordering::Relaxed),
@@ -975,7 +1011,7 @@ mod tests {
             copy.insert_raw(a, b, kind, p, origin);
         }
         copy.fold_all();
-        assert!(copy.graph.shards.iter().all(|s| s.overlay.nodes.is_empty()));
+        assert!(copy.graph.shards.iter().all(|s| s.overlay.is_empty()));
         IndexView::of(&copy)
     }
 
