@@ -201,11 +201,6 @@ impl DatasetBuilder {
         }
     }
 
-    /// Borrow the schema mutably (to intern categorical feature values).
-    pub fn schema_mut(&mut self) -> &mut Schema {
-        &mut self.dataset.schema
-    }
-
     /// Adds a row with a class label (classification).
     pub fn push_classified(&mut self, row: Vec<FeatureValue>, class: &str) {
         assert_eq!(row.len(), self.dataset.schema.len(), "row arity mismatch");

@@ -1,7 +1,7 @@
 //! Train/test utilities: splits, accuracy, error metrics.
 
 use crate::c45::DecisionTree;
-use crate::dataset::{Dataset, FeatureValue};
+use crate::dataset::Dataset;
 use crate::reptree::RegressionTree;
 
 /// Deterministic train/test split: every `k`-th row goes to the test set,
@@ -69,15 +69,10 @@ pub fn majority_baseline(data: &Dataset) -> f64 {
     *counts.iter().max().unwrap_or(&0) as f64 / data.len() as f64
 }
 
-/// Convenience: predicts a class name from raw features.
-pub fn predict_class<'t>(tree: &'t DecisionTree, row: &[FeatureValue]) -> &'t str {
-    tree.predict_name(row)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::{AttrKind, DatasetBuilder, Schema};
+    use crate::dataset::{AttrKind, DatasetBuilder, FeatureValue, Schema};
 
     fn num(x: f64) -> FeatureValue {
         FeatureValue::Num(x)
